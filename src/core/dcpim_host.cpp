@@ -29,7 +29,7 @@ DcpimHost::DcpimHost(net::Network& net, int host_id,
   // First matching phase begins at local time 0 (+ jitter). The config's
   // topology-derived fields are read lazily at event time, so the owner may
   // fill them in after construction but before the simulation starts.
-  network().sim().schedule_local_at(TimePoint(jitter_), [this]() { epoch_tick(0); });
+  network().sim().schedule_at(TimePoint(jitter_), [this]() { epoch_tick(0); });
 }
 
 // ===== clock ================================================================
@@ -87,15 +87,15 @@ void DcpimHost::epoch_tick(std::uint64_t m) {
   const Time S = cfg_.stage_length();
   run_request_stage(m, 1);
   for (int round = 2; round <= cfg_.rounds; ++round) {
-    network().sim().schedule_local_at(
+    network().sim().schedule_at(
         matching_start(m) + S * (2 * (round - 1)),
         [this, m, round]() { run_request_stage(m, round); });
   }
 
   // This phase's matches drive tokens one epoch-length later.
-  network().sim().schedule_local_at(data_phase_start(m),
+  network().sim().schedule_at(data_phase_start(m),
                               [this, m]() { start_data_phase(m); });
-  network().sim().schedule_local_at(matching_start(m + 1),
+  network().sim().schedule_at(matching_start(m + 1),
                               [this, m]() { epoch_tick(m + 1); });
 }
 
@@ -141,7 +141,7 @@ void DcpimHost::send_notification(TxFlow& tx, bool retransmit) {
 }
 
 void DcpimHost::schedule_notify_timer(std::uint64_t flow_id) {
-  network().sim().schedule_local(cfg_.effective_control_retx(), [this,
+  network().sim().schedule_after(cfg_.effective_control_retx(), [this,
                                                                  flow_id]() {
     auto it = tx_flows_.find(flow_id);
     if (it == tx_flows_.end()) return;
@@ -164,7 +164,7 @@ void DcpimHost::maybe_send_finish(TxFlow& tx) {
 }
 
 void DcpimHost::schedule_finish_timer(std::uint64_t flow_id) {
-  network().sim().schedule_local(
+  network().sim().schedule_after(
       cfg_.effective_control_retx(), [this, flow_id]() {
         auto it = tx_flows_.find(flow_id);
         if (it == tx_flows_.end()) return;
@@ -213,7 +213,7 @@ void DcpimHost::handle_request(const RequestPacket& req) {
   if (!st.grant_stage_scheduled[round]) {
     st.grant_stage_scheduled[round] = true;
     const std::uint64_t m = req.epoch;
-    network().sim().schedule_local_at(grant_time(round), [this, m, round]() {
+    network().sim().schedule_at(grant_time(round), [this, m, round]() {
       run_grant_stage(m, round);
     });
   }
@@ -313,7 +313,7 @@ void DcpimHost::sender_pacer_tick() {
   const TokenPacket tok = token_queue_.front();
   token_queue_.pop_front();
   transmit_for_token(tok);
-  network().sim().schedule_local(mtu_tx_time(),
+  network().sim().schedule_after(mtu_tx_time(),
                                  [this]() { sender_pacer_tick(); });
 }
 
@@ -358,7 +358,7 @@ void DcpimHost::handle_notification(const NotificationPacket& note) {
     // matching phase (§3.2).
     const Time expected = nic()->tx_time(flow->size) + cfg_.control_rtt * 4;
     const std::uint64_t id = note.flow_id;
-    network().sim().schedule_local(expected,
+    network().sim().schedule_after(expected,
                                    [this, id]() { check_short_flow(id); });
   }
 }
@@ -572,7 +572,7 @@ void DcpimHost::handle_grant(const GrantPacket& grant) {
   if (!st.accept_stage_scheduled[round]) {
     st.accept_stage_scheduled[round] = true;
     const std::uint64_t m = grant.epoch;
-    network().sim().schedule_local_at(accept_time(round), [this, m, round]() {
+    network().sim().schedule_at(accept_time(round), [this, m, round]() {
       run_accept_stage(m, round);
     });
   }
@@ -695,7 +695,7 @@ void DcpimHost::token_tick(std::uint64_t phase, std::size_t match_idx) {
   // DcpimConfig::token_pacing_headroom).
   const Time interval = mtu_tx_time() * cfg_.channels / match.channels *
                         (1.0 + cfg_.token_pacing_headroom);
-  network().sim().schedule_local(
+  network().sim().schedule_after(
       interval, [this, phase, match_idx]() { token_tick(phase, match_idx); });
 }
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 
-#include "util/check.h"
 #include "util/time.h"
 #include "util/units.h"
 
@@ -68,8 +67,7 @@ struct NetConfig {
   Bytes control_packet_bytes{64};  ///< wire size of control packets
   Time switch_latency = ns(450);  ///< per-switch processing delay (Table 1)
   Time host_latency = ns(500);    ///< end-host ingress (NIC/stack) delay
-  /// Multi-path forwarding policy (replaces the old `packet_spraying`
-  /// boolean; see the deprecation shim below).
+  /// Multi-path forwarding policy.
   LbPolicy lb_policy = LbPolicy::kSpray;
   /// Flowlet policy only: idle gap after which a flow's next hop re-draws.
   Time flowlet_gap = us(5);
@@ -81,19 +79,6 @@ struct NetConfig {
   std::uint64_t seed = 1;
 
   Bytes mtu_wire() const { return mtu_payload + header_bytes; }
-
-  /// Deprecation shim for the retired `packet_spraying` boolean: maps the
-  /// old two-mode world onto LbPolicy. Refuses to run once a non-legacy
-  /// policy is configured — a stale boolean caller must not silently undo a
-  /// flowlet/weighted selection. New code sets `lb_policy` directly
-  /// (lint_dcpim's packet-spraying rule flags fresh uses of this shim).
-  void set_packet_spraying(bool spraying) {
-    DCPIM_CHECK(lb_policy == LbPolicy::kSpray ||
-                    lb_policy == LbPolicy::kEcmpFlow,
-                "set_packet_spraying: lb_policy already set to a non-legacy "
-                "policy; configure NetConfig::lb_policy instead");
-    lb_policy = spraying ? LbPolicy::kSpray : LbPolicy::kEcmpFlow;
-  }
 };
 
 }  // namespace dcpim::net

@@ -61,8 +61,6 @@ void Port::drop_packet(PacketPtr p, DropReason reason) {
   // Release any switch-side ingress accounting (PFC): a dropped packet
   // never reaches try_transmit's departure hook, and leaking its bytes
   // would leave the upstream port paused forever.
-  // sa-ok(hot-cost): drops are the rare path, and the departure hook is
-  // the Device contract seam (host pacing vs switch PFC accounting).
   owner_.on_packet_departed(*p);
   net_.notify_drop(*p, *this, reason);
 }
@@ -183,9 +181,6 @@ void Port::try_transmit() {
   queues_[prio].pop_front();
   qbytes_[prio] -= p->size;
   total_qbytes_ -= p->size;
-  // sa-ok(hot-cost): the departure hook is the Device contract seam (host
-  // pacing vs switch PFC accounting); one indirect call per dequeue is the
-  // price of that boundary until a CRTP split proves worth it.
   owner_.on_packet_departed(*p);
 
   if (p->collect_int) {
@@ -203,19 +198,12 @@ void Port::try_transmit() {
   busy_ = true;
   const Time ser = tx_time(p->size);
   busy_time += ser;
-  // sa-ok(hot-cost): this serialization -> propagation -> receive pipeline
-  // IS the event model — one timer per link stage and one virtual hand-off
-  // at each device boundary. Its per-hop cost is the baseline the perf
-  // basket tracks (BENCH_*.json); collapsing stages would change simulated
-  // semantics, not just speed.
-  net_.sim().schedule_local(ser, [this, pkt = std::move(p)]() mutable {
+  net_.sim().schedule_after(ser, [this, pkt = std::move(p)]() mutable {
     tx_bytes += pkt->size;
     ++tx_packets;
     busy_ = false;
     Device* peer = peer_;
     Port* rev = reverse_;
-    // sa-ok(hot-cost): the propagation stage of the pipeline justified
-    // above — one timer plus the virtual hand-off into the peer device.
     net_.sim().schedule_remote(link_lookahead(), peer->ingress_latency(),
                                [peer, rev, pp = std::move(pkt)]() mutable {
                                  peer->receive(std::move(pp), rev);

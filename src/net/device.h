@@ -96,10 +96,9 @@ class Port {
   /// Serialization time of `bytes` on this link.
   Time tx_time(Bytes bytes) const;
 
-  /// This link's PDES lookahead: its propagation delay, as the proof-typed
-  /// bound schedule_remote() requires. The only sanctioned Lookahead
-  /// construction site in src/ (enforced by the dcpim-sa pdes rule) —
-  /// every cross-domain bound therefore traces back to a link, and the
+  /// This link's propagation delay, as the positive bound
+  /// schedule_remote() requires. The only Lookahead construction site in
+  /// src/, so every cross-link delay traces back to a link; the
   /// topology-sanity ctest pins all inter-host propagation delays > 0.
   sim::Lookahead link_lookahead() const {
     return sim::Lookahead(cfg_.propagation);

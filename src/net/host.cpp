@@ -51,14 +51,13 @@ Bytes Host::accept_data(const Packet& p) {
   const bool was_complete = st.complete();
   const Bytes fresh = st.on_data(p.seq);
   if (fresh > Bytes{}) {
-    // Per-host delivery counter: this host owns the write; a sharded build
-    // merges the counters at read time (Network::total_payload_delivered).
+    // Per-host delivery counter, summed at read time
+    // (Network::total_payload_delivered).
     payload_delivered_ += fresh;
     network().notify_payload(fresh, network().sim().now());
     if (!was_complete && st.complete()) {
-      // Completion rendezvous stays on the receiving host's shard: the
-      // finish stamp is a host-domain write, made before the network (which
-      // merely counts and notifies observers) hears about the completion.
+      // The finish stamp is written before the network (which merely
+      // counts and notifies observers) hears about the completion.
       flow->finish_time = network().sim().now();
       network().flow_completed(*flow);
     }

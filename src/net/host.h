@@ -47,8 +47,7 @@ class Host : public Device {
   virtual std::uint64_t loss_recovery_count() const { return 0; }
 
   /// Payload bytes this host has accepted (deduped), a host-owned counter:
-  /// Network::total_payload_delivered() sums these on demand, so delivery
-  /// accounting never writes across shard boundaries (DESIGN.md §15).
+  /// Network::total_payload_delivered() sums these on demand.
   Bytes payload_delivered() const { return payload_delivered_; }
 
  protected:

@@ -36,9 +36,8 @@ void Network::register_host(Host* host) {
 Flow* Network::create_flow(int src, int dst, Bytes size, TimePoint start) {
   DCPIM_CHECK_NE(src, dst, "self-flows are not modelled");
   DCPIM_CHECK_GT(size, Bytes{}, "flows must carry payload");
-  // Fully initialized before publication: aggregate construction replaces
-  // the old field-at-a-time writes, so no domain can ever observe a
-  // half-built Flow (this retired a sa-ok(shard-ownership) suppression).
+  // Fully initialized before publication: aggregate construction, so no
+  // observer can ever see a half-built Flow.
   auto flow = std::make_unique<Flow>(Flow{.id = next_flow_id_++,
                                           .src = src,
                                           .dst = dst,
@@ -47,9 +46,7 @@ Flow* Network::create_flow(int src, int dst, Bytes size, TimePoint start) {
   Flow* raw = flow.get();
   flow_index_.emplace(raw->id, raw);
   flows_.push_back(std::move(flow));
-  // pdes-local: arrival injection partitions with the source host's shard —
-  // the Flow and its callback target exactly one host (DESIGN.md §15).
-  sim_.schedule_local_at(start, [this, raw]() {
+  sim_.schedule_at(start, [this, raw]() {
     for (auto& fn : arrival_observers_) fn(*raw);
     hosts_.at(static_cast<std::size_t>(raw->src))->on_flow_arrival(*raw);
   });

@@ -128,9 +128,6 @@ void Switch::pfc_update(int ingress_index) {
     ingress_paused_[idx] = true;
     ++pfc_pauses_sent;
     // The pause frame crosses the link back to the upstream egress port.
-    // sa-ok(hot-cost): PFC pause/resume frames are modelled as scheduled
-    // link-delay callbacks and fire only on threshold crossings, not per
-    // packet.
     Port* upstream = in->reverse();
     network().sim().schedule_remote(
         in->link_lookahead(), [upstream]() { upstream->set_paused(true); });

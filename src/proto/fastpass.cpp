@@ -77,7 +77,7 @@ void FastpassArbiter::tick() {
     ++slots_allocated_;
     // Allocation reaches the sender half a control RTT later.
     FastpassHost* host = hosts_.at(key.first);
-    net_.sim().schedule_local(cfg_.control_rtt / 2,
+    net_.sim().schedule_after(cfg_.control_rtt / 2,
                               [host, id]() { host->on_allocation(id); });
   }
 
@@ -86,7 +86,7 @@ void FastpassArbiter::tick() {
           ? cfg_.timeslot
           : serialization_time(net_.config().mtu_wire(),
                                net_.host(0)->nic()->config().rate);
-  net_.sim().schedule_local(slot, [this]() { tick(); });
+  net_.sim().schedule_after(slot, [this]() { tick(); });
 }
 
 // ===== host ==================================================================
@@ -111,7 +111,7 @@ void FastpassHost::on_flow_arrival(net::Flow& flow) {
   const int dst = flow.dst;
   const std::uint64_t id = flow.id;
   const std::uint32_t packets = tx.packets;
-  network().sim().schedule_local(cfg_.control_rtt / 2, [this, src, dst, id,
+  network().sim().schedule_after(cfg_.control_rtt / 2, [this, src, dst, id,
                                                         packets]() {
     arbiter_.add_demand(src, dst, id, packets);
   });
@@ -139,7 +139,7 @@ void FastpassHost::on_allocation(std::uint64_t flow_id) {
 }
 
 void FastpassHost::arm_loss_timer(std::uint64_t flow_id) {
-  network().sim().schedule_local(
+  network().sim().schedule_after(
       cfg_.effective_loss_timeout(), [this, flow_id]() {
         auto it = tx_flows_.find(flow_id);
         if (it == tx_flows_.end()) return;

@@ -76,7 +76,7 @@ void HomaHost::on_flow_arrival(net::Flow& flow) {
     // through the scheduled path.
     const std::uint64_t id = flow.id;
     const int dst = flow.dst;
-    network().sim().schedule_local(cfg_.control_rtt, [this, id, dst]() {
+    network().sim().schedule_after(cfg_.control_rtt, [this, id, dst]() {
       auto probe = make_control<net::Packet>(dst, kHomaProbe);
       probe->flow_id = id;
       send(std::move(probe));
@@ -89,7 +89,7 @@ void HomaHost::on_flow_arrival(net::Flow& flow) {
   // nothing on its side can retry — re-announce until it engages. Same
   // first-contact insurance as pHost's arm_rts_retry.
   const std::uint64_t id = flow.id;
-  network().sim().schedule_local(cfg_.effective_resend(),
+  network().sim().schedule_after(cfg_.effective_resend(),
                                  [this, id]() { notify_check(id); });
 }
 
@@ -106,7 +106,7 @@ void HomaHost::notify_check(std::uint64_t flow_id) {
   note->flow_size = tx.flow->size;
   send(std::move(note));
   ++counters_.notify_retx;
-  network().sim().schedule_local(cfg_.effective_resend(),
+  network().sim().schedule_after(cfg_.effective_resend(),
                                  [this, flow_id]() { notify_check(flow_id); });
 }
 
@@ -137,7 +137,7 @@ void HomaHost::sender_pacer_tick() {
     send(make_data_packet(*it->second.flow,
                           {.seq = g.seq, .priority = g.priority}));
     ++counters_.sched_sent;
-    network().sim().schedule_local(mtu_tx_time(),
+    network().sim().schedule_after(mtu_tx_time(),
                                    [this]() { sender_pacer_tick(); });
     return;
   }
@@ -167,7 +167,7 @@ HomaHost::RxFlow* HomaHost::ensure_rx_flow(std::uint64_t flow_id) {
   }
   // Plain Homa relies on this (slow) resend timer for all loss recovery;
   // Aeolus keeps it for scheduled losses.
-  network().sim().schedule_local(cfg_.effective_resend(), [this, flow_id]() {
+  network().sim().schedule_after(cfg_.effective_resend(), [this, flow_id]() {
     resend_check(flow_id);
   });
   return &it->second;
@@ -252,7 +252,7 @@ void HomaHost::resend_check(std::uint64_t flow_id) {
     }
   }
   rx.last_progress_bytes = received;
-  network().sim().schedule_local(cfg_.effective_resend(), [this, flow_id]() {
+  network().sim().schedule_after(cfg_.effective_resend(), [this, flow_id]() {
     resend_check(flow_id);
   });
 }
@@ -305,7 +305,7 @@ void HomaHost::grant_tick(std::uint64_t flow_id) {
     return;
   }
   issue_grant(rx);
-  network().sim().schedule_local(mtu_tx_time(),
+  network().sim().schedule_after(mtu_tx_time(),
                                  [this, flow_id]() { grant_tick(flow_id); });
 }
 

@@ -87,7 +87,7 @@ void NdpHost::handle_ack(const net::Packet& p) {
 }
 
 void NdpHost::arm_rto(std::uint64_t flow_id) {
-  network().sim().schedule_local(cfg_.effective_rto(), [this, flow_id]() {
+  network().sim().schedule_after(cfg_.effective_rto(), [this, flow_id]() {
     auto it = tx_flows_.find(flow_id);
     if (it == tx_flows_.end()) return;
     TxFlow& tx = it->second;
@@ -186,7 +186,7 @@ void NdpHost::pull_tick() {
   pull->flow_id = id;
   send(std::move(pull));
   ++counters_.pulls_sent;
-  network().sim().schedule_local(mtu_tx_time(), [this]() { pull_tick(); });
+  network().sim().schedule_after(mtu_tx_time(), [this]() { pull_tick(); });
 }
 
 // ===== dispatch ==============================================================

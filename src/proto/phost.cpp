@@ -58,7 +58,7 @@ void PhostHost::arm_rts_retry(std::uint64_t flow_id, int attempt) {
   // flow (the receiver grants nothing it does not know about): retry on a
   // coarse timer until the flow finishes.
   if (attempt >= 50) return;
-  network().sim().schedule_local(
+  network().sim().schedule_after(
       cfg_.effective_token_timeout() * 4, [this, flow_id, attempt]() {
         auto it = tx_flows_.find(flow_id);
         if (it == tx_flows_.end() || it->second.flow->finished()) return;
@@ -98,7 +98,7 @@ void PhostHost::sender_pacer_tick() {
     send(make_data_packet(*it->second.flow,
                           {.seq = t.seq, .priority = t.priority}));
     ++counters_.data_sent;
-    network().sim().schedule_local(mtu_tx_time(),
+    network().sim().schedule_after(mtu_tx_time(),
                                    [this]() { sender_pacer_tick(); });
     return;
   }
@@ -238,7 +238,7 @@ void PhostHost::receiver_tick() {
     send(std::move(tok));
     ++counters_.tokens_sent;
   }
-  network().sim().schedule_local(mtu_tx_time(), [this]() { receiver_tick(); });
+  network().sim().schedule_after(mtu_tx_time(), [this]() { receiver_tick(); });
 }
 
 // ===== dispatch ==============================================================

@@ -69,7 +69,7 @@ void WindowHost::try_send(WFlow& f) {
 }
 
 void WindowHost::arm_rto(std::uint64_t flow_id) {
-  network().sim().schedule_local(cfg_.effective_min_rto(), [this, flow_id]() {
+  network().sim().schedule_after(cfg_.effective_min_rto(), [this, flow_id]() {
     auto it = flows_.find(flow_id);
     if (it == flows_.end()) return;
     WFlow& f = it->second;

@@ -58,7 +58,7 @@ void Auditor::record(std::size_t probe, TimePoint at, std::string message) {
 void Auditor::attach(Simulator& sim) {
   // sa-ok(lifetime): the captured reference is the Simulator that owns and
   // runs this callback — it strictly outlives its own event queue.
-  sim.schedule_local(options_.period, [this, &sim]() { tick(sim); });
+  sim.schedule_after(options_.period, [this, &sim]() { tick(sim); });
 }
 
 void Auditor::tick(Simulator& sim) {
@@ -68,7 +68,7 @@ void Auditor::tick(Simulator& sim) {
   if (sim.pending() > 0) {
     // sa-ok(lifetime): same as attach() — the Simulator outlives the
     // callbacks it stores.
-    sim.schedule_local(options_.period, [this, &sim]() { tick(sim); });
+    sim.schedule_after(options_.period, [this, &sim]() { tick(sim); });
   }
 }
 

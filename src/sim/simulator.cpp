@@ -24,7 +24,7 @@ namespace {
 /// children of a node inside one or two cache lines of 24-byte entries —
 /// the sift-down in heap_pop() was the single hottest function in the
 /// profile when this was binary. The pop order is arity-independent:
-/// Entry::before is a strict total order (ids are unique tie-breakers), so
+/// Entry::before is a strict total order (seqs are unique tie-breakers), so
 /// the simulation replays identically for any heap shape — the perf
 /// basket's fingerprint check proves it.
 constexpr std::size_t kHeapArity = 4;
@@ -34,8 +34,6 @@ constexpr std::size_t kHeapArity = 4;
 void Simulator::heap_push(Entry e) {
   // sa-ok(hot-alloc): vector growth is amortized and the heap reaches its
   // steady-state capacity within the first few simulated RTTs.
-  // sa-ok(hot-cost): the d-ary-heap push IS the event queue — O(log n) is
-  // its contract (see the rationale comment in simulator.h).
   heap_.push_back(e);  // placeholder; the hole-sift below places `e`
   std::size_t i = heap_.size() - 1;
   while (i > 0) {
@@ -50,8 +48,6 @@ void Simulator::heap_push(Entry e) {
 Simulator::Entry Simulator::heap_pop() {
   const Entry top = heap_.front();
   const Entry last = heap_.back();
-  // sa-ok(hot-cost): the sift-down after this pop is the event-queue
-  // contract; the pop itself never shrinks capacity.
   heap_.pop_back();
   const std::size_t n = heap_.size();
   if (n == 0) return top;
@@ -72,47 +68,18 @@ Simulator::Entry Simulator::heap_pop() {
   return top;
 }
 
-EventId Simulator::schedule_at(TimePoint t, Callback cb) {
+void Simulator::schedule_at(TimePoint t, Callback cb) {
   DCPIM_DCHECK_GE(t, now_, "cannot schedule into the past");
   if (t < now_) t = now_;  // degrade gracefully in release builds
-  const EventId id = next_id_++;
-  heap_push(Entry{t, id, slab_.store(std::move(cb))});
-  return id;
-}
-
-bool Simulator::cancel(EventId id) {
-  if (id == kInvalidEvent || id >= next_id_) return false;
-  if (cancelled_.count(id) != 0) return false;
-  const bool pending =
-      std::any_of(heap_.begin(), heap_.end(),
-                  [id](const Entry& e) { return e.id == id; });
-  if (!pending) return false;  // already executed
-  cancelled_.insert(id);
-  return true;
-}
-
-bool Simulator::pop_next(Entry& out) {
-  while (!heap_.empty()) {
-    Entry e = heap_pop();
-    if (!cancelled_.empty() && cancelled_.erase(e.id) > 0) {
-      // A tombstoned event still owns a slab slot; recycle it (and destroy
-      // the callback — whatever it captured must not outlive cancellation
-      // by more than this pop).
-      slab_.take(e.slot);
-      continue;
-    }
-    out = e;
-    return true;
-  }
-  return false;
+  heap_push(Entry{t, next_seq_++, slab_.store(std::move(cb))});
 }
 
 // sa-hot: the event loop proper — every simulated event passes through.
 void Simulator::run(TimePoint until) {
   check_detail::ScopedSimTimeSource time_source(this, &sim_now_for_checks);
   stopped_ = false;
-  Entry entry;
-  while (!stopped_ && pop_next(entry)) {
+  while (!stopped_ && !heap_.empty()) {
+    const Entry entry = heap_pop();
     if (entry.t > until) {
       // Put it back; caller may resume later (its slab slot is untouched).
       heap_push(entry);
@@ -134,23 +101,6 @@ void Simulator::run(TimePoint until) {
     cb();
   }
   if (!stopped_ && until != kTimePointInfinity) now_ = until;
-}
-
-// sa-hot: bounded-step variant of the event loop.
-std::size_t Simulator::run_steps(std::size_t max_events) {
-  check_detail::ScopedSimTimeSource time_source(this, &sim_now_for_checks);
-  stopped_ = false;
-  std::size_t done = 0;
-  Entry entry;
-  while (!stopped_ && done < max_events && pop_next(entry)) {
-    DCPIM_CHECK_GE(entry.t, now_, "event queue is not time-ordered");
-    now_ = entry.t;
-    ++executed_;
-    ++done;
-    Callback cb = slab_.take(entry.slot);  // eager recycle, as in run()
-    cb();
-  }
-  return done;
 }
 
 }  // namespace dcpim::sim

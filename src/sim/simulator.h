@@ -15,17 +15,13 @@
 // intrusive free list the moment the event fires (eager retire, so
 // captured resources such as pooled packets release at end-of-event).
 // After the first few simulated RTTs the slab reaches steady state and
-// the per-event path allocates nothing at all. Cancellation is lazy
-// via a tombstone set: cancel() pays an O(pending) membership scan, and
-// while any tombstone is outstanding each pop pays one hash-erase probe to
-// filter it (pop_next) — free again once the set drains. That trade keeps
-// the common per-event path at exactly one O(log n) sift each way, which
-// is why the dcpim-sa hot-cost rule recognizes this vector as the event
-// queue by its type and schedule API rather than by function names.
+// the per-event path allocates nothing at all. There is no cancellation:
+// transports that retire a timer let it fire and discard it with a
+// staleness check, so every pop is live and the per-event path is exactly
+// one O(log n) sift each way.
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -35,22 +31,16 @@
 
 namespace dcpim::sim {
 
-/// Handle for a scheduled event; usable with Simulator::cancel().
-using EventId = std::uint64_t;
-inline constexpr EventId kInvalidEvent = 0;
-
-/// Proven-positive scheduling bound for cross-domain events — the PDES
-/// lookahead of a link. Constructible only from a strictly positive Time,
-/// and with Time being integer picoseconds that means every Lookahead is
-/// statically >= 1 ps: a schedule_remote() call carries its own proof that
-/// the target shard's clock may safely lag the caller's by the bound
-/// (DESIGN.md §15). The dcpim-sa pdes rule restricts construction to the
-/// link seam (Port::link_lookahead), which ties every bound to a physical
-/// propagation delay rather than an arbitrary constant.
+/// Proven-positive scheduling bound for events that cross a link — the
+/// link's propagation delay. Constructible only from a strictly positive
+/// Time, and with Time being integer picoseconds that means every Lookahead
+/// is >= 1 ps: a schedule_remote() call can never land at the caller's own
+/// instant. Port::link_lookahead() is the one construction site in src/
+/// (DESIGN.md §15).
 class Lookahead {
  public:
   explicit Lookahead(Time bound) : bound_(bound) {
-    DCPIM_CHECK_GT(bound_, Time{}, "cross-domain lookahead must be positive");
+    DCPIM_CHECK_GT(bound_, Time{}, "link lookahead must be positive");
   }
   Time bound() const { return bound_; }
 
@@ -117,57 +107,27 @@ class Simulator {
   TimePoint now() const { return now_; }
 
   /// Schedules `cb` at absolute time `t` (must be >= now()).
-  EventId schedule_at(TimePoint t, Callback cb);
+  void schedule_at(TimePoint t, Callback cb);
 
-  /// Schedules `cb` `delay` after now(). Prefer the locality-typed entry
-  /// points below in domain-owned code; this raw shim remains for harness
-  /// and bootstrap call sites that no ownership domain claims.
-  EventId schedule_after(Time delay, Callback cb) {
-    return schedule_at(now_ + delay, std::move(cb));
+  /// Schedules `cb` `delay` after now().
+  void schedule_after(Time delay, Callback cb) {
+    schedule_at(now_ + delay, std::move(cb));
   }
 
-  // --- PDES locality-typed scheduling (DESIGN.md §15) -----------------------
-  // The typed entry points make delay provenance visible to the dcpim-sa
-  // pdes rule: _local asserts the callback stays inside the caller's
-  // ownership domain (zero delay is fine there — a future sharded scheduler
-  // keeps same-shard events in order for free), while _remote crosses
-  // domains and must carry a link's Lookahead, so every cross-shard edge
-  // has a proven positive bound. All of them forward to schedule_at with
-  // the same arithmetic the raw call sites used — identical EventIds and
-  // tie-breaking, so migrating a call site cannot change a simulation.
-
-  /// Same-domain relative scheduling: timers, self-ticks, staged work.
-  EventId schedule_local(Time delay, Callback cb) {
-    return schedule_at(now_ + delay, std::move(cb));
-  }
-
-  /// Same-domain absolute scheduling (epoch ticks, arrival injection).
-  EventId schedule_local_at(TimePoint t, Callback cb) {
-    return schedule_at(t, std::move(cb));
-  }
-
-  /// Cross-domain scheduling: fires `link.bound() + extra` after now().
+  /// Schedules `cb` across a link: fires `link.bound() + extra` after now().
   /// `extra` models receiver-side processing latency and may be zero; the
-  /// positive link bound is the lookahead the target shard is guaranteed.
-  EventId schedule_remote(Lookahead link, Time extra, Callback cb) {
+  /// positive link bound keeps the event strictly in the future.
+  void schedule_remote(Lookahead link, Time extra, Callback cb) {
     DCPIM_CHECK_GE(extra, Time{}, "remote extra delay cannot be negative");
-    return schedule_at(now_ + link.bound() + extra, std::move(cb));
+    schedule_at(now_ + link.bound() + extra, std::move(cb));
   }
-  EventId schedule_remote(Lookahead link, Callback cb) {
-    return schedule_remote(link, Time{}, std::move(cb));
+  void schedule_remote(Lookahead link, Callback cb) {
+    schedule_remote(link, Time{}, std::move(cb));
   }
-
-  /// Cancels a pending event. Returns false if the event already ran,
-  /// was cancelled before, or never existed. O(pending) — cancellation is
-  /// rare; the per-event hot path pays nothing for it.
-  bool cancel(EventId id);
 
   /// Runs events until the queue drains, `until` is passed, or stop().
   /// Events scheduled exactly at `until` still execute.
   void run(TimePoint until = kTimePointInfinity);
-
-  /// Executes at most `max_events` pending events; returns count executed.
-  std::size_t run_steps(std::size_t max_events);
 
   /// Stops the run() loop after the current event returns.
   void stop() { stopped_ = true; }
@@ -175,40 +135,28 @@ class Simulator {
   /// Number of events executed since construction.
   std::uint64_t events_executed() const { return executed_; }
 
-  /// Number of events currently pending (excluding cancelled ones).
-  std::size_t pending() const {
-    // Every id in cancelled_ is backed by exactly one live heap entry
-    // (cancel() verifies presence and refuses double-cancellation); if that
-    // bookkeeping ever drifts, the subtraction below underflows to a huge
-    // value. Catch the drift at the source instead.
-    DCPIM_DCHECK_LE(cancelled_.size(), heap_.size(),
-                    "cancelled tombstones exceed heap entries");
-    return heap_.size() - cancelled_.size();
-  }
+  /// Number of events currently pending.
+  std::size_t pending() const { return heap_.size(); }
 
  private:
   struct Entry {
     TimePoint t{};
-    EventId id = kInvalidEvent;
+    std::uint64_t seq = 0;   ///< scheduling order: the FIFO tie-break
     std::uint32_t slot = 0;  ///< index into slab_
     bool before(const Entry& o) const {
-      return t != o.t ? t < o.t : id < o.id;
+      return t != o.t ? t < o.t : seq < o.seq;
     }
   };
 
   void heap_push(Entry e);
   Entry heap_pop();
 
-  /// Pops the next live (non-cancelled) event into `out`.
-  bool pop_next(Entry& out);
-
   TimePoint now_{};
-  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   bool stopped_ = false;
   std::vector<Entry> heap_;
   CallbackSlab slab_;  ///< callback storage; heap_ entries index into it
-  std::unordered_set<EventId> cancelled_;
 };
 
 }  // namespace dcpim::sim

@@ -34,6 +34,14 @@ class HotPath {
     scratch_.push_back(v);
   }
 
+  // A malformed (justification-less) suppression suppresses nothing: both
+  // the comment and the growth call below it fire.
+  // sa-hot
+  void pump_sloppy(int v) {
+    // sa-ok(hot-alloc):
+    scratch_.push_back(v);  // planted: empty justification suppresses nothing
+  }
+
   std::vector<int> scratch_;
   int* leak_ = nullptr;
 };

@@ -31,4 +31,11 @@ int unused_suppression() {
   return 42;
 }
 
+// Retired rule families are unknown rules too, so a stale comment naming
+// one fails the run instead of lingering in the tree.
+void retired_rules() {
+  // sa-ok(pdes): the pdes rule family is retired
+  // sa-ok(hot-cost): the hot-cost rule family is retired
+}
+
 }  // namespace fixture

@@ -10,9 +10,9 @@ just as loudly as a miss.
 
 Also covers the src/ contract: the analyzer must exit 0 on the real tree
 with all rules enabled (every escape fixed or justified), the suppression
-ratchet must hold against tools/sa_baseline.json, the ranked hot-cost
-report must carry a real worklist, and the baseline-shrink CI guard must
-reject growth.
+ratchet must hold against tools/sa_baseline.json, the lifetime ledger must
+hold only justified sites, and the baseline-shrink CI guard must reject
+growth.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ GOLDEN = {
     ("packet-switch", "fixture_switch.cpp", 86),      # grown enum, legacy switch
     ("hot-alloc", "fixture_hotalloc.cpp", 28),        # push_back under sa-hot
     ("hot-alloc", "fixture_hotalloc.cpp", 29),        # new under sa-hot
+    ("hot-alloc", "fixture_hotalloc.cpp", 42),        # under malformed sa-ok
+    ("sa-suppression", "fixture_hotalloc.cpp", 41),   # empty justification
     ("unit-raw", "fixture_unitraw.cpp", 22),          # direct .raw()
     ("unit-raw", "fixture_unitraw.cpp", 27),          # .raw() via auto copy
     ("unit-raw", "fixture_unitraw.cpp", 31),          # ->raw() via pointer
@@ -47,22 +49,8 @@ GOLDEN = {
     ("sa-suppression", "fixture_suppression.cpp", 20),  # empty justification
     ("sa-suppression", "fixture_suppression.cpp", 25),  # unknown rule name
     ("sa-suppression", "fixture_suppression.cpp", 30),  # unused suppression
-    # shard-ownership family (fixture_ownership.cpp)
-    ("shard-ownership", "fixture_ownership.cpp", 36),  # host writes port state
-    ("shard-ownership", "fixture_ownership.cpp", 43),  # same, one frame deep
-    ("shard-ownership", "fixture_ownership.cpp", 54),  # under malformed sa-ok
-    ("shard-ownership", "fixture_ownership.cpp", 62),  # fabric writes host
-    ("sa-suppression", "fixture_ownership.cpp", 53),   # empty justification
-    # hot-cost family (fixture_hotcost.cpp)
-    ("hot-cost", "fixture_hotcost.cpp", 40),   # heap op on eventq member
-    ("hot-cost", "fixture_hotcost.cpp", 45),   # virtual dispatch
-    ("hot-cost", "fixture_hotcost.cpp", 46),   # ordered-map lookup
-    ("hot-cost", "fixture_hotcost.cpp", 47),   # schedule-API push
-    ("hot-cost", "fixture_hotcost.cpp", 51),   # heavy by-value copy
-    ("hot-cost", "fixture_hotcost.cpp", 64),   # under malformed sa-ok
-    ("hot-alloc", "fixture_hotcost.cpp", 40),  # same sites, allocation view
-    ("hot-alloc", "fixture_hotcost.cpp", 64),
-    ("sa-suppression", "fixture_hotcost.cpp", 63),  # empty justification
+    ("sa-suppression", "fixture_suppression.cpp", 37),  # retired rule: pdes
+    ("sa-suppression", "fixture_suppression.cpp", 38),  # retired: hot-cost
     # lifetime family (fixture_lifetime.cpp)
     ("lifetime", "fixture_lifetime.cpp", 29),  # [&] capture in schedule
     ("lifetime", "fixture_lifetime.cpp", 30),  # &local capture in schedule
@@ -73,14 +61,6 @@ GOLDEN = {
     ("lifetime", "fixture_lifetime.cpp", 63),  # raw packet pointer field
     ("lifetime", "fixture_lifetime.cpp", 64),  # vector of raw packets
     ("sa-suppression", "fixture_lifetime.cpp", 54),  # empty justification
-    # pdes family (fixture_pdes.cpp, plus the raw schedule the ownership
-    # fixture's fabric-domain scheduler was already committing)
-    ("pdes", "fixture_ownership.cpp", 61),  # raw schedule in fabric domain
-    ("pdes", "fixture_pdes.cpp", 40),   # raw delay, provenance hidden
-    ("pdes", "fixture_pdes.cpp", 41),   # literal-zero lookahead
-    ("pdes", "fixture_pdes.cpp", 44),   # conduit call under schedule_local
-    ("pdes", "fixture_pdes.cpp", 46),   # mutable-accessor escape
-    ("pdes", "fixture_pdes.cpp", 61),   # Lookahead minted off the seam
 }
 
 
@@ -116,9 +96,8 @@ class FixtureCorpusTest(unittest.TestCase):
         _, report = self.run_on_fixtures()
         fired = {f["rule"] for f in report["findings"]}
         self.assertEqual(
-            fired, {"determinism", "packet-switch", "hot-alloc", "hot-cost",
-                    "shard-ownership", "unit-raw", "lifetime", "pdes",
-                    "sa-suppression"})
+            fired, {"determinism", "packet-switch", "hot-alloc", "unit-raw",
+                    "lifetime", "sa-suppression"})
 
     def test_rule_selection(self):
         proc, report = self.run_on_fixtures("--rules", "packet-switch")
@@ -140,43 +119,11 @@ class FixtureCorpusTest(unittest.TestCase):
     def test_suppressions_counted(self):
         _, report = self.run_on_fixtures()
         # Justified escapes in the fixtures: one per rule, plus the stale
-        # hot-alloc comment (counted even though it is also a finding) and
-        # the stacked hot-alloc/hot-cost pair in fixture_hotcost.cpp.
+        # hot-alloc comment (counted even though it is also a finding).
+        # Malformed and retired-rule comments are findings, not counts.
         self.assertEqual(report["suppressions"],
                          {"determinism": 1, "packet-switch": 1,
-                          "hot-alloc": 3, "hot-cost": 1,
-                          "shard-ownership": 1, "unit-raw": 1,
-                          "lifetime": 1, "pdes": 1})
-
-    def test_hot_cost_json_is_ranked_and_keeps_suppressed_sites(self):
-        with tempfile.TemporaryDirectory() as td:
-            cost_path = Path(td) / "sa_hot_cost.json"
-            report_path = Path(td) / "report.json"
-            run_sa("--files",
-                   *sorted(str(p) for p in FIXTURES.glob("*.cpp")),
-                   "--no-ratchet", "--json", str(report_path),
-                   "--hot-cost-json", str(cost_path))
-            cost = json.loads(cost_path.read_text())
-        sites = cost["sites"]
-        self.assertEqual(cost["total_sites"], len(sites))
-        # Ranked: contiguous ranks, non-increasing weights.
-        self.assertEqual([s["rank"] for s in sites],
-                         list(range(1, len(sites) + 1)))
-        weights = [s["weight"] for s in sites]
-        self.assertEqual(weights, sorted(weights, reverse=True))
-        for s in sites:
-            self.assertIn(s["category"], cost["weights"])
-            self.assertEqual(s["weight"], cost["weights"][s["category"]])
-        # The justified heap op is in the worklist, flagged and quoted —
-        # the report is a worklist, not a findings echo.
-        suppressed = [s for s in sites if s["suppressed"]]
-        self.assertTrue(suppressed)
-        self.assertTrue(any("startup burst" in s["justification"]
-                            for s in suppressed))
-        # All four cost categories appear in the fixture corpus.
-        self.assertEqual(
-            set(cost["by_category"]),
-            {"heap-op", "map-lookup", "heavy-copy", "virtual-dispatch"})
+                          "hot-alloc": 2, "unit-raw": 1, "lifetime": 1})
 
     def test_lifetime_json_keeps_suppressed_sites(self):
         with tempfile.TemporaryDirectory() as td:
@@ -203,47 +150,6 @@ class FixtureCorpusTest(unittest.TestCase):
             self.assertTrue(s["file"])
             self.assertGreater(s["line"], 0)
             self.assertTrue(s["detail"])
-
-    def test_pdes_json_ledger_and_edge_table(self):
-        with tempfile.TemporaryDirectory() as td:
-            pdes_path = Path(td) / "sa_pdes.json"
-            report_path = Path(td) / "report.json"
-            run_sa("--files",
-                   *sorted(str(p) for p in FIXTURES.glob("*.cpp")),
-                   "--no-ratchet", "--json", str(report_path),
-                   "--pdes-json", str(pdes_path))
-            pdes = json.loads(pdes_path.read_text())
-        sites = pdes["sites"]
-        self.assertEqual(pdes["total_sites"], len(sites))
-        # Every scheduling idiom appears in the fixture corpus, and the
-        # by_kind histogram matches the ledger.
-        self.assertEqual(set(pdes["by_kind"]), {"raw", "local", "remote"})
-        for kind, count in pdes["by_kind"].items():
-            self.assertEqual(count,
-                             len([s for s in sites if s["kind"] == kind]))
-        # The API's own forwarding shim is in the ledger but marked as the
-        # implementation, not a call site.
-        shims = [s for s in sites if s["shim"]]
-        self.assertTrue(any(s["function"] == "schedule_local"
-                            for s in shims))
-        # The justified raw schedule is in the ledger, flagged and quoted —
-        # the table is an audit trail, not a findings echo.
-        suppressed = [s for s in sites if s["suppressed"]]
-        self.assertTrue(any("parallel epoch" in s["justification"]
-                            for s in suppressed))
-        # Cross-domain edge classes are ranked and each carries the proven
-        # static floor (Lookahead's constructor rejects <= 0).
-        self.assertEqual(pdes["min_lookahead_ps"], 1)
-        edges = pdes["edges"]
-        self.assertTrue(edges)
-        self.assertEqual([e["rank"] for e in edges],
-                         list(range(1, len(edges) + 1)))
-        for e in edges:
-            self.assertGreaterEqual(e["min_delay_ps"], 1)
-            self.assertTrue(e["sites"])
-        # The sanctioned remote hand-off appears as an edge (conduit
-        # receive), never as a finding.
-        self.assertTrue(any(e["conduit"] == "receive" for e in edges))
 
     def test_parse_cache_round_trip_and_parallel_equivalence(self):
         with tempfile.TemporaryDirectory() as td:
@@ -306,30 +212,11 @@ class SourceTreeTest(unittest.TestCase):
         self.assertEqual(report["ratchet_failures"], [])
         self.assertEqual(
             sorted(report["rules"]),
-            ["determinism", "hot-alloc", "hot-cost", "lifetime",
-             "packet-switch", "pdes", "sa-suppression", "shard-ownership",
-             "unit-raw"])
+            ["determinism", "hot-alloc", "lifetime", "packet-switch",
+             "sa-suppression", "unit-raw"])
         # The analyzer really walked the tree, not an empty file list.
         self.assertGreater(report["files"], 50)
         self.assertGreater(report["functions"], 300)
-
-    def test_src_hot_cost_report_ranks_ten_sites(self):
-        compdb = REPO / "build" / "compile_commands.json"
-        if not compdb.exists():
-            self.skipTest("no compile_commands.json (configure first)")
-        with tempfile.TemporaryDirectory() as td:
-            cost_path = Path(td) / "sa_hot_cost.json"
-            proc = run_sa("--compdb", str(compdb), "--no-ratchet",
-                          "--hot-cost-json", str(cost_path))
-            cost = json.loads(cost_path.read_text())
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        # The speed-program worklist: at least ten concrete, ranked sites
-        # on the real tree, each anchored to a file/line/function.
-        self.assertGreaterEqual(cost["total_sites"], 10)
-        for s in cost["sites"]:
-            self.assertTrue(s["file"].startswith("src/"))
-            self.assertGreater(s["line"], 0)
-            self.assertTrue(s["function"])
 
     def test_src_lifetime_ledger_has_only_justified_sites(self):
         compdb = REPO / "build" / "compile_commands.json"
@@ -348,37 +235,6 @@ class SourceTreeTest(unittest.TestCase):
                             f"unjustified lifetime escape: {s}")
             self.assertTrue(s["justification"])
             self.assertTrue(s["file"].startswith("src/"))
-
-    def test_src_pdes_table_proves_positive_lookahead(self):
-        compdb = REPO / "build" / "compile_commands.json"
-        if not compdb.exists():
-            self.skipTest("no compile_commands.json (configure first)")
-        with tempfile.TemporaryDirectory() as td:
-            pdes_path = Path(td) / "sa_pdes.json"
-            proc = run_sa("--compdb", str(compdb), "--no-ratchet",
-                          "--pdes-json", str(pdes_path))
-            pdes = json.loads(pdes_path.read_text())
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        # The shardability proof: every cross-domain edge class on the real
-        # tree has a strictly positive minimum lookahead, and every bound
-        # traces to the link seam (Port::link_lookahead).
-        self.assertTrue(pdes["edges"], "no cross-domain edges found")
-        for e in pdes["edges"]:
-            self.assertGreaterEqual(e["min_delay_ps"], 1)
-            self.assertIn("link_lookahead", e["lookahead_expr"])
-            self.assertTrue(e["sites"])
-        # The two physical crossings: packet delivery over a link, and the
-        # PFC pause wire. Both are conduit-mediated.
-        conduits = {e["conduit"] for e in pdes["edges"]}
-        self.assertEqual(conduits, {"receive", "set_paused"})
-        # Raw scheduling survives only in unsharded (harness) domains or
-        # behind a justification.
-        for s in pdes["sites"]:
-            if s["kind"] == "raw" and not s["shim"] and not s["suppressed"]:
-                self.assertFalse(
-                    s["event_reachable"] and
-                    s["domain"] not in (None, "harness-global"),
-                    f"unjustified raw schedule in sharded domain: {s}")
 
     def test_ratchet_fails_on_regression(self):
         compdb = REPO / "build" / "compile_commands.json"
@@ -427,23 +283,18 @@ class BaselineShrinkGuardTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1)
         self.assertIn("FAIL: unit-raw grew 50 -> 51", proc.stdout)
 
-    def test_new_rule_family_is_allowed_once(self):
-        proc = self.run_guard({"unit-raw": 50},
-                              {"unit-raw": 50, "shard-ownership": 3})
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        self.assertIn("new rule family 'shard-ownership'", proc.stdout)
-
-    def test_pdes_family_can_enter_then_never_grow(self):
-        # The pdes family lands like any other: admitted once, then the
+    def test_new_family_can_enter_then_never_grow(self):
+        # A rule family lands like any other: admitted once, then the
         # ratchet holds — growth from the admitted count is a failure.
-        enter = self.run_guard({"unit-raw": 50}, {"unit-raw": 50, "pdes": 2})
+        enter = self.run_guard({"unit-raw": 50},
+                               {"unit-raw": 50, "lifetime": 2})
         self.assertEqual(enter.returncode, 0, enter.stdout + enter.stderr)
-        self.assertIn("new rule family 'pdes'", enter.stdout)
-        grow = self.run_guard({"unit-raw": 50, "pdes": 2},
-                              {"unit-raw": 50, "pdes": 3})
+        self.assertIn("new rule family 'lifetime'", enter.stdout)
+        grow = self.run_guard({"unit-raw": 50, "lifetime": 2},
+                              {"unit-raw": 50, "lifetime": 3})
         self.assertEqual(grow.returncode, 1)
-        self.assertIn("FAIL: pdes grew 2 -> 3", grow.stdout)
-        shrink = self.run_guard({"unit-raw": 50, "pdes": 2},
+        self.assertIn("FAIL: lifetime grew 2 -> 3", grow.stdout)
+        shrink = self.run_guard({"unit-raw": 50, "lifetime": 2},
                                 {"unit-raw": 50})
         self.assertEqual(shrink.returncode, 0, shrink.stdout + shrink.stderr)
 

@@ -138,107 +138,6 @@ class PacketFactoryRuleTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
 
 
-class RetiredSprayingRuleTest(unittest.TestCase):
-    """The packet-spraying rule: revived uses of the retired
-    `packet_spraying` boolean are flagged; the set_packet_spraying()
-    deprecation shim and comment/string mentions are not."""
-
-    def lint_tree(self, files: dict[str, str]):
-        with tempfile.TemporaryDirectory() as td:
-            root = Path(td)
-            for rel, text in files.items():
-                p = root / rel
-                p.parent.mkdir(parents=True, exist_ok=True)
-                p.write_text(text)
-            return run_lint(td, td)
-
-    def flagged(self, proc):
-        return [ln for ln in proc.stdout.splitlines()
-                if "[packet-spraying]" in ln]
-
-    def test_bare_field_uses_flagged(self):
-        proc = self.lint_tree({
-            "src/net/rogue.cpp":
-                "void f(NetConfig& c) {\n"
-                "  c.packet_spraying = true;\n"
-                "  bool packet_spraying = false;\n"
-                "}\n",
-        })
-        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
-        self.assertEqual(len(self.flagged(proc)), 2, proc.stdout)
-
-    def test_shim_comments_and_strings_clean(self):
-        proc = self.lint_tree({
-            "src/net/ok.cpp":
-                "void f(NetConfig& c) {\n"
-                "  // packet_spraying is retired; lb_policy replaces it.\n"
-                "  c.set_packet_spraying(true);\n"
-                "  log(\"packet_spraying gone\");\n"
-                "}\n",
-        })
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-
-
-class ZeroLookaheadRuleTest(unittest.TestCase):
-    """The zero-lookahead pre-filter: literal zero-delay raw schedule
-    calls in src/ are flagged unless tagged `// pdes-local:` or
-    `// sa-ok(pdes):` (the dcpim-sa pdes rule proves the same thing
-    through ownership domains)."""
-
-    def lint_tree(self, files: dict[str, str]):
-        with tempfile.TemporaryDirectory() as td:
-            root = Path(td)
-            for rel, text in files.items():
-                p = root / rel
-                p.parent.mkdir(parents=True, exist_ok=True)
-                p.write_text(text)
-            return run_lint(td, td)
-
-    def flagged(self, proc):
-        return [ln for ln in proc.stdout.splitlines()
-                if "[zero-lookahead]" in ln]
-
-    def test_literal_zero_forms_flagged(self):
-        proc = self.lint_tree({
-            "src/proto/eager.cpp":
-                "void f(sim::Simulator& sim) {\n"
-                "  sim.schedule_after(Time{});\n"
-                "  sim.schedule_after(Time{0});\n"
-                "  sim.schedule_after(ns(0), cb);\n"
-                "  sim.schedule_at(TimePoint{}, cb);\n"
-                "  sim.schedule_after(0, cb);\n"
-                "}\n",
-        })
-        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
-        self.assertEqual(len(self.flagged(proc)), 5, proc.stdout)
-
-    def test_typed_locality_and_nonzero_delays_clean(self):
-        proc = self.lint_tree({
-            "src/proto/sane.cpp":
-                "void f(sim::Simulator& sim, Time d, TimePoint t) {\n"
-                "  sim.schedule_local(Time{}, cb);\n"
-                "  sim.schedule_local_at(TimePoint{}, cb);\n"
-                "  sim.schedule_after(d, cb);\n"
-                "  sim.schedule_at(t + ns(10), cb);\n"
-                "  sim.schedule_after(ps(1), cb);\n"
-                "}\n",
-        })
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-
-    def test_tags_suppress(self):
-        proc = self.lint_tree({
-            "src/proto/tagged.cpp":
-                "void f(sim::Simulator& sim) {\n"
-                "  // pdes-local: retry fires on this host's own shard.\n"
-                "  sim.schedule_after(Time{}, cb);\n"
-                "\n"
-                "  // sa-ok(pdes): bootstrap runs before the parallel epoch.\n"
-                "  sim.schedule_at(TimePoint{}, cb);\n"
-                "}\n",
-        })
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-
-
 class InlineScenarioRuleTest(unittest.TestCase):
     """The inline-scenario rule: once a campaign spec names a bench binary
     (its `binary =` key), hand-built ExperimentConfigs in that binary are

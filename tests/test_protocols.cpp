@@ -249,8 +249,8 @@ struct WinFixture {
   }
   static net::NetConfig make_ncfg(bool spraying) {
     net::NetConfig ncfg;
-    // Exercises the deprecation shim (the only sanctioned caller).
-    ncfg.set_packet_spraying(spraying);
+    ncfg.lb_policy =
+        spraying ? net::LbPolicy::kSpray : net::LbPolicy::kEcmpFlow;
     return ncfg;
   }
   ConfigT cfg;

@@ -1,10 +1,9 @@
-// PDES-readiness guard over the campaign corpus (DESIGN.md §15): every
-// topology reachable from a committed campaign spec must give every
-// inter-device link a strictly positive propagation delay. Link propagation
-// is the lookahead of a conservative parallel run — one zero-delay link in
-// a spec-reachable topology and the whole shardability argument collapses
-// (sim::Lookahead would reject the bound at construction, but this test
-// catches the misconfiguration at spec level, with the spec's name on it).
+// Link-seam guard over the campaign corpus (DESIGN.md §15): every topology
+// reachable from a committed campaign spec must give every inter-device
+// link a strictly positive propagation delay. schedule_remote() carries
+// that delay as its sim::Lookahead bound, which would reject a zero at
+// construction; this test catches the misconfiguration at spec level, with
+// the spec's name on it.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -118,7 +117,7 @@ void build_and_check(const TopoSignature& sig, const std::string& label) {
       ++links;
       EXPECT_GT(port->config().propagation, Time{})
           << label << ": zero-propagation link on device '" << dev->name()
-          << "' — no lookahead, conservative PDES impossible";
+          << "' — Port::link_lookahead() would reject it";
     }
   }
   EXPECT_GT(links, 0u) << label;

@@ -43,34 +43,7 @@ and checks the semantic properties the ROADMAP's correctness story rests on:
 
   unit-raw        every `.raw()` escape from a strong unit type needs an
                   sa-ok(unit-raw) justification (successor of lint_dcpim's
-                  regex rule; the clang frontend checks the receiver's type,
-                  the text frontend flags every .raw()/->raw() call).
-
-  shard-ownership every mutable sim-state field belongs to an ownership
-                  domain (per-host, per-switch-port, per-simulator,
-                  harness-global — inferred from the declaring class's name,
-                  its base-class chain, and its file; DESIGN.md §12). A
-                  direct field write that crosses domains, reached from an
-                  event callback, is flagged: it is exactly the access a
-                  one-shard-per-leaf domain decomposition cannot allow.
-                  Packet fields are the sanctioned hand-off conduit (never
-                  flagged), and harness-side schedulers (fault injection,
-                  arrival generation) stage state by design and are not
-                  roots. Method calls are the hand-off boundary — only
-                  direct writes (`x->field = ...`) cross-domain are the
-                  hazard this rule exists for.
-
-  hot-cost        beyond allocation (hot-alloc), the per-packet/per-event
-                  paths reachable from `// sa-hot` roots must not silently
-                  pay: heavy pass-by-value copies (string/vector/map/
-                  function parameters), virtual dispatch, ordered std::map/
-                  std::set lookups, or event-queue heap operations
-                  (schedule_at/schedule_after calls and pushes/pops on the
-                  scheduling class's queue storage, recognized by type and
-                  by the schedule API — not by function name). Every site
-                  is a finding (fix or justify with sa-ok(hot-cost)) AND a
-                  row in the ranked sa_hot_cost.json report
-                  (--hot-cost-json) that the speed program attacks next.
+                  regex rule; flags every .raw()/->raw() call).
 
   lifetime        flow-insensitive escape analysis for packet and event
                   lifetimes — the proof obligation behind the PacketPool
@@ -99,15 +72,13 @@ lines below it up to the first blank line (max 12 — same reach as the
 historical `unit-raw:` comments). Suppressions are counted per rule and
 ratcheted against tools/sa_baseline.json: a count above the baseline fails
 the run, a count below it prints a reminder to tighten. Unused and
-malformed suppressions are violations themselves, so the suppression set
-can only shrink or be re-justified, never silently rot.
+malformed suppressions are violations themselves, and so are ones naming
+an unknown rule (retired families included), so the suppression set can
+only shrink or be re-justified, never silently rot.
 
-Frontends: with python libclang bindings available (--frontend clang or
-auto), translation units are parsed through the real AST driven by
-compile_commands.json. Without them (this repo's CI containers are
-gcc-only), a built-in tokenizer/parser frontend produces the same TU model
-from the source text; it is what the fixture corpus regression-tests. Use
---frontend text to force it.
+The frontend is a built-in tokenizer/parser that produces the TU model
+from the source text, so the analyzer needs nothing beyond python3 (this
+repo's CI containers are gcc-only); the fixture corpus regression-tests it.
 
 Usage:
     tools/dcpim_sa.py --compdb build/compile_commands.json \
@@ -133,9 +104,8 @@ from pathlib import Path
 # Configuration tables
 # =============================================================================
 
-RULES = ("determinism", "packet-switch", "hot-alloc", "hot-cost",
-         "shard-ownership", "unit-raw", "lifetime", "pdes",
-         "sa-suppression")
+RULES = ("determinism", "packet-switch", "hot-alloc", "unit-raw",
+         "lifetime", "sa-suppression")
 
 # Qualified token chains whose *call* is banned anywhere in src/.
 BANNED_QUALIFIED = {
@@ -186,51 +156,8 @@ UNORDERED_RE = re.compile(
 # event time would (FaultInjector::install is already a root — it
 # schedules).
 EVENT_ROOT_NAMES = {"on_packet", "on_flow_arrival", "receive", "run",
-                    "run_steps", "random_fault_plan", "expand"}
-SCHEDULING_CALLS = {"schedule_at", "schedule_after", "schedule_local",
-                    "schedule_local_at", "schedule_remote"}
-
-# --- pdes rule tables (DESIGN.md §15) ----------------------------------------
-# Conservative PDES needs every cross-shard event to carry a provably
-# positive delay (the lookahead). The locality-typed scheduling API makes
-# that provenance syntactic: _local claims same-domain (zero delay fine),
-# _remote crosses domains behind a link's Lookahead. Raw calls say nothing,
-# so inside a sharded domain they are findings.
-PDES_RAW_CALLS = {"schedule_at", "schedule_after"}
-PDES_LOCAL_CALLS = {"schedule_local", "schedule_local_at"}
-PDES_REMOTE_CALLS = {"schedule_remote"}
-
-# The sanctioned cross-domain hand-off seam: a Packet delivered through
-# Device::receive, and the PFC pause wire into a peer port. A call to one
-# of these inside a schedule_local lambda means the "local" claim is a lie.
-PDES_CONDUIT_METHODS = {"receive", "set_paused"}
-
-# The only file that may construct sim::Lookahead in src/: the Port link
-# seam (Port::link_lookahead), which ties every bound to a link's
-# propagation delay. Empty in --files fixture mode (every construction
-# outside a suppression is flagged).
-PDES_LOOKAHEAD_FILES = ("src/net/device.h",)
-
-# Time is integer picoseconds and Lookahead's constructor checks > 0, so
-# every proven bound is statically >= 1 ps. The sa_pdes.json table reports
-# this floor; the real per-edge bound is the link's configured propagation.
-PDES_MIN_LOOKAHEAD_PS = 1
-
-# Literal-zero delay expressions the raw-schedule message calls out
-# explicitly (the classical zero-lookahead PDES hazard).
-PDES_ZERO_ARG_FORMS = {
-    ("0",), ("Time", "{", "}"), ("Time", "{", "0", "}"),
-    ("Time", "(", "0", ")"), ("TimePoint", "{", "}"),
-    ("ps", "(", "0", ")"), ("ns", "(", "0", ")"), ("us", "(", "0", ")"),
-}
-
-# shard-ownership roots are narrower than EVENT_ROOT_NAMES: `run` would drag
-# SweepRunner::run (same simple name) into the event-reachable set and flag
-# the harness's own setup writes, and harness-global schedulers (arrival
-# generation, fault-plan install) stage state across domains by design
-# before events fire. The rule therefore roots at the per-event callbacks
-# plus schedulers whose own class lives in a sharded domain.
-OWNERSHIP_ROOT_NAMES = {"on_packet", "on_flow_arrival", "receive"}
+                    "random_fault_plan", "expand"}
+SCHEDULING_CALLS = {"schedule_at", "schedule_after", "schedule_remote"}
 
 # Path prefixes (repo-relative, forward slashes) whose *Kind enums are
 # packet/control-kind enums subject to the exhaustiveness rule. FaultKind
@@ -255,86 +182,7 @@ OWNING_WRAPPERS = {"unique_ptr", "shared_ptr", "PacketPtr"}
 
 # hot-alloc traversal only descends into functions defined under these
 # prefixes; a call out of scope is the accepted protocol-dispatch boundary.
-# hot-cost shares the same scope: the virtual dispatch *into* a protocol is
-# itself reported (as a dispatch cost site), but the analyzer does not chase
-# costs on the far side of that contract boundary.
 DEFAULT_HOT_SCOPE = ("src/net/", "src/sim/")
-
-# --- shard-ownership domains (DESIGN.md §12) ---------------------------------
-DOMAIN_HOST = "per-host"
-DOMAIN_FABRIC = "per-switch-port"
-DOMAIN_SIM = "per-simulator"
-DOMAIN_HARNESS = "harness-global"
-DOMAIN_PACKET = "packet"  ##< the sanctioned hand-off conduit, never flagged
-
-
-def domain_of_name(name: str):
-    """Class-name rules, checked on a class and then its base chain. The
-    order matters: Host derives from Device, so the host rule must hit
-    before the fabric rule does via the base walk."""
-    if "Packet" in name or name.endswith("Spec"):
-        return DOMAIN_PACKET
-    if name == "Simulator" or name.endswith("Simulator"):
-        return DOMAIN_SIM
-    if (name == "Host" or name.endswith("Host") or name == "Flow" or
-            name.endswith("RxState") or name.endswith("TxState") or
-            name.endswith("FlowState")):
-        return DOMAIN_HOST
-    if (name in ("Port", "Device") or name.endswith("Switch") or
-            name.endswith("Port") or name.endswith("Device")):
-        return DOMAIN_FABRIC
-    if name in ("Network", "Topology", "Auditor"):
-        return DOMAIN_SIM
-    return None
-
-
-# File-path fallback for classes (and free functions) the name rules do not
-# place. Checked in order; first prefix hit wins.
-DOMAIN_PATHS = (
-    ("src/net/host", DOMAIN_HOST),
-    ("src/proto/", DOMAIN_HOST),
-    ("src/core/", DOMAIN_HOST),
-    ("src/net/packet", DOMAIN_PACKET),
-    ("src/net/flow", DOMAIN_HOST),
-    ("src/net/", DOMAIN_FABRIC),
-    ("src/sim/", DOMAIN_SIM),
-    ("src/", DOMAIN_HARNESS),
-)
-
-# Compound-assignment and increment tokens that make a member access a write.
-ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=",
-              "++", "--", "<<=", ">>="}
-
-# --- hot-cost categories -----------------------------------------------------
-# Weight orders the sa_hot_cost.json report: heap ops dominate (every event
-# pays O(log n) twice), then ordered-map lookups and heavy copies, then the
-# dispatch boundary itself.
-HOT_COST_WEIGHTS = {
-    "heap-op": 5,
-    "map-lookup": 4,
-    "heavy-copy": 4,
-    "virtual-dispatch": 3,
-}
-
-# Parameter types whose by-value copy on a hot path is a real memcpy/alloc,
-# not a register move. Smart pointers and strong units are deliberately
-# absent: unique_ptr by value is the move-idiom and StrongInt is one word.
-HEAVY_VALUE_TYPES = {
-    "string", "basic_string", "vector", "deque", "list", "map", "set",
-    "multimap", "multiset", "unordered_map", "unordered_set", "function",
-}
-
-# Mutating calls on the scheduling class's queue storage that constitute an
-# event-queue heap operation.
-HEAP_MUTATION_CALLS = {
-    "push_back", "pop_back", "emplace_back", "push", "pop", "emplace",
-    "insert", "erase",
-}
-
-ORDERED_CONTAINERS = {"map", "set", "multimap", "multiset"}
-ORDERED_LOOKUP_CALLS = {"find", "count", "at", "lower_bound", "upper_bound",
-                        "contains", "equal_range", "insert", "emplace",
-                        "erase"}
 
 # The colon is part of the grammar: prose that *mentions* sa-ok(rule)
 # without one (docs, this file) is not a suppression.
@@ -496,10 +344,6 @@ class FunctionDef:
     switches: list = field(default_factory=list)    ##< SwitchStmt
     is_hot: bool = False
     schedules: bool = False
-    owner: str = ""    ##< enclosing/qualifying class name, "" for free fns
-    writes: list = field(default_factory=list)       ##< (root, field, line)
-    member_calls: list = field(default_factory=list)  ##< (base, method, line)
-    heavy_params: list = field(default_factory=list)  ##< (type, name, line)
     ##< typed allocations: (alloc_kind, type_name, line) for `new T`,
     ##< `make_unique<T>`, `make_shared<T>` — the lifetime factory rule
     ##< filters these against the packet-type registry
@@ -507,14 +351,6 @@ class FunctionDef:
     ##< capture lists of lambdas passed to the scheduling API:
     ##< (list-of-capture-token-lists, line)
     sched_captures: list = field(default_factory=list)
-    ##< scheduling call sites for the pdes rule: (callee, line,
-    ##< first-arg-token-texts, ((conduit_method, line), ...)) — conduit
-    ##< methods called inside the argument span, nested scheduling calls
-    ##< excluded (they are their own sites)
-    sched_sites: list = field(default_factory=list)
-    ##< lines where sim::Lookahead is constructed call-style — the pdes
-    ##< provenance check restricts these to the link seam
-    lookahead_ctors: list = field(default_factory=list)
     ##< parameter names declared as raw Packet*/Packet& (name-based:
     ##< `Packet` or `*Packet`; the owning PacketPtr never matches)
     packet_params: list = field(default_factory=list)
@@ -524,20 +360,8 @@ class FunctionDef:
 class ClassDef:
     name: str
     file: str
-    line: int
-    end_line: int
     bases: list = field(default_factory=list)      ##< direct base names
     fields: list = field(default_factory=list)     ##< (name, type_str, line)
-    virtual_methods: set = field(default_factory=set)
-    has_schedule_api: bool = False
-    ##< container members that back the event queue (type-recognized:
-    ##< priority_queue anywhere, or vector/deque inside the class that
-    ##< declares the schedule API)
-    eventq_members: set = field(default_factory=set)
-    ##< method-return escapes: accessor name -> returned class for
-    ##< `T& name(...)` / `T* name(...)` members (const-ref returns are
-    ##< excluded — nothing can be written through them)
-    accessor_returns: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -554,7 +378,6 @@ class TUModel:
     functions: list = field(default_factory=list)
     enums: dict = field(default_factory=dict)       ##< name -> [enumerators]
     unordered_decls: set = field(default_factory=set)
-    ordered_decls: set = field(default_factory=set)  ##< std::map/set names
     classes: list = field(default_factory=list)      ##< ClassDef
     raw_calls: list = field(default_factory=list)   ##< lines with .raw()
     comments: dict = field(default_factory=dict)
@@ -591,8 +414,7 @@ def match_brace(toks, i):
 def collect_container_decls(toks, out: set, match_tok):
     """Records declared names whose type satisfies `match_tok(toks, i)`:
     members, locals, and `using X = std::...<...>` aliases. The lookup is
-    name-based — precise enough for this codebase's unique member names,
-    and the clang frontend does it by real type."""
+    name-based — precise enough for this codebase's unique member names."""
     aliases: set = set()
     n = len(toks)
     for i, t in enumerate(toks):
@@ -641,14 +463,6 @@ def is_unordered_tok(toks, i):
     return bool(UNORDERED_RE.match(toks[i].text))
 
 
-def is_ordered_tok(toks, i):
-    """`std::map` / `std::set` family only — the std:: qualification keeps
-    user types that happen to be named `map` out of the registry."""
-    if toks[i].text not in ORDERED_CONTAINERS:
-        return False
-    return i >= 2 and toks[i - 1].text == "::" and toks[i - 2].text == "std"
-
-
 def collect_unordered_decls(toks, out: set):
     collect_container_decls(toks, out, is_unordered_tok)
 
@@ -693,10 +507,9 @@ def parse_enums(toks, out: dict):
 
 def parse_classes(toks, file, out: list, start=0, end=None):
     """Finds class/struct definitions in toks[start:end] (nested classes
-    recursed) and records their line span, direct bases, mutable data
-    members, virtual method names, whether they expose the simulator's
-    schedule API, and their event-queue storage members. This is the model
-    behind shard-ownership domains and the hot-cost heap-op category."""
+    recursed) and records their line span, direct bases and mutable data
+    members — the model behind the lifetime rule's packet-type registry
+    and raw-packet field check."""
     if end is None:
         end = len(toks)
     i = start
@@ -737,8 +550,7 @@ def parse_classes(toks, file, out: list, start=0, end=None):
                         j += 1
                 if j < end and toks[j].text == "{":
                     be = match_brace(toks, j)
-                    cd = ClassDef(name=name, file=file, line=t.line,
-                                  end_line=toks[be].line, bases=bases)
+                    cd = ClassDef(name=name, file=file, bases=bases)
                     scan_class_members(toks, j + 1, be, cd, file, out)
                     out.append(cd)
                     i = be
@@ -747,9 +559,8 @@ def parse_classes(toks, file, out: list, start=0, end=None):
 
 
 def scan_class_members(toks, start, end, cd: ClassDef, file, out):
-    """Walks one class body: fields, virtual methods, the schedule API, and
-    nested classes (recursed into `out` as their own ClassDefs)."""
-    deferred_containers: list = []  # (name, line): vector/deque members
+    """Walks one class body: fields and nested classes (recursed into `out`
+    as their own ClassDefs)."""
     stmt: list = []
     i = start
     while i < end:
@@ -795,25 +606,12 @@ def scan_class_members(toks, start, end, cd: ClassDef, file, out):
         stmt.append(t)
         i += 1
     classify_member(stmt, cd)
-    # Event-queue storage: priority_queue members always; vector/deque
-    # members when the class declares the schedule API (type + API based —
-    # deliberately not a function-name match, see hot-cost docs).
-    for name, _line in deferred_containers:
-        cd.eventq_members.add(name)
-    if cd.has_schedule_api:
-        for fname, ftype, _line in cd.fields:
-            if "vector" in ftype or "deque" in ftype:
-                cd.eventq_members.add(fname)
-    for fname, ftype, _line in cd.fields:
-        if "priority_queue" in ftype:
-            cd.eventq_members.add(fname)
 
 
 def classify_member(stmt, cd: ClassDef):
-    """Classifies one class-level statement as a field, a (possibly
-    virtual) method, or noise. Angle-bracket depth is tracked so template
-    arguments (including `std::function<void(int)>`) never look like
-    parameter lists."""
+    """Classifies one class-level statement as a field, a method, or
+    noise. Angle-bracket depth is tracked so template arguments (including
+    `std::function<void(int)>`) never look like parameter lists."""
     if not stmt:
         return
     first = stmt[0].text
@@ -825,7 +623,6 @@ def classify_member(stmt, cd: ClassDef):
     texts = []
     angle = 0
     has_paren = False
-    name_before_paren = None
     last_id = None
     for k, t in enumerate(stmt):
         if t.text == "<" and k > 0 and stmt[k - 1].kind == "id":
@@ -835,8 +632,6 @@ def classify_member(stmt, cd: ClassDef):
             angle = max(angle, 0)
         elif angle == 0:
             if t.text == "(":
-                if not has_paren:
-                    name_before_paren = last_id
                 has_paren = True
             elif t.text == "=":
                 break
@@ -844,28 +639,7 @@ def classify_member(stmt, cd: ClassDef):
                 last_id = t.text
         texts.append(t.text)
     if has_paren:
-        if name_before_paren:
-            if "virtual" in texts or "override" in texts or \
-                    "final" in texts:
-                cd.virtual_methods.add(name_before_paren)
-            if name_before_paren in SCHEDULING_CALLS:
-                cd.has_schedule_api = True
-            # method-return escape: `T& name(...)` / `T* name(...)` hands
-            # the caller a mutable window into T — the pdes accessor-escape
-            # check resolves writes rooted at such accessors to T's domain.
-            # Leading `const` means read-only, which cannot escape a write.
-            head = []
-            for t in stmt:
-                if t.text == "(":
-                    break
-                head.append(t.text)
-            if (len(head) >= 3 and head[-1] == name_before_paren and
-                    head[-2] in ("&", "*") and "const" not in head):
-                rtype = [h for h in head[:-2]
-                         if h not in ("virtual", "static", "inline", "::")]
-                if rtype and rtype[-1][:1].isupper():
-                    cd.accessor_returns[name_before_paren] = rtype[-1]
-        return
+        return  # method declaration or definition, never a field
     if "static" in texts or "constexpr" in texts or "const" in texts[:-1]:
         return  # immutable or process-static: not mutable sim-state
     if last_id is None or len(stmt) < 2 or stmt[0].kind != "id":
@@ -873,43 +647,6 @@ def classify_member(stmt, cd: ClassDef):
     type_str = " ".join(tt.text for tt in stmt
                         if tt.text != last_id)
     cd.fields.append((last_id, type_str, stmt[0].line))
-
-
-def chain_root(toks, i):
-    """toks[i] is a member id whose prev token is '.'/'->'; returns the
-    first identifier of the postfix chain (`a->b.c` -> "a",
-    `nic()->x` -> "nic"), or "" when the chain starts with something the
-    text frontend cannot name."""
-    k = i - 1
-    root = ""
-    while k >= 0 and toks[k].text in (".", "->"):
-        k -= 1
-        if k < 0:
-            break
-        if toks[k].text in (")", "]"):
-            opener = "(" if toks[k].text == ")" else "["
-            closer = toks[k].text
-            depth = 0
-            while k >= 0:
-                if toks[k].text == closer:
-                    depth += 1
-                elif toks[k].text == opener:
-                    depth -= 1
-                    if depth == 0:
-                        break
-                k -= 1
-            k -= 1
-            if k >= 0 and toks[k].kind == "id":
-                root = toks[k].text
-                k -= 1
-            else:
-                return ""
-        elif toks[k].kind == "id":
-            root = toks[k].text
-            k -= 1
-        else:
-            return ""
-    return root
 
 
 def split_params(toks, lp, rp):
@@ -937,33 +674,6 @@ def split_params(toks, lp, rp):
     if part:
         parts.append(part)
     return parts
-
-
-def heavy_value_params(toks, lp, rp):
-    """Returns (container, name, line) for parameters in toks[lp+1:rp] that
-    copy a heavy container by value. References, pointers, and rvalue refs
-    are skipped; so are smart pointers and strong units (one-word moves)."""
-    parts = split_params(toks, lp, rp)
-    out = []
-    for p in parts:
-        texts = [t.text for t in p]
-        if "&" in texts or "*" in texts or "&&" in texts:
-            continue
-        heavy = [t for t in p if t.kind == "id" and
-                 t.text in HEAVY_VALUE_TYPES]
-        if not heavy:
-            continue
-        name = ""
-        for t in p:
-            if t.text == "=":
-                break
-            if t.kind == "id":
-                name = t.text
-        if name in HEAVY_VALUE_TYPES:
-            name = "<unnamed>"
-        if name:
-            out.append((heavy[-1].text, name, p[0].line))
-    return out
 
 
 def raw_packet_params(toks, lp, rp):
@@ -1078,51 +788,9 @@ def scan_body(fn: FunctionDef, toks, start, end):
     i = start
     while i < n:
         t = toks[i]
-        if t.text in ("++", "--") and i + 2 < n and \
-                toks[i + 1].kind == "id" and \
-                toks[i + 2].text in (".", "->"):
-            # prefix increment of a member chain: ++h.count_
-            root = toks[i + 1].text
-            k = i + 2
-            last = None
-            while k + 1 < n and toks[k].text in (".", "->") and \
-                    toks[k + 1].kind == "id":
-                last = toks[k + 1]
-                k += 2
-            if last is not None:
-                fn.writes.append((root, last.text, last.line))
-            i = k
-            continue
         if t.kind == "id":
             prev = toks[i - 1].text if i > 0 else ""
             nxt = toks[i + 1].text if i + 1 < n else ""
-            if prev in (".", "->"):
-                # `.field =` directly after `{` or `,` is a designated
-                # initializer (aggregate construction), not a write into
-                # someone's live state — the object does not exist yet.
-                designated = (prev == "." and i >= 2 and
-                              toks[i - 2].text in ("{", ","))
-                if nxt == "(":
-                    fn.member_calls.append(
-                        (chain_root(toks, i), t.text, t.line))
-                elif not designated:
-                    # member-field write: skip index groups, then look for
-                    # an assignment/compound-assignment/incdec operator
-                    j = i + 1
-                    while j < n and toks[j].text == "[":
-                        depth = 0
-                        while j < n:
-                            if toks[j].text == "[":
-                                depth += 1
-                            elif toks[j].text == "]":
-                                depth -= 1
-                                if depth == 0:
-                                    break
-                            j += 1
-                        j += 1
-                    if j < n and toks[j].text in ASSIGN_OPS:
-                        fn.writes.append(
-                            (chain_root(toks, i), t.text, t.line))
             if t.text == "new" and prev != "operator":
                 fn.allocs.append(("new", t.line))
                 # allocated type for the lifetime factory rule: the last
@@ -1194,52 +862,11 @@ def scan_body(fn: FunctionDef, toks, start, end):
                 if t.text in ALLOC_CALLS:
                     fn.allocs.append((t.text + "()", t.line))
                 fn.calls.append((t.text, t.line))
-                if t.text == "Lookahead":
-                    fn.lookahead_ctors.append(t.line)
                 if t.text in SCHEDULING_CALLS:
                     fn.schedules = True
-                    rp = match_paren(toks, i + 1)
-                    scan_sched_captures(fn, toks, i + 1, rp)
-                    record_sched_site(fn, toks, i, rp)
+                    scan_sched_captures(fn, toks, i + 1,
+                                        match_paren(toks, i + 1))
         i += 1
-
-
-def record_sched_site(fn: FunctionDef, toks, i, rp):
-    """Records one scheduling call for the pdes rule: the callee, the
-    token texts of its first argument (the delay / lookahead expression),
-    and any conduit-method calls made inside the argument span. Nested
-    scheduling calls are skipped — each gets its own site with its own
-    verdict, so an inner schedule_remote hand-off never taints the outer
-    call's locality claim."""
-    callee = toks[i].text
-    lp = i + 1
-    first_arg = []
-    k, depth = lp + 1, 0
-    while k < rp:
-        tt = toks[k].text
-        if tt in ("(", "[", "{"):
-            depth += 1
-        elif tt in (")", "]", "}"):
-            depth -= 1
-        elif tt == "," and depth == 0:
-            break
-        first_arg.append(tt)
-        k += 1
-    conduits = []
-    k = lp + 1
-    while k < rp:
-        t = toks[k]
-        if t.kind == "id" and t.text in SCHEDULING_CALLS and \
-                k + 1 < rp and toks[k + 1].text == "(":
-            k = match_paren(toks, k + 1)
-            continue
-        if t.kind == "id" and t.text in PDES_CONDUIT_METHODS and \
-                k + 1 < rp and toks[k + 1].text == "(" and \
-                toks[k - 1].text in (".", "->"):
-            conduits.append((t.text, t.line))
-        k += 1
-    fn.sched_sites.append((callee, toks[i].line, tuple(first_arg),
-                           tuple(conduits)))
 
 
 def scan_sched_captures(fn: FunctionDef, toks, lp, rp):
@@ -1340,7 +967,6 @@ def find_function_defs(toks, file, model: TUModel):
                 fn = FunctionDef(
                     name="::".join(name_parts), simple=name_parts[-1],
                     file=file, line=toks[i - 1].line)
-                fn.heavy_params = heavy_value_params(toks, i, rp)
                 fn.packet_params = raw_packet_params(toks, i, rp)
                 scan_body(fn, toks, j + 1, be)
                 extract_switches(toks, j + 1, be, file, fn.switches)
@@ -1353,34 +979,14 @@ def find_function_defs(toks, file, model: TUModel):
         i += 1
 
 
-def attribute_owners(model: TUModel):
-    """Assigns each function its owning class: the qualifier for
-    out-of-line `X::f` definitions, else the innermost class whose body
-    span contains the definition line."""
-    for fn in model.functions:
-        if "::" in fn.name:
-            fn.owner = fn.name.split("::")[-2]
-            continue
-        best = None
-        for cd in model.classes:
-            if cd.line <= fn.line <= cd.end_line:
-                if best is None or \
-                        (cd.end_line - cd.line) < (best.end_line - best.line):
-                    best = cd
-        if best is not None:
-            fn.owner = best.name
-
-
 def text_parse_file(path: Path, rel: str) -> TUModel:
     source = path.read_text(encoding="utf-8")
     toks, comments = tokenize(source)
     model = TUModel(file=rel, comments=comments)
     parse_enums(toks, model.enums)
     collect_unordered_decls(toks, model.unordered_decls)
-    collect_container_decls(toks, model.ordered_decls, is_ordered_tok)
     parse_classes(toks, rel, model.classes)
     find_function_defs(toks, rel, model)
-    attribute_owners(model)
     # .raw() / ->raw() escapes, anywhere in the file
     for i, t in enumerate(toks):
         if t.text == "raw" and t.kind == "id" and i > 0 and \
@@ -1393,139 +999,6 @@ def text_parse_file(path: Path, rel: str) -> TUModel:
     for fn in model.functions:
         if any(ln in hot_lines for ln in range(fn.line - 2, fn.line + 1)):
             fn.is_hot = True
-    return model
-
-
-# =============================================================================
-# Clang frontend (optional): builds the same TU model through libclang
-# =============================================================================
-
-def try_load_clang():
-    try:
-        import clang.cindex as cindex  # type: ignore
-        cindex.Index.create()
-        return cindex
-    except Exception:
-        return None
-
-
-def clang_parse_file(cindex, path: Path, rel: str, args) -> TUModel:
-    """AST-based extraction. Only reached when python libclang bindings are
-    installed; produces the same TUModel the rule engine consumes, with
-    type-accurate unordered-container and strong-type detection."""
-    index = cindex.Index.create()
-    tu = index.parse(str(path), args=args)
-    source = path.read_text(encoding="utf-8")
-    ttoks, comments = tokenize(source)
-    model = TUModel(file=rel, comments=comments)
-    ck = cindex.CursorKind
-
-    def qualified(cur):
-        parts, c = [], cur
-        while c is not None and c.kind != ck.TRANSLATION_UNIT:
-            if c.spelling:
-                parts.insert(0, c.spelling)
-            c = c.semantic_parent
-        return "::".join(parts[-2:]) if len(parts) > 1 else parts[0]
-
-    def walk_body(cur, fn):
-        for child in cur.walk_preorder():
-            loc = child.location
-            if loc.file is None or Path(str(loc.file)).name != path.name:
-                continue
-            if child.kind == ck.CALL_EXPR and child.spelling:
-                fn.calls.append((child.spelling, loc.line))
-                if child.spelling in SCHEDULING_CALLS:
-                    fn.schedules = True
-                if child.spelling in ALLOC_CALLS:
-                    fn.allocs.append((child.spelling + "()", loc.line))
-                if child.spelling in BANNED_BARE_CALLS:
-                    fn.banned.append(
-                        (BANNED_BARE_CALLS[child.spelling], loc.line))
-            elif child.kind == ck.CXX_NEW_EXPR:
-                fn.allocs.append(("new", loc.line))
-            elif child.kind == ck.DECL_REF_EXPR:
-                t = child.type.spelling
-                if "random_device" in t or "chrono" in t and "clock" in t:
-                    fn.banned.append((t, loc.line))
-            elif child.kind == ck.CXX_FOR_RANGE_STMT:
-                for sub in child.get_children():
-                    if UNORDERED_RE.search(sub.type.spelling or ""):
-                        fn.range_fors.append((sub.spelling or "<expr>",
-                                              loc.line))
-                        break
-
-    for cur in tu.cursor.walk_preorder():
-        loc = cur.location
-        if loc.file is None or str(loc.file) != str(path):
-            continue
-        if cur.kind == ck.ENUM_DECL and cur.spelling:
-            model.enums[cur.spelling] = [
-                c.spelling for c in cur.get_children()
-                if c.kind == ck.ENUM_CONSTANT_DECL]
-        elif cur.kind in (ck.FUNCTION_DECL, ck.CXX_METHOD, ck.CONSTRUCTOR,
-                          ck.DESTRUCTOR) and cur.is_definition():
-            fn = FunctionDef(name=qualified(cur), simple=cur.spelling,
-                             file=rel, line=loc.line)
-            walk_body(cur, fn)
-            model.functions.append(fn)
-        elif cur.kind == ck.SWITCH_STMT:
-            labels = set()
-            has_default = False
-            for sub in cur.walk_preorder():
-                if sub.kind == ck.CASE_STMT:
-                    toks = list(sub.get_tokens())
-                    for tk in toks[1:]:
-                        if tk.spelling == ":":
-                            break
-                        if tk.spelling.isidentifier():
-                            labels.add(tk.spelling)
-                elif sub.kind == ck.DEFAULT_STMT:
-                    has_default = True
-            if model.functions:
-                model.functions[-1].switches.append(
-                    SwitchStmt(rel, loc.line, labels, has_default))
-        elif cur.kind == ck.CALL_EXPR and cur.spelling == "raw":
-            model.raw_calls.append(loc.line)
-        elif cur.kind == ck.FIELD_DECL or cur.kind == ck.VAR_DECL:
-            if UNORDERED_RE.search(cur.type.spelling or ""):
-                model.unordered_decls.add(cur.spelling)
-    hot_lines = {ln for ln, c in model.comments.items()
-                 if SA_HOT_RE.search(c)}
-    for fn in model.functions:
-        if any(ln in hot_lines for ln in range(fn.line - 2, fn.line + 1)):
-            fn.is_hot = True
-    # v2 facts (classes, ownership writes, ordered decls, heavy params) come
-    # from the token-level collectors even under libclang: they are
-    # comment- and declarator-shaped and the token pass is exact enough,
-    # which keeps both frontends rule-for-rule equivalent.
-    collect_container_decls(ttoks, model.ordered_decls, is_ordered_tok)
-    parse_classes(ttoks, rel, model.classes)
-    shadow = TUModel(file=rel)
-    find_function_defs(ttoks, rel, shadow)
-    shadow.classes = model.classes
-    attribute_owners(shadow)
-    by_simple: dict = {}
-    for sfn in shadow.functions:
-        by_simple.setdefault(sfn.simple, []).append(sfn)
-    for fn in model.functions:
-        cands = by_simple.get(fn.simple, [])
-        best = None
-        for sfn in cands:
-            if abs(sfn.line - fn.line) <= 2 and (
-                    best is None or
-                    abs(sfn.line - fn.line) < abs(best.line - fn.line)):
-                best = sfn
-        if best is not None:
-            fn.owner = best.owner
-            fn.writes = best.writes
-            fn.member_calls = best.member_calls
-            fn.heavy_params = best.heavy_params
-            fn.typed_allocs = best.typed_allocs
-            fn.sched_captures = best.sched_captures
-            fn.sched_sites = best.sched_sites
-            fn.lookahead_ctors = best.lookahead_ctors
-            fn.packet_params = best.packet_params
     return model
 
 
@@ -1585,13 +1058,12 @@ def suppression_cover(sups, source_lines):
 
 class Analyzer:
     def __init__(self, models, files_text, hot_scope, kind_enum_paths,
-                 factory_files=(), lookahead_files=()):
+                 factory_files=()):
         self.models = models
         self.files_text = files_text  ##< rel -> list of source lines
         self.hot_scope = hot_scope
         self.kind_enum_paths = kind_enum_paths
         self.factory_files = set(factory_files)
-        self.lookahead_files = set(lookahead_files)
         self.findings: list[Finding] = []
         self.suppressions: list[Suppression] = []
         self.cover: dict[str, dict[str, dict[int, Suppression]]] = {}
@@ -1605,75 +1077,14 @@ class Analyzer:
             self.unordered |= m.unordered_decls
             for name, enumerators in m.enums.items():
                 self.enums[name] = (m.file, enumerators)
-        self.enum_of_label: dict[str, str] = {}
-        for name, (_, enumerators) in self.enums.items():
-            for e in enumerators:
-                self.enum_of_label.setdefault(e, name)
-        # --- v2 registries: classes, ownership domains, event queues -------
+        # class registry: the lifetime rule's packet types and fields
         self.classes: dict[str, ClassDef] = {}
         for m in models:
             for cd in m.classes:
                 self.classes.setdefault(cd.name, cd)
-        self._domain_memo: dict[str, object] = {}
-        # field name -> owning domain. Names declared by classes in two
-        # different domains, or by a class the model cannot place, are
-        # dropped from the registry (conservative: no finding beats a wrong
-        # finding for a ratcheted tool).
-        self.field_domain: dict = {}
-        self.field_class: dict = {}
-        ambiguous: set = set()
-        for cd in self.classes.values():
-            dom = self.domain_of_class(cd.name)
-            for fname, _ftype, _fline in cd.fields:
-                if fname in ambiguous:
-                    continue
-                if fname in self.field_domain:
-                    if self.field_domain[fname] != dom:
-                        ambiguous.add(fname)
-                        del self.field_domain[fname]
-                        del self.field_class[fname]
-                    continue
-                if dom is None:
-                    ambiguous.add(fname)
-                    continue
-                self.field_domain[fname] = dom
-                self.field_class[fname] = cd.name
-        self.virtuals: set = set()
-        self.eventq_fields: set = set()
-        for cd in self.classes.values():
-            self.virtuals |= cd.virtual_methods
-            self.eventq_fields |= cd.eventq_members
-        self.ordered: set = set()
-        for m in models:
-            self.ordered |= m.ordered_decls
-        ##< ranked cost sites for sa_hot_cost.json (includes suppressed
-        ##< ones, flagged as such — the report is a worklist, not a verdict)
-        self.hot_cost_sites: list = []
         ##< lifetime escape sites for sa_lifetime.json — same contract:
         ##< every site, suppressed or not; the pool's standing audit ledger
         self.lifetime_sites: list = []
-        ##< scheduling sites classified for sa_pdes.json — the lookahead
-        ##< table a sharded scheduler would consume (every site, any kind)
-        self.pdes_sites: list = []
-        # accessor name -> (returned class, domain): method-return escapes.
-        # Same conservatism as field_domain: a name returning classes in
-        # two different domains is dropped; sim-state domains only (the
-        # packet conduit and harness glue never constitute an escape).
-        self.accessor_domain: dict = {}
-        acc_ambiguous: set = set()
-        for cd in self.classes.values():
-            for aname, rclass in cd.accessor_returns.items():
-                rdom = self.domain_of_class(rclass)
-                if rdom in (None, DOMAIN_PACKET, DOMAIN_HARNESS):
-                    continue
-                if aname in acc_ambiguous:
-                    continue
-                if aname in self.accessor_domain:
-                    if self.accessor_domain[aname][1] != rdom:
-                        acc_ambiguous.add(aname)
-                        del self.accessor_domain[aname]
-                    continue
-                self.accessor_domain[aname] = (rclass, rdom)
         self._packet_type_memo: dict[str, bool] = {}
 
     def is_packet_type(self, name: str) -> bool:
@@ -1690,28 +1101,6 @@ class Analyzer:
                 result = any(self.is_packet_type(b) for b in cd.bases)
         self._packet_type_memo[name] = result
         return result
-
-    def domain_of_class(self, name: str):
-        """Ownership domain for a class: its own name, then its base-class
-        chain, then the path of its declaring file (DESIGN.md §12)."""
-        if name in self._domain_memo:
-            return self._domain_memo[name]
-        self._domain_memo[name] = None  # cycle guard for base loops
-        dom = domain_of_name(name)
-        cd = self.classes.get(name)
-        if dom is None and cd is not None:
-            for b in cd.bases:
-                dom = self.domain_of_class(b) if b in self.classes \
-                    else domain_of_name(b)
-                if dom is not None:
-                    break
-        if dom is None and cd is not None:
-            for prefix, pdom in DOMAIN_PATHS:
-                if cd.file.startswith(prefix):
-                    dom = pdom
-                    break
-        self._domain_memo[name] = dom
-        return dom
 
     # --- helpers -----------------------------------------------------------
 
@@ -1776,12 +1165,9 @@ class Analyzer:
 
         self.rule_determinism()
         self.rule_packet_switch()
-        self.rule_shard_ownership()
         self.rule_hot_alloc()
-        self.rule_hot_cost()
         self.rule_unit_raw()
         self.rule_lifetime()
-        self.rule_pdes()
         self.rule_unused_suppressions()
         self.findings.sort(key=lambda f: (f.file, f.line, f.rule))
         return self.findings
@@ -1853,145 +1239,6 @@ class Analyzer:
                         msg = (f"switch over {enum_name} does not handle "
                                f"{', '.join(missing)} and has no default")
                     self.emit(Finding("packet-switch", sw.file, sw.line, msg))
-
-    def ownership_roots(self):
-        """Event-reachability roots shared by shard-ownership and pdes:
-        the per-event callbacks plus any scheduler whose own class lives in
-        a sharded domain (narrower than EVENT_ROOT_NAMES — see the comment
-        on OWNERSHIP_ROOT_NAMES)."""
-        roots = []
-        for m in self.models:
-            for fn in m.functions:
-                if fn.simple in OWNERSHIP_ROOT_NAMES:
-                    roots.append(fn)
-                elif fn.schedules and fn.owner and \
-                        self.domain_of_class(fn.owner) not in (
-                            None, DOMAIN_HARNESS):
-                    roots.append(fn)
-        return roots
-
-    def rule_shard_ownership(self):
-        """A write reachable from an event callback must stay inside the
-        writer's ownership domain. Crossing is legal only through Packet
-        hand-off (Packet fields are the conduit and never flagged) or the
-        schedule API (a scheduled lambda runs as its own event; state it
-        captures is re-rooted there)."""
-        roots = self.ownership_roots()
-        reachable = self.reachable_from(roots)
-        reported = set()
-        for m in self.models:
-            for fn in m.functions:
-                key = (fn.file, fn.name, fn.line)
-                if key not in reachable:
-                    continue
-                wdom = self.domain_of_class(fn.owner) if fn.owner else None
-                if wdom is None or wdom == DOMAIN_HARNESS:
-                    # free functions and harness glue are not shard bodies
-                    continue
-                for root_name, field_name, line in fn.writes:
-                    fdom = self.field_domain.get(field_name)
-                    if fdom is None or fdom == DOMAIN_PACKET:
-                        continue
-                    if fdom == wdom:
-                        continue
-                    if (fn.file, line) in reported:
-                        continue
-                    reported.add((fn.file, line))
-                    path = []
-                    for r in roots:
-                        path = self.find_path(r, key)
-                        if path:
-                            break
-                    via = (f" [event-reachable via {' -> '.join(path)}]"
-                           if len(path) > 1 else "")
-                    dotted = f"{root_name}.{field_name}" if root_name \
-                        else field_name
-                    self.emit(Finding(
-                        "shard-ownership", fn.file, line,
-                        f"{fn.name}() in domain {wdom} writes {dotted}, "
-                        f"owned by {self.field_class.get(field_name)} in "
-                        f"domain {fdom}{via} — cross-domain mutation blocks "
-                        f"one-shard-per-domain parallelism; hand off via a "
-                        f"Packet, go through the schedule API, or justify "
-                        f"with sa-ok(shard-ownership)", path))
-
-    def rule_hot_cost(self):
-        """Per-event cost beyond allocation on sa-hot-reachable paths:
-        heavy pass-by-value copies, virtual dispatch, ordered std::map/set
-        lookups, and event-queue heap operations (type-recognized via
-        ClassDef.eventq_members plus the schedule API itself). Every site —
-        suppressed or not — lands in hot_cost_sites for the ranked
-        sa_hot_cost.json report; unsuppressed sites are findings."""
-        hot_roots = [fn for m in self.models for fn in m.functions
-                     if fn.is_hot]
-        reachable = self.reachable_from(hot_roots, self.hot_scope)
-        reported = set()
-        for m in self.models:
-            for fn in m.functions:
-                key = (fn.file, fn.name, fn.line)
-                if key not in reachable:
-                    continue
-                sites = []
-                for ptype, pname, line in fn.heavy_params:
-                    sites.append((
-                        "heavy-copy", line,
-                        f"parameter '{pname}' of {fn.name}() copies a "
-                        f"std::{ptype} by value on the hot path — pass by "
-                        f"const& (or std::move at every call site)"))
-                for base, method, line in fn.member_calls:
-                    if method in self.virtuals:
-                        sites.append((
-                            "virtual-dispatch", line,
-                            f"virtual dispatch {base or '<expr>'}->"
-                            f"{method}() on the hot path — the indirect "
-                            f"call blocks inlining per packet"))
-                    if method in ORDERED_LOOKUP_CALLS and \
-                            base in self.ordered:
-                        sites.append((
-                            "map-lookup", line,
-                            f"ordered std::map/set lookup {base}."
-                            f"{method}() costs O(log n) pointer chasing "
-                            f"per event — prefer a flat or hashed "
-                            f"container"))
-                    if method in HEAP_MUTATION_CALLS and \
-                            base in self.eventq_fields:
-                        sites.append((
-                            "heap-op", line,
-                            f"event-queue heap operation {base}."
-                            f"{method}() — every event pays the O(log n) "
-                            f"sift"))
-                for callee, line in fn.calls:
-                    # The scheduling API's own forwarding shims are where
-                    # every timer legitimately enters the heap; the push
-                    # is charged once, at the call site into the API, not
-                    # again inside each one-line forwarder.
-                    if callee in SCHEDULING_CALLS and \
-                            fn.simple not in SCHEDULING_CALLS:
-                        sites.append((
-                            "heap-op", line,
-                            f"{callee}() pushes into the simulator event "
-                            f"heap from the hot path — O(log n) per "
-                            f"call"))
-                for cat, line, msg in sites:
-                    if (fn.file, line, cat) in reported:
-                        continue
-                    reported.add((fn.file, line, cat))
-                    sup = self.cover.get(fn.file, {}).get(
-                        "hot-cost", {}).get(line)
-                    self.hot_cost_sites.append({
-                        "category": cat,
-                        "weight": HOT_COST_WEIGHTS[cat],
-                        "file": fn.file,
-                        "line": line,
-                        "function": fn.name,
-                        "detail": msg,
-                        "suppressed": sup is not None,
-                        "justification":
-                            sup.justification if sup is not None else "",
-                    })
-                    self.emit(Finding(
-                        "hot-cost", fn.file, line,
-                        msg + " — or acknowledge with sa-ok(hot-cost)"))
 
     def rule_hot_alloc(self):
         hot_roots = [fn for m in self.models for fn in m.functions
@@ -2141,135 +1388,6 @@ class Analyzer:
                         f"recycling and reset_transient() hygiene are "
                         f"bypassed; go through the Host factories")
 
-    def rule_pdes(self):
-        """Conservative-PDES lookahead safety (DESIGN.md §15), over code
-        event-reachable from the ownership roots and owned by a sharded
-        domain. Four checks:
-        (1) raw-schedule: schedule_at/schedule_after say nothing about the
-            target domain — a sharded caller must use schedule_local (same
-            domain; zero delay is fine) or schedule_remote (cross-domain;
-            carries a link Lookahead). A literal-zero raw delay is the
-            classical zero-lookahead hazard and is called out as such.
-        (2) local-conduit: a schedule_local lambda that calls a conduit
-            method (Device::receive / Port::set_paused) crosses the domain
-            boundary while claiming locality.
-        (3) lookahead-provenance: sim::Lookahead may only be constructed
-            at the link seam (Port::link_lookahead), so every remote bound
-            traces to a physical propagation delay — and the Lookahead
-            constructor's > 0 check makes each bound >= 1 ps statically.
-        (4) accessor-escape: the method-return extension of the
-            shard-ownership field registry — a write rooted at an accessor
-            that returns a mutable reference into another domain's class
-            crosses shards without a Packet or a scheduled event.
-        The scheduling API's own forwarding shims (functions whose simple
-        name is in SCHEDULING_CALLS) are the implementation, not call
-        sites. Every scheduling site — compliant or not — lands in
-        pdes_sites for the sa_pdes.json lookahead table."""
-        roots = self.ownership_roots()
-        reachable = self.reachable_from(roots)
-        reported = set()
-        for m in self.models:
-            for fn in m.functions:
-                # (3) applies everywhere: provenance is a property of the
-                # construction site, not of event reachability.
-                for line in fn.lookahead_ctors:
-                    if fn.file in self.lookahead_files:
-                        continue
-                    if (fn.file, line, "lookahead") in reported:
-                        continue
-                    reported.add((fn.file, line, "lookahead"))
-                    self.emit(Finding(
-                        "pdes", fn.file, line,
-                        f"Lookahead constructed in {fn.name}() outside the "
-                        f"link seam — cross-domain bounds must come from "
-                        f"Port::link_lookahead() so they trace to a link's "
-                        f"propagation delay, not an arbitrary constant — "
-                        f"or justify with sa-ok(pdes)"))
-                key = (fn.file, fn.name, fn.line)
-                in_event = key in reachable
-                wdom = self.domain_of_class(fn.owner) if fn.owner else None
-                sharded = in_event and wdom not in (None, DOMAIN_HARNESS)
-                is_shim = fn.simple in SCHEDULING_CALLS
-                for callee, line, arg0, conduits in fn.sched_sites:
-                    kind = ("raw" if callee in PDES_RAW_CALLS else
-                            "remote" if callee in PDES_REMOTE_CALLS else
-                            "local")
-                    if (fn.file, line, callee) in reported:
-                        continue
-                    reported.add((fn.file, line, callee))
-                    sup = self.cover.get(fn.file, {}).get(
-                        "pdes", {}).get(line)
-                    self.pdes_sites.append({
-                        "kind": kind,
-                        "callee": callee,
-                        "file": fn.file,
-                        "line": line,
-                        "function": fn.name,
-                        "domain": wdom,
-                        "event_reachable": in_event,
-                        "delay_expr": " ".join(arg0),
-                        "conduits": [c for c, _ in conduits],
-                        "shim": is_shim,
-                        "suppressed": sup is not None,
-                        "justification":
-                            sup.justification if sup is not None else "",
-                    })
-                    if not sharded or is_shim:
-                        continue
-                    if kind == "raw":
-                        if tuple(arg0) in PDES_ZERO_ARG_FORMS:
-                            self.emit(Finding(
-                                "pdes", fn.file, line,
-                                f"zero-delay {callee}() in sharded domain "
-                                f"{wdom} — zero lookahead makes "
-                                f"conservative parallel execution "
-                                f"impossible; use schedule_local if the "
-                                f"event stays in {fn.name}()'s own domain, "
-                                f"or justify with sa-ok(pdes)"))
-                        else:
-                            self.emit(Finding(
-                                "pdes", fn.file, line,
-                                f"raw {callee}() in sharded domain {wdom} "
-                                f"hides its delay provenance — use "
-                                f"schedule_local / schedule_local_at for "
-                                f"same-domain events or "
-                                f"schedule_remote(link_lookahead(), ...) "
-                                f"across domains, or justify with "
-                                f"sa-ok(pdes)"))
-                    elif kind == "local" and conduits:
-                        names = ", ".join(sorted({c for c, _ in conduits}))
-                        self.emit(Finding(
-                            "pdes", fn.file, line,
-                            f"{callee}() lambda in {fn.name}() calls "
-                            f"conduit method(s) {names} — a "
-                            f"receive/set_paused hand-off crosses the "
-                            f"domain boundary, so the locality claim is "
-                            f"false; use "
-                            f"schedule_remote(link_lookahead(), ...) or "
-                            f"justify with sa-ok(pdes)"))
-                if not sharded:
-                    continue
-                # (4) accessor-escape: writes whose chain roots at a
-                # mutable accessor into another domain's class.
-                for root_name, field_name, line in fn.writes:
-                    acc = self.accessor_domain.get(root_name)
-                    if acc is None:
-                        continue
-                    rclass, rdom = acc
-                    if rdom == wdom:
-                        continue
-                    if (fn.file, line, "accessor") in reported:
-                        continue
-                    reported.add((fn.file, line, "accessor"))
-                    self.emit(Finding(
-                        "pdes", fn.file, line,
-                        f"{fn.name}() in domain {wdom} writes "
-                        f"{root_name}().{field_name} through a mutable "
-                        f"accessor into {rclass} (domain {rdom}) — a "
-                        f"method-return escape crossing shards without a "
-                        f"Packet or a scheduled event; move the write to "
-                        f"the owning domain or justify with sa-ok(pdes)"))
-
     def rule_unused_suppressions(self):
         for s in self.suppressions:
             if not s.used:
@@ -2352,16 +1470,12 @@ def parse_files_text(files, root, jobs, cache_dir, flag_salt=""):
 def load_compdb(path: Path):
     db = json.loads(path.read_text(encoding="utf-8"))
     files = []
-    args_by_file = {}
     for entry in db:
         f = Path(entry["file"])
         if not f.is_absolute():
             f = Path(entry["directory"]) / f
         files.append(f)
-        raw = entry.get("command", "")
-        args = [a for a in raw.split() if a.startswith(("-I", "-D", "-std"))]
-        args_by_file[f] = args
-    return files, args_by_file
+    return files
 
 
 def main() -> int:
@@ -2376,8 +1490,6 @@ def main() -> int:
                         default=Path(__file__).resolve().parent.parent,
                         help="repository root (default: this script's repo)")
     parser.add_argument("--json", type=Path, help="write JSON report here")
-    parser.add_argument("--frontend", choices=("auto", "clang", "text"),
-                        default="auto")
     parser.add_argument("--hot-scope", default=",".join(DEFAULT_HOT_SCOPE),
                         help="comma-separated path prefixes hot-alloc "
                              "traversal may descend into ('*' = everywhere)")
@@ -2388,21 +1500,13 @@ def main() -> int:
     parser.add_argument("--rules", default=",".join(RULES),
                         help="comma-separated rules to enable")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel parse workers; 0 = one per core "
-                             "(text frontend only)")
+                        help="parallel parse workers; 0 = one per core")
     parser.add_argument("--cache-dir", type=Path,
                         help="cache parsed TU models here, keyed by "
-                             "tool+file content hash (text frontend only)")
-    parser.add_argument("--hot-cost-json", type=Path,
-                        help="write the ranked hot-path cost report here")
+                             "tool+file content hash")
     parser.add_argument("--lifetime-json", type=Path,
                         help="write the lifetime escape ledger here "
                              "(every site, suppressed or not)")
-    parser.add_argument("--pdes-json", type=Path,
-                        help="write the PDES lookahead table here: every "
-                             "scheduling site classified local/remote/raw "
-                             "plus cross-domain edge classes with their "
-                             "proven minimum delay bounds")
     args = parser.parse_args()
 
     root = args.root.resolve()
@@ -2410,63 +1514,33 @@ def main() -> int:
         files = [f.resolve() for f in args.files]
         kind_paths: tuple = ()
         factory_files: tuple = ()  # fixtures: every packet alloc flagged
-        lookahead_files: tuple = ()  # fixtures: every construction flagged
         hot_scope = None if args.hot_scope == "*" else tuple(
             p for p in args.hot_scope.split(",") if p)
         if args.hot_scope == ",".join(DEFAULT_HOT_SCOPE):
             hot_scope = None  # fixture mode: traverse everywhere
-        args_by_file = {}
     elif args.compdb:
-        cpps, args_by_file = load_compdb(args.compdb)
+        cpps = load_compdb(args.compdb)
         src = root / "src"
         files = sorted({f for f in cpps
                         if f.is_relative_to(src)} |
                        set(src.rglob("*.h")))
         kind_paths = KIND_ENUM_PATHS
         factory_files = SANCTIONED_FACTORY_FILES
-        lookahead_files = PDES_LOOKAHEAD_FILES
         hot_scope = tuple(p for p in args.hot_scope.split(",") if p)
     else:
         print("dcpim_sa: pass --compdb or --files", file=sys.stderr)
         return 2
 
-    frontend = "text"
-    cindex = None
-    if args.frontend in ("auto", "clang"):
-        cindex = try_load_clang()
-        if cindex is not None:
-            frontend = "clang"
-        elif args.frontend == "clang":
-            print("dcpim_sa: --frontend clang requested but python "
-                  "libclang bindings are unavailable", file=sys.stderr)
-            return 2
-
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    cache_hits = 0
-    files_text = {}
-    if frontend == "clang":
-        # clang models depend on per-file compile args, so they are neither
-        # cached nor parallelized; only the gcc-only text path needs speed.
-        models = []
-        for f in files:
-            rel = f.relative_to(root).as_posix() if f.is_relative_to(root) \
-                else f.as_posix()
-            files_text[rel] = f.read_text(encoding="utf-8").splitlines()
-            if f.suffix == ".cpp":
-                models.append(clang_parse_file(
-                    cindex, f, rel, args_by_file.get(f, [])))
-            else:
-                models.append(text_parse_file(f, rel))
-    else:
-        flag_salt = f"rules={args.rules};hot_scope={args.hot_scope}"
-        models, rels, cache_hits = parse_files_text(
-            files, root, jobs, args.cache_dir, flag_salt)
-        for f, rel in zip(files, rels):
-            files_text[rel] = f.read_text(encoding="utf-8").splitlines()
+    flag_salt = f"rules={args.rules};hot_scope={args.hot_scope}"
+    models, rels, cache_hits = parse_files_text(
+        files, root, jobs, args.cache_dir, flag_salt)
+    files_text = {rel: f.read_text(encoding="utf-8").splitlines()
+                  for f, rel in zip(files, rels)}
 
     enabled = set(args.rules.split(","))
     analyzer = Analyzer(models, files_text, hot_scope, kind_paths,
-                        factory_files, lookahead_files)
+                        factory_files)
     findings = [f for f in analyzer.run() if f.rule in enabled]
 
     sup_counts: dict[str, int] = {}
@@ -2493,26 +1567,6 @@ def main() -> int:
                       f"suppressions, baseline allows {allowed} "
                       f"(tools/dcpim_sa.py --write-baseline)")
 
-    if args.hot_cost_json:
-        sites = sorted(
-            analyzer.hot_cost_sites,
-            key=lambda s: (-s["weight"], s["category"], s["file"],
-                           s["line"]))
-        for rank, s in enumerate(sites, 1):
-            s["rank"] = rank
-        by_category: dict[str, int] = {}
-        for s in sites:
-            by_category[s["category"]] = by_category.get(
-                s["category"], 0) + 1
-        args.hot_cost_json.parent.mkdir(parents=True, exist_ok=True)
-        args.hot_cost_json.write_text(
-            json.dumps({
-                "weights": HOT_COST_WEIGHTS,
-                "total_sites": len(sites),
-                "by_category": by_category,
-                "sites": sites,
-            }, indent=2) + "\n", encoding="utf-8")
-
     if args.lifetime_json:
         sites = sorted(
             analyzer.lifetime_sites,
@@ -2528,58 +1582,7 @@ def main() -> int:
                 "sites": sites,
             }, indent=2) + "\n", encoding="utf-8")
 
-    if args.pdes_json:
-        sites = sorted(
-            analyzer.pdes_sites,
-            key=lambda s: (s["kind"], s["file"], s["line"]))
-        by_kind: dict[str, int] = {}
-        for s in sites:
-            by_kind[s["kind"]] = by_kind.get(s["kind"], 0) + 1
-        # Cross-domain edge classes: every schedule_remote site, grouped
-        # by (scheduling function -> conduit). The proven minimum bound is
-        # the static floor — Lookahead's constructor rejects zero and Time
-        # is integer picoseconds, so every edge is >= 1 ps; the actual
-        # per-edge bound at run time is the link's configured propagation
-        # delay (the topology-sanity ctest pins it strictly positive on
-        # every inter-host link in the campaign corpus).
-        edges: dict[str, dict] = {}
-        for s in sites:
-            if s["kind"] != "remote" or s["shim"]:
-                continue
-            conduits = s["conduits"] or ["(opaque callback)"]
-            for c in conduits:
-                ec = f"{s['function']}->{c}"
-                e = edges.setdefault(ec, {
-                    "edge_class": ec,
-                    "from_domain": s["domain"],
-                    "conduit": c,
-                    "min_delay_ps": PDES_MIN_LOOKAHEAD_PS,
-                    "lookahead_expr": s["delay_expr"],
-                    "sites": [],
-                })
-                e["sites"].append({"file": s["file"], "line": s["line"]})
-        ranked = sorted(edges.values(),
-                        key=lambda e: (-len(e["sites"]), e["edge_class"]))
-        for rank, e in enumerate(ranked, 1):
-            e["rank"] = rank
-        args.pdes_json.parent.mkdir(parents=True, exist_ok=True)
-        args.pdes_json.write_text(
-            json.dumps({
-                "min_lookahead_ps": PDES_MIN_LOOKAHEAD_PS,
-                "provenance": (
-                    "sim::Lookahead rejects non-positive bounds at "
-                    "construction and may only be built at the link seam "
-                    "(Port::link_lookahead), so every cross-domain edge "
-                    "bound is a link propagation delay: integer "
-                    "picoseconds, statically >= 1 ps"),
-                "total_sites": len(sites),
-                "by_kind": by_kind,
-                "edges": ranked,
-                "sites": sites,
-            }, indent=2) + "\n", encoding="utf-8")
-
     report = {
-        "frontend": frontend,
         "files": len(files),
         "functions": sum(len(m.functions) for m in models),
         "cache_hits": cache_hits,
@@ -2603,7 +1606,7 @@ def main() -> int:
         by_rule[f.rule] = by_rule.get(f.rule, 0) + 1
     detail = ", ".join(f"{r}={n}" for r, n in sorted(by_rule.items())) \
         or "clean"
-    print(f"dcpim_sa[{frontend}]: {len(files)} files, "
+    print(f"dcpim_sa: {len(files)} files, "
           f"{report['functions']} functions, {len(findings)} finding(s) "
           f"({detail}), suppressions "
           f"{json.dumps(sup_counts, sort_keys=True)}", file=sys.stderr)

@@ -37,21 +37,7 @@ see .github/workflows/ci.yml):
                     factories so recycling stays type-safe. This is the
                     fast regex pre-filter of the dcpim-sa `lifetime`
                     rule's factory-discipline class (tools/dcpim_sa.py
-                    checks the same thing semantically, through typedefs
-                    and both frontends).
-
-  zero-lookahead    no raw `schedule_at`/`schedule_after` call with a
-                    literal-zero time argument in src/ — a zero-delay event
-                    crossing a shard boundary has no lookahead, which makes
-                    conservative parallel execution (DESIGN.md §15)
-                    impossible. Same-domain zero-delay events are fine but
-                    must say so: use the locality-typed
-                    schedule_local/schedule_local_at, or tag the line with
-                    `// pdes-local:` (plus why the event stays on its own
-                    shard) or `// sa-ok(pdes):`. This is the fast regex
-                    pre-filter of the dcpim-sa `pdes` rule's raw-schedule
-                    class (tools/dcpim_sa.py proves the same thing through
-                    domains and event reachability).
+                    checks the same thing semantically, through typedefs).
 
   inline-scenario   once a campaign spec under tests/campaign_specs/ names
                     a bench binary (its `binary =` key), that binary must
@@ -143,17 +129,6 @@ STATIC_LOCAL = re.compile(
     r"[\w:<>,*&\s]+?[\w_]+\s*(?:[={;]|$)")
 SHARED_OK_TAG = "shared-ok:"
 
-# A raw scheduling call whose first argument is a literal zero time: the
-# integer 0, a default/zero-constructed Time/TimePoint, or a zero through
-# the ps/ns/us factories. The locality-typed schedule_local/_remote calls
-# are not matched — zero delay is legal once locality is claimed (and the
-# dcpim-sa pdes rule audits that claim semantically).
-ZERO_LOOKAHEAD = re.compile(
-    r"\bschedule_(?:at|after)\s*\(\s*(?:0|(?:Time|TimePoint)\s*"
-    r"(?:\{\s*(?:0\s*)?\}|\(\s*0\s*\))|(?:ps|ns|us)\s*\(\s*0\s*\))\s*[,)]")
-PDES_LOCAL_TAG = "pdes-local:"
-SA_OK_PDES_TAG = "sa-ok(pdes):"
-
 # Allocation of a type whose name ends in `Packet` (qualified or not), via
 # bare `new` or the make_unique/make_shared factories. `\w*Packet\b` cannot
 # land inside identifiers like PacketPool (no word boundary there).
@@ -161,12 +136,6 @@ PACKET_FACTORY = re.compile(
     r"\bnew\s+(?:[\w:]+::)?\w*Packet\b"
     r"|\bmake_(?:unique|shared)\s*<\s*(?:[\w:]+::)?\w*Packet\s*[>,]")
 SA_OK_LIFETIME_TAG = "sa-ok(lifetime):"
-
-# The retired `packet_spraying` boolean (replaced by NetConfig::lb_policy).
-# `\b` before `packet` keeps the sanctioned set_packet_spraying() shim off
-# the radar (the preceding `_` kills the word boundary), so only revived
-# uses of the bare field are flagged.
-RETIRED_SPRAYING = re.compile(r"\bpacket_spraying\b")
 
 # A hand-built scenario in a spec-retired bench binary. Matching the type
 # name (rather than construction syntax) catches every variant: direct
@@ -222,8 +191,6 @@ def lint_file(path: Path, rel: str) -> list[str]:
     lines = path.read_text(encoding="utf-8").splitlines()
     shared_ok = tag_covered_lines(lines, SHARED_OK_TAG)
     lifetime_ok = tag_covered_lines(lines, SA_OK_LIFETIME_TAG)
-    pdes_ok = (tag_covered_lines(lines, PDES_LOCAL_TAG)
-               | tag_covered_lines(lines, SA_OK_PDES_TAG))
 
     for idx, line in enumerate(lines):
         where = f"{rel}:{idx + 1}"
@@ -252,21 +219,6 @@ def lint_file(path: Path, rel: str) -> list[str]:
                 f"{where}: [static-local] static non-const local state "
                 f"breaks per-experiment isolation (harness/sweep.h); make "
                 f"it per-experiment or justify with `// {SHARED_OK_TAG}`")
-
-        if ZERO_LOOKAHEAD.search(code) and idx not in pdes_ok:
-            violations.append(
-                f"{where}: [zero-lookahead] literal zero-delay raw schedule "
-                f"call — zero lookahead blocks conservative parallel "
-                f"execution (DESIGN.md §15); use schedule_local/"
-                f"schedule_local_at for same-shard events, or justify with "
-                f"`// {PDES_LOCAL_TAG}` / `// {SA_OK_PDES_TAG}`")
-
-        if RETIRED_SPRAYING.search(code):
-            violations.append(
-                f"{where}: [packet-spraying] the `packet_spraying` boolean "
-                f"is retired; set NetConfig::lb_policy (kSpray/kEcmpFlow/"
-                f"kFlowlet/kEcmpWeighted) or, for legacy callers only, "
-                f"set_packet_spraying()")
 
         if (("packet-factory", rel) not in EXEMPT
                 and PACKET_FACTORY.search(code)

@@ -10,8 +10,8 @@
 #   cmake -B build -S .
 #   tools/run_sa.sh build
 #
-# The JSON report lands in <build-dir>/sa_report.json (uploaded as a CI
-# artifact). Exit status: 0 clean, 1 findings or suppression-ratchet
+# The JSON report lands in <build-dir>/sa_report.json and the lifetime
+# ledger in <build-dir>/sa_lifetime.json (both uploaded as CI artifacts). Exit status: 0 clean, 1 findings or suppression-ratchet
 # regression, 2 usage error.
 set -euo pipefail
 
@@ -38,9 +38,7 @@ fi
 exec python3 tools/dcpim_sa.py \
     --compdb "${COMPDB}" \
     --json "${BUILD_DIR}/sa_report.json" \
-    --hot-cost-json "${BUILD_DIR}/sa_hot_cost.json" \
     --lifetime-json "${BUILD_DIR}/sa_lifetime.json" \
-    --pdes-json "${BUILD_DIR}/sa_pdes.json" \
     --cache-dir "${BUILD_DIR}/sa_cache" \
     --jobs 0 \
     "$@"
