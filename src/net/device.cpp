@@ -1,9 +1,9 @@
 #include "net/device.h"
 
-#include "util/check.h"
 #include <utility>
 
 #include "net/network.h"
+#include "util/check.h"
 #include "util/logging.h"
 
 namespace dcpim::net {
@@ -23,6 +23,10 @@ std::uint64_t fault_stream_seed(std::uint64_t net_seed, int device_id,
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
 }
+
+/// Typed-event kinds of a Port (Port::on_event).
+constexpr unsigned kSerialized = 0;
+constexpr unsigned kArrived = 1;
 
 }  // namespace
 
@@ -44,7 +48,23 @@ Port::Port(Device& owner, int index, PortConfig cfg)
       index_(index),
       cfg_(cfg),
       fault_rng_(fault_stream_seed(owner.network().config().seed,
-                                   owner.device_id(), index)) {}
+                                   owner.device_id(), index)) {
+  net_.sim().register_target(*this);
+}
+
+void Port::PacketRing::grow() {
+  const std::uint32_t cap = cap_ == 0 ? 4 : 2 * cap_;
+  // sa-ok(hot-alloc): ring growth stops at the port's peak backlog — the
+  // ring doubles, never shrinks, and steady state reuses its slots.
+  auto slots = std::make_unique<PacketPtr[]>(cap);
+  for (std::uint32_t i = 0; i < cap_; ++i) {
+    slots[i] = std::move(slots_[(head_ + i) & (cap_ - 1)]);
+  }
+  slots_ = std::move(slots);
+  head_ = 0;
+  tail_ = cap_;
+  cap_ = cap;
+}
 
 void Port::connect(Device* peer, Port* reverse) {
   peer_ = peer;
@@ -137,9 +157,7 @@ void Port::enqueue(PacketPtr p) {
 
   qbytes_[prio] += p->size;
   total_qbytes_ += p->size;
-  // sa-ok(hot-alloc): deque push of one pointer — block allocation is
-  // amortized and the freed blocks are reused at steady state.
-  queues_[prio].push_back(std::move(p));
+  queues_[prio].push(std::move(p));
   try_transmit();
 }
 
@@ -177,8 +195,7 @@ void Port::try_transmit() {
   const int prio = next_priority_to_send();
   if (prio < 0) return;
 
-  PacketPtr p = std::move(queues_[prio].front());
-  queues_[prio].pop_front();
+  PacketPtr p = queues_[prio].pop();
   qbytes_[prio] -= p->size;
   total_qbytes_ -= p->size;
   owner_.on_packet_departed(*p);
@@ -198,18 +215,28 @@ void Port::try_transmit() {
   busy_ = true;
   const Time ser = tx_time(p->size);
   busy_time += ser;
-  net_.sim().schedule_after(ser, [this, pkt = std::move(p)]() mutable {
-    tx_bytes += pkt->size;
+  tx_packet_ = std::move(p);
+  net_.sim().schedule_at(net_.sim().now() + ser, *this, kSerialized);
+}
+
+// sa-hot: the two per-hop events — serialization done, then arrival.
+void Port::on_event(unsigned kind) {
+  if (kind == kSerialized) {
+    tx_bytes += tx_packet_->size;
     ++tx_packets;
     busy_ = false;
-    Device* peer = peer_;
-    Port* rev = reverse_;
-    net_.sim().schedule_remote(link_lookahead(), peer->ingress_latency(),
-                               [peer, rev, pp = std::move(pkt)]() mutable {
-                                 peer->receive(std::move(pp), rev);
-                               });
+    const Time ingress = peer_->ingress_latency();
+    const TimePoint arrival =
+        net_.sim().now() + link_lookahead().bound() + ingress;
+    // The in-flight FIFO is exact only while arrivals keep send order.
+    DCPIM_DCHECK_GE(arrival, last_arrival_, "in-flight packets would reorder");
+    last_arrival_ = arrival;
+    inflight_.push(std::move(tx_packet_));
+    net_.sim().schedule_remote(link_lookahead(), ingress, *this, kArrived);
     try_transmit();
-  });
+    return;
+  }
+  peer_->receive(inflight_.pop(), reverse_);
 }
 
 Device::Device(Network& net, Kind kind, std::string name)

@@ -5,18 +5,25 @@
 // store-and-forward serialization at the link rate, propagation delay, and
 // the optional per-port features from PortConfig (ECN, trimming, Aeolus
 // selective dropping, PFC pause, random loss injection for failure tests).
+//
+// A packet hop is two typed simulator events on the sending Port, neither
+// carrying a callback: kind 0 ends serialization and moves the packet into
+// the port's in-flight FIFO, kind 1 hands the FIFO front to the peer. The
+// FIFO is exact because serialization is sequential and a link's
+// propagation delay never changes mid-run (degrade faults change the rate).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/config.h"
 #include "net/packet.h"
 #include "sim/simulator.h"
+#include "util/check.h"
 #include "util/rng.h"
 #include "util/time.h"
 
@@ -48,9 +55,36 @@ constexpr bool is_injected_drop(DropReason reason) {
 
 const char* to_string(DropReason reason);
 
-class Port {
+class Port final : public sim::EventTarget {
  public:
+  /// FIFO of packets in a power-of-two ring. Allocates nothing until the
+  /// first push, then doubles when full; steady state never allocates.
+  class PacketRing {
+   public:
+    bool empty() const { return head_ == tail_; }
+    std::uint32_t size() const { return tail_ - head_; }
+    void push(PacketPtr p) {
+      if (size() == cap_) grow();
+      slots_[tail_++ & (cap_ - 1)] = std::move(p);
+    }
+    PacketPtr pop() {
+      DCPIM_DCHECK(!empty(), "pop from an empty packet ring");
+      return std::move(slots_[head_++ & (cap_ - 1)]);
+    }
+
+   private:
+    void grow();
+    std::unique_ptr<PacketPtr[]> slots_;
+    std::uint32_t head_ = 0;  ///< free-running; masked on access
+    std::uint32_t tail_ = 0;
+    std::uint32_t cap_ = 0;  ///< 0 or a power of two
+  };
+
   Port(Device& owner, int index, PortConfig cfg);
+
+  /// Typed simulator events: kind 0 ends the current serialization,
+  /// kind 1 delivers the oldest in-flight packet to the peer.
+  void on_event(unsigned kind) override;
 
   /// Wires this port to its peer device; `reverse` is the peer's port that
   /// sends back over the same link (used for PFC pause signalling).
@@ -128,7 +162,10 @@ class Port {
   Device* peer_ = nullptr;
   Port* reverse_ = nullptr;
 
-  std::array<std::deque<PacketPtr>, kNumPriorities> queues_;
+  std::array<PacketRing, kNumPriorities> queues_;
+  PacketPtr tx_packet_;  ///< being serialized while busy_
+  PacketRing inflight_;  ///< serialized, propagating to the peer
+  TimePoint last_arrival_{};  ///< arrival time of the newest in-flight packet
   std::array<Bytes, kNumPriorities> qbytes_{};
   Bytes total_qbytes_{};
   bool busy_ = false;

@@ -38,13 +38,12 @@ Flow* Network::create_flow(int src, int dst, Bytes size, TimePoint start) {
   DCPIM_CHECK_GT(size, Bytes{}, "flows must carry payload");
   // Fully initialized before publication: aggregate construction, so no
   // observer can ever see a half-built Flow.
-  auto flow = std::make_unique<Flow>(Flow{.id = next_flow_id_++,
+  auto flow = std::make_unique<Flow>(Flow{.id = flows_.size() + 1,
                                           .src = src,
                                           .dst = dst,
                                           .size = size,
                                           .start_time = start});
   Flow* raw = flow.get();
-  flow_index_.emplace(raw->id, raw);
   flows_.push_back(std::move(flow));
   sim_.schedule_at(start, [this, raw]() {
     for (auto& fn : arrival_observers_) fn(*raw);
@@ -54,8 +53,8 @@ Flow* Network::create_flow(int src, int dst, Bytes size, TimePoint start) {
 }
 
 Flow* Network::flow(std::uint64_t id) const {
-  auto it = flow_index_.find(id);
-  return it == flow_index_.end() ? nullptr : it->second;
+  // Ids run 1..n in flows_ order and flows are never erased.
+  return id >= 1 && id <= flows_.size() ? flows_[id - 1].get() : nullptr;
 }
 
 void Network::flow_completed(Flow& f) {

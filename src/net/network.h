@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -151,17 +150,15 @@ class Network {
 
   NetConfig cfg_;
   /// Declared before sim_ and devices_ on purpose: members destroy in
-  /// reverse order, so pending events and port queues (both of which hold
-  /// PacketPtrs whose deleters point at this pool) drain into the pool
-  /// before it frees its parked packets.
+  /// reverse order, so pending callbacks and port rings (queued, in
+  /// serialization and in flight — all PacketPtrs whose deleters point at
+  /// this pool) drain into the pool before it frees its parked packets.
   PacketPool pool_;
   sim::Simulator sim_;
   Rng rng_;
   std::vector<std::unique_ptr<Device>> devices_;
   std::vector<Host*> hosts_;
-  std::vector<std::unique_ptr<Flow>> flows_;
-  std::unordered_map<std::uint64_t, Flow*> flow_index_;
-  std::uint64_t next_flow_id_ = 1;
+  std::vector<std::unique_ptr<Flow>> flows_;  ///< flows_[id - 1] has id `id`
 };
 
 }  // namespace dcpim::net

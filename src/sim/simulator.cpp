@@ -21,13 +21,17 @@ std::int64_t sim_now_for_checks(const void* ctx) {
 namespace {
 
 /// Heap arity. 4-ary halves the tree depth of a binary heap and keeps all
-/// children of a node inside one or two cache lines of 24-byte entries —
+/// children of a node inside one cache line of 16-byte entries —
 /// the sift-down in heap_pop() was the single hottest function in the
 /// profile when this was binary. The pop order is arity-independent:
 /// Entry::before is a strict total order (seqs are unique tie-breakers), so
 /// the simulation replays identically for any heap shape — the perf
 /// basket's fingerprint check proves it.
 constexpr std::size_t kHeapArity = 4;
+
+/// Heap-key tags (event_key): a slab callback, or typed kind 0 / kind 1.
+constexpr std::uint32_t kCallbackTag = 0;
+constexpr std::uint64_t kIndexMask = (std::uint64_t{1} << kEventIndexBits) - 1;
 
 }  // namespace
 
@@ -71,7 +75,26 @@ Simulator::Entry Simulator::heap_pop() {
 void Simulator::schedule_at(TimePoint t, Callback cb) {
   DCPIM_DCHECK_GE(t, now_, "cannot schedule into the past");
   if (t < now_) t = now_;  // degrade gracefully in release builds
-  heap_push(Entry{t, next_seq_++, slab_.store(std::move(cb))});
+  heap_push(Entry{
+      t, event_key(next_seq_++, kCallbackTag, slab_.store(std::move(cb)))});
+}
+
+void Simulator::register_target(EventTarget& target) {
+  DCPIM_CHECK(target.target_id_ == EventTarget::kUnregistered,
+              "event target registered twice");
+  target.target_id_ = static_cast<std::uint32_t>(targets_.size());
+  targets_.push_back(&target);
+}
+
+void Simulator::schedule_at(TimePoint t, EventTarget& target, unsigned kind) {
+  DCPIM_DCHECK_GE(t, now_, "cannot schedule into the past");
+  DCPIM_DCHECK(kind <= 1, "typed events have kind 0 or 1");
+  DCPIM_DCHECK(target.target_id_ < targets_.size() &&
+                   targets_[target.target_id_] == &target,
+               "event target not registered with this simulator");
+  if (t < now_) t = now_;  // degrade gracefully in release builds
+  heap_push(Entry{t, event_key(next_seq_++, kCallbackTag + 1 + kind,
+                               target.target_id_)});
 }
 
 // sa-hot: the event loop proper — every simulated event passes through.
@@ -92,12 +115,19 @@ void Simulator::run(TimePoint until) {
     DCPIM_CHECK_GE(entry.t, now_, "event queue is not time-ordered");
     now_ = entry.t;
     ++executed_;
+    const auto index = static_cast<std::uint32_t>(entry.key & kIndexMask);
+    const auto tag =
+        static_cast<std::uint32_t>(entry.key >> kEventIndexBits) & 3u;
+    if (tag != kCallbackTag) {
+      targets_[index]->on_event(tag - 1);
+      continue;
+    }
     // slab_.take() recycles the slab slot *before* invoking, so an event
-    // that schedules follow-ups (the common per-hop case) re-uses the very
-    // slot it just vacated. `cb` is destroyed at the end of this
-    // iteration — captured resources, above all pooled PacketPtrs, return
-    // to their owners at end-of-event, never lingering until the next pop.
-    Callback cb = slab_.take(entry.slot);
+    // that schedules follow-ups re-uses the very slot it just vacated.
+    // `cb` is destroyed at the end of this iteration — captured resources,
+    // above all pooled PacketPtrs, return to their owners at end-of-event,
+    // never lingering until the next pop.
+    Callback cb = slab_.take(index);
     cb();
   }
   if (!stopped_ && until != kTimePointInfinity) now_ = until;

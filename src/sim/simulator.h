@@ -1,21 +1,25 @@
 // Discrete-event simulation core.
 //
-// A Simulator owns a time-ordered event queue. Events are arbitrary
-// callbacks scheduled at absolute or relative times; ties are broken by
-// scheduling order so runs are fully deterministic.
+// A Simulator owns a time-ordered event queue. Events are either arbitrary
+// callbacks or typed events for a registered EventTarget, scheduled at
+// absolute or relative times; ties are broken by scheduling order so runs
+// are fully deterministic.
 //
-// Implementation: a hand-rolled 4-ary min-heap of 24-byte {time, id, slot}
-// entries plus a callback slab the slots index into. Keeping the callbacks
-// out of the heap entries keeps every sift move trivially cheap (the heap
-// array stays hot in cache and no type-erased move runs per swap), while
-// the CallbackSlab gives each callback a stable home: UniqueFunction
-// stores small callables inline (SBO), so the per-hop forwarding lambdas
-// never touch the allocator — a scheduled callback moves into a recycled
-// slab slot, and the run loop threads the slot back onto the slab's
-// intrusive free list the moment the event fires (eager retire, so
-// captured resources such as pooled packets release at end-of-event).
-// After the first few simulated RTTs the slab reaches steady state and
-// the per-event path allocates nothing at all. There is no cancellation:
+// Implementation: a hand-rolled 4-ary min-heap of 16-byte {time, key}
+// entries. The key packs the scheduling sequence number above a 2-bit tag
+// and a 24-bit index (event_key below), so ordering entries by (time, key)
+// is ordering them by (time, seq). Tag 0 marks a callback and the index is
+// its slot in a callback slab; keeping the callbacks out of the heap keeps
+// every sift move trivially cheap, while the CallbackSlab gives each
+// callback a stable home. UniqueFunction stores small callables inline
+// (SBO), a scheduled callback moves into a recycled slab slot, and the run
+// loop threads the slot back onto the slab's intrusive free list the moment
+// the event fires (eager retire, so captured resources such as pooled
+// packets release at end-of-event). Tags 1 and 2 mark typed events of kind
+// 0 and 1, and the index is the target's id: the per-hop port events
+// (serialization done, arrival) take this path, so they never touch the
+// slab and run as one virtual call. After the first few simulated RTTs the
+// per-event path allocates nothing at all. There is no cancellation:
 // transports that retire a timer let it fire and discard it with a
 // staleness check, so every pop is live and the per-event path is exactly
 // one O(log n) sift each way.
@@ -95,6 +99,43 @@ class CallbackSlab {
   std::uint32_t free_head_ = kNoSlot;
 };
 
+inline constexpr int kEventIndexBits = 24;
+inline constexpr int kEventSeqShift = kEventIndexBits + 2;
+
+/// Packs an event's heap key: `seq` in the high 38 bits above a 2-bit `tag`
+/// and a 24-bit `index`. `seq` is unique per event, so keys order exactly
+/// like their sequence numbers. DCPIM_CHECKs (in every build type) that the
+/// fields fit — 2^24 live callbacks or registered targets, 2^38 scheduled
+/// events per Simulator.
+inline std::uint64_t event_key(std::uint64_t seq, std::uint32_t tag,
+                               std::uint32_t index) {
+  DCPIM_CHECK(index < (std::uint32_t{1} << kEventIndexBits),
+              "event slot or target index overflows 24 bits");
+  DCPIM_CHECK(seq < (std::uint64_t{1} << (64 - kEventSeqShift)),
+              "event sequence number overflows 38 bits");
+  return seq << kEventSeqShift | std::uint64_t{tag} << kEventIndexBits | index;
+}
+
+/// Receiver of typed events: a Simulator-registered object whose events
+/// carry no callback, only a kind (0 or 1) that on_event() dispatches on.
+/// Registration assigns the id the heap key stores; a target must outlive
+/// every event scheduled for it that runs.
+class EventTarget {
+ public:
+  virtual void on_event(unsigned kind) = 0;
+
+ protected:
+  EventTarget() = default;
+  ~EventTarget() = default;
+  EventTarget(const EventTarget&) = delete;
+  EventTarget& operator=(const EventTarget&) = delete;
+
+ private:
+  friend class Simulator;
+  static constexpr std::uint32_t kUnregistered = UINT32_MAX;
+  std::uint32_t target_id_ = kUnregistered;
+};
+
 class Simulator {
  public:
   using Callback = UniqueFunction<void()>;
@@ -108,6 +149,13 @@ class Simulator {
 
   /// Schedules `cb` at absolute time `t` (must be >= now()).
   void schedule_at(TimePoint t, Callback cb);
+
+  /// Registers `target` for typed events; call once, before scheduling any.
+  void register_target(EventTarget& target);
+
+  /// Schedules `target.on_event(kind)` (kind 0 or 1) at absolute time `t`
+  /// (must be >= now()), in the same FIFO tie order as callbacks.
+  void schedule_at(TimePoint t, EventTarget& target, unsigned kind);
 
   /// Schedules `cb` `delay` after now().
   void schedule_after(Time delay, Callback cb) {
@@ -123,6 +171,13 @@ class Simulator {
   }
   void schedule_remote(Lookahead link, Callback cb) {
     schedule_remote(link, Time{}, std::move(cb));
+  }
+  /// Typed-event form of schedule_remote: `target.on_event(kind)` fires
+  /// `link.bound() + extra` after now().
+  void schedule_remote(Lookahead link, Time extra, EventTarget& target,
+                       unsigned kind) {
+    DCPIM_CHECK_GE(extra, Time{}, "remote extra delay cannot be negative");
+    schedule_at(now_ + link.bound() + extra, target, kind);
   }
 
   /// Runs events until the queue drains, `until` is passed, or stop().
@@ -141,12 +196,12 @@ class Simulator {
  private:
   struct Entry {
     TimePoint t{};
-    std::uint64_t seq = 0;   ///< scheduling order: the FIFO tie-break
-    std::uint32_t slot = 0;  ///< index into slab_
+    std::uint64_t key = 0;  ///< event_key(seq, tag, index): seq is the tie-break
     bool before(const Entry& o) const {
-      return t != o.t ? t < o.t : seq < o.seq;
+      return t != o.t ? t < o.t : key < o.key;
     }
   };
+  static_assert(sizeof(Entry) == 16, "heap entries are {time, key}");
 
   void heap_push(Entry e);
   Entry heap_pop();
@@ -156,7 +211,8 @@ class Simulator {
   std::uint64_t executed_ = 0;
   bool stopped_ = false;
   std::vector<Entry> heap_;
-  CallbackSlab slab_;  ///< callback storage; heap_ entries index into it
+  CallbackSlab slab_;  ///< callback storage; tag-0 heap_ entries index it
+  std::vector<EventTarget*> targets_;  ///< by id; tag-1/2 entries index it
 };
 
 }  // namespace dcpim::sim

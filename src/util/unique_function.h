@@ -8,11 +8,12 @@
 // Storage is small-buffer-optimised: callables that fit kInlineSize bytes
 // (and are nothrow-move-constructible, so moves can stay noexcept) live
 // inside the UniqueFunction itself; larger or throwing-move callables fall
-// back to the heap. Every event callback in the simulator's hot paths — the
-// per-hop forwarding lambdas capture at most a pointer or two plus a
-// PacketPtr — fits inline, which removes one allocation and one free per
-// scheduled event and lets the run loop recycle a single Entry's inline
-// bytes for the whole simulation (see sim/simulator.cpp).
+// back to the heap. Every event callback in the simulator's hot paths —
+// protocol timers and packet hand-offs capture at most a pointer or two
+// plus a PacketPtr — fits inline, which removes one allocation and one free
+// per scheduled event; the callback slab recycles those inline bytes slot
+// by slot (see sim/simulator.h). Per-hop port events are typed events and
+// carry no UniqueFunction at all.
 #pragma once
 
 #include <cstddef>
@@ -28,9 +29,8 @@ class UniqueFunction;
 template <typename R, typename... Args>
 class UniqueFunction<R(Args...)> {
  public:
-  /// Inline capacity. Sized for the simulator's per-hop event lambdas
-  /// ([this, PacketPtr] = 24 bytes; [peer, rev, PacketPtr] = 32) with room
-  /// for one more pointer of captures before anything spills to the heap.
+  /// Inline capacity: a PacketPtr (16 bytes) and up to four pointers of
+  /// captures before anything spills to the heap.
   static constexpr std::size_t kInlineSize = 48;
 
   UniqueFunction() = default;

@@ -42,8 +42,15 @@ class HotPath {
     scratch_.push_back(v);  // planted: empty justification suppresses nothing
   }
 
+  // Explicit template arguments do not hide an allocation.
+  // sa-hot
+  void pump_boxed(int v) {
+    box_ = std::make_unique<int>(v);  // planted: make_unique<T> under sa-hot
+  }
+
   std::vector<int> scratch_;
   int* leak_ = nullptr;
+  std::unique_ptr<int> box_;
 };
 
 }  // namespace fixture

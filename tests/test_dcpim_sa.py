@@ -40,6 +40,7 @@ GOLDEN = {
     ("hot-alloc", "fixture_hotalloc.cpp", 28),        # push_back under sa-hot
     ("hot-alloc", "fixture_hotalloc.cpp", 29),        # new under sa-hot
     ("hot-alloc", "fixture_hotalloc.cpp", 42),        # under malformed sa-ok
+    ("hot-alloc", "fixture_hotalloc.cpp", 48),        # make_unique<T>
     ("sa-suppression", "fixture_hotalloc.cpp", 41),   # empty justification
     ("unit-raw", "fixture_unitraw.cpp", 22),          # direct .raw()
     ("unit-raw", "fixture_unitraw.cpp", 27),          # .raw() via auto copy

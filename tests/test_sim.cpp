@@ -1,6 +1,9 @@
-// Unit tests: discrete-event simulator ordering, stop/resume, counters.
+// Unit tests: discrete-event simulator ordering, stop/resume, counters,
+// typed events and the heap-key bounds.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -105,6 +108,83 @@ TEST(SimulatorTest, CountsExecutedAndPending) {
   sim.run();
   EXPECT_EQ(sim.events_executed(), 3u);
   EXPECT_EQ(sim.pending(), 0u);
+}
+
+/// Typed-event target that logs each event as "<name><kind>".
+class LogTarget final : public EventTarget {
+ public:
+  LogTarget(std::string name, std::vector<std::string>& log)
+      : name_(std::move(name)), log_(log) {}
+  void on_event(unsigned kind) override {
+    log_.push_back(name_ + std::to_string(kind));
+  }
+
+ private:
+  std::string name_;
+  std::vector<std::string>& log_;
+};
+
+TEST(SimulatorTest, CallbackAndTypedEventsTieInScheduleOrder) {
+  Simulator sim;
+  std::vector<std::string> log;
+  LogTarget x("x", log);
+  LogTarget y("y", log);
+  sim.register_target(x);
+  sim.register_target(y);
+  const TimePoint t(us(4));
+  sim.schedule_at(t, [&]() { log.push_back("cb0"); });
+  sim.schedule_at(t, y, 1);
+  sim.schedule_at(t, [&]() { log.push_back("cb1"); });
+  sim.schedule_at(t, x, 0);
+  sim.schedule_at(t, x, 1);
+  sim.schedule_at(TimePoint(us(3)), y, 0);  // earlier time still goes first
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"y0", "cb0", "y1", "cb1", "x0",
+                                           "x1"}));
+  EXPECT_EQ(sim.events_executed(), 6u);
+}
+
+TEST(SimulatorTest, TypedRemoteEventsLandAfterLinkAndExtra) {
+  Simulator sim;
+  std::vector<std::string> log;
+  LogTarget x("x", log);
+  sim.register_target(x);
+  TimePoint seen = kTimeUnset;
+  sim.schedule_at(TimePoint(us(1)), [&]() {
+    sim.schedule_remote(Lookahead(ns(200)), ns(50), x, 1);
+    sim.schedule_at(TimePoint(us(1)) + ns(250), [&]() { seen = sim.now(); });
+  });
+  sim.run(TimePoint(us(1)));
+  EXPECT_EQ(sim.pending(), 2u);  // typed and callback events both count
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"x1"}));
+  EXPECT_EQ(seen, TimePoint(us(1)) + ns(250));
+}
+
+TEST(SimulatorTest, EventKeysOrderBySeq) {
+  // seq sits above the tag and index, so a later seq wins regardless of
+  // the low fields.
+  EXPECT_LT(event_key(6, 2, (1u << 24) - 1), event_key(7, 0, 0));
+  EXPECT_EQ(event_key(1, 2, 5) >> kEventSeqShift, 1u);
+}
+
+TEST(SimulatorDeathTest, KeyIndexOverflowIsChecked) {
+  EXPECT_DEATH(event_key(0, 0, 1u << 24), "overflows 24 bits");
+  EXPECT_DEATH(event_key(std::uint64_t{1} << 38, 1, 0), "overflows 38 bits");
+  // An unregistered target has no id that fits the key, in every build type.
+  Simulator sim;
+  std::vector<std::string> log;
+  LogTarget x("x", log);
+  EXPECT_DEATH(sim.schedule_at(TimePoint{}, x, 0),
+               "not registered|overflows 24 bits");
+}
+
+TEST(SimulatorDeathTest, TargetRegistersOnce) {
+  Simulator sim;
+  std::vector<std::string> log;
+  LogTarget x("x", log);
+  sim.register_target(x);
+  EXPECT_DEATH(sim.register_target(x), "registered twice");
 }
 
 }  // namespace

@@ -827,6 +827,7 @@ def scan_body(fn: FunctionDef, toks, start, end):
                 if first_id is not None:
                     fn.typed_allocs.append(
                         (t.text + "<>", first_id, t.line))
+                fn.allocs.append((t.text + "()", t.line))
             # qualified banned chains (std::rand, std::chrono::steady_clock)
             chain_hit = False
             for chain, what in BANNED_QUALIFIED.items():
