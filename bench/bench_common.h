@@ -10,7 +10,9 @@
 #include <chrono>  // wall-clock ETA only; sim code never reads real time
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,10 @@
 #include "harness/sweep.h"
 #include "util/env.h"
 #include "util/thread_pool.h"
+
+#ifndef DCPIM_CAMPAIGN_SPEC_DIR
+#error "build must define DCPIM_CAMPAIGN_SPEC_DIR"
+#endif
 
 namespace dcpim::bench {
 
@@ -239,39 +245,45 @@ inline void maybe_print_faults(const harness::ExperimentResult& result) {
               harness::format_recovery_stats(result.recovery).c_str());
 }
 
-/// --emit-spec: print the binary's embedded campaign spec verbatim and
-/// exit. The golden corpus under tests/campaign_specs/ is generated this
-/// way, so the committed .campaign files and the binaries can never drift
-/// (test_campaign asserts byte equality). Call right after
-/// parse_common_flags(), before any other output.
-inline void handle_emit_spec(int argc, char** argv, const char* spec_text) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--emit-spec") {
-      std::fputs(spec_text, stdout);
-      std::exit(0);
-    }
+/// Reads a campaign spec file whole. An unreadable file prints one line and
+/// exits 2 (the spec/usage-error code of every bench binary).
+inline std::string read_spec_file(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "cannot read spec '%s'\n", path.c_str());
+    std::exit(2);
   }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
 
-/// An embedded spec expanded and executed: the binary's single source of
-/// scenario truth. Cells are in expansion order (grid.h), results parallel.
+/// A committed spec expanded and executed. Cells are in expansion order
+/// (grid.h), results parallel.
 struct SpecRun {
   campaign::CampaignSpec spec;
   std::vector<campaign::Cell> cells;
   std::vector<harness::ExperimentResult> results;
 };
 
-/// Parses the binary's embedded spec, folds the shared bench flags
-/// (--audit/--faults/--fault-seed) into it exactly like bench/campaign
-/// does, expands, and runs the grid on jobs_flag() workers. `file` labels
-/// diagnostics (use the committed spec path so errors point somewhere
-/// checkoutable).
-inline SpecRun run_embedded_spec(const char* spec_text, const char* file) {
+/// Reads tests/campaign_specs/<name>.campaign (the binary's only copy of
+/// its scenario), folds the shared bench flags (--audit/--faults/
+/// --fault-seed) into it exactly like bench/campaign does, expands, and
+/// runs the grid on jobs_flag() workers. A CampaignError prints its
+/// one-line diagnostic and exits 2.
+inline SpecRun run_spec(const std::string& name) {
+  const std::string path =
+      std::string(DCPIM_CAMPAIGN_SPEC_DIR) + "/" + name + ".campaign";
   SpecRun run;
-  run.spec = campaign::parse_campaign_spec(spec_text, file);
-  campaign::apply_overrides(run.spec, audit_flag(), faults_flag(),
-                            fault_seed_flag());
-  run.cells = campaign::expand(run.spec);
+  try {
+    run.spec = campaign::parse_campaign_spec(read_spec_file(path), path);
+    campaign::apply_overrides(run.spec, audit_flag(), faults_flag(),
+                              fault_seed_flag());
+    run.cells = campaign::expand(run.spec);
+  } catch (const campaign::CampaignError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
   std::vector<harness::ExperimentConfig> configs;
   configs.reserve(run.cells.size());
   for (const campaign::Cell& cell : run.cells) configs.push_back(cell.config);

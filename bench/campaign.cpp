@@ -17,8 +17,6 @@
 // cells skipped by --max-cells — rerun to continue from the journal).
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "bench_common.h"
@@ -90,18 +88,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::ifstream in(spec_path);
-  if (!in) {
-    std::fprintf(stderr, "%s: cannot read spec '%s'\n", argv[0],
-                 spec_path.c_str());
-    return 2;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+  const std::string text = bench::read_spec_file(spec_path);
 
   try {
     campaign::CampaignSpec spec =
-        campaign::parse_campaign_spec(buffer.str(), spec_path);
+        campaign::parse_campaign_spec(text, spec_path);
     campaign::apply_overrides(spec, bench::audit_flag(),
                               bench::faults_flag(), bench::fault_seed_flag());
 

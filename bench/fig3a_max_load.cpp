@@ -9,10 +9,10 @@
 // sustained region is where the normalized ratio stays near 1, and the knee
 // where it collapses. Raise DCPIM_BENCH_SCALE for longer, sharper windows.
 //
-// The scenario itself lives in the embedded campaign spec below (also
-// committed as tests/campaign_specs/fig3a.campaign; --emit-spec prints it):
-// this binary only renders the table. `campaign --spec ...fig3a.campaign`
-// runs the identical grid and prints identical `cell` fingerprint lines.
+// The scenario lives in tests/campaign_specs/fig3a.campaign, which this
+// binary reads at start-up; it only renders the table. `campaign --spec
+// ...fig3a.campaign` runs the identical grid and prints identical `cell`
+// fingerprint lines.
 #include <cstdio>
 #include <vector>
 
@@ -21,33 +21,8 @@
 using namespace dcpim;
 using namespace dcpim::harness;
 
-namespace {
-
-constexpr char kSpec[] =
-    R"([campaign]
-name = fig3a
-binary = fig3a_max_load
-
-[timing]
-scaled = true
-gen_stop = 2.5ms
-horizon = 2.5ms
-measure_start = 1.25ms
-measure_end = 2.5ms
-
-[traffic]
-workload = imc10
-
-[sweep]
-protocol = dcpim, homa_aeolus, ndp, hpcc
-load = 0.5, 0.6, 0.7, 0.8, 0.84, 0.88, 0.92
-)";
-
-}  // namespace
-
 int main(int argc, char** argv) {
   bench::parse_common_flags(argc, argv);
-  bench::handle_emit_spec(argc, argv, kSpec);
   bench::print_header("Figure 3(a): maximum sustainable load (IMC10)",
                       "dcPIM 0.84, Homa Aeolus next best, NDP/HPCC lower; "
                       "(WebSearch also 0.84, DataMining 0.7)");
@@ -57,8 +32,7 @@ int main(int argc, char** argv) {
   // All (protocol, load) points are independent: the spec's grid runs as one
   // batch so --jobs N parallelizes across the whole figure, then prints in
   // order (protocol axis outer, load axis fastest).
-  const bench::SpecRun run =
-      bench::run_embedded_spec(kSpec, "tests/campaign_specs/fig3a.campaign");
+  const bench::SpecRun run = bench::run_spec("fig3a");
   const std::vector<std::string>& loads = run.spec.axes[1].values;
   const std::size_t n_protocols = run.spec.axes[0].values.size();
 

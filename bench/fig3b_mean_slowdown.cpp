@@ -3,8 +3,7 @@
 // Paper result: dcPIM and Homa Aeolus achieve the best overall means;
 // NDP and HPCC trail (HPCC good on short flows, poor on long).
 //
-// Scenario lives in the embedded campaign spec (committed as
-// tests/campaign_specs/fig3b.campaign; --emit-spec prints it).
+// Scenario: tests/campaign_specs/fig3b.campaign.
 #include <cstdio>
 
 #include "bench_common.h"
@@ -12,39 +11,13 @@
 using namespace dcpim;
 using namespace dcpim::harness;
 
-namespace {
-
-constexpr char kSpec[] =
-    R"([campaign]
-name = fig3b
-binary = fig3b_mean_slowdown
-
-[timing]
-scaled = true
-gen_stop = 1.2ms
-horizon = 3ms
-measure_start = 300us
-measure_end = 1.2ms
-
-[traffic]
-load = 0.6
-
-[sweep]
-protocol = dcpim, homa_aeolus, ndp, hpcc
-workload = imc10, websearch, datamining
-)";
-
-}  // namespace
-
 int main(int argc, char** argv) {
   bench::parse_common_flags(argc, argv);
-  bench::handle_emit_spec(argc, argv, kSpec);
   bench::print_header(
       "Figure 3(b): mean slowdown across all flows, load 0.6",
       "dcPIM/HomaAeolus lowest overall mean; NDP worst; slowdown >= 1");
 
-  const bench::SpecRun run =
-      bench::run_embedded_spec(kSpec, "tests/campaign_specs/fig3b.campaign");
+  const bench::SpecRun run = bench::run_spec("fig3b");
   const std::vector<std::string>& workloads = run.spec.axes[1].values;
   const std::size_t n_protocols = run.spec.axes[0].values.size();
 

@@ -6,8 +6,7 @@
 // than dcPIM on this (unrealistic) workload; NDP and Homa Aeolus remain
 // worse than both.
 //
-// Scenario lives in the embedded campaign spec (committed as
-// tests/campaign_specs/fig4b.campaign; --emit-spec prints it).
+// Scenario: tests/campaign_specs/fig4b.campaign.
 #include <cstdio>
 
 #include "bench_common.h"
@@ -15,41 +14,14 @@
 using namespace dcpim;
 using namespace dcpim::harness;
 
-namespace {
-
-constexpr char kSpec[] =
-    R"([campaign]
-name = fig4b
-binary = fig4b_worstcase
-
-[timing]
-scaled = true
-gen_stop = 1.2ms
-horizon = 3ms
-measure_start = 300us
-measure_end = 1.2ms
-
-[traffic]
-workload = imc10
-load = 0.6
-fixed_size = -1
-
-[sweep]
-protocol = dcpim, homa_aeolus, ndp, hpcc
-)";
-
-}  // namespace
-
 int main(int argc, char** argv) {
   bench::parse_common_flags(argc, argv);
-  bench::handle_emit_spec(argc, argv, kSpec);
   bench::print_header(
       "Figure 4(b): worst case, all flows of size BDP+1, load 0.6",
       "HPCC beats dcPIM on mean and slightly on tail here; NDP/HomaAeolus "
       "worse than both (proactive drops)");
 
-  const bench::SpecRun run =
-      bench::run_embedded_spec(kSpec, "tests/campaign_specs/fig4b.campaign");
+  const bench::SpecRun run = bench::run_spec("fig4b");
 
   std::printf("  %-12s %8s %8s %8s\n", "protocol", "mean", "p99", "carried");
   for (std::size_t pi = 0; pi < run.cells.size(); ++pi) {

@@ -7,10 +7,9 @@
 // bound; HPCC collapses under constant PFC; NDP thrashes on retransmits;
 // Homa Aeolus converges but takes >1000us.
 //
-// Scenario lives in the embedded campaign spec (committed as
-// tests/campaign_specs/fig4c.campaign; --emit-spec prints it). The horizons
-// stretch with DCPIM_BENCH_SCALE; util_bin deliberately does not, matching
-// the original hand-built scenario.
+// Scenario: tests/campaign_specs/fig4c.campaign. The horizons stretch with
+// DCPIM_BENCH_SCALE; util_bin deliberately does not, matching the original
+// hand-built scenario.
 #include <cstdio>
 
 #include "bench_common.h"
@@ -18,41 +17,14 @@
 using namespace dcpim;
 using namespace dcpim::harness;
 
-namespace {
-
-constexpr char kSpec[] =
-    R"([campaign]
-name = fig4c
-binary = fig4c_dense_tm
-
-[timing]
-scaled = true
-gen_stop = 0us
-horizon = 600us
-measure_start = 0us
-measure_end = 600us
-util_bin = 50us
-
-[traffic]
-pattern = dense_tm
-dense_flow_size = 1000000
-
-[sweep]
-protocol = dcpim, homa_aeolus, ndp, hpcc
-)";
-
-}  // namespace
-
 int main(int argc, char** argv) {
   bench::parse_common_flags(argc, argv);
-  bench::handle_emit_spec(argc, argv, kSpec);
   bench::print_header(
       "Figure 4(c): dense 144x143 traffic matrix, utilization over time",
       "dcPIM ~93.5%% steady utilization; theoretical floor 32.9%%; "
       "baselines collapse or converge in >1000us");
 
-  const bench::SpecRun run =
-      bench::run_embedded_spec(kSpec, "tests/campaign_specs/fig4c.campaign");
+  const bench::SpecRun run = bench::run_spec("fig4c");
   const Time horizon = run.cells[0].config.horizon.since_start();
   const Time bin = run.cells[0].config.util_bin;
 

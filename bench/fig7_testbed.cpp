@@ -6,9 +6,8 @@
 // and 34-76x better p99 than DCTCP/TCP, while long-flow FCT is
 // 1.71-2.61x lower.
 //
-// Scenario lives in the embedded campaign spec (committed as
-// tests/campaign_specs/fig7.campaign; --emit-spec prints it). 10G links
-// are 10x slower, hence the stretched horizons.
+// Scenario: tests/campaign_specs/fig7.campaign. 10G links are 10x slower,
+// hence the stretched horizons.
 #include <cstdio>
 
 #include "bench_common.h"
@@ -16,43 +15,14 @@
 using namespace dcpim;
 using namespace dcpim::harness;
 
-namespace {
-
-constexpr char kSpec[] =
-    R"([campaign]
-name = fig7
-binary = fig7_testbed
-
-[topology]
-topo = testbed
-
-[timing]
-scaled = true
-gen_stop = 8ms
-horizon = 30ms
-measure_start = 2ms
-measure_end = 8ms
-
-[traffic]
-workload = imc10
-load = 0.5
-
-[sweep]
-protocol = dcpim, dctcp, tcp
-)";
-
-}  // namespace
-
 int main(int argc, char** argv) {
   bench::parse_common_flags(argc, argv);
-  bench::handle_emit_spec(argc, argv, kSpec);
   bench::print_header(
       "Figure 7: 32-server testbed (10G), dcPIM vs DCTCP vs TCP, load 0.5",
       "dcPIM short flows 21-43x better mean / 34-76x better p99; long "
       "flows 1.71-2.61x faster");
 
-  const bench::SpecRun run =
-      bench::run_embedded_spec(kSpec, "tests/campaign_specs/fig7.campaign");
+  const bench::SpecRun run = bench::run_spec("fig7");
 
   bool header_done = false;
   for (std::size_t pi = 0; pi < run.cells.size(); ++pi) {

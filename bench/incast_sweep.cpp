@@ -7,11 +7,10 @@
 // tail latency at every degree (losses are rescued through matching), while
 // the baselines' completion times blow up or stay loss-bound.
 //
-// Scenario lives in the embedded campaign spec (committed as
-// tests/campaign_specs/incast_sweep.campaign; --emit-spec prints it). The
-// spec stretches measure_end with DCPIM_BENCH_SCALE along with the other
-// horizons — identical to the historical hand-built scenario at the
-// default scale of 1.0, which is what the test suite pins.
+// Scenario: tests/campaign_specs/incast_sweep.campaign. The spec stretches
+// measure_end with DCPIM_BENCH_SCALE along with the other horizons —
+// identical to the historical hand-built scenario at the default scale of
+// 1.0, which is what the test suite pins.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -21,36 +20,8 @@
 using namespace dcpim;
 using namespace dcpim::harness;
 
-namespace {
-
-constexpr char kSpec[] =
-    R"([campaign]
-name = incast_sweep
-binary = incast_sweep
-
-[timing]
-scaled = true
-gen_stop = 1.2ms
-horizon = 30ms
-measure_start = 0us
-measure_end = 1us
-
-[traffic]
-pattern = incast
-workload = imc10
-load = 0.6
-incast_size = 64000
-
-[sweep]
-protocol = dcpim, homa_aeolus, ndp, hpcc
-incast_fanin = 8, 16, 32, 64
-)";
-
-}  // namespace
-
 int main(int argc, char** argv) {
   bench::parse_common_flags(argc, argv);
-  bench::handle_emit_spec(argc, argv, kSpec);
   bench::print_header(
       "Incast-degree sweep: 64KB incast flows into one receiver",
       "every protocol must complete all flows with bounded tails; dcPIM "
@@ -58,8 +29,7 @@ int main(int argc, char** argv) {
       "trading pure-incast retransmission speed for zero congestion "
       "collapse");
 
-  const bench::SpecRun run = bench::run_embedded_spec(
-      kSpec, "tests/campaign_specs/incast_sweep.campaign");
+  const bench::SpecRun run = bench::run_spec("incast_sweep");
   const std::vector<std::string>& fanins = run.spec.axes[1].values;
   const std::size_t n_protocols = run.spec.axes[0].values.size();
 

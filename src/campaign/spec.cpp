@@ -76,17 +76,14 @@ harness::Protocol parse_protocol_token(const std::string& t) {
       "' (dcpim|phost|homa|homa_aeolus|ndp|hpcc|dctcp|tcp|fastpass)");
 }
 
-/// `auto` keeps lb_policy_auto (the protocol's canonical policy); any
-/// explicit policy clears it. Applied via the lb_policy registry row.
+/// `auto` clears lb_policy (the protocol's canonical policy); any other
+/// token names an explicit policy. Applied via the lb_policy registry row.
 void apply_lb_policy_token(harness::ExperimentConfig& c,
                            const std::string& t) {
   using net::LbPolicy;
   if (t == "auto") {
-    c.lb_policy_auto = true;
-    return;
-  }
-  c.lb_policy_auto = false;
-  if (t == "spray") {
+    c.lb_policy.reset();
+  } else if (t == "spray") {
     c.lb_policy = LbPolicy::kSpray;
   } else if (t == "ecmp_flow") {
     c.lb_policy = LbPolicy::kEcmpFlow;
@@ -142,9 +139,9 @@ void check_unit_interval(double v, const std::string& t) {
 // ---- the key registry ------------------------------------------------------
 //
 // One row per base key: canonical name, home section, validator+setter.
-// Table order IS the canonical emission order of to_spec(). `name`,
-// `binary` and `scaled` are spec fields, not ExperimentConfig fields —
-// their apply is null and the parser routes them specially.
+// Table order IS the canonical emission order of to_spec(). `name` and
+// `scaled` are spec fields, not ExperimentConfig fields — their apply is
+// null and the parser routes them specially.
 
 using Config = harness::ExperimentConfig;
 
@@ -157,7 +154,6 @@ struct KeyInfo {
 
 const KeyInfo kRegistry[] = {
     {"name", "campaign", false, nullptr},
-    {"binary", "campaign", false, nullptr},
 
     {"topo", "topology", true,
      [](Config& c, const std::string& t) { c.topo = parse_topo_token(t); }},
@@ -540,14 +536,6 @@ CampaignSpec parse_campaign_spec(const std::string& text,
       spec.name = value;
       continue;
     }
-    if (key == "binary") {
-      if (!spec.binary.empty()) fail(lineno, "duplicate key 'binary'");
-      if (!valid_identifier(value)) {
-        fail(lineno, "binary '" + value + "' must be [A-Za-z0-9_.-]+");
-      }
-      spec.binary = value;
-      continue;
-    }
     if (key == "scaled") {
       try {
         spec.scaled_timing = parse_bool_token(value);
@@ -593,7 +581,6 @@ std::string to_spec(const CampaignSpec& spec) {
       if (std::string(k.section) != section) continue;
       if (k.apply == nullptr) {
         any = any || (std::string(k.name) == "name" && !spec.name.empty()) ||
-              (std::string(k.name) == "binary" && !spec.binary.empty()) ||
               (std::string(k.name) == "scaled" && spec.scaled_timing);
       } else {
         any = any || spec.base.count(k.name) != 0;
@@ -606,8 +593,6 @@ std::string to_spec(const CampaignSpec& spec) {
       const std::string name(k.name);
       if (name == "name") {
         if (!spec.name.empty()) os << "name = " << spec.name << "\n";
-      } else if (name == "binary") {
-        if (!spec.binary.empty()) os << "binary = " << spec.binary << "\n";
       } else if (name == "scaled") {
         if (spec.scaled_timing) os << "scaled = true\n";
       } else {

@@ -4,18 +4,15 @@
 // experiment grid: a base scenario (topology, timing, traffic matrix,
 // protocol parameters, fault plan) plus Cartesian sweep axes and axis
 // constraints. bench/campaign expands a spec through harness::SweepRunner;
-// the per-figure bench binaries embed their scenario as a spec string
-// (printed verbatim by --emit-spec) and build their configs by expanding
-// it, so a scenario exists in exactly one place and reviewers can add or
-// edit one without touching C++.
+// the spec-driven figure binaries read their committed spec from
+// tests/campaign_specs/ and build their configs by expanding it, so a
+// scenario exists in exactly one place and can be added or edited without
+// touching C++.
 //
 // Grammar (line-oriented; `#` starts a full-line comment; blank lines
 // separate nothing — they are purely cosmetic):
 //
-//   [campaign]            name (required), binary (optional: the bench
-//                         binary stem this spec retires — the lint rule
-//                         `inline-scenario` then bans hand-built
-//                         ExperimentConfigs in that binary)
+//   [campaign]            name (required)
 //   [topology]            topo, racks, hosts_per_rack, spines, fat_tree_k
 //   [timing]              scaled, gen_stop, horizon, measure_start,
 //                         measure_end, util_bin   (ns/us/ms/s literals;
@@ -38,8 +35,8 @@
 //
 // Every diagnostic is one line, `file:line: message` (CampaignError) — no
 // stack traces, no multi-line dumps. Canonical form: to_spec() emits
-// sections and keys in a fixed order; parse(to_spec(s)) == s byte-exactly,
-// and the golden corpus under tests/campaign_specs/ is stored canonically.
+// sections and keys in a fixed order and drops comments; parse(to_spec(s))
+// re-emits the same text byte-exactly.
 #pragma once
 
 #include <cstdint>
@@ -76,8 +73,7 @@ struct ConstraintDef {
 };
 
 struct CampaignSpec {
-  std::string name;    ///< [campaign] name — CSV experiment label
-  std::string binary;  ///< bench binary stem this spec retires ("" = none)
+  std::string name;  ///< [campaign] name — CSV experiment label
   /// [timing] scaled: stretch gen_stop/horizon/measure_start/measure_end
   /// by DCPIM_BENCH_SCALE when cells are expanded (util_bin stays fixed,
   /// matching the hand-built bench scenarios this format replaces).

@@ -291,8 +291,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
 
   net::NetConfig ncfg;
   ncfg.seed = cfg.seed;
-  ncfg.lb_policy =
-      cfg.lb_policy_auto ? default_lb_policy(cfg.protocol) : cfg.lb_policy;
+  ncfg.lb_policy = cfg.lb_policy.value_or(default_lb_policy(cfg.protocol));
   ncfg.flowlet_gap = cfg.flowlet_gap;
   ncfg.packet_pool = cfg.packet_pool;
   rt.net = std::make_unique<net::Network>(ncfg);

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -89,13 +90,12 @@ struct ExperimentConfig {
   double loss_rate = 0.0;  ///< random per-packet loss on every port
 
   // --- load balancing -----------------------------------------------------------
-  /// Multi-path forwarding policy at every switch. With `lb_policy_auto`
-  /// (the default) the protocol's canonical policy is used — spray for the
-  /// receiver-driven designs, per-flow ECMP for the window-based family and
-  /// Fastpass — exactly the pre-lb_policy behaviour. Campaigns set an
-  /// explicit policy to sweep the survivability grid.
-  bool lb_policy_auto = true;
-  net::LbPolicy lb_policy = net::LbPolicy::kSpray;
+  /// Multi-path forwarding policy at every switch. Unset (the default)
+  /// means the protocol's canonical policy — spray for the receiver-driven
+  /// designs, per-flow ECMP for the window-based family and Fastpass —
+  /// exactly the pre-lb_policy behaviour. Campaigns set an explicit policy
+  /// to sweep the survivability grid.
+  std::optional<net::LbPolicy> lb_policy;
   Time flowlet_gap = us(5);  ///< NetConfig::flowlet_gap (flowlet policy only)
   /// FaultPlan spec executed against the topology (empty = no faults); the
   /// `--faults` grammar of sim/fault/fault_plan.h. Wildcard targets and
@@ -148,9 +148,7 @@ struct ExperimentResult {
   std::uint64_t pfc_pauses = 0;
   /// Simulator events executed over the whole run and the instant the run
   /// drained to. Part of the fingerprint: two runs that agree here executed
-  /// the same event count to the same simulated instant, which makes them
-  /// the denominators of the perf basket (bench/perf_basket.cpp) — events
-  /// per wall-second and simulated-seconds per wall-second.
+  /// the same event count to the same simulated instant.
   std::uint64_t events_executed = 0;
   TimePoint sim_end{};
   /// PacketPool traffic (zeros when cfg.packet_pool was off). Deliberately

@@ -14,8 +14,8 @@
 //     list, so no parked object is ever re-issued as the wrong type.
 //   * release() runs Packet::reset_transient() before parking, so an
 //     acquired packet is bit-for-bit a fresh `Packet{}` (minus the retained
-//     int_hops capacity). Pooling is therefore behaviour-invariant: the
-//     perf basket checks result fingerprints pool-on vs pool-off.
+//     int_hops capacity). Pooling is therefore behaviour-invariant:
+//     test_packet_pool checks result fingerprints pool-on vs pool-off.
 //   * Recycling is automatic: PacketDeleter routes dying PacketPtrs here,
 //     covering delivery, buffer drops, Aeolus drops, and FaultInjector
 //     kills without any per-site wiring.

@@ -199,7 +199,6 @@ TEST(LbPolicyTest, FaultedSweepFingerprintsIdenticalAcrossJobs) {
     cfg.measure_start = TimePoint(us(5));
     cfg.measure_end = TimePoint(us(60));
     cfg.horizon = TimePoint(ms(50));
-    cfg.lb_policy_auto = false;
     cfg.lb_policy = policy;
     cfg.fault_seed = 11;
     // Exact-device targets (every port of both leaves): the plan must bite
@@ -218,7 +217,7 @@ TEST(LbPolicyTest, FaultedSweepFingerprintsIdenticalAcrossJobs) {
   ASSERT_EQ(a.size(), configs.size());
   ASSERT_EQ(b.size(), configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    SCOPED_TRACE(to_string(configs[i].lb_policy));
+    SCOPED_TRACE(to_string(*configs[i].lb_policy));
     EXPECT_EQ(harness::result_fingerprint(a[i]),
               harness::result_fingerprint(b[i]));
     // The plan actually bit: gray drops were injected and attributed.

@@ -139,10 +139,11 @@ class PacketFactoryRuleTest(unittest.TestCase):
 
 
 class InlineScenarioRuleTest(unittest.TestCase):
-    """The inline-scenario rule: once a campaign spec names a bench binary
-    (its `binary =` key), hand-built ExperimentConfigs in that binary are
-    flagged unless justified with `// campaign-ok:`; binaries without a
-    spec stay unlinted."""
+    """The inline-scenario rule: a bench binary that runs a committed spec
+    (it calls `bench::run_spec("x")`) has hand-built ExperimentConfigs
+    flagged unless justified with `// campaign-ok:`, and a run_spec("x")
+    without tests/campaign_specs/x.campaign is flagged; binaries that do
+    not call run_spec stay unlinted."""
 
     def lint_tree(self, files: dict[str, str]):
         with tempfile.TemporaryDirectory() as td:
@@ -158,15 +159,16 @@ class InlineScenarioRuleTest(unittest.TestCase):
         return [ln for ln in proc.stdout.splitlines()
                 if "[inline-scenario]" in ln]
 
-    SPEC = "[campaign]\nname = figx\nbinary = figx_bench\n"
+    SPEC = "[campaign]\nname = figx\n"
 
-    def test_retired_binary_with_inline_config_flagged(self):
+    def test_spec_driven_binary_with_inline_config_flagged(self):
         proc = self.lint_tree({
             "tests/campaign_specs/figx.campaign": self.SPEC,
             "bench/figx_bench.cpp":
                 "int main() {\n"
                 "  harness::ExperimentConfig cfg;\n"
                 "  cfg.load = 0.6;\n"
+                "  const auto run = bench::run_spec(\"figx\");\n"
                 "}\n",
         })
         self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
@@ -175,7 +177,7 @@ class InlineScenarioRuleTest(unittest.TestCase):
         self.assertIn("bench/figx_bench.cpp:2:", flagged[0])
         self.assertIn("figx.campaign", flagged[0])
 
-    def test_unretired_binary_is_not_linted(self):
+    def test_binary_without_run_spec_is_not_linted(self):
         proc = self.lint_tree({
             "bench/legacy.cpp":
                 "int main() { harness::ExperimentConfig cfg; }\n",
@@ -187,19 +189,34 @@ class InlineScenarioRuleTest(unittest.TestCase):
             "tests/campaign_specs/figx.campaign": self.SPEC,
             "bench/figx_bench.cpp":
                 "int main() {\n"
+                "  const auto run = bench::run_spec(\"figx\");\n"
                 "  // campaign-ok: perf baseline needs a raw config copy.\n"
                 "  harness::ExperimentConfig cfg;\n"
                 "}\n",
         })
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
 
-    def test_spec_without_binary_key_retires_nothing(self):
+    def test_spec_without_run_spec_call_links_nothing(self):
         proc = self.lint_tree({
-            "tests/campaign_specs/figx.campaign": "[campaign]\nname = x\n",
+            "tests/campaign_specs/figx.campaign": self.SPEC,
             "bench/figx_bench.cpp":
                 "int main() { harness::ExperimentConfig cfg; }\n",
         })
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+
+    def test_run_spec_of_missing_spec_flagged(self):
+        proc = self.lint_tree({
+            "tests/campaign_specs/figx.campaign": self.SPEC,
+            "bench/figy_bench.cpp":
+                "int main() {\n"
+                "  const auto run = bench::run_spec(\"figy\");\n"
+                "}\n",
+        })
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        flagged = self.flagged(proc)
+        self.assertEqual(len(flagged), 1, proc.stdout)
+        self.assertIn("bench/figy_bench.cpp:2:", flagged[0])
+        self.assertIn("figy.campaign does not exist", flagged[0])
 
 
 class RealTreeTest(unittest.TestCase):

@@ -9,7 +9,7 @@
 //     the audit probe stays clean.
 //   * the headline contract: pooling is behaviour-invariant — for every
 //     protocol, result_fingerprint() is bit-identical with the pool on and
-//     off. This is what lets the perf basket attribute its speedup to the
+//     off. This is what lets a timing run attribute its speedup to the
 //     allocator alone.
 #include <gtest/gtest.h>
 

@@ -6,6 +6,8 @@
 // the spec's name on it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <set>
@@ -37,12 +39,15 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
-// The committed spec corpus (kept in sync with tests/test_campaign.cpp).
-const std::vector<std::string>& corpus() {
-  static const std::vector<std::string> names = {
-      "fig3a",        "fig3b",       "fig4b", "fig4c",      "fig7",
-      "incast_sweep", "perf_basket", "smoke", "constrained"};
-  return names;
+// Every committed spec, sorted by file name.
+std::vector<std::filesystem::path> corpus() {
+  std::vector<std::filesystem::path> paths;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(DCPIM_CAMPAIGN_SPEC_DIR)) {
+    if (entry.path().extension() == ".campaign") paths.push_back(entry.path());
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
 }
 
 // Protocol-free host: topology wiring only, no traffic.
@@ -125,15 +130,15 @@ void build_and_check(const TopoSignature& sig, const std::string& label) {
 
 TEST(TopologySanityTest, EverySpecReachableTopologyHasPositiveLookahead) {
   std::set<TopoSignature> seen;
-  for (const std::string& name : corpus()) {
-    const std::string path =
-        std::string(DCPIM_CAMPAIGN_SPEC_DIR) + "/" + name + ".campaign";
+  for (const std::filesystem::path& file : corpus()) {
+    const std::string path = file.string();
     const campaign::CampaignSpec spec =
         campaign::parse_campaign_spec(read_file(path), path);
     for (const campaign::Cell& cell : campaign::expand(spec)) {
       const TopoSignature sig = signature_of(cell.config);
       if (!seen.insert(sig).second) continue;
-      build_and_check(sig, name + ".campaign cell '" + cell.label + "'");
+      build_and_check(sig, file.filename().string() + " cell '" +
+                               cell.label + "'");
     }
   }
   EXPECT_FALSE(seen.empty());

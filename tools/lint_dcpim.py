@@ -39,14 +39,15 @@ see .github/workflows/ci.yml):
                     rule's factory-discipline class (tools/dcpim_sa.py
                     checks the same thing semantically, through typedefs).
 
-  inline-scenario   once a campaign spec under tests/campaign_specs/ names
-                    a bench binary (its `binary =` key), that binary must
-                    build its configs by expanding the spec
-                    (bench_common.h run_embedded_spec) — hand-built
+  inline-scenario   a bench binary that runs a committed campaign spec
+                    (it calls `bench::run_spec("x")`) must build its
+                    configs by expanding that spec — hand-built
                     `ExperimentConfig` scenarios in it are flagged unless
-                    justified with `// campaign-ok:`. Keeps the committed
-                    spec the single source of scenario truth instead of a
-                    copy that drifts from the C++.
+                    justified with `// campaign-ok:`, and so is a
+                    run_spec("x") whose tests/campaign_specs/x.campaign
+                    does not exist. Keeps the committed spec the single
+                    source of scenario truth instead of a copy that drifts
+                    from the C++.
 
 The historical unit-raw rule (every `.raw()` escape needs a justification)
 moved to tools/dcpim_sa.py, which checks it semantically — including via
@@ -54,7 +55,7 @@ auto and templates — under the `sa-ok(unit-raw)` suppression grammar.
 
 Scope: src/ only (tests/bench/examples may use raw() freely — the typed API
 is the thing under test there), except inline-scenario, which by nature
-lints exactly the bench binaries the spec corpus has retired. Run from
+lints exactly the bench binaries that run a committed spec. Run from
 anywhere:
 
     python3 tools/lint_dcpim.py            # lint the repo it lives in
@@ -137,12 +138,13 @@ PACKET_FACTORY = re.compile(
     r"|\bmake_(?:unique|shared)\s*<\s*(?:[\w:]+::)?\w*Packet\s*[>,]")
 SA_OK_LIFETIME_TAG = "sa-ok(lifetime):"
 
-# A hand-built scenario in a spec-retired bench binary. Matching the type
+# A hand-built scenario in a spec-driven bench binary. Matching the type
 # name (rather than construction syntax) catches every variant: direct
 # construction, default_setup() copies being mutated, helper functions.
 INLINE_SCENARIO = re.compile(r"\bExperimentConfig\b")
 CAMPAIGN_OK_TAG = "campaign-ok:"
-SPEC_BINARY_KEY = re.compile(r"^binary\s*=\s*(\w+)$")
+# The call that makes a bench binary spec-driven; group 1 is the spec name.
+RUN_SPEC_CALL = re.compile(r'\bbench::run_spec\(\s*"([^"]+)"')
 
 
 def strip_comments_and_strings(line: str) -> str:
@@ -231,37 +233,34 @@ def lint_file(path: Path, rel: str) -> list[str]:
     return violations
 
 
-def spec_retired_binaries(root: Path) -> dict[str, str]:
-    """bench binary stem -> spec file name, for every campaign spec whose
-    [campaign] section names a `binary =`. Missing spec dir (another
-    checkout layout) means no binaries are retired — the rule is inert."""
-    spec_dir = root / "tests" / "campaign_specs"
-    if not spec_dir.is_dir():
-        return {}
-    retired: dict[str, str] = {}
-    for spec in sorted(spec_dir.glob("*.campaign")):
-        for line in spec.read_text(encoding="utf-8").splitlines():
-            match = SPEC_BINARY_KEY.match(line.strip())
-            if match:
-                retired[match.group(1)] = spec.name
-    return retired
-
-
 def lint_inline_scenarios(root: Path) -> list[str]:
     violations: list[str] = []
-    for stem, spec_name in spec_retired_binaries(root).items():
-        path = root / "bench" / f"{stem}.cpp"
-        if not path.is_file():
-            continue
+    spec_dir = root / "tests" / "campaign_specs"
+    for path in sorted((root / "bench").glob("*.cpp")):
+        rel = path.relative_to(root).as_posix()
         lines = path.read_text(encoding="utf-8").splitlines()
+        specs: list[str] = []  # spec files the binary runs
+        for idx, line in enumerate(lines):
+            if line.lstrip().startswith("//"):
+                continue
+            for match in RUN_SPEC_CALL.finditer(line):
+                spec_name = f"{match.group(1)}.campaign"
+                specs.append(spec_name)
+                if not (spec_dir / spec_name).is_file():
+                    violations.append(
+                        f"{rel}:{idx + 1}: [inline-scenario] "
+                        f"tests/campaign_specs/{spec_name} does not exist; "
+                        f"run_spec() would exit 2 at start-up")
+        if not specs:
+            continue
         covered = tag_covered_lines(lines, CAMPAIGN_OK_TAG)
         for idx, line in enumerate(lines):
             code = strip_comments_and_strings(line)
             if INLINE_SCENARIO.search(code) and idx not in covered:
                 violations.append(
-                    f"bench/{stem}.cpp:{idx + 1}: [inline-scenario] "
-                    f"{spec_name} owns this binary's scenario; expand the "
-                    f"spec (bench_common.h run_embedded_spec) instead of "
+                    f"{rel}:{idx + 1}: [inline-scenario] "
+                    f"{specs[0]} owns this binary's scenario; expand the "
+                    f"spec (bench_common.h run_spec) instead of "
                     f"hand-building ExperimentConfigs, or justify with "
                     f"`// {CAMPAIGN_OK_TAG}`")
     return violations
