@@ -1,13 +1,17 @@
 // Shared helpers for the per-figure bench binaries.
 //
-// Each binary reproduces one table/figure of the paper: it runs the
-// scenario at a commodity-server-friendly scale, prints the same rows the
-// paper reports, and quotes the paper's published value next to the
-// measured one. DCPIM_BENCH_SCALE (default 1.0) stretches the simulated
-// horizons (and the FatTree size) toward paper scale.
+// Each figure binary reproduces one table/figure of the paper. Its scenario
+// is a committed spec, tests/campaign_specs/<name>.campaign, which
+// run_spec() reads, expands and runs (writing CSV rows when
+// $DCPIM_BENCH_CSV is set); the binary only renders the results, quoting
+// the paper's published value next to the measured one, and ends with the
+// same `cell` fingerprint lines `bench/campaign --spec` prints.
+// DCPIM_BENCH_SCALE (default 1.0; must be finite and > 0) stretches the
+// simulated horizons of specs with `[timing] scaled = true`.
 #pragma once
 
 #include <chrono>  // wall-clock ETA only; sim code never reads real time
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -77,8 +81,17 @@ inline int& jobs_flag() {
 ///               byte-identical across --jobs values.
 ///   --fault-seed N   seed for wildcard/`rand:` resolution (default 1;
 ///               also --fault-seed=N).
-/// Unknown arguments are left alone for the binary to interpret.
+/// Unknown arguments are left alone for the binary to interpret. A
+/// DCPIM_BENCH_SCALE that is not a finite number > 0 prints one line and
+/// exits 2 instead of simulating empty horizons.
 inline void parse_common_flags(int& argc, char** argv) {
+  const double scale = bench_scale();
+  if (!(std::isfinite(scale) && scale > 0.0)) {
+    std::fprintf(stderr,
+                 "DCPIM_BENCH_SCALE=%s: must be a finite number > 0\n",
+                 std::getenv("DCPIM_BENCH_SCALE"));
+    std::exit(2);
+  }
   const auto set_jobs = [](const char* value) {
     const long n = std::strtol(value, nullptr, 10);
     jobs_flag() = n >= 1 ? static_cast<int>(n)
@@ -139,62 +152,11 @@ class SweepProgress {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Runs the configs on jobs_flag() workers with a progress line; results
-/// come back in submission order regardless of completion order.
-inline std::vector<harness::ExperimentResult> run_sweep(
-    const std::vector<harness::ExperimentConfig>& configs,
-    const char* label) {
-  harness::SweepOptions opts;
-  opts.jobs = jobs_flag();
-  auto progress = std::make_shared<SweepProgress>(label);
-  opts.progress = [progress](std::size_t done, std::size_t total) {
-    (*progress)(done, total);
-  };
-  return harness::run_sweep(configs, opts);
-}
-
-/// The four protocols of the paper's simulation figures.
-inline std::vector<harness::Protocol> figure_protocols() {
-  return {harness::Protocol::Dcpim, harness::Protocol::HomaAeolus,
-          harness::Protocol::Ndp, harness::Protocol::Hpcc};
-}
-
-/// Default-setup timing (Table 1 scenario) trimmed for bench runtime.
-inline harness::ExperimentConfig default_setup(harness::Protocol p) {
-  harness::ExperimentConfig cfg;
-  cfg.protocol = p;
-  cfg.workload = "imc10";
-  cfg.load = 0.6;
-  cfg.gen_stop = TimePoint(scaled(ms(1.2)));
-  cfg.measure_start = TimePoint(scaled(us(300)));
-  cfg.measure_end = TimePoint(scaled(ms(1.2)));
-  cfg.horizon = TimePoint(scaled(ms(3)));
-  cfg.audit = audit_flag();
-  cfg.faults = faults_flag();
-  cfg.fault_seed = fault_seed_flag();
-  return cfg;
-}
-
-/// Steady-state timing for utilization/sustained-load measurements: the
-/// generator runs to the horizon and the window covers the second half.
-inline void steady_state_timing(harness::ExperimentConfig& cfg, Time horizon) {
-  cfg.gen_stop = TimePoint(scaled(horizon));
-  cfg.horizon = TimePoint(scaled(horizon));
-  cfg.measure_start = TimePoint(scaled(horizon / 2));
-  cfg.measure_end = TimePoint(scaled(horizon));
-}
-
 inline void print_header(const char* title, const char* paper_note) {
   std::printf("\n=== %s ===\n", title);
   std::printf("paper: %s\n", paper_note);
   std::printf("(DCPIM_BENCH_SCALE=%.2f; see EXPERIMENTS.md for method)\n\n",
               dcpim::bench_scale());
-}
-
-inline void print_slowdown_row(const char* name,
-                               const stats::SlowdownSummary& s) {
-  std::printf("  %-12s n=%-6zu mean=%6.2f p50=%6.2f p99=%7.2f max=%8.2f\n",
-              name, s.count, s.mean, s.p50, s.p99, s.max);
 }
 
 /// Bucket label like "<18K", "18K-73K", ">4.7M".
@@ -212,22 +174,6 @@ inline std::string bucket_label(Bytes lo, Bytes hi) {
   if (lo == Bytes{}) return "<" + human(hi);
   if (hi == Bytes{}) return ">" + human(lo);
   return human(lo) + "-" + human(hi);
-}
-
-/// Appends a result row to $DCPIM_BENCH_CSV/<experiment>.csv when set.
-inline void maybe_csv(const std::string& experiment,
-                      harness::Protocol protocol,
-                      const std::string& workload, double load,
-                      const harness::ExperimentResult& result) {
-  const std::string dir = harness::csv_dir_from_env();
-  if (dir.empty()) return;
-  harness::ReportRow row;
-  row.experiment = experiment;
-  row.protocol = harness::to_string(protocol);
-  row.workload = workload;
-  row.load = load;
-  row.result = result;
-  harness::append_csv(dir, {row});
 }
 
 /// Prints the audit verdict under a result row when --audit is active.
@@ -269,8 +215,10 @@ struct SpecRun {
 /// Reads tests/campaign_specs/<name>.campaign (the binary's only copy of
 /// its scenario), folds the shared bench flags (--audit/--faults/
 /// --fault-seed) into it exactly like bench/campaign does, expands, and
-/// runs the grid on jobs_flag() workers. A CampaignError prints its
-/// one-line diagnostic and exits 2.
+/// runs the grid on jobs_flag() workers with a progress line on stderr.
+/// With $DCPIM_BENCH_CSV set, appends one row per cell to
+/// <dir>/<spec name>.csv. A CampaignError prints its one-line diagnostic
+/// and exits 2.
 inline SpecRun run_spec(const std::string& name) {
   const std::string path =
       std::string(DCPIM_CAMPAIGN_SPEC_DIR) + "/" + name + ".campaign";
@@ -287,7 +235,24 @@ inline SpecRun run_spec(const std::string& name) {
   std::vector<harness::ExperimentConfig> configs;
   configs.reserve(run.cells.size());
   for (const campaign::Cell& cell : run.cells) configs.push_back(cell.config);
-  run.results = run_sweep(configs, run.spec.name.c_str());
+  harness::SweepOptions opts;
+  opts.jobs = jobs_flag();
+  auto progress = std::make_shared<SweepProgress>(run.spec.name.c_str());
+  opts.progress = [progress](std::size_t done, std::size_t total) {
+    (*progress)(done, total);
+  };
+  run.results = harness::run_sweep(configs, opts);
+
+  const std::string csv_dir = harness::csv_dir_from_env();
+  if (!csv_dir.empty()) {
+    std::vector<harness::ReportRow> rows;
+    for (std::size_t i = 0; i < run.cells.size(); ++i) {
+      const harness::ExperimentConfig& cfg = run.cells[i].config;
+      rows.push_back({run.spec.name, harness::to_string(cfg.protocol),
+                      cfg.workload, cfg.load, run.results[i]});
+    }
+    harness::append_csv(csv_dir, rows);
+  }
   return run;
 }
 
@@ -300,6 +265,73 @@ inline void print_cell_lines(const SpecRun& run) {
         campaign::fnv1a(harness::result_fingerprint(run.results[i]));
     std::printf("%s\n",
                 campaign::format_cell_line(i, run.cells[i].label, fnv).c_str());
+  }
+}
+
+/// A table over the cells first, first + stride, ... of a run.
+using CellTable = void (*)(const SpecRun& run, std::size_t first,
+                           std::size_t stride);
+
+/// Mean and p99 slowdown per flow-size bucket (Figures 3(c)-(e) and 7): a
+/// row pair per cell, each followed by its audit and recovery blocks. The
+/// bucket header comes from the first cell's result.
+inline void print_bucket_table(const SpecRun& run, std::size_t first,
+                               std::size_t stride) {
+  std::printf("  %-12s %6s", "protocol", "");
+  for (const auto& b : run.results[first].buckets) {
+    std::printf(" %13s", bucket_label(b.lo, b.hi).c_str());
+  }
+  std::printf("\n");
+  for (std::size_t i = first; i < run.cells.size(); i += stride) {
+    const harness::ExperimentResult& res = run.results[i];
+    const auto row = [&res](const char* name, const char* metric,
+                            double stats::SlowdownSummary::*field) {
+      std::printf("  %-12s %6s", name, metric);
+      for (const auto& b : res.buckets) {
+        if (b.slowdown.count == 0) {
+          std::printf(" %13s", "-");
+        } else {
+          std::printf(" %13.2f", b.slowdown.*field);
+        }
+      }
+      std::printf("\n");
+    };
+    row(harness::to_string(run.cells[i].config.protocol), "mean",
+        &stats::SlowdownSummary::mean);
+    row("", "p99", &stats::SlowdownSummary::p99);
+    maybe_print_audit(res);
+    maybe_print_faults(res);
+    std::fflush(stdout);
+  }
+}
+
+/// Overall and short-flow slowdowns plus the carried load ratio, a row per
+/// cell (Figure 5), each followed by its audit and recovery blocks.
+inline void print_slowdown_table(const SpecRun& run, std::size_t first,
+                                 std::size_t stride) {
+  std::printf("  %-12s %10s %10s | %12s %12s | %8s\n", "protocol",
+              "mean(all)", "p99(all)", "short mean", "short p99", "carried");
+  for (std::size_t i = first; i < run.cells.size(); i += stride) {
+    const harness::ExperimentResult& res = run.results[i];
+    std::printf("  %-12s %10.2f %10.2f | %12.2f %12.2f | %8.3f\n",
+                harness::to_string(run.cells[i].config.protocol),
+                res.overall.mean, res.overall.p99, res.short_flows.mean,
+                res.short_flows.p99, res.load_carried_ratio);
+    maybe_print_audit(res);
+    maybe_print_faults(res);
+    std::fflush(stdout);
+  }
+}
+
+/// Prints `table` once per workload of a protocol x workload grid (the
+/// fig3b.campaign shape: protocol axis first, workload axis second), under
+/// a `--- workload: W ---` banner.
+inline void print_per_workload(const SpecRun& run, CellTable table) {
+  const std::vector<std::string>& workloads = run.spec.axes[1].values;
+  for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
+    std::printf("--- workload: %s ---\n", workloads[wi].c_str());
+    table(run, wi, workloads.size());
+    std::printf("\n");
   }
 }
 

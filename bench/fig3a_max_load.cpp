@@ -52,9 +52,6 @@ int main(int argc, char** argv) {
       const double load = std::stod(loads[li]);
       const ExperimentResult& res = run.results[pi * loads.size() + li];
       results.push_back(&res);
-      bench::maybe_csv("fig3a", p,
-                       run.cells[pi * loads.size() + li].config.workload,
-                       load, res);
       bench::maybe_print_audit(res);
       bench::maybe_print_faults(res);
       if (baseline == 0) baseline = res.load_carried_ratio;

@@ -7,6 +7,8 @@
 // NDP take 300-600us to converge after bursts; dcPIM converges within tens
 // of microseconds and holds high utilization (zero during the very first
 // matching phase, footnote 3).
+//
+// Scenario: tests/campaign_specs/fig4a.campaign.
 #include <cstdio>
 
 #include "bench_common.h"
@@ -21,44 +23,21 @@ int main(int argc, char** argv) {
       "dcPIM holds high utilization through bursts; HPCC collapses via "
       "PFC; HomaAeolus/NDP converge slowly (300-600us)");
 
-  const Time horizon = bench::scaled(ms(1));
+  const bench::SpecRun run = bench::run_spec("fig4a");
+  const Time horizon = run.cells[0].config.horizon.since_start();
+  const Time bin = run.cells[0].config.util_bin;
+
   std::printf("  utilization of the 16 receiver downlinks per 50us bin:\n");
   std::printf("  %-12s", "protocol");
-  const Time bin = us(50);
-  for (Time t{}; t < horizon; t += bin) {
-    std::printf(" %5.0f", to_us(t));
-  }
+  for (Time t{}; t < horizon; t += bin) std::printf(" %5.0f", to_us(t));
   std::printf("  (us)\n");
 
-  const std::vector<Protocol> protocols = bench::figure_protocols();
-  std::vector<ExperimentConfig> configs;
-  for (Protocol p : protocols) {
-    ExperimentConfig cfg;
-    cfg.protocol = p;
-    cfg.pattern = Pattern::Bursty;
-    cfg.dense_flow_size = kMB * 4;  // shuffle partitions (sustained load)
-    cfg.incast_fanin = 50;
-    cfg.incast_size = kKB * 128;
-    cfg.incast_interval = us(100);
-    cfg.incast_bursts = 6;
-    cfg.gen_stop = TimePoint(horizon);
-    cfg.measure_start = TimePoint{};
-    cfg.measure_end = TimePoint(horizon);
-    cfg.horizon = TimePoint(horizon);
-    cfg.util_bin = bin;
-    cfg.audit = bench::audit_flag();
-    configs.push_back(cfg);
-  }
-  const std::vector<ExperimentResult> all =
-      bench::run_sweep(configs, "fig4a");
-
-  for (std::size_t pi = 0; pi < protocols.size(); ++pi) {
-    const ExperimentResult& res = all[pi];
-    std::printf("  %-12s", to_string(protocols[pi]));
+  for (std::size_t pi = 0; pi < run.cells.size(); ++pi) {
+    const ExperimentResult& res = run.results[pi];
+    std::printf("  %-12s", to_string(run.cells[pi].config.protocol));
     for (std::size_t i = 0; bin * i < horizon; ++i) {
-      const double u =
-          i < res.util_series.size() ? res.util_series[i] : 0.0;
-      std::printf(" %5.2f", u);
+      std::printf(" %5.2f",
+                  i < res.util_series.size() ? res.util_series[i] : 0.0);
     }
     std::printf("   (mean %.2f, pfc=%llu, drops=%llu)\n",
                 res.mean_util(2, res.util_series.size()),
@@ -68,5 +47,6 @@ int main(int argc, char** argv) {
     bench::maybe_print_faults(res);
     std::fflush(stdout);
   }
+  bench::print_cell_lines(run);
   return 0;
 }

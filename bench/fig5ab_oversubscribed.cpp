@@ -1,12 +1,11 @@
 // Figure 5(a)-(b): 2:1 oversubscribed leaf-spine (spine links halved) at
 // load 0.5 — the highest load the baselines survive there. Trends must
 // match Figure 3: dcPIM's token clocking absorbs core congestion.
-#include <cstdio>
-
+//
+// Scenario: tests/campaign_specs/fig5ab.campaign.
 #include "bench_common.h"
 
 using namespace dcpim;
-using namespace dcpim::harness;
 
 int main(int argc, char** argv) {
   bench::parse_common_flags(argc, argv);
@@ -15,41 +14,8 @@ int main(int argc, char** argv) {
       "same trends as Fig 3: dcPIM near-optimal short-flow latency, high "
       "utilization via token clocking; baselines can't sustain >0.5");
 
-  const std::vector<std::string> workloads = {"imc10", "websearch",
-                                              "datamining"};
-  const std::vector<Protocol> protocols = bench::figure_protocols();
-  std::vector<ExperimentConfig> configs;
-  for (const std::string& workload : workloads) {
-    for (Protocol p : protocols) {
-      ExperimentConfig cfg = bench::default_setup(p);
-      cfg.topo = TopoKind::Oversubscribed;
-      cfg.workload = workload;
-      cfg.load = 0.5;
-      configs.push_back(cfg);
-    }
-  }
-  const std::vector<ExperimentResult> all =
-      bench::run_sweep(configs, "fig5ab");
-
-  std::size_t idx = 0;
-  for (const std::string& workload : workloads) {
-    std::printf("--- workload: %s ---\n", workload.c_str());
-    std::printf("  %-12s %10s %10s | %12s %12s | %8s\n", "protocol",
-                "mean(all)", "p99(all)", "short mean", "short p99",
-                "carried");
-    for (Protocol p : protocols) {
-      const ExperimentResult& res = all[idx];
-      bench::maybe_csv("fig5ab", p, workload, configs[idx].load, res);
-      ++idx;
-      std::printf("  %-12s %10.2f %10.2f | %12.2f %12.2f | %8.3f\n",
-                  to_string(p), res.overall.mean, res.overall.p99,
-                  res.short_flows.mean, res.short_flows.p99,
-                  res.load_carried_ratio);
-      bench::maybe_print_audit(res);
-      bench::maybe_print_faults(res);
-      std::fflush(stdout);
-    }
-    std::printf("\n");
-  }
+  const bench::SpecRun run = bench::run_spec("fig5ab");
+  bench::print_per_workload(run, bench::print_slowdown_table);
+  bench::print_cell_lines(run);
   return 0;
 }

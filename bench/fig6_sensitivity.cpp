@@ -6,10 +6,10 @@
 // sustainable load; the matching algorithm kicks in), more rounds give
 // diminishing returns at slightly higher latency; 2-4 channels are the
 // sweet spot; beta has no impact beyond 1.1.
+//
+// Scenarios: tests/campaign_specs/fig6.campaign (the one-at-a-time r/k/beta
+// grid) and fig6_ablations.campaign (DESIGN.md §5).
 #include <cstdio>
-#include <string>
-#include <utility>
-#include <vector>
 
 #include "bench_common.h"
 
@@ -18,16 +18,9 @@ using namespace dcpim::harness;
 
 namespace {
 
-ExperimentConfig base_config() {
-  ExperimentConfig cfg = bench::default_setup(Protocol::Dcpim);
-  cfg.load = 0.54;
-  bench::steady_state_timing(cfg, ms(2));
-  return cfg;
-}
-
-void print_row(const std::string& label, const ExperimentResult& res) {
+void print_row(const char* label, const ExperimentResult& res) {
   std::printf("  %-14s carried=%6.3f  mean=%6.2f  p99=%7.2f  short p99=%6.2f\n",
-              label.c_str(), res.load_carried_ratio, res.overall.mean,
+              label, res.load_carried_ratio, res.overall.mean,
               res.overall.p99, res.short_flows.p99);
   bench::maybe_print_audit(res);
   bench::maybe_print_faults(res);
@@ -43,59 +36,49 @@ int main(int argc, char** argv) {
       "r=1->2 biggest gain (18-24% load); k=2-4 sweet spot; beta "
       "irrelevant beyond 1.1");
 
-  // Build every parameter point up front (section header, label, config),
-  // sweep them all in one --jobs batch, then print section by section.
-  struct Row {
-    const char* section;  ///< non-null: print this header before the row
-    std::string label;
-  };
-  std::vector<Row> rows;
-  std::vector<ExperimentConfig> configs;
-  const auto add = [&](const char* section, std::string label,
-                       ExperimentConfig cfg) {
-    rows.push_back({section, std::move(label)});
-    configs.push_back(cfg);
-  };
+  const bench::SpecRun grid = bench::run_spec("fig6");
+  const bench::SpecRun ablations = bench::run_spec("fig6_ablations");
 
-  for (int r : {1, 2, 3, 4, 5}) {
-    ExperimentConfig cfg = base_config();
-    cfg.dcpim.rounds = r;
-    add(r == 1 ? "-- matching rounds r (k=4, beta=1.3):" : nullptr,
-        "r=" + std::to_string(r), cfg);
+  // One section per knob: the grid cells whose other two knobs sit at the
+  // dcPIM defaults, in expansion order, so the default cell is a row of
+  // every section.
+  const core::DcpimConfig defaults;
+  const char* const sections[] = {"-- matching rounds r (k=4, beta=1.3):",
+                                  "-- channels k (r=4, beta=1.3):",
+                                  "-- slack beta (r=4, k=4):"};
+  for (int knob = 0; knob < 3; ++knob) {
+    std::printf("%s\n", sections[knob]);
+    for (std::size_t i = 0; i < grid.cells.size(); ++i) {
+      const core::DcpimConfig& c = grid.cells[i].config.dcpim;
+      const bool at_default[] = {c.rounds == defaults.rounds,
+                                 c.channels == defaults.channels,
+                                 c.beta == defaults.beta};
+      if (!at_default[(knob + 1) % 3] || !at_default[(knob + 2) % 3]) {
+        continue;
+      }
+      char label[32];
+      if (knob == 0) std::snprintf(label, sizeof(label), "r=%d", c.rounds);
+      if (knob == 1) std::snprintf(label, sizeof(label), "k=%d", c.channels);
+      if (knob == 2) std::snprintf(label, sizeof(label), "beta=%.1f", c.beta);
+      print_row(label, grid.results[i]);
+    }
   }
-  for (int k : {1, 2, 4, 8}) {
-    ExperimentConfig cfg = base_config();
-    cfg.dcpim.channels = k;
-    add(k == 1 ? "-- channels k (r=4, beta=1.3):" : nullptr,
-        "k=" + std::to_string(k), cfg);
-  }
-  for (double beta : {1.0, 1.1, 1.3, 2.0}) {
-    ExperimentConfig cfg = base_config();
-    cfg.dcpim.beta = beta;
+
+  std::printf("-- ablations (DESIGN.md §5):\n");
+  for (std::size_t i = 0; i < ablations.cells.size(); ++i) {
+    const core::DcpimConfig& c = ablations.cells[i].config.dcpim;
     char label[32];
-    std::snprintf(label, sizeof(label), "beta=%.1f", beta);
-    add(beta == 1.0 ? "-- slack beta (r=4, k=4):" : nullptr, label, cfg);
+    if (!c.fct_optimizing_first_round) {
+      std::snprintf(label, sizeof(label), "no-FCT-round");
+    } else if (!c.pipeline_phases) {
+      std::snprintf(label, sizeof(label), "sequential");
+    } else {
+      std::snprintf(label, sizeof(label), "jitter=%.0fns",
+                    to_ns(c.clock_jitter));
+    }
+    print_row(label, ablations.results[i]);
   }
-  {
-    ExperimentConfig cfg = base_config();
-    cfg.dcpim.fct_optimizing_first_round = false;
-    add("-- ablations (DESIGN.md §5):", "no-FCT-round", cfg);
-  }
-  {
-    ExperimentConfig cfg = base_config();
-    cfg.dcpim.pipeline_phases = false;
-    add(nullptr, "sequential", cfg);
-  }
-  {
-    ExperimentConfig cfg = base_config();
-    cfg.dcpim.clock_jitter = ns(500);
-    add(nullptr, "jitter=500ns", cfg);
-  }
-
-  const std::vector<ExperimentResult> all = bench::run_sweep(configs, "fig6");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i].section != nullptr) std::printf("%s\n", rows[i].section);
-    print_row(rows[i].label, all[i]);
-  }
+  bench::print_cell_lines(grid);
+  bench::print_cell_lines(ablations);
   return 0;
 }

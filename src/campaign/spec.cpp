@@ -300,6 +300,10 @@ const KeyInfo kRegistry[] = {
        if (v < 1.0) throw std::invalid_argument("dcpim.beta must be >= 1");
        c.dcpim.beta = v;
      }},
+    {"dcpim.fct_optimizing_first_round", "protocol", true,
+     [](Config& c, const std::string& t) {
+       c.dcpim.fct_optimizing_first_round = parse_bool_token(t);
+     }},
     {"dcpim.flow_size_aware", "protocol", true,
      [](Config& c, const std::string& t) {
        c.dcpim.flow_size_aware = parse_bool_token(t);

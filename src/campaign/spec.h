@@ -4,10 +4,9 @@
 // experiment grid: a base scenario (topology, timing, traffic matrix,
 // protocol parameters, fault plan) plus Cartesian sweep axes and axis
 // constraints. bench/campaign expands a spec through harness::SweepRunner;
-// the spec-driven figure binaries read their committed spec from
-// tests/campaign_specs/ and build their configs by expanding it, so a
-// scenario exists in exactly one place and can be added or edited without
-// touching C++.
+// every figure binary reads its committed spec from tests/campaign_specs/
+// and builds its configs by expanding it, so a scenario exists in exactly
+// one place and can be added or edited without touching C++.
 //
 // Grammar (line-oriented; `#` starts a full-line comment; blank lines
 // separate nothing — they are purely cosmetic):
@@ -21,7 +20,11 @@
 //   [traffic]             pattern, workload, load, fixed_size, seed,
 //                         incast_*, shuffle_load, dense_flow_size,
 //                         loss_rate
-//   [protocol]            protocol, dcpim.* parameter knobs
+//   [protocol]            protocol, dcpim.rounds, dcpim.channels,
+//                         dcpim.beta, dcpim.fct_optimizing_first_round,
+//                         dcpim.flow_size_aware, dcpim.pipeline_phases,
+//                         dcpim.clock_jitter, dcpim.long_flow_priorities,
+//                         dcpim.token_pacing_headroom
 //   [faults]              plan (the --faults grammar of
 //                         sim/fault/fault_plan.h), fault_seed
 //   [harness]             audit

@@ -39,11 +39,12 @@ double ExperimentResult::mean_util(std::size_t from_bin,
   return sum / static_cast<double>(to_bin - from_bin);
 }
 
+namespace {
+
+/// Size-bucket edges used for the per-flow-size figures, scaled to the BDP.
 std::vector<Bytes> default_bucket_edges(Bytes bdp) {
   return {Bytes{}, bdp / 4, bdp, bdp * 4, bdp * 16, bdp * 64};
 }
-
-namespace {
 
 /// Everything whose lifetime must span the simulation (hosts keep references
 /// to the protocol configs).
@@ -395,24 +396,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     }
   }
   return res;
-}
-
-double max_sustained_load(ExperimentConfig cfg,
-                          const std::vector<double>& loads, double threshold) {
-  double best = 0;
-  for (double load : loads) {
-    cfg.load = load;
-    const ExperimentResult res = run_experiment(cfg);
-    LOG_INFO("%s load %.2f -> carried %.3f (goodput %.3f)",
-             to_string(cfg.protocol), load, res.load_carried_ratio,
-             res.goodput_ratio);
-    if (res.load_carried_ratio >= threshold) {
-      best = load;
-    } else {
-      break;  // loads ascend; saturation only worsens
-    }
-  }
-  return best;
 }
 
 }  // namespace dcpim::harness

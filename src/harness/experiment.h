@@ -173,12 +173,4 @@ struct ExperimentResult {
 /// Builds the network, runs the scenario, and gathers metrics.
 ExperimentResult run_experiment(const ExperimentConfig& cfg);
 
-/// Highest load in `loads` (ascending) the protocol sustains: goodput ratio
-/// >= threshold within the measurement window. Returns 0 if none.
-double max_sustained_load(ExperimentConfig cfg, const std::vector<double>& loads,
-                          double threshold = 0.9);
-
-/// Size-bucket edges used for the per-flow-size figures, scaled to the BDP.
-std::vector<Bytes> default_bucket_edges(Bytes bdp);
-
 }  // namespace dcpim::harness

@@ -5,8 +5,8 @@
 // Golden corpus: every *.campaign file under tests/campaign_specs/
 // (compile-time DCPIM_CAMPAIGN_SPEC_DIR) must round-trip BYTE-EXACTLY
 // through parse_campaign_spec + to_spec, once its `#` comment lines (and
-// the blank lines right after them) are set aside. The spec-driven figure
-// binaries read these same files, so there is no second copy to drift.
+// the blank lines right after them) are set aside. Every figure
+// binary reads these same files, so there is no second copy to drift.
 //
 // Property suite: 200 seeded random specs are checked against a brute-force
 // odometer oracle — expansion count equals the axis-size product minus the
@@ -110,26 +110,113 @@ TEST(CampaignGolden, CorpusRoundTripsByteExactly) {
   }
 }
 
-TEST(CampaignGolden, Fig3aExpandsToLegacyGrid) {
-  const CampaignSpec spec = campaign::parse_campaign_spec(
-      read_file(spec_dir() + "/fig3a.campaign"), "fig3a.campaign");
-  EXPECT_EQ(spec.name, "fig3a");
-  const std::vector<Cell> cells = campaign::expand(spec);
-  ASSERT_EQ(cells.size(), 28u);  // 4 protocols x 7 loads
-  // Protocol axis outer, load axis fastest — the legacy loop nesting.
-  EXPECT_EQ(cells[0].label, "protocol=dcpim load=0.5");
-  EXPECT_EQ(cells[6].label, "protocol=dcpim load=0.92");
-  EXPECT_EQ(cells[7].label, "protocol=homa_aeolus load=0.5");
-  EXPECT_EQ(cells[27].label, "protocol=hpcc load=0.92");
-  // Timing matches the hand-built steady_state_timing(ms(2.5)) scenario.
-  const harness::ExperimentConfig& cfg = cells[0].config;
-  EXPECT_EQ(cfg.protocol, harness::Protocol::Dcpim);
-  EXPECT_EQ(cfg.workload, "imc10");
-  EXPECT_DOUBLE_EQ(cfg.load, 0.5);
-  EXPECT_EQ(cfg.gen_stop.since_start(), ms(2.5));
-  EXPECT_EQ(cfg.horizon.since_start(), ms(2.5));
-  EXPECT_EQ(cfg.measure_start.since_start(), ms(1.25));
-  EXPECT_EQ(cfg.measure_end.since_start(), ms(2.5));
+/// A figure spec and the grid its hand-built C++ scenario used to run.
+struct LegacyGrid {
+  const char* spec;
+  std::size_t cells;
+  std::vector<std::pair<std::size_t, std::string>> labels;  ///< index, label
+  Time gen_stop, horizon, measure_start, measure_end;  ///< at scale 1
+  /// The fields the hand-built C++ set, checked on every cell.
+  void (*fields)(const harness::ExperimentConfig&);
+};
+
+TEST(CampaignGolden, FigureSpecsExpandToLegacyGrids) {
+  using harness::Protocol;
+  using harness::ExperimentConfig;
+  const LegacyGrid grids[] = {
+      // Protocol axis outer, load axis fastest — the legacy loop nesting.
+      {"fig3a", 28,
+       {{0, "protocol=dcpim load=0.5"},
+        {6, "protocol=dcpim load=0.92"},
+        {7, "protocol=homa_aeolus load=0.5"},
+        {27, "protocol=hpcc load=0.92"}},
+       ms(2.5), ms(2.5), ms(1.25), ms(2.5),
+       [](const ExperimentConfig& c) { EXPECT_EQ(c.workload, "imc10"); }},
+      {"fig4a", 4,
+       {{0, "protocol=dcpim"}, {3, "protocol=hpcc"}},
+       ms(1), ms(1), Time{}, ms(1),
+       [](const ExperimentConfig& c) {
+         EXPECT_EQ(c.pattern, harness::Pattern::Bursty);
+         EXPECT_EQ(c.dense_flow_size, kMB * 4);
+         EXPECT_EQ(c.incast_fanin, 50);
+         EXPECT_EQ(c.incast_size, kKB * 128);
+         EXPECT_EQ(c.incast_interval, us(100));
+         EXPECT_EQ(c.incast_bursts, 6);
+         EXPECT_EQ(c.util_bin, us(50));
+       }},
+      {"fig5ab", 12,
+       {{0, "protocol=dcpim workload=imc10"},
+        {5, "protocol=homa_aeolus workload=datamining"},
+        {11, "protocol=hpcc workload=datamining"}},
+       ms(1.2), ms(3), us(300), ms(1.2),
+       [](const ExperimentConfig& c) {
+         EXPECT_EQ(c.topo, harness::TopoKind::Oversubscribed);
+         EXPECT_DOUBLE_EQ(c.load, 0.5);
+       }},
+      {"fig5cd", 12,
+       {{0, "protocol=dcpim workload=imc10"},
+        {11, "protocol=hpcc workload=datamining"}},
+       us(700), ms(2), us(200), us(700),
+       [](const ExperimentConfig& c) {
+         EXPECT_EQ(c.topo, harness::TopoKind::FatTree);
+         EXPECT_EQ(c.fat_tree_k, 8);
+         EXPECT_DOUBLE_EQ(c.load, 0.6);
+       }},
+      // One knob at a time: 5 + 4 + 4 cells with the default point once.
+      {"fig6", 11,
+       {{0, "dcpim.rounds=1 dcpim.channels=4 dcpim.beta=1.3"},
+        {3, "dcpim.rounds=4 dcpim.channels=1 dcpim.beta=1.3"},
+        {5, "dcpim.rounds=4 dcpim.channels=4 dcpim.beta=1.0"},
+        {7, "dcpim.rounds=4 dcpim.channels=4 dcpim.beta=1.3"},
+        {10, "dcpim.rounds=5 dcpim.channels=4 dcpim.beta=1.3"}},
+       ms(2), ms(2), ms(1), ms(2),
+       [](const ExperimentConfig& c) {
+         EXPECT_EQ(c.protocol, Protocol::Dcpim);
+         EXPECT_EQ(c.workload, "imc10");
+         EXPECT_DOUBLE_EQ(c.load, 0.54);
+         const int at_default = (c.dcpim.rounds == 4) +
+                                (c.dcpim.channels == 4) +
+                                (c.dcpim.beta == 1.3);
+         EXPECT_GE(at_default, 2);
+       }},
+      {"fig6_ablations", 3,
+       {{0, "dcpim.fct_optimizing_first_round=false "
+            "dcpim.pipeline_phases=true dcpim.clock_jitter=0ns"},
+        {1, "dcpim.fct_optimizing_first_round=true "
+            "dcpim.pipeline_phases=false dcpim.clock_jitter=0ns"},
+        {2, "dcpim.fct_optimizing_first_round=true "
+            "dcpim.pipeline_phases=true dcpim.clock_jitter=500ns"}},
+       ms(2), ms(2), ms(1), ms(2),
+       [](const ExperimentConfig& c) {
+         EXPECT_EQ(c.protocol, Protocol::Dcpim);
+         EXPECT_EQ(c.workload, "imc10");
+         EXPECT_DOUBLE_EQ(c.load, 0.54);
+         const int off = !c.dcpim.fct_optimizing_first_round +
+                         !c.dcpim.pipeline_phases +
+                         (c.dcpim.clock_jitter == ns(500));
+         EXPECT_EQ(off, 1);
+       }},
+  };
+  for (const LegacyGrid& grid : grids) {
+    SCOPED_TRACE(grid.spec);
+    const std::string file = std::string(grid.spec) + ".campaign";
+    const CampaignSpec spec = campaign::parse_campaign_spec(
+        read_file(spec_dir() + "/" + file), file);
+    EXPECT_EQ(spec.name, grid.spec);
+    const std::vector<Cell> cells = campaign::expand(spec);
+    ASSERT_EQ(cells.size(), grid.cells);
+    for (const auto& [index, label] : grid.labels) {
+      EXPECT_EQ(cells[index].label, label) << "cell " << index;
+    }
+    for (const Cell& cell : cells) {
+      const ExperimentConfig& cfg = cell.config;
+      EXPECT_EQ(cfg.gen_stop.since_start(), grid.gen_stop);
+      EXPECT_EQ(cfg.horizon.since_start(), grid.horizon);
+      EXPECT_EQ(cfg.measure_start.since_start(), grid.measure_start);
+      EXPECT_EQ(cfg.measure_end.since_start(), grid.measure_end);
+      grid.fields(cfg);
+    }
+  }
 }
 
 TEST(CampaignGolden, LbPolicyAutoIsUnsetAndExplicitPolicyIsKept) {

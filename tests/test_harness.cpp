@@ -118,20 +118,6 @@ TEST(HarnessTest, WorstCaseFixedSizeUsesBdpPlusOne) {
   EXPECT_GT(res.overall.count, 0u);
 }
 
-TEST(HarnessTest, MaxSustainedLoadMonotonicUsage) {
-  // Fixed small flows so the carried-load signal reaches steady state
-  // quickly (heavy-tailed workloads need multi-ms windows).
-  ExperimentConfig cfg = small(Protocol::Dcpim);
-  cfg.fixed_size = Bytes{20'000};
-  cfg.gen_stop = TimePoint(us(600));
-  cfg.measure_start = TimePoint(us(200));
-  cfg.measure_end = TimePoint(us(600));
-  cfg.horizon = TimePoint(ms(2));
-  const double sustained =
-      max_sustained_load(cfg, {0.3, 0.5}, /*threshold=*/0.5);
-  EXPECT_GE(sustained, 0.3);
-}
-
 TEST(HarnessTest, LossInjectionStillDrains) {
   ExperimentConfig cfg = small(Protocol::Dcpim);
   cfg.loss_rate = 0.01;

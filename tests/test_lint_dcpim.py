@@ -139,11 +139,10 @@ class PacketFactoryRuleTest(unittest.TestCase):
 
 
 class InlineScenarioRuleTest(unittest.TestCase):
-    """The inline-scenario rule: a bench binary that runs a committed spec
-    (it calls `bench::run_spec("x")`) has hand-built ExperimentConfigs
-    flagged unless justified with `// campaign-ok:`, and a run_spec("x")
-    without tests/campaign_specs/x.campaign is flagged; binaries that do
-    not call run_spec stay unlinted."""
+    """The inline-scenario rule: every bench binary has its hand-built
+    ExperimentConfigs flagged, whether or not it calls
+    `bench::run_spec("x")`, and a run_spec("x") without
+    tests/campaign_specs/x.campaign is flagged."""
 
     def lint_tree(self, files: dict[str, str]):
         with tempfile.TemporaryDirectory() as td:
@@ -175,32 +174,26 @@ class InlineScenarioRuleTest(unittest.TestCase):
         flagged = self.flagged(proc)
         self.assertEqual(len(flagged), 1, proc.stdout)
         self.assertIn("bench/figx_bench.cpp:2:", flagged[0])
-        self.assertIn("figx.campaign", flagged[0])
+        self.assertIn("hand-built ExperimentConfig", flagged[0])
 
-    def test_binary_without_run_spec_is_not_linted(self):
+    def test_binary_without_run_spec_is_linted(self):
         proc = self.lint_tree({
             "bench/legacy.cpp":
                 "int main() { harness::ExperimentConfig cfg; }\n",
         })
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        flagged = self.flagged(proc)
+        self.assertEqual(len(flagged), 1, proc.stdout)
+        self.assertIn("bench/legacy.cpp:1:", flagged[0])
 
-    def test_campaign_ok_tag_suppresses(self):
+    def test_comment_mentioning_the_type_is_not_flagged(self):
         proc = self.lint_tree({
             "tests/campaign_specs/figx.campaign": self.SPEC,
             "bench/figx_bench.cpp":
+                "// Expands the spec into ExperimentConfigs.\n"
                 "int main() {\n"
                 "  const auto run = bench::run_spec(\"figx\");\n"
-                "  // campaign-ok: perf baseline needs a raw config copy.\n"
-                "  harness::ExperimentConfig cfg;\n"
                 "}\n",
-        })
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-
-    def test_spec_without_run_spec_call_links_nothing(self):
-        proc = self.lint_tree({
-            "tests/campaign_specs/figx.campaign": self.SPEC,
-            "bench/figx_bench.cpp":
-                "int main() { harness::ExperimentConfig cfg; }\n",
         })
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
 

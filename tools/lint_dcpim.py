@@ -39,15 +39,13 @@ see .github/workflows/ci.yml):
                     rule's factory-discipline class (tools/dcpim_sa.py
                     checks the same thing semantically, through typedefs).
 
-  inline-scenario   a bench binary that runs a committed campaign spec
-                    (it calls `bench::run_spec("x")`) must build its
-                    configs by expanding that spec — hand-built
-                    `ExperimentConfig` scenarios in it are flagged unless
-                    justified with `// campaign-ok:`, and so is a
+  inline-scenario   no bench binary builds an `ExperimentConfig`: every
+                    figure's scenario is a committed campaign spec that
+                    the binary runs with `bench::run_spec("x")`, and a
                     run_spec("x") whose tests/campaign_specs/x.campaign
-                    does not exist. Keeps the committed spec the single
-                    source of scenario truth instead of a copy that drifts
-                    from the C++.
+                    does not exist is flagged too. Keeps the committed
+                    spec the single source of scenario truth instead of a
+                    copy that drifts from the C++.
 
 The historical unit-raw rule (every `.raw()` escape needs a justification)
 moved to tools/dcpim_sa.py, which checks it semantically — including via
@@ -55,8 +53,7 @@ auto and templates — under the `sa-ok(unit-raw)` suppression grammar.
 
 Scope: src/ only (tests/bench/examples may use raw() freely — the typed API
 is the thing under test there), except inline-scenario, which by nature
-lints exactly the bench binaries that run a committed spec. Run from
-anywhere:
+lints the bench binaries (bench/*.cpp). Run from anywhere:
 
     python3 tools/lint_dcpim.py            # lint the repo it lives in
     python3 tools/lint_dcpim.py --root DIR # lint another checkout
@@ -138,11 +135,10 @@ PACKET_FACTORY = re.compile(
     r"|\bmake_(?:unique|shared)\s*<\s*(?:[\w:]+::)?\w*Packet\s*[>,]")
 SA_OK_LIFETIME_TAG = "sa-ok(lifetime):"
 
-# A hand-built scenario in a spec-driven bench binary. Matching the type
-# name (rather than construction syntax) catches every variant: direct
-# construction, default_setup() copies being mutated, helper functions.
+# A hand-built scenario in a bench binary. Matching the type name (rather
+# than construction syntax) catches every variant: direct construction,
+# copies being mutated, helper functions.
 INLINE_SCENARIO = re.compile(r"\bExperimentConfig\b")
-CAMPAIGN_OK_TAG = "campaign-ok:"
 # The call that makes a bench binary spec-driven; group 1 is the spec name.
 RUN_SPEC_CALL = re.compile(r'\bbench::run_spec\(\s*"([^"]+)"')
 
@@ -239,30 +235,23 @@ def lint_inline_scenarios(root: Path) -> list[str]:
     for path in sorted((root / "bench").glob("*.cpp")):
         rel = path.relative_to(root).as_posix()
         lines = path.read_text(encoding="utf-8").splitlines()
-        specs: list[str] = []  # spec files the binary runs
         for idx, line in enumerate(lines):
+            code = strip_comments_and_strings(line)
+            if INLINE_SCENARIO.search(code):
+                violations.append(
+                    f"{rel}:{idx + 1}: [inline-scenario] hand-built "
+                    f"ExperimentConfig; put the scenario in "
+                    f"tests/campaign_specs/ and run it with "
+                    f"bench::run_spec (bench_common.h)")
             if line.lstrip().startswith("//"):
                 continue
             for match in RUN_SPEC_CALL.finditer(line):
                 spec_name = f"{match.group(1)}.campaign"
-                specs.append(spec_name)
                 if not (spec_dir / spec_name).is_file():
                     violations.append(
                         f"{rel}:{idx + 1}: [inline-scenario] "
                         f"tests/campaign_specs/{spec_name} does not exist; "
                         f"run_spec() would exit 2 at start-up")
-        if not specs:
-            continue
-        covered = tag_covered_lines(lines, CAMPAIGN_OK_TAG)
-        for idx, line in enumerate(lines):
-            code = strip_comments_and_strings(line)
-            if INLINE_SCENARIO.search(code) and idx not in covered:
-                violations.append(
-                    f"{rel}:{idx + 1}: [inline-scenario] "
-                    f"{specs[0]} owns this binary's scenario; expand the "
-                    f"spec (bench_common.h run_spec) instead of "
-                    f"hand-building ExperimentConfigs, or justify with "
-                    f"`// {CAMPAIGN_OK_TAG}`")
     return violations
 
 
