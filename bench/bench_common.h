@@ -10,10 +10,12 @@
 // simulated horizons of specs with `[timing] scaled = true`.
 #pragma once
 
+#include <charconv>
 #include <chrono>  // wall-clock ETA only; sim code never reads real time
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -60,12 +62,31 @@ inline std::uint64_t& fault_seed_flag() {
 /// == serial). Results are bit-identical at every value — see
 /// harness/sweep.h for the isolation contract that guarantees it.
 inline int& jobs_flag() {
-  static int jobs = [] {
-    const long env = env_long("DCPIM_JOBS", 1);
-    return env >= 1 ? static_cast<int>(env) : 1;
-  }();
+  static int jobs = 1;
   return jobs;
 }
+
+/// Prints `<name>=<text>: must be <want>` and exits 2, the usage-error code
+/// of every bench binary.
+[[noreturn]] inline void reject_value(const char* name, const char* text,
+                                      const char* want) {
+  std::fprintf(stderr, "%s=%s: must be %s\n", name, text, want);
+  std::exit(2);
+}
+
+/// Strict parse of a numeric flag or environment knob: the whole of `text`
+/// must be one T (no sign on unsigned types, no leading blanks, no
+/// trailing junk, in range), else reject_value().
+template <typename T>
+T parse_or_exit(const char* name, const char* text, const char* want) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end) reject_value(name, text, want);
+  return value;
+}
+
+inline constexpr const char* kWholeNumber = "a whole number";
 
 /// Parses the flags every figure binary shares and REMOVES them from argv
 /// (compacting; argc is updated) so binaries with their own flag parsers —
@@ -82,23 +103,27 @@ inline int& jobs_flag() {
 ///   --fault-seed N   seed for wildcard/`rand:` resolution (default 1;
 ///               also --fault-seed=N).
 /// Unknown arguments are left alone for the binary to interpret. A
-/// DCPIM_BENCH_SCALE that is not a finite number > 0 prints one line and
-/// exits 2 instead of simulating empty horizons.
+/// DCPIM_BENCH_SCALE that is not a finite number > 0, or a --jobs,
+/// $DCPIM_JOBS or --fault-seed that is not a whole number, prints one line
+/// and exits 2 instead of running with a silently substituted value.
 inline void parse_common_flags(int& argc, char** argv) {
-  const double scale = bench_scale();
-  if (!(std::isfinite(scale) && scale > 0.0)) {
-    std::fprintf(stderr,
-                 "DCPIM_BENCH_SCALE=%s: must be a finite number > 0\n",
-                 std::getenv("DCPIM_BENCH_SCALE"));
-    std::exit(2);
+  if (const char* text = std::getenv("DCPIM_BENCH_SCALE")) {
+    const char* name = "DCPIM_BENCH_SCALE";
+    const char* want = "a finite number > 0";
+    const double scale = parse_or_exit<double>(name, text, want);
+    if (!(std::isfinite(scale) && scale > 0.0)) reject_value(name, text, want);
   }
-  const auto set_jobs = [](const char* value) {
-    const long n = std::strtol(value, nullptr, 10);
-    jobs_flag() = n >= 1 ? static_cast<int>(n)
-                         : util::ThreadPool::hardware_threads();
+  const auto set_jobs = [](const char* name, const char* text) {
+    const int n = parse_or_exit<int>(name, text, kWholeNumber);
+    if (n < 0) reject_value(name, text, kWholeNumber);
+    jobs_flag() = n == 0 ? util::ThreadPool::hardware_threads() : n;
   };
-  const auto set_fault_seed = [](const char* value) {
-    fault_seed_flag() = std::strtoull(value, nullptr, 10);
+  if (const char* text = std::getenv("DCPIM_JOBS")) {
+    set_jobs("DCPIM_JOBS", text);
+  }
+  const auto set_fault_seed = [](const char* text) {
+    fault_seed_flag() =
+        parse_or_exit<std::uint64_t>("--fault-seed", text, kWholeNumber);
   };
   int out = 1;
   for (int i = 1; i < argc; ++i) {
@@ -106,9 +131,9 @@ inline void parse_common_flags(int& argc, char** argv) {
     if (arg == "--audit") {
       audit_flag() = true;
     } else if (arg == "--jobs" && i + 1 < argc) {
-      set_jobs(argv[++i]);
+      set_jobs("--jobs", argv[++i]);
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      set_jobs(arg.c_str() + 7);
+      set_jobs("--jobs", arg.c_str() + 7);
     } else if (arg == "--faults" && i + 1 < argc) {
       faults_flag() = argv[++i];
     } else if (arg.rfind("--faults=", 0) == 0) {

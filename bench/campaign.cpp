@@ -5,7 +5,7 @@
 //            [--list-cells] [--print-spec] [--audit] [--faults S]
 //
 // The spec (grammar: src/campaign/spec.h) expands into a Cartesian grid of
-// ExperimentConfigs that run on harness::SweepRunner. Completed cells land
+// ExperimentConfigs that run on harness::run_sweep. Completed cells land
 // in a journal keyed by cell fingerprint (src/campaign/journal.h), so an
 // interrupted campaign resumes without recomputation and an edited spec
 // re-executes only the cells whose canonical text changed. stdout is one
@@ -69,9 +69,11 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--csv=", 0) == 0) {
       csv_dir = arg.substr(6);
     } else if (arg == "--max-cells") {
-      max_cells = std::strtoull(value("--max-cells").c_str(), nullptr, 10);
+      max_cells = bench::parse_or_exit<std::size_t>(
+          "--max-cells", value("--max-cells").c_str(), bench::kWholeNumber);
     } else if (arg.rfind("--max-cells=", 0) == 0) {
-      max_cells = std::strtoull(arg.c_str() + 12, nullptr, 10);
+      max_cells = bench::parse_or_exit<std::size_t>(
+          "--max-cells", arg.c_str() + 12, bench::kWholeNumber);
     } else if (arg == "--list-cells") {
       list_cells = true;
     } else if (arg == "--print-spec") {

@@ -4,7 +4,7 @@
 // [timing] scaled is set): the axes are walked in declaration order with
 // the last axis varying fastest, constraint-excluded combinations are
 // dropped, and the surviving cells are numbered 0..N-1 in that order. The
-// order is what SweepRunner submission order — and therefore every
+// order is run_sweep's submission order — and therefore every
 // deterministic-output contract downstream — keys off, so it must never
 // depend on jobs, wall clock, or container state.
 //

@@ -31,9 +31,9 @@ bool parse_hex16(const std::string& token, std::uint64_t& out) {
 
 }  // namespace
 
-std::unordered_map<std::uint64_t, JournalEntry> load_journal(
+std::map<std::uint64_t, JournalEntry> load_journal(
     const std::string& path) {
-  std::unordered_map<std::uint64_t, JournalEntry> entries;
+  std::map<std::uint64_t, JournalEntry> entries;
   std::ifstream in(path);
   if (!in) return entries;
 

@@ -18,8 +18,8 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
-#include <unordered_map>
 
 namespace dcpim::campaign {
 
@@ -33,7 +33,7 @@ struct JournalEntry {
 /// empty journal; malformed lines (including a torn final line from a
 /// mid-append kill) are skipped silently. Later duplicates win, so a cell
 /// re-executed after a spec revert simply refreshes its entry.
-std::unordered_map<std::uint64_t, JournalEntry> load_journal(
+std::map<std::uint64_t, JournalEntry> load_journal(
     const std::string& path);
 
 /// Append-side handle. Opens in append mode (creating the file and header

@@ -1,9 +1,9 @@
 #include "campaign/runner.h"
 
 #include <cstdio>
+#include <map>
 #include <optional>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "campaign/journal.h"
 #include "harness/report.h"
@@ -35,7 +35,7 @@ CampaignReport run_campaign(const CampaignSpec& spec,
   report.name = spec.name;
   report.outcomes.resize(cells.size());
 
-  std::unordered_map<std::uint64_t, JournalEntry> journal;
+  std::map<std::uint64_t, JournalEntry> journal;
   if (!options.journal_path.empty()) {
     journal = load_journal(options.journal_path);
   }

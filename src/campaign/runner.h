@@ -1,4 +1,4 @@
-// Campaign execution: expanded grid -> SweepRunner -> journal -> report.
+// Campaign execution: expanded grid -> run_sweep -> journal -> report.
 //
 // The runner is where the three determinism contracts meet:
 //   * expansion order (grid.h) fixes cell indices, so the final report is
@@ -32,7 +32,7 @@ struct CampaignOptions {
   /// limit). Cached cells are always reported; the CI smoke lane uses this
   /// to simulate an interrupted campaign deterministically.
   std::size_t max_cells = 0;
-  /// Progress callback, forwarded to SweepRunner over the executing subset
+  /// Progress callback, forwarded to run_sweep over the executing subset
   /// (serialized; stderr-only by bench convention).
   std::function<void(std::size_t done, std::size_t total)> progress;
 };
@@ -68,7 +68,7 @@ void apply_overrides(CampaignSpec& spec, bool audit,
 
 /// Expands and runs the spec. Cells whose fingerprint is already journaled
 /// are reported as cached without re-executing; the rest (bounded by
-/// max_cells) run on SweepRunner with `jobs` workers, each appended to the
+/// max_cells) run on run_sweep with `jobs` workers, each appended to the
 /// journal the moment it completes. Throws CampaignError on constraint
 /// problems and propagates experiment exceptions.
 CampaignReport run_campaign(const CampaignSpec& spec,

@@ -3,10 +3,11 @@
 // A campaign spec is a small TOML-like text format describing one
 // experiment grid: a base scenario (topology, timing, traffic matrix,
 // protocol parameters, fault plan) plus Cartesian sweep axes and axis
-// constraints. bench/campaign expands a spec through harness::SweepRunner;
-// every figure binary reads its committed spec from tests/campaign_specs/
-// and builds its configs by expanding it, so a scenario exists in exactly
-// one place and can be added or edited without touching C++.
+// constraints. bench/campaign expands a spec and runs its cells with
+// harness::run_sweep; every figure binary reads its committed spec from
+// tests/campaign_specs/ and builds its configs by expanding it, so a
+// scenario exists in exactly one place and can be added or edited without
+// touching C++.
 //
 // Grammar (line-oriented; `#` starts a full-line comment; blank lines
 // separate nothing — they are purely cosmetic):

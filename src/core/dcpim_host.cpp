@@ -183,8 +183,6 @@ void DcpimHost::schedule_finish_timer(std::uint64_t flow_id) {
 void DcpimHost::handle_request(const RequestPacket& req) {
   // Only grant when there really is an active flow toward that receiver.
   bool has_flow = false;
-  // sa-ok(determinism): any-of reduction — the result is the same for
-  // every visit order of tx_flows_.
   for (const auto& [id, tx] : tx_flows_) {
     if (tx.flow->dst == req.src && !tx.finish_acked) {
       has_flow = true;
@@ -386,9 +384,8 @@ void DcpimHost::rescue_overdue_short_flows() {
   if (rescue_watch_.empty()) return;
   const TimePoint now = network().sim().now();
   std::vector<std::uint64_t> keep;
-  // The watch list is in packet-arrival order, so the sweep is
-  // deterministic without touching the unordered flow table's iteration
-  // order; lookups by id are fine.
+  // The watch list is in packet-arrival order, which flow-id order would
+  // not reproduce; lookups by id are fine.
   for (std::uint64_t id : rescue_watch_) {
     auto it = rx_flows_.find(id);
     if (it == rx_flows_.end() || it->second.needs_matching ||
@@ -492,10 +489,6 @@ Bytes DcpimHost::flow_remaining(const RxFlow& rx) const {
 }
 
 void DcpimHost::snapshot_demand(ReceiverEpochState& st) {
-  // sa-ok(determinism): each visit writes only the per-sender keyed slots
-  // st.demand[sender] / st.min_remaining[sender]; no cross-sender state, so
-  // the snapshot is identical for every visit order. Consumers that turn
-  // the demand map into wire order sort first (run_request_stage).
   for (auto& [sender, ids] : rx_by_sender_) {
     // Prune finished/rescued-away flows lazily.
     std::erase_if(ids, [this](std::uint64_t id) {
@@ -529,16 +522,8 @@ void DcpimHost::run_request_stage(std::uint64_t m, int round) {
   const int spare = cfg_.channels - st.matched_channels;
   if (spare <= 0) return;
   const Bytes per_channel = channel_bytes_per_phase();
-  // Requests leave this host in sender-id order: st.demand is an unordered
-  // map and its bucket order must not become wire order (bit-reproducible
-  // runs across libstdc++ versions).
-  std::vector<int> senders;
-  senders.reserve(st.demand.size());
-  // sa-ok(determinism): key harvest only — the iteration feeds a sort.
-  for (const auto& [sender, pending] : st.demand) senders.push_back(sender);
-  std::sort(senders.begin(), senders.end());
-  for (const int sender : senders) {
-    const Bytes pending = st.demand[sender];
+  // Requests leave this host in sender-id order.
+  for (const auto& [sender, pending] : st.demand) {
     if (pending <= Bytes{}) continue;
     const int wanted = static_cast<int>(std::min<std::int64_t>(
         spare, (pending + per_channel - Bytes{1}) / per_channel));
@@ -644,12 +629,8 @@ void DcpimHost::start_data_phase(std::uint64_t m) {
 
   const Time token_timeout = cfg_.epoch_length() + cfg_.control_rtt;
   const TimePoint now = network().sim().now();
-  // active_matches_ indexes token_tick round-robin order, so the match set
-  // must enter it in sender-id order, not unordered_map bucket order.
-  std::vector<std::pair<int, int>> sorted_matches(it->second.matches.begin(),
-                                                  it->second.matches.end());
-  std::sort(sorted_matches.begin(), sorted_matches.end());
-  for (const auto& [sender, channels] : sorted_matches) {
+  // active_matches_ indexes token_tick round-robin order: sender-id order.
+  for (const auto& [sender, channels] : it->second.matches) {
     // Requeue timed-out tokens for this sender's flows: their data was
     // lost (or the phase expired), so they must be re-admitted (§3.2).
     auto ids_it = rx_by_sender_.find(sender);
@@ -658,21 +639,14 @@ void DcpimHost::start_data_phase(std::uint64_t m) {
         auto rx_it = rx_flows_.find(id);
         if (rx_it == rx_flows_.end()) continue;
         RxFlow& rx = rx_it->second;
-        std::vector<std::uint32_t> timed_out;
-        // sa-ok(determinism): the harvested set is sorted before it
-        // reaches readmit order, two lines down.
-        for (const auto& [seq, sent_at] : rx.outstanding) {
-          if (now - sent_at > token_timeout) timed_out.push_back(seq);
-        }
-        // readmit is a FIFO of token issue order: sort so re-admission
-        // order never inherits unordered_map bucket order.
-        std::sort(timed_out.begin(), timed_out.end());
-        for (std::uint32_t seq : timed_out) {
-          rx.outstanding.erase(seq);
+        // readmit is a FIFO: timed-out seqs re-enter it in seq order.
+        std::erase_if(rx.outstanding, [&](const auto& entry) {
+          if (now - entry.second <= token_timeout) return false;
           --outstanding_total_;
-          rx.readmit.push_back(seq);
+          rx.readmit.push_back(entry.first);
           ++counters_.readmitted_seqs;
-        }
+          return true;
+        });
       }
     }
     active_matches_.push_back(ActiveMatch{sender, channels, 0});
@@ -870,8 +844,6 @@ void DcpimHost::audit_token_accounting(std::vector<std::string>& out) const {
   // the sum of the per-flow maps it caches.
   std::size_t per_flow_outstanding = 0;
   const std::uint32_t window_cap = window_packets(cfg_.channels);
-  // sa-ok(determinism): read-only audit sum; visit order can only reorder
-  // failure diagnostics, never simulation state.
   for (const auto& [id, rx] : rx_flows_) {
     per_flow_outstanding += rx.outstanding.size();
     if (rx.outstanding.size() > window_cap) {
@@ -891,8 +863,6 @@ void DcpimHost::audit_token_accounting(std::vector<std::string>& out) const {
 
 void DcpimHost::audit_matching(std::vector<std::string>& out) const {
   const std::string who = "host " + std::to_string(host_id());
-  // sa-ok(determinism): read-only audit; visit order can only reorder
-  // failure diagnostics, never simulation state.
   for (const auto& [epoch, st] : send_epochs_) {
     if (st.matched_channels < 0 || st.matched_channels > cfg_.channels) {
       out.push_back(who + " (sender) epoch " + std::to_string(epoch) +
@@ -901,8 +871,6 @@ void DcpimHost::audit_matching(std::vector<std::string>& out) const {
                     std::to_string(cfg_.channels) + "]");
     }
   }
-  // sa-ok(determinism): read-only audit; visit order can only reorder
-  // failure diagnostics, never simulation state.
   for (const auto& [epoch, st] : recv_epochs_) {
     if (st.matched_channels < 0 || st.matched_channels > cfg_.channels) {
       out.push_back(who + " (receiver) epoch " + std::to_string(epoch) +
@@ -911,7 +879,6 @@ void DcpimHost::audit_matching(std::vector<std::string>& out) const {
                     std::to_string(cfg_.channels) + "]");
     }
     int accepted_sum = 0;
-    // sa-ok(determinism): commutative sum plus range checks — audit only.
     for (const auto& [sender, channels] : st.matches) {
       if (channels < 1 || channels > cfg_.channels) {
         out.push_back(who + " (receiver) epoch " + std::to_string(epoch) +
@@ -937,14 +904,10 @@ void DcpimHost::audit_channel_ledger(std::vector<std::string>& out) const {
   // double-counted Accept. Unclaimed offers are fine (grants race at the
   // receiver), so only the per-receiver upper bound is asserted, plus the
   // closed-ledger identity matched == Σ accepted.
-  // sa-ok(determinism): read-only audit; visit order can only reorder
-  // failure diagnostics, never simulation state.
   for (const auto& [epoch, st] : send_epochs_) {
     const std::string tag =
         who + " (sender) epoch " + std::to_string(epoch);
     int accepted_sum = 0;
-    // sa-ok(determinism): per-receiver bound checks plus a commutative
-    // sum — audit only.
     for (const auto& [receiver, taken] : st.accepted) {
       accepted_sum += taken;
       if (taken < 0) {
@@ -967,7 +930,6 @@ void DcpimHost::audit_channel_ledger(std::vector<std::string>& out) const {
                     std::to_string(accepted_sum) + " but matched total says " +
                     std::to_string(st.matched_channels));
     }
-    // sa-ok(determinism): non-negativity scan over offers — audit only.
     for (const auto& [receiver, offered] : st.granted) {
       if (offered < 0 || offered > cfg_.channels * cfg_.rounds) {
         out.push_back(tag + " offered receiver " +

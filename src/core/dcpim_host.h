@@ -13,8 +13,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/dcpim_config.h"
@@ -122,16 +122,16 @@ class DcpimHost : public net::Host {
   struct SenderEpochState {
     int matched_channels = 0;
     /// Requests buffered per round, drained by the grant-stage event.
-    std::unordered_map<int, std::vector<RequestPacket>> requests;
-    std::unordered_map<int, bool> grant_stage_scheduled;
+    std::map<int, std::vector<RequestPacket>> requests;
+    std::map<int, bool> grant_stage_scheduled;
     /// Per-receiver channel ledger for the double-spend audit: `granted`
     /// counts offers extended across all grant stages of this epoch,
     /// `accepted` counts the channels each receiver claimed back. Offers
     /// that lose the accept race go unclaimed, so Σ granted may exceed
     /// Σ accepted — but no receiver may ever claim more than it was
     /// offered (audit_channel_ledger).
-    std::unordered_map<int, int> granted;   ///< receiver -> channels offered
-    std::unordered_map<int, int> accepted;  ///< receiver -> channels claimed
+    std::map<int, int> granted;   ///< receiver -> channels offered
+    std::map<int, int> accepted;  ///< receiver -> channels claimed
   };
 
   void send_notification(TxFlow& tx, bool retransmit);
@@ -154,7 +154,7 @@ class DcpimHost : public net::Host {
     std::uint32_t packets = 0;
     std::uint32_t next_new_seq = 0;  ///< next never-admitted seq
     std::deque<std::uint32_t> readmit;  ///< lost-token seqs to re-admit
-    std::unordered_map<std::uint32_t, TimePoint> outstanding;  ///< token->sent instant
+    std::map<std::uint32_t, TimePoint> outstanding;  ///< token->sent instant
     bool needs_matching = false;  ///< long flow, or rescued short flow
     /// Orphan-rescue deadline for a short flow whose data raced ahead of
     /// its notification: no check_short_flow timer was armed (the
@@ -166,11 +166,11 @@ class DcpimHost : public net::Host {
 
   struct ReceiverEpochState {
     int matched_channels = 0;
-    std::unordered_map<int, Bytes> demand;  ///< sender -> pending bytes
-    std::unordered_map<int, Bytes> min_remaining;  ///< FCT-opt sort key
-    std::unordered_map<int, std::vector<GrantPacket>> grants;
-    std::unordered_map<int, bool> accept_stage_scheduled;
-    std::unordered_map<int, int> matches;  ///< sender -> accepted channels
+    std::map<int, Bytes> demand;  ///< sender -> pending bytes
+    std::map<int, Bytes> min_remaining;  ///< FCT-opt sort key
+    std::map<int, std::vector<GrantPacket>> grants;
+    std::map<int, bool> accept_stage_scheduled;
+    std::map<int, int> matches;  ///< sender -> accepted channels
   };
 
   struct ActiveMatch {
@@ -211,22 +211,21 @@ class DcpimHost : public net::Host {
   Counters counters_;
   EpochAuditHook epoch_audit_hook_;
 
-  std::unordered_map<std::uint64_t, TxFlow> tx_flows_;
+  std::map<std::uint64_t, TxFlow> tx_flows_;
   /// Sender-side queue of unused tokens, drained at one packet per MTU
   /// transmission time; stale entries expire instead of standing in the
   /// NIC queue (the paper's "discard unused tokens" rule, §3.2).
   std::deque<TokenPacket> token_queue_;
   bool sender_pacer_running_ = false;
-  std::unordered_map<std::uint64_t, RxFlow> rx_flows_;
+  std::map<std::uint64_t, RxFlow> rx_flows_;
   /// Receiver-side index: sender -> flow ids that (may) need matching.
-  std::unordered_map<int, std::vector<std::uint64_t>> rx_by_sender_;
+  std::map<int, std::vector<std::uint64_t>> rx_by_sender_;
   /// Flow ids carrying a live RxFlow::rescue_deadline, in packet-arrival
-  /// order — the sweep iterates this instead of the unordered flow table
-  /// so rescue order is deterministic by construction.
+  /// order — the sweep rescues in this order, not in flow-id order.
   std::vector<std::uint64_t> rescue_watch_;
 
-  std::unordered_map<std::uint64_t, SenderEpochState> send_epochs_;
-  std::unordered_map<std::uint64_t, ReceiverEpochState> recv_epochs_;
+  std::map<std::uint64_t, SenderEpochState> send_epochs_;
+  std::map<std::uint64_t, ReceiverEpochState> recv_epochs_;
 
   /// Token-pacing state for the currently active data phase.
   std::uint64_t active_phase_ = UINT64_MAX;

@@ -2,7 +2,7 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "core/dcpim_host.h"
 #include "net/device.h"
@@ -42,7 +42,15 @@ struct FlowLedger {
       return dropped_fault + dropped_gray + dropped_proto;
     }
   };
-  std::unordered_map<std::uint64_t, Entry> flows;
+  std::vector<Entry> flows;  ///< by flow id (Network ids run 1..n)
+
+  Entry& entry(std::uint64_t id) {
+    if (flows.size() <= id) flows.resize(id + 1);
+    return flows[id];
+  }
+  Entry lookup(std::uint64_t id) const {
+    return id < flows.size() ? flows[id] : Entry{};
+  }
 };
 
 Bytes delivered_bytes(net::Network& net, const net::Flow& f) {
@@ -66,9 +74,7 @@ void check_flow_conservation(net::Network& net, const FlowLedger& ledger,
       ctx.fail(tag + " finished with " + to_string(delivered) + " of " +
                to_string(f->size) + " delivered");
     }
-    auto it = ledger.flows.find(f->id);
-    const FlowLedger::Entry entry =
-        it == ledger.flows.end() ? FlowLedger::Entry{} : it->second;
+    const FlowLedger::Entry entry = ledger.lookup(f->id);
     if (delivered + entry.dropped() > entry.injected) {
       ctx.fail(tag + " accounts " + to_string(delivered) + " delivered + " +
                to_string(entry.dropped()) + " dropped (" +
@@ -208,12 +214,12 @@ void for_each_dcpim_host(net::Network& net, Fn&& fn) {
 void install_standard_probes(sim::Auditor& auditor, net::Network& net) {
   auto ledger = std::make_shared<FlowLedger>();
   net.add_inject_observer([ledger](const net::Packet& p) {
-    if (p.payload > Bytes{}) ledger->flows[p.flow_id].injected += p.payload;
+    if (p.payload > Bytes{}) ledger->entry(p.flow_id).injected += p.payload;
   });
   net.add_drop_observer([ledger](const net::Packet& p, const net::Port&,
                                  net::DropReason reason) {
     if (p.payload <= Bytes{}) return;
-    auto& entry = ledger->flows[p.flow_id];
+    auto& entry = ledger->entry(p.flow_id);
     if (reason == net::DropReason::kGrayLoss) {
       entry.dropped_gray += p.payload;
     } else if (net::is_injected_drop(reason)) {

@@ -60,7 +60,7 @@ struct Runtime {
   std::unique_ptr<FaultInjector> faults;
   /// Owns the synthetic fixed-size CDF when exp.fixed_size is set. Must be
   /// per-experiment (not static): generators sample it for the whole run,
-  /// and experiments execute concurrently under harness::SweepRunner.
+  /// and experiments execute concurrently under harness::run_sweep.
   std::unique_ptr<workload::EmpiricalCdf> fixed_cdf;
 };
 

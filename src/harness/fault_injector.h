@@ -11,9 +11,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/network.h"
@@ -126,7 +126,7 @@ class FaultInjector {
   /// key -> drop instant. The first re-injection of any such pair closes
   /// the measurement (a single tracked packet would be fragile: a gray-
   /// dropped *duplicate* is never re-sent). Cleared once measured.
-  std::unordered_map<std::uint64_t, TimePoint> gray_pending_;
+  std::map<std::uint64_t, TimePoint> gray_pending_;
   bool first_retransmit_seen_ = false;
   Time time_to_first_retransmit_{};
 };

@@ -2,42 +2,38 @@
 
 #include <algorithm>
 #include <exception>
-#include <utility>
 
 #include "util/mutex.h"
 #include "util/thread_pool.h"
 
 namespace dcpim::harness {
 
-SweepRunner::SweepRunner(SweepOptions options)
-    : options_(std::move(options)) {}
-
-std::vector<ExperimentResult> SweepRunner::run(
-    const std::vector<ExperimentConfig>& configs) const {
+std::vector<ExperimentResult> run_sweep(
+    const std::vector<ExperimentConfig>& configs,
+    const SweepOptions& options) {
   const std::size_t total = configs.size();
   std::vector<ExperimentResult> results(total);
   std::vector<std::exception_ptr> errors(total);
   std::size_t done = 0;
 
-  const int jobs =
-      std::min<int>(options_.jobs, static_cast<int>(std::max<std::size_t>(
-                                       total, 1)));
+  const int jobs = std::min<int>(
+      options.jobs, static_cast<int>(std::max<std::size_t>(total, 1)));
   if (jobs <= 1) {
     for (std::size_t i = 0; i < total; ++i) {
       try {
         results[i] = run_experiment(configs[i]);
-        if (options_.on_result) options_.on_result(i, results[i]);
+        if (options.on_result) options.on_result(i, results[i]);
       } catch (...) {
         errors[i] = std::current_exception();
       }
       ++done;
-      if (options_.progress) options_.progress(done, total);
+      if (options.progress) options.progress(done, total);
     }
   } else {
     util::Mutex progress_mu;  // serializes `done` and the progress callback
     util::ThreadPool pool(jobs);
     for (std::size_t i = 0; i < total; ++i) {
-      pool.submit([this, &configs, &results, &errors, &progress_mu, &done,
+      pool.submit([&options, &configs, &results, &errors, &progress_mu, &done,
                    total, i] {
         bool succeeded = false;
         try {
@@ -47,9 +43,9 @@ std::vector<ExperimentResult> SweepRunner::run(
           errors[i] = std::current_exception();
         }
         util::MutexLock lk(progress_mu);
-        if (succeeded && options_.on_result) options_.on_result(i, results[i]);
+        if (succeeded && options.on_result) options.on_result(i, results[i]);
         ++done;
-        if (options_.progress) options_.progress(done, total);
+        if (options.progress) options.progress(done, total);
       });
     }
     pool.wait_idle();  // happens-before: makes results[] writes visible
@@ -59,12 +55,6 @@ std::vector<ExperimentResult> SweepRunner::run(
     if (errors[i]) std::rethrow_exception(errors[i]);
   }
   return results;
-}
-
-std::vector<ExperimentResult> run_sweep(
-    const std::vector<ExperimentConfig>& configs,
-    const SweepOptions& options) {
-  return SweepRunner(options).run(configs);
 }
 
 }  // namespace dcpim::harness

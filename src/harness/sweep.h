@@ -1,7 +1,7 @@
 // Parallel experiment sweeps.
 //
 // Every paper figure is a sweep of independent (protocol, load, ...) points;
-// SweepRunner executes a vector of ExperimentConfigs on a work-stealing
+// run_sweep() executes a vector of ExperimentConfigs on a work-stealing
 // thread pool (util/thread_pool.h) and returns the results in submission
 // order.
 //
@@ -33,7 +33,7 @@ struct SweepOptions {
   /// (no pool is created); experiments never span threads either way.
   int jobs = 1;
   /// Invoked after each experiment completes with (done, total). Calls are
-  /// serialized by the runner but may come from worker threads; keep it
+  /// serialized by run_sweep but may come from worker threads; keep it
   /// cheap and do not print to stdout if byte-identical output matters
   /// (bench progress/ETA lines go to stderr for exactly that reason).
   std::function<void(std::size_t done, std::size_t total)> progress;
@@ -45,21 +45,9 @@ struct SweepOptions {
       on_result;
 };
 
-class SweepRunner {
- public:
-  explicit SweepRunner(SweepOptions options = {});
-
-  /// Runs every config (concurrently when jobs > 1) and returns results in
-  /// submission order. If any experiment throws, the first exception in
-  /// submission order is rethrown after the whole sweep settles.
-  std::vector<ExperimentResult> run(
-      const std::vector<ExperimentConfig>& configs) const;
-
- private:
-  SweepOptions options_;
-};
-
-/// One-shot convenience wrapper around SweepRunner.
+/// Runs every config (concurrently when jobs > 1) and returns results in
+/// submission order. If any experiment throws, the first exception in
+/// submission order is rethrown after the whole sweep settles.
 std::vector<ExperimentResult> run_sweep(
     const std::vector<ExperimentConfig>& configs,
     const SweepOptions& options = {});

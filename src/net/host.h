@@ -5,9 +5,9 @@
 
 #include "util/check.h"
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <type_traits>
-#include <unordered_map>
 
 #include "net/device.h"
 #include "net/flow.h"
@@ -109,7 +109,7 @@ class Host : public Device {
  private:
   int host_id_;
   Bytes payload_delivered_{};
-  std::unordered_map<std::uint64_t, FlowRxState> rx_;
+  std::map<std::uint64_t, FlowRxState> rx_;
 };
 
 }  // namespace dcpim::net

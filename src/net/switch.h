@@ -11,8 +11,8 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/device.h"
@@ -80,7 +80,7 @@ class Switch : public Device {
   /// (on_port_added — the device id is not assigned yet in the
   /// constructor).
   Rng lb_rng_;
-  std::unordered_map<std::uint64_t, FlowletState> flowlet_;
+  std::map<std::uint64_t, FlowletState> flowlet_;
 };
 
 }  // namespace dcpim::net

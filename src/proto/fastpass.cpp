@@ -1,6 +1,7 @@
 #include "proto/fastpass.h"
 
 #include <algorithm>
+#include <set>
 #include <vector>
 
 #include "proto/common.h"
@@ -54,13 +55,13 @@ void FastpassArbiter::tick() {
     // Rotate the starting point so no pair is structurally favored.
     const std::size_t offset =
         pairs.empty() ? 0 : matchings_computed_ % pairs.size();
-    std::unordered_map<int, bool> src_used, dst_used;
+    std::set<int> src_used, dst_used;
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       const auto& kv = *pairs[(i + offset) % pairs.size()];
       const auto [src, dst] = kv.first;
-      if (src_used[src] || dst_used[dst]) continue;
-      src_used[src] = true;
-      dst_used[dst] = true;
+      if (src_used.contains(src) || dst_used.contains(dst)) continue;
+      src_used.insert(src);
+      dst_used.insert(dst);
       matched_pairs.push_back(kv.first);
     }
   }

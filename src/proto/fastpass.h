@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <unordered_map>
 
 #include "net/host.h"
 #include "net/topology.h"
@@ -62,7 +61,7 @@ class FastpassArbiter {
 
   net::Network& net_;
   const FastpassConfig& cfg_;
-  std::unordered_map<int, FastpassHost*> hosts_;
+  std::map<int, FastpassHost*> hosts_;
   /// demand[(src,dst)] — per-pair FIFO of flow allocations to hand out.
   std::map<std::pair<int, int>, PairDemand> demand_;
   bool running_ = false;
@@ -109,7 +108,7 @@ class FastpassHost : public net::Host {
   const FastpassConfig& cfg_;
   FastpassArbiter& arbiter_;
   Counters counters_;
-  std::unordered_map<std::uint64_t, TxFlow> tx_flows_;
+  std::map<std::uint64_t, TxFlow> tx_flows_;
 };
 
 /// Builds hosts bound to a shared arbiter. The arbiter must be created

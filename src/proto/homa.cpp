@@ -231,16 +231,11 @@ void HomaHost::resend_check(std::uint64_t flow_id) {
     ++rx.resends;
     ++counters_.resend_requests;
     const TimePoint now = network().sim().now();
-    std::vector<std::uint32_t> stale;
-    // sa-ok(determinism): harvest feeds keyed erases and an ordered
-    // std::set insert — the outcome is visit-order independent.
-    for (const auto& [seq, at] : rx.outstanding) {
-      if (now - at > cfg_.effective_resend()) stale.push_back(seq);
-    }
-    for (std::uint32_t seq : stale) {
-      rx.outstanding.erase(seq);
-      rx.readmit.insert(seq);
-    }
+    std::erase_if(rx.outstanding, [&](const auto& entry) {
+      if (now - entry.second <= cfg_.effective_resend()) return false;
+      rx.readmit.insert(entry.first);
+      return true;
+    });
     for (std::uint32_t seq = 0; seq < rx.unsched_packets; ++seq) {
       if ((st == nullptr || !st->has(seq)) && rx.outstanding.count(seq) == 0) {
         rx.readmit.insert(seq);
@@ -269,8 +264,6 @@ void HomaHost::recompute_active() {
     return h;
   };
   std::vector<std::tuple<Bytes, std::uint64_t, std::uint64_t>> order;
-  // sa-ok(determinism): every candidate is visited and `order` is fully
-  // sorted below on a (size, salted-hash, id) key with no duplicates.
   for (std::uint64_t id : sched_candidates_) {
     auto it = rx_flows_.find(id);
     if (it == rx_flows_.end() || it->second.flow->finished()) continue;

@@ -18,9 +18,8 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/host.h"
@@ -89,7 +88,7 @@ class HomaHost : public net::Host {
     std::uint32_t unsched_packets = 0;
     std::uint32_t next_new_seq = 0;  ///< next never-granted scheduled seq
     std::set<std::uint32_t> readmit;  ///< lost seqs to re-grant (ordered)
-    std::unordered_map<std::uint32_t, TimePoint> outstanding;  ///< grant instant
+    std::map<std::uint32_t, TimePoint> outstanding;  ///< grant instant
     bool pacer_running = false;
     Bytes last_progress_bytes{};
     int resends = 0;
@@ -117,7 +116,7 @@ class HomaHost : public net::Host {
   const HomaConfig& cfg_;
   Counters counters_;
 
-  std::unordered_map<std::uint64_t, TxFlow> tx_flows_;
+  std::map<std::uint64_t, TxFlow> tx_flows_;
   struct PendingGrant {
     std::uint64_t flow_id;
     std::uint32_t seq;
@@ -125,11 +124,11 @@ class HomaHost : public net::Host {
   };
   std::deque<PendingGrant> grant_queue_;
   bool sender_pacer_running_ = false;
-  std::unordered_map<std::uint64_t, RxFlow> rx_flows_;
+  std::map<std::uint64_t, RxFlow> rx_flows_;
   /// Receiver-side flows eligible for scheduling (incomplete, have work).
-  std::unordered_set<std::uint64_t> sched_candidates_;
+  std::set<std::uint64_t> sched_candidates_;
   /// Currently granted (top `overcommit` by remaining bytes).
-  std::unordered_set<std::uint64_t> active_;
+  std::set<std::uint64_t> active_;
 };
 
 net::Topology::HostFactory homa_host_factory(const HomaConfig& cfg);

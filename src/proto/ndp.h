@@ -14,8 +14,8 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <set>
-#include <unordered_map>
 
 #include "net/host.h"
 #include "net/topology.h"
@@ -88,8 +88,8 @@ class NdpHost : public net::Host {
   const NdpConfig& cfg_;
   Counters counters_;
 
-  std::unordered_map<std::uint64_t, TxFlow> tx_flows_;
-  std::unordered_map<std::uint64_t, RxFlow> rx_flows_;
+  std::map<std::uint64_t, TxFlow> tx_flows_;
+  std::map<std::uint64_t, RxFlow> rx_flows_;
 
   std::deque<std::uint64_t> pull_queue_;  ///< flow ids awaiting pulls
   bool pull_pacer_running_ = false;

@@ -160,18 +160,13 @@ void PhostHost::expire_stale(RxFlow& rx) {
       }
     }
   }
-  std::vector<std::uint32_t> stale;
-  // sa-ok(determinism): harvest feeds keyed erases, an ordered std::set
-  // insert, and commutative counter bumps — visit-order independent.
-  for (const auto& [seq, at] : rx.outstanding) {
-    if (now - at > cfg_.effective_token_timeout()) stale.push_back(seq);
-  }
-  for (std::uint32_t seq : stale) {
-    rx.outstanding.erase(seq);
-    rx.readmit.insert(seq);
+  std::erase_if(rx.outstanding, [&](const auto& entry) {
+    if (now - entry.second <= cfg_.effective_token_timeout()) return false;
+    rx.readmit.insert(entry.first);
     ++counters_.tokens_expired;
     ++rx.consecutive_expired;
-  }
+    return true;
+  });
   if (rx.consecutive_expired >= cfg_.max_expired_before_downgrade) {
     // The sender is busy elsewhere: deprioritize so other flows progress.
     rx.downgraded_until = now + cfg_.effective_token_timeout();
@@ -185,11 +180,8 @@ PhostHost::RxFlow* PhostHost::pick_flow() {
   RxFlow* best = nullptr;
   Bytes best_rem = Bytes::max();
   bool best_downgraded = true;
-  std::uint64_t best_id = 0;
   const auto window = static_cast<std::size_t>(std::max<std::int64_t>(
       1, cfg_.bdp_bytes / network().config().mtu_payload));
-  // sa-ok(determinism): the selection key (downgraded, remaining, flow id)
-  // is a strict total order, so the winner is visit-order independent.
   for (auto& [id, rx] : rx_flows_) {
     if (rx.flow->finished()) continue;
     expire_stale(rx);
@@ -200,15 +192,12 @@ PhostHost::RxFlow* PhostHost::pick_flow() {
         rx.flow->size - (st != nullptr ? st->received_bytes() : Bytes{});
     const bool downgraded = rx.downgraded_until > now;
     // Non-downgraded flows always beat downgraded ones; SRPT within class,
-    // lowest flow id on equal remaining (a total order: equal-size ties
-    // must not fall to unordered_map visit order).
+    // lowest flow id (the first visited) on equal remaining.
     if (best == nullptr || (best_downgraded && !downgraded) ||
-        (best_downgraded == downgraded &&
-         (rem < best_rem || (rem == best_rem && id < best_id)))) {
+        (best_downgraded == downgraded && rem < best_rem)) {
       best = &rx;
       best_rem = rem;
       best_downgraded = downgraded;
-      best_id = id;
     }
   }
   return best;

@@ -18,8 +18,8 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <set>
-#include <unordered_map>
 
 #include "net/host.h"
 #include "net/topology.h"
@@ -80,7 +80,7 @@ class PhostHost : public net::Host {
     std::uint32_t free_packets = 0;   ///< sent unscheduled by the sender
     std::uint32_t next_new_seq = 0;
     std::set<std::uint32_t> readmit;  ///< timed-out grants to re-issue
-    std::unordered_map<std::uint32_t, TimePoint> outstanding;
+    std::map<std::uint32_t, TimePoint> outstanding;
     int consecutive_expired = 0;
     TimePoint downgraded_until{};
     TimePoint created_at{};
@@ -101,7 +101,7 @@ class PhostHost : public net::Host {
   const PhostConfig& cfg_;
   Counters counters_;
 
-  std::unordered_map<std::uint64_t, TxFlow> tx_flows_;
+  std::map<std::uint64_t, TxFlow> tx_flows_;
   struct PendingToken {
     std::uint64_t flow_id;
     std::uint32_t seq;
@@ -109,7 +109,7 @@ class PhostHost : public net::Host {
   };
   std::deque<PendingToken> token_queue_;
   bool sender_pacer_running_ = false;
-  std::unordered_map<std::uint64_t, RxFlow> rx_flows_;
+  std::map<std::uint64_t, RxFlow> rx_flows_;
   bool pacer_running_ = false;
 };
 

@@ -75,8 +75,6 @@ void WindowHost::arm_rto(std::uint64_t flow_id) {
     WFlow& f = it->second;
     const TimePoint now = network().sim().now();
     TimePoint oldest = kTimePointInfinity;
-    // sa-ok(determinism): both inflight walks are visit-order independent —
-    // a commutative min-fold here, an ordered std::set insert below.
     for (const auto& [seq, at] : f.inflight) oldest = std::min(oldest, at);
     if (!f.inflight.empty() && now - oldest >= rto(f)) {
       ++counters_.timeouts;

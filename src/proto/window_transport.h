@@ -9,8 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <set>
-#include <unordered_map>
 
 #include "net/host.h"
 #include "net/topology.h"
@@ -63,7 +63,7 @@ class WindowHost : public net::Host {
     double ssthresh = 1e18;
     std::uint32_t next_new_seq = 0;
     std::set<std::uint32_t> retx;  ///< ordered: lowest lost seq resent first
-    std::unordered_map<std::uint32_t, TimePoint> inflight;
+    std::map<std::uint32_t, TimePoint> inflight;
     SeqBitmap acked;  ///< selectively-acked seqs (membership only)
     std::uint32_t cum_ack = 0;
     int dupacks = 0;
@@ -109,7 +109,7 @@ class WindowHost : public net::Host {
 
   const WindowConfig& cfg_;
   Counters counters_;
-  std::unordered_map<std::uint64_t, WFlow> flows_;
+  std::map<std::uint64_t, WFlow> flows_;
 };
 
 }  // namespace dcpim::proto

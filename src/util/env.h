@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdlib>
-#include <string>
 
 namespace dcpim {
 
@@ -14,15 +13,6 @@ inline double env_double(const char* name, double fallback) {
   if (const char* v = std::getenv(name)) {
     char* end = nullptr;
     const double parsed = std::strtod(v, &end);
-    if (end != v) return parsed;
-  }
-  return fallback;
-}
-
-inline long env_long(const char* name, long fallback) {
-  if (const char* v = std::getenv(name)) {
-    char* end = nullptr;
-    const long parsed = std::strtol(v, &end, 10);
     if (end != v) return parsed;
   }
   return fallback;

@@ -15,7 +15,7 @@
 // Determinism contract: the pool imposes NO ordering on task side effects;
 // callers that need reproducible output must make tasks independent (no
 // shared mutable state) and index results by submission slot, exactly what
-// harness::SweepRunner does. Nothing in the pool consults wall-clock time
+// harness::run_sweep does. Nothing in the pool consults wall-clock time
 // or unseeded randomness.
 #pragma once
 

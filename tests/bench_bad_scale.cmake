@@ -1,7 +1,7 @@
 # Runs a bench binary (-DBIN=...) under DCPIM_BENCH_SCALE values that are
 # not a finite number > 0 and requires each to exit 2 with its one-line
 # diagnostic on stderr and nothing on stdout.
-foreach(scale 0 -1 nan inf)
+foreach(scale 0 -1 nan inf abc)
   set(ENV{DCPIM_BENCH_SCALE} ${scale})
   execute_process(COMMAND ${BIN} RESULT_VARIABLE code
                   OUTPUT_VARIABLE out ERROR_VARIABLE err)

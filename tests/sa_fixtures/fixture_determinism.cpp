@@ -4,15 +4,11 @@
 //   - std::rand reached through a two-deep helper chain from an event root
 //   - an unseeded std::random_device
 //   - a wall-clock read (std::chrono::steady_clock)
-//   - a range-for over an unordered_map member inside an event-reachable
-//     function
-//   - one sa-ok(determinism)-suppressed unordered walk that must NOT fire
 //
 // This file is analyzed standalone (never compiled into the simulator).
 #include <cstdlib>
 #include <chrono>
 #include <random>
-#include <unordered_map>
 
 namespace fixture {
 
@@ -25,8 +21,6 @@ class DetHost {
   // Event root by name: `on_packet` seeds the reachability walk.
   void on_packet(const Event& e) {
     if (e.kind > 0) jitter_helper();
-    walk_flows();
-    walk_flows_suppressed();
   }
 
  private:
@@ -41,24 +35,7 @@ class DetHost {
     return std::rand();  // planted: std::rand three calls from the root
   }
 
-  void walk_flows() {
-    // planted: bucket order escapes into per-flow state mutation order
-    for (auto& [id, credits] : flow_credits_) {
-      credits += 1;
-      order_sensitive_ = id;
-    }
-  }
-
-  void walk_flows_suppressed() {
-    int total = 0;
-    // sa-ok(determinism): commutative sum — visit order cannot escape.
-    for (const auto& [id, credits] : flow_credits_) total += credits;
-    order_sensitive_ = total;
-  }
-
-  std::unordered_map<int, int> flow_credits_;
   int last_jitter_ = 0;
-  int order_sensitive_ = 0;
 };
 
 }  // namespace fixture

@@ -39,6 +39,19 @@ def run_lint(root_arg, cwd):
         capture_output=True, text=True, cwd=cwd)
 
 
+def lint_tree(files: dict[str, str]):
+    """Lints a throwaway checkout holding `files` (repo-relative path ->
+    text) plus an empty src/ to satisfy the scope check."""
+    with tempfile.TemporaryDirectory() as td:
+        root = Path(td)
+        (root / "src").mkdir()
+        for rel, text in files.items():
+            p = root / rel
+            p.parent.mkdir(parents=True, exist_ok=True)
+            p.write_text(text)
+        return run_lint(td, td)
+
+
 class ExemptResolutionTest(unittest.TestCase):
     def assert_exempt_applied(self, proc):
         self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
@@ -89,20 +102,11 @@ class PacketFactoryRuleTest(unittest.TestCase):
     `// sa-ok(lifetime):` (same grammar the dcpim-sa lifetime rule
     enforces semantically)."""
 
-    def lint_tree(self, files: dict[str, str]):
-        with tempfile.TemporaryDirectory() as td:
-            root = Path(td)
-            for rel, text in files.items():
-                p = root / rel
-                p.parent.mkdir(parents=True, exist_ok=True)
-                p.write_text(text)
-            return run_lint(td, td)
-
     def flagged(self, proc, rule="packet-factory"):
         return [ln for ln in proc.stdout.splitlines() if f"[{rule}]" in ln]
 
     def test_bare_allocations_flagged_outside_factories(self):
-        proc = self.lint_tree({
+        proc = lint_tree({
             "src/proto/rogue.cpp":
                 "void f() {\n"
                 "  auto* a = new GrantPacket();\n"
@@ -114,7 +118,7 @@ class PacketFactoryRuleTest(unittest.TestCase):
         self.assertEqual(len(self.flagged(proc)), 3, proc.stdout)
 
     def test_sanctioned_factories_and_justified_sites_clean(self):
-        proc = self.lint_tree({
+        proc = lint_tree({
             "src/net/host.cpp": "void f() { auto* p = new Packet(); }\n",
             "src/net/packet_pool.cpp":
                 "void g() { auto* p = new Packet(); }\n",
@@ -127,7 +131,7 @@ class PacketFactoryRuleTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
 
     def test_non_packet_names_do_not_fire(self):
-        proc = self.lint_tree({
+        proc = lint_tree({
             "src/net/other.cpp":
                 "void f() {\n"
                 "  auto a = std::make_unique<PacketPool>();\n"
@@ -144,16 +148,6 @@ class InlineScenarioRuleTest(unittest.TestCase):
     `bench::run_spec("x")`, and a run_spec("x") without
     tests/campaign_specs/x.campaign is flagged."""
 
-    def lint_tree(self, files: dict[str, str]):
-        with tempfile.TemporaryDirectory() as td:
-            root = Path(td)
-            (root / "src").mkdir()  # satisfy the src/ scope check
-            for rel, text in files.items():
-                p = root / rel
-                p.parent.mkdir(parents=True, exist_ok=True)
-                p.write_text(text)
-            return run_lint(td, td)
-
     def flagged(self, proc):
         return [ln for ln in proc.stdout.splitlines()
                 if "[inline-scenario]" in ln]
@@ -161,7 +155,7 @@ class InlineScenarioRuleTest(unittest.TestCase):
     SPEC = "[campaign]\nname = figx\n"
 
     def test_spec_driven_binary_with_inline_config_flagged(self):
-        proc = self.lint_tree({
+        proc = lint_tree({
             "tests/campaign_specs/figx.campaign": self.SPEC,
             "bench/figx_bench.cpp":
                 "int main() {\n"
@@ -177,7 +171,7 @@ class InlineScenarioRuleTest(unittest.TestCase):
         self.assertIn("hand-built ExperimentConfig", flagged[0])
 
     def test_binary_without_run_spec_is_linted(self):
-        proc = self.lint_tree({
+        proc = lint_tree({
             "bench/legacy.cpp":
                 "int main() { harness::ExperimentConfig cfg; }\n",
         })
@@ -187,7 +181,7 @@ class InlineScenarioRuleTest(unittest.TestCase):
         self.assertIn("bench/legacy.cpp:1:", flagged[0])
 
     def test_comment_mentioning_the_type_is_not_flagged(self):
-        proc = self.lint_tree({
+        proc = lint_tree({
             "tests/campaign_specs/figx.campaign": self.SPEC,
             "bench/figx_bench.cpp":
                 "// Expands the spec into ExperimentConfigs.\n"
@@ -198,7 +192,7 @@ class InlineScenarioRuleTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
 
     def test_run_spec_of_missing_spec_flagged(self):
-        proc = self.lint_tree({
+        proc = lint_tree({
             "tests/campaign_specs/figx.campaign": self.SPEC,
             "bench/figy_bench.cpp":
                 "int main() {\n"
@@ -210,6 +204,47 @@ class InlineScenarioRuleTest(unittest.TestCase):
         self.assertEqual(len(flagged), 1, proc.stdout)
         self.assertIn("bench/figy_bench.cpp:2:", flagged[0])
         self.assertIn("figy.campaign does not exist", flagged[0])
+
+
+class UnorderedContainerRuleTest(unittest.TestCase):
+    """The unordered-container rule: no hashed container in src/, no
+    escape tag; comments and strings do not count, and only src/ is
+    linted."""
+
+    @staticmethod
+    def flagged(proc):
+        return [ln for ln in proc.stdout.splitlines()
+                if "[unordered-container]" in ln]
+
+    def test_unordered_member_flagged(self):
+        proc = lint_tree({
+            "src/proto/table.h":
+                "#pragma once\n"
+                "struct Table {\n"
+                "  std::unordered_map<int, int> by_id;\n"
+                "};\n",
+        })
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        flagged = self.flagged(proc)
+        self.assertEqual(len(flagged), 1, proc.stdout)
+        self.assertIn("src/proto/table.h:3:", flagged[0])
+
+    def test_comment_mentioning_it_not_flagged(self):
+        proc = lint_tree({
+            "src/proto/table.h":
+                "#pragma once\n"
+                "// Ordered on purpose: no std::unordered_map here.\n"
+                "const char* kWhy = \"not an unordered_set\";\n",
+        })
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+
+    def test_tests_tree_not_linted(self):
+        proc = lint_tree({
+            "tests/test_table.cpp":
+                "#include <unordered_set>\n"
+                "std::unordered_set<int> seen;\n",
+        })
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
 
 
 class RealTreeTest(unittest.TestCase):

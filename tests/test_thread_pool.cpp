@@ -1,5 +1,5 @@
 // util/thread_pool.h: scheduling, work stealing, drain semantics, and the
-// happens-before guarantees SweepRunner builds on. These tests are also the
+// happens-before guarantees run_sweep builds on. These tests are also the
 // TSan lane's canary for the pool itself.
 #include <gtest/gtest.h>
 
@@ -36,7 +36,7 @@ TEST(ThreadPoolTest, ClampsThreadCountToAtLeastOne) {
 }
 
 TEST(ThreadPoolTest, PerSlotResultsNeedNoSynchronization) {
-  // The SweepRunner pattern: each task writes its own slot; wait_idle()
+  // The run_sweep pattern: each task writes its own slot; wait_idle()
   // publishes the writes to the caller (this is what TSan verifies).
   util::ThreadPool pool(4);
   std::vector<int> results(64, -1);

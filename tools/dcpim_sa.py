@@ -3,23 +3,20 @@
 
 Where tools/lint_dcpim.py enforces line-local textual rules, dcpim-sa builds
 a per-translation-unit model (function definitions, call sites, switch
-statements, range-for loops, declarations) plus a whole-program call graph,
-and checks the semantic properties the ROADMAP's correctness story rests on:
+statements, declarations) plus a whole-program call graph, and checks the
+semantic properties the ROADMAP's correctness story rests on:
 
-  determinism     event-handler-reachable code must not reach banned
-                  nondeterminism sources: std::rand/srand/random_device,
-                  wall clocks (std::chrono system/steady/high_resolution,
-                  gettimeofday, ::time(), clock()), and must not range-for
-                  over std::unordered_{map,set} where the iteration order
-                  can escape into simulation state (address/bucket-dependent
-                  ordering is the classic cross-platform reproducibility
-                  leak). Banned *calls* are flagged anywhere in src/ (same
-                  strictness as lint_dcpim); unordered iteration is flagged
-                  only in event-handler-reachable functions, where order can
-                  become packet order. The fault-plan constructors
-                  (random_fault_plan, expand) count as roots: their draws
-                  seed wildcard resolution and per-port loss streams, so
-                  order leaks there desynchronize sweeps just the same.
+  determinism     no code in src/ may reach banned nondeterminism sources:
+                  std::rand/srand/random_device, wall clocks (std::chrono
+                  system/steady/high_resolution, gettimeofday, ::time(),
+                  clock()). Findings in event-handler-reachable functions
+                  carry the call path from an event root. The fault-plan
+                  constructors (random_fault_plan, expand) count as roots:
+                  their draws seed wildcard resolution and per-port loss
+                  streams, so a leak there desynchronizes sweeps just the
+                  same. Iteration order needs no rule here: lint_dcpim's
+                  `unordered-container` rule keeps hashed containers out of
+                  src/, so every container walks in a defined order.
 
   packet-switch   every `switch` over a packet/control-kind enum (enums
                   named *Kind in src/proto/, src/core/, and src/sim/fault/
@@ -142,9 +139,6 @@ ALLOC_CALLS = {
     "emplace_front", "emplace", "insert", "resize", "reserve", "assign",
     "append", "to_string",
 }
-
-UNORDERED_RE = re.compile(
-    r"\bunordered_(?:map|set|multimap|multiset)\b")
 
 # Functions whose simple name marks an event-handler entry point. Any
 # function that schedules simulator callbacks is also a root: its lambda
@@ -340,7 +334,6 @@ class FunctionDef:
     calls: list = field(default_factory=list)       ##< (simple_name, line)
     banned: list = field(default_factory=list)      ##< (what, line)
     allocs: list = field(default_factory=list)      ##< (what, line)
-    range_fors: list = field(default_factory=list)  ##< (target_id, line)
     switches: list = field(default_factory=list)    ##< SwitchStmt
     is_hot: bool = False
     schedules: bool = False
@@ -377,7 +370,6 @@ class TUModel:
     file: str
     functions: list = field(default_factory=list)
     enums: dict = field(default_factory=dict)       ##< name -> [enumerators]
-    unordered_decls: set = field(default_factory=set)
     classes: list = field(default_factory=list)      ##< ClassDef
     raw_calls: list = field(default_factory=list)   ##< lines with .raw()
     comments: dict = field(default_factory=dict)
@@ -409,62 +401,6 @@ def match_brace(toks, i):
                 return i
         i += 1
     return len(toks) - 1
-
-
-def collect_container_decls(toks, out: set, match_tok):
-    """Records declared names whose type satisfies `match_tok(toks, i)`:
-    members, locals, and `using X = std::...<...>` aliases. The lookup is
-    name-based — precise enough for this codebase's unique member names."""
-    aliases: set = set()
-    n = len(toks)
-    for i, t in enumerate(toks):
-        if t.kind != "id" or not match_tok(toks, i):
-            if t.text == "using" and i + 2 < n and toks[i + 2].text == "=":
-                # using Alias = ... container ... ;
-                j = i + 3
-                is_match = False
-                while j < n and toks[j].text != ";":
-                    if toks[j].kind == "id" and (
-                            match_tok(toks, j) or
-                            toks[j].text in aliases):
-                        is_match = True
-                    j += 1
-                if is_match:
-                    aliases.add(toks[i + 1].text)
-                    out.add(toks[i + 1].text)
-            continue
-        # skip the template argument list to find the declared name
-        j = i + 1
-        if j < n and toks[j].text == "<":
-            depth = 0
-            while j < n:
-                if toks[j].text == "<":
-                    depth += 1
-                elif toks[j].text == ">":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                elif toks[j].text == ">>":
-                    depth -= 2
-                    if depth <= 0:
-                        break
-                j += 1
-            j += 1
-        # possible &, *, and then the declarator name
-        while j < n and toks[j].text in ("&", "*", "const"):
-            j += 1
-        if j < n and toks[j].kind == "id":
-            nxt = toks[j + 1].text if j + 1 < n else ";"
-            if nxt in (";", "=", "{", ",", ")"):
-                out.add(toks[j].text)
-
-
-def is_unordered_tok(toks, i):
-    return bool(UNORDERED_RE.match(toks[i].text))
-
-
-def collect_unordered_decls(toks, out: set):
-    collect_container_decls(toks, out, is_unordered_tok)
 
 
 def parse_enums(toks, out: dict):
@@ -747,40 +683,6 @@ def extract_switches(toks, start, end, file, out):
         i += 1
 
 
-def extract_range_fors(toks, start, end, out):
-    """Finds `for (decl : expr)` and records the last identifier of expr
-    (the iterated entity) — e.g. `it->second.matches` -> `matches`."""
-    i = start
-    while i < end:
-        if toks[i].text == "for" and toks[i].kind == "id" and \
-                i + 1 < end and toks[i + 1].text == "(":
-            rp = match_paren(toks, i + 1)
-            group = toks[i + 2:rp]
-            if not any(t.text == ";" for t in group):
-                # range-for: find the top-level ':'
-                depth = 0
-                for gi, t in enumerate(group):
-                    if t.text in ("(", "[", "{", "<"):
-                        depth += 1
-                    elif t.text in (")", "]", "}", ">"):
-                        depth -= 1
-                    elif t.text == ":" and depth <= 0:
-                        expr = group[gi + 1:]
-                        last_id = None
-                        is_call = False
-                        for e in expr:
-                            if e.kind == "id":
-                                last_id = e.text
-                                is_call = False
-                            elif e.text == "(":
-                                is_call = True
-                        if last_id is not None and not is_call:
-                            out.append((last_id, toks[i].line))
-                        break
-            i = rp
-        i += 1
-
-
 def scan_body(fn: FunctionDef, toks, start, end):
     """Populates calls / banned constructs / allocations for a function
     body span (lambdas inside are attributed to the enclosing function)."""
@@ -971,7 +873,6 @@ def find_function_defs(toks, file, model: TUModel):
                 fn.packet_params = raw_packet_params(toks, i, rp)
                 scan_body(fn, toks, j + 1, be)
                 extract_switches(toks, j + 1, be, file, fn.switches)
-                extract_range_fors(toks, j + 1, be, fn.range_fors)
                 model.functions.append(fn)
                 i = be
                 continue
@@ -985,7 +886,6 @@ def text_parse_file(path: Path, rel: str) -> TUModel:
     toks, comments = tokenize(source)
     model = TUModel(file=rel, comments=comments)
     parse_enums(toks, model.enums)
-    collect_unordered_decls(toks, model.unordered_decls)
     parse_classes(toks, rel, model.classes)
     find_function_defs(toks, rel, model)
     # .raw() / ->raw() escapes, anywhere in the file
@@ -1070,12 +970,10 @@ class Analyzer:
         self.cover: dict[str, dict[str, dict[int, Suppression]]] = {}
         # global indexes
         self.by_simple: dict[str, list[FunctionDef]] = {}
-        self.unordered: set = set()
         self.enums: dict[str, tuple[str, list[str]]] = {}
         for m in models:
             for fn in m.functions:
                 self.by_simple.setdefault(fn.simple, []).append(fn)
-            self.unordered |= m.unordered_decls
             for name, enumerators in m.enums.items():
                 self.enums[name] = (m.file, enumerators)
         # class registry: the lifetime rule's packet types and fields
@@ -1195,18 +1093,6 @@ class Analyzer:
                         + (f" [event-reachable via "
                            f"{' -> '.join(path)}]" if path else ""),
                         path))
-                if not in_event:
-                    continue
-                for target, line in fn.range_fors:
-                    if target in self.unordered:
-                        self.emit(Finding(
-                            "determinism", fn.file, line,
-                            f"iteration over unordered container "
-                            f"'{target}' in event-reachable "
-                            f"{fn.name}(): bucket order is address/"
-                            f"library-dependent and can escape into "
-                            f"simulation state — iterate a sorted view "
-                            f"or justify with sa-ok(determinism)"))
 
     def rule_packet_switch(self):
         kind_enums = {

@@ -28,6 +28,14 @@ see .github/workflows/ci.yml):
                     `// shared-ok:` comment covers its own line and the
                     lines below it up to the first blank line (bounded
                     reach), so one justification can cover a paragraph.
+  unordered-container
+                    no `unordered_*` token (std::unordered_map/set, their
+                    headers) in src/, with no escape tag: hashed containers
+                    walk in bucket order, which differs across standard
+                    libraries and can leak into packet order. Use std::map/
+                    std::set, or a std::vector where the key is already a
+                    dense index (host id, flow id). Every container in the
+                    simulator then iterates in a defined order.
 
   packet-factory    no bare `new`/`make_unique`/`make_shared` of a
                     `*Packet` type outside the sanctioned factories
@@ -127,6 +135,8 @@ STATIC_LOCAL = re.compile(
     r"[\w:<>,*&\s]+?[\w_]+\s*(?:[={;]|$)")
 SHARED_OK_TAG = "shared-ok:"
 
+UNORDERED_CONTAINER = re.compile(r"\bunordered_\w+")
+
 # Allocation of a type whose name ends in `Packet` (qualified or not), via
 # bare `new` or the make_unique/make_shared factories. `\w*Packet\b` cannot
 # land inside identifiers like PacketPool (no word boundary there).
@@ -217,6 +227,12 @@ def lint_file(path: Path, rel: str) -> list[str]:
                 f"{where}: [static-local] static non-const local state "
                 f"breaks per-experiment isolation (harness/sweep.h); make "
                 f"it per-experiment or justify with `// {SHARED_OK_TAG}`")
+
+        if UNORDERED_CONTAINER.search(code):
+            violations.append(
+                f"{where}: [unordered-container] hashed containers iterate "
+                f"in library-dependent order; use std::map/std::set, or a "
+                f"std::vector indexed by a dense id")
 
         if (("packet-factory", rel) not in EXEMPT
                 and PACKET_FACTORY.search(code)
