@@ -29,8 +29,10 @@ struct RunResult {
   std::size_t done = 0, total = 0;
 };
 
-template <typename SetupFn>
-RunResult run_with(SetupFn setup) {
+/// `make_factory` runs once the network exists (the Fastpass arbiter binds
+/// to it); whatever the factory refers to must outlive this call.
+template <typename MakeFactory>
+RunResult run_with(MakeFactory make_factory) {
   net::NetConfig ncfg;
   ncfg.seed = 11;
   auto network = std::make_unique<net::Network>(ncfg);
@@ -38,9 +40,8 @@ RunResult run_with(SetupFn setup) {
   params.racks = 4;
   params.hosts_per_rack = 8;
   params.spines = 2;
-
-  auto holder = setup(*network, params);  // keeps configs/arbiter alive
-  auto& topo = *holder->topo;
+  const net::Topology topo =
+      net::Topology::leaf_spine(*network, params, make_factory(*network));
 
   std::unique_ptr<sim::Auditor> auditor;
   if (bench::audit_flag()) {
@@ -65,17 +66,18 @@ RunResult run_with(SetupFn setup) {
   }
 
   RunResult r;
-  r.short_flows = stats.short_flows(topo.bdp_bytes());
+  r.short_flows = stats.short_flows(network->bdp());
   r.overall = stats.summary();
   r.done = network->completed_flows;
   r.total = network->num_flows();
   return r;
 }
 
-struct Holder {
-  virtual ~Holder() = default;
-  std::unique_ptr<net::Topology> topo;
-};
+void print_row(const char* design, const RunResult& r) {
+  std::printf("  %-10s %12.2f %12.2f %12.2f %12.2f %7zu/%zu\n", design,
+              r.short_flows.mean, r.short_flows.p99, r.overall.mean,
+              r.overall.p99, r.done, r.total);
+}
 
 }  // namespace
 
@@ -89,54 +91,21 @@ int main(int argc, char** argv) {
   std::printf("  %-10s %12s %12s %12s %12s %10s\n", "design", "short mean",
               "short p99", "all mean", "all p99", "done");
 
-  {
-    struct H : Holder {
-      core::DcpimConfig cfg;
-    };
-    auto r = run_with([&](net::Network& net, const net::LeafSpineParams& p) {
-      auto h = std::make_unique<H>();
-      h->topo = std::make_unique<net::Topology>(net::Topology::leaf_spine(
-          net, p, core::dcpim_host_factory(h->cfg)));
-      h->cfg.control_rtt = h->topo->max_control_rtt();
-      h->cfg.bdp_bytes = h->topo->bdp_bytes();
-      return h;
-    });
-    std::printf("  %-10s %12.2f %12.2f %12.2f %12.2f %7zu/%zu\n", "dcPIM",
-                r.short_flows.mean, r.short_flows.p99, r.overall.mean,
-                r.overall.p99, r.done, r.total);
-  }
-  {
-    struct H : Holder {
-      proto::FastpassConfig cfg;
-      std::unique_ptr<proto::FastpassArbiter> arbiter;
-    };
-    auto r = run_with([&](net::Network& net, const net::LeafSpineParams& p) {
-      auto h = std::make_unique<H>();
-      h->arbiter = std::make_unique<proto::FastpassArbiter>(net, h->cfg);
-      h->topo = std::make_unique<net::Topology>(net::Topology::leaf_spine(
-          net, p, proto::fastpass_host_factory(h->cfg, *h->arbiter)));
-      h->cfg.control_rtt = h->topo->max_control_rtt();
-      return h;
-    });
-    std::printf("  %-10s %12.2f %12.2f %12.2f %12.2f %7zu/%zu\n", "Fastpass",
-                r.short_flows.mean, r.short_flows.p99, r.overall.mean,
-                r.overall.p99, r.done, r.total);
-  }
-  {
-    struct H : Holder {
-      proto::PhostConfig cfg;
-    };
-    auto r = run_with([&](net::Network& net, const net::LeafSpineParams& p) {
-      auto h = std::make_unique<H>();
-      h->topo = std::make_unique<net::Topology>(net::Topology::leaf_spine(
-          net, p, proto::phost_host_factory(h->cfg)));
-      h->cfg.bdp_bytes = h->topo->bdp_bytes();
-      h->cfg.control_rtt = h->topo->max_control_rtt();
-      return h;
-    });
-    std::printf("  %-10s %12.2f %12.2f %12.2f %12.2f %7zu/%zu\n", "pHost",
-                r.short_flows.mean, r.short_flows.p99, r.overall.mean,
-                r.overall.p99, r.done, r.total);
-  }
+  const core::DcpimConfig dcpim;
+  print_row("dcPIM", run_with([&](net::Network&) {
+              return core::dcpim_host_factory(dcpim);
+            }));
+
+  const proto::FastpassConfig fastpass;
+  std::unique_ptr<proto::FastpassArbiter> arbiter;
+  print_row("Fastpass", run_with([&](net::Network& net) {
+              arbiter = std::make_unique<proto::FastpassArbiter>(net);
+              return proto::fastpass_host_factory(fastpass, *arbiter);
+            }));
+
+  const proto::PhostConfig phost;
+  print_row("pHost", run_with([&](net::Network&) {
+              return proto::phost_host_factory(phost);
+            }));
   return 0;
 }

@@ -20,7 +20,7 @@ int main() {
   net_cfg.seed = 1;
   net::Network network(net_cfg);
 
-  core::DcpimConfig dcpim;
+  const core::DcpimConfig dcpim;
   net::LeafSpineParams params;
   params.racks = 4;
   params.hosts_per_rack = 12;
@@ -28,8 +28,6 @@ int main() {
   params.buffer_bytes = kKB * 100;  // small buffers: drops will happen
   auto topo = net::Topology::leaf_spine(network, params,
                                         core::dcpim_host_factory(dcpim));
-  dcpim.control_rtt = topo.max_control_rtt();
-  dcpim.bdp_bytes = topo.bdp_bytes();
 
   // 40 senders each fire one 60KB flow (short: < 1 BDP) at receiver 0.
   std::vector<int> senders;

@@ -20,12 +20,10 @@ int main() {
   net_cfg.seed = 3;
   net::Network network(net_cfg);
 
-  core::DcpimConfig dcpim;
+  const core::DcpimConfig dcpim;
   net::LeafSpineParams params;  // default 144-host fabric
   auto topo = net::Topology::leaf_spine(network, params,
                                         core::dcpim_host_factory(dcpim));
-  dcpim.control_rtt = topo.max_control_rtt();
-  dcpim.bdp_bytes = topo.bdp_bytes();
 
   stats::FlowStats stats(network, topo);
 

@@ -19,8 +19,9 @@ int main() {
   net_cfg.seed = 42;
   net::Network network(net_cfg);
 
-  // 2. dcPIM protocol parameters (§3.6 of the paper). The topology-derived
-  //    fields are filled in right after the topology is built.
+  // 2. dcPIM protocol parameters (§3.6 of the paper). Everything else is
+  //    derived from the fabric: the topology stores its BDP and RTTs on the
+  //    network, and every host reads them there.
   core::DcpimConfig dcpim;
   dcpim.rounds = 4;    // 1 FCT-optimizing + 3 utilization-optimizing
   dcpim.channels = 4;  // k = r is the paper's sweet spot
@@ -30,14 +31,12 @@ int main() {
   net::LeafSpineParams topo_params;
   auto topology = net::Topology::leaf_spine(network, topo_params,
                                             core::dcpim_host_factory(dcpim));
-  dcpim.control_rtt = topology.max_control_rtt();
-  dcpim.bdp_bytes = topology.bdp_bytes();
   std::printf("topology: %d hosts, data RTT %.2f us, control RTT %.2f us, "
               "BDP %lld B, dcPIM epoch %.2f us\n",
-              topology.num_hosts(), to_us(topology.max_data_rtt()),
-              to_us(topology.max_control_rtt()),
-              static_cast<long long>(topology.bdp_bytes().raw()),
-              to_us(dcpim.epoch_length()));
+              topology.num_hosts(), to_us(network.max_data_rtt()),
+              to_us(network.max_control_rtt()),
+              static_cast<long long>(network.bdp().raw()),
+              to_us(dcpim.epoch_length(network.max_control_rtt())));
 
   // 4. Metrics: slowdown (FCT / unloaded-optimal FCT) and utilization.
   stats::FlowStats stats(network, topology);
@@ -56,7 +55,7 @@ int main() {
   network.sim().run(TimePoint(ms(5)));
 
   const auto all = stats.summary();
-  const auto short_flows = stats.short_flows(topology.bdp_bytes());
+  const auto short_flows = stats.short_flows(network.bdp());
   std::printf("\nflows: %zu offered, %llu completed\n", network.num_flows(),
               static_cast<unsigned long long>(network.completed_flows));
   std::printf("slowdown (all):   mean %.2f  p99 %.2f\n", all.mean, all.p99);

@@ -259,12 +259,6 @@ const KeyInfo kRegistry[] = {
        if (v < 0) throw std::invalid_argument("incast_bursts must be >= 0");
        c.incast_bursts = static_cast<int>(v);
      }},
-    {"shuffle_load", "traffic", true,
-     [](Config& c, const std::string& t) {
-       const double v = parse_double_token(t);
-       check_unit_interval(v, t);
-       c.shuffle_load = v;
-     }},
     {"dense_flow_size", "traffic", true,
      [](Config& c, const std::string& t) {
        const long long v = parse_int_token(t);

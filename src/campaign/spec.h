@@ -19,8 +19,7 @@
 //                         scaled = true stretches gen_stop/horizon/
 //                         measure_* by DCPIM_BENCH_SCALE at expansion)
 //   [traffic]             pattern, workload, load, fixed_size, seed,
-//                         incast_*, shuffle_load, dense_flow_size,
-//                         loss_rate
+//                         incast_*, dense_flow_size, loss_rate
 //   [protocol]            protocol, dcpim.rounds, dcpim.channels,
 //                         dcpim.beta, dcpim.fct_optimizing_first_round,
 //                         dcpim.flow_size_aware, dcpim.pipeline_phases,

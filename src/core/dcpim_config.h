@@ -1,5 +1,8 @@
 // dcPIM protocol parameters (§3.6): rounds r, channels k, slack beta —
-// plus the ablation and robustness knobs DESIGN.md calls out.
+// plus the ablation and robustness knobs DESIGN.md calls out. The fabric
+// constants the paper derives everything else from (1 BDP as the short-flow
+// threshold and token window, the cRTT behind stages and timers) live on
+// net::Network, set by the topology.
 #pragma once
 
 #include "util/check.h"
@@ -15,15 +18,6 @@ struct DcpimConfig {
   int rounds = 4;    ///< r: matching rounds per phase (first may be FCT-opt)
   int channels = 4;  ///< k: per-host channels (paper recommends k == r)
   double beta = 1.3;  ///< slack on cRTT/2 per stage (§3.3)
-
-  // --- environment-derived (filled from the topology) ----------------------
-  Time control_rtt{};  ///< longest unloaded control RTT in the fabric
-  Bytes bdp_bytes{};   ///< 1 BDP at the access link
-
-  /// Flows <= threshold bypass matching (default: 1 BDP). Zero = use BDP.
-  Bytes short_flow_threshold{};
-  /// Per-flow token window (default: 1 BDP). Zero = use BDP.
-  Bytes token_window_bytes{};
 
   // --- optimizations & ablations -----------------------------------------
   bool fct_optimizing_first_round = true;  ///< §3.5 smallest-flow round 1
@@ -48,30 +42,21 @@ struct DcpimConfig {
   double token_pacing_headroom = 0.04;
 
   // --- recovery timers ------------------------------------------------------
-  /// Notification / finish control retransmission interval; zero = cRTT.
-  Time control_retx_timeout{};
+  /// Notification / finish control retransmissions (one per cRTT) before
+  /// the sender gives up.
   int max_control_retx = 50;
 
-  // --- derived quantities ---------------------------------------------------
-  Time stage_length() const { return control_rtt * (beta / 2.0); }
+  // --- derived quantities (crtt: Network::max_control_rtt()) ----------------
+  Time stage_length(Time crtt) const { return crtt * (beta / 2.0); }
   /// Matching-phase length == data-phase length (pipelined, §3.3).
-  Time epoch_length() const { return stage_length() * (2 * rounds + 1); }
-  Bytes effective_short_threshold() const {
-    return short_flow_threshold > Bytes{} ? short_flow_threshold : bdp_bytes;
-  }
-  Bytes effective_token_window() const {
-    return token_window_bytes > Bytes{} ? token_window_bytes : bdp_bytes;
-  }
-  Time effective_control_retx() const {
-    return control_retx_timeout > Time{} ? control_retx_timeout : control_rtt;
+  Time epoch_length(Time crtt) const {
+    return stage_length(crtt) * (2 * rounds + 1);
   }
 
   void validate() const {
     DCPIM_CHECK_GE(rounds, 1, "dcPIM needs at least one matching round");
     DCPIM_CHECK_GE(channels, 1, "dcPIM needs at least one channel");
     DCPIM_CHECK_GE(beta, 1.0, "stage slack below 1 breaks stage alignment");
-    DCPIM_CHECK_GT(control_rtt, Time{}, "control RTT not filled from topology");
-    DCPIM_CHECK_GT(bdp_bytes, Bytes{}, "BDP not filled from topology");
     DCPIM_CHECK_GE(long_flow_priorities, 1, "need a data priority level");
   }
 };

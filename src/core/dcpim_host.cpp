@@ -26,16 +26,22 @@ DcpimHost::DcpimHost(net::Network& net, int host_id,
         // sa-ok(unit-raw): the rng draws over a raw inclusive picosecond range
         static_cast<std::uint64_t>(cfg_.clock_jitter.raw()) + 1))};
   }
-  // First matching phase begins at local time 0 (+ jitter). The config's
-  // topology-derived fields are read lazily at event time, so the owner may
-  // fill them in after construction but before the simulation starts.
+  // First matching phase begins at local time 0 (+ jitter).
   network().sim().schedule_at(TimePoint(jitter_), [this]() { epoch_tick(0); });
 }
 
 // ===== clock ================================================================
 
+Time DcpimHost::stage_length() const {
+  return cfg_.stage_length(network().max_control_rtt());
+}
+
+Time DcpimHost::epoch_length() const {
+  return cfg_.epoch_length(network().max_control_rtt());
+}
+
 Time DcpimHost::period() const {
-  return cfg_.pipeline_phases ? cfg_.epoch_length() : 2 * cfg_.epoch_length();
+  return cfg_.pipeline_phases ? epoch_length() : 2 * epoch_length();
 }
 
 TimePoint DcpimHost::matching_start(std::uint64_t m) const {
@@ -43,17 +49,17 @@ TimePoint DcpimHost::matching_start(std::uint64_t m) const {
 }
 
 TimePoint DcpimHost::data_phase_start(std::uint64_t m) const {
-  return matching_start(m) + cfg_.epoch_length();
+  return matching_start(m) + epoch_length();
 }
 
 Bytes DcpimHost::channel_bytes_per_phase() const {
-  return bytes_in(cfg_.epoch_length(), nic()->config().rate) / cfg_.channels;
+  return bytes_in(epoch_length(), nic()->config().rate) / cfg_.channels;
 }
 
 std::size_t DcpimHost::total_window_packets() const {
   const Bytes mtu = network().config().mtu_payload;
   return static_cast<std::size_t>(
-      std::max<std::int64_t>(1, cfg_.effective_token_window() / mtu));
+      std::max<std::int64_t>(1, network().bdp() / mtu));
 }
 
 void DcpimHost::forget_outstanding(RxFlow& rx) {
@@ -64,8 +70,7 @@ void DcpimHost::forget_outstanding(RxFlow& rx) {
 }
 
 std::uint32_t DcpimHost::window_packets(int channels) const {
-  const Bytes window =
-      cfg_.effective_token_window() * channels / cfg_.channels;
+  const Bytes window = network().bdp() * channels / cfg_.channels;
   const Bytes mtu = network().config().mtu_payload;
   return static_cast<std::uint32_t>(std::max<std::int64_t>(1, window / mtu));
 }
@@ -84,7 +89,7 @@ void DcpimHost::epoch_tick(std::uint64_t m) {
 
   // Request stages for rounds 1..r at offsets 0, 2S, 4S, ... (§3.3: accept
   // of round i shares the stage slot with request of round i+1).
-  const Time S = cfg_.stage_length();
+  const Time S = stage_length();
   run_request_stage(m, 1);
   for (int round = 2; round <= cfg_.rounds; ++round) {
     network().sim().schedule_at(
@@ -106,7 +111,7 @@ void DcpimHost::on_flow_arrival(net::Flow& flow) {
   tx.flow = &flow;
   tx.packets = seq_count(flow, network().config().mtu_payload);
   tx.sent.assign(tx.packets, false);
-  tx.is_short = flow.size <= cfg_.effective_short_threshold();
+  tx.is_short = flow.size <= network().bdp();
   auto [it, inserted] = tx_flows_.emplace(flow.id, std::move(tx));
   DCPIM_CHECK(inserted, "duplicate flow arrival at sender");
   TxFlow& ref = it->second;
@@ -141,16 +146,16 @@ void DcpimHost::send_notification(TxFlow& tx, bool retransmit) {
 }
 
 void DcpimHost::schedule_notify_timer(std::uint64_t flow_id) {
-  network().sim().schedule_after(cfg_.effective_control_retx(), [this,
-                                                                 flow_id]() {
-    auto it = tx_flows_.find(flow_id);
-    if (it == tx_flows_.end()) return;
-    TxFlow& tx = it->second;
-    if (tx.notify_acked || tx.notify_retx >= cfg_.max_control_retx) return;
-    ++tx.notify_retx;
-    send_notification(tx, /*retransmit=*/true);
-    schedule_notify_timer(flow_id);
-  });
+  network().sim().schedule_after(
+      network().max_control_rtt(), [this, flow_id]() {
+        auto it = tx_flows_.find(flow_id);
+        if (it == tx_flows_.end()) return;
+        TxFlow& tx = it->second;
+        if (tx.notify_acked || tx.notify_retx >= cfg_.max_control_retx) return;
+        ++tx.notify_retx;
+        send_notification(tx, /*retransmit=*/true);
+        schedule_notify_timer(flow_id);
+      });
 }
 
 void DcpimHost::maybe_send_finish(TxFlow& tx) {
@@ -165,7 +170,7 @@ void DcpimHost::maybe_send_finish(TxFlow& tx) {
 
 void DcpimHost::schedule_finish_timer(std::uint64_t flow_id) {
   network().sim().schedule_after(
-      cfg_.effective_control_retx(), [this, flow_id]() {
+      network().max_control_rtt(), [this, flow_id]() {
         auto it = tx_flows_.find(flow_id);
         if (it == tx_flows_.end()) return;
         TxFlow& tx = it->second;
@@ -192,7 +197,7 @@ void DcpimHost::handle_request(const RequestPacket& req) {
   if (!has_flow) return;
 
   SenderEpochState& st = sender_epoch(req.epoch);
-  const Time S = cfg_.stage_length();
+  const Time S = stage_length();
   // Stragglers (delayed control packets or skewed host clocks, §3.3/§3.5)
   // roll forward to the next round whose grant stage has not passed yet;
   // past the last round they are dropped and the receiver retries next
@@ -233,7 +238,7 @@ void DcpimHost::run_grant_stage(std::uint64_t m, int round) {
     // sender herd onto the same receiver and the grants collide. So: sort
     // by remaining size clamped at one phase of line-rate bytes, shuffling
     // first so ties (including all bulk flows) break randomly.
-    const Bytes cap = bytes_in(cfg_.epoch_length(), nic()->config().rate);
+    const Bytes cap = bytes_in(epoch_length(), nic()->config().rate);
     for (std::size_t i = reqs.size(); i > 1; --i) {
       std::swap(reqs[i - 1], reqs[network().rng().uniform_int(i)]);
     }
@@ -274,9 +279,8 @@ void DcpimHost::handle_accept(const AcceptPacket& acc) {
 bool DcpimHost::token_expired(const TokenPacket& tok) const {
   // Stale-token discard (§3.2): tokens die at the end of their data phase
   // plus a cRTT/2 grace period.
-  const TimePoint phase_end =
-      data_phase_start(tok.phase) + cfg_.epoch_length();
-  return network().sim().now() > phase_end + cfg_.control_rtt / 2;
+  const TimePoint phase_end = data_phase_start(tok.phase) + epoch_length();
+  return network().sim().now() > phase_end + network().max_control_rtt() / 2;
 }
 
 void DcpimHost::handle_token(const TokenPacket& tok) {
@@ -345,16 +349,17 @@ void DcpimHost::handle_notification(const NotificationPacket& note) {
   RxFlow rx;
   rx.flow = flow;
   rx.packets = seq_count(*flow, network().config().mtu_payload);
-  rx.needs_matching = flow->size > cfg_.effective_short_threshold();
+  rx.needs_matching = flow->size > network().bdp();
   rx_flows_.emplace(note.flow_id, std::move(rx));
 
-  if (flow->size > cfg_.effective_short_threshold()) {
+  if (flow->size > network().bdp()) {
     rx_by_sender_[note.src].push_back(note.flow_id);
   } else {
     // Short flow: data is already en route unscheduled. If it does not
     // complete in time (drops under extreme incast), rescue it through the
     // matching phase (§3.2).
-    const Time expected = nic()->tx_time(flow->size) + cfg_.control_rtt * 4;
+    const Time expected =
+        nic()->tx_time(flow->size) + network().max_control_rtt() * 4;
     const std::uint64_t id = note.flow_id;
     network().sim().schedule_after(expected,
                                    [this, id]() { check_short_flow(id); });
@@ -434,7 +439,7 @@ void DcpimHost::handle_data(net::PacketPtr p) {
     RxFlow rx;
     rx.flow = flow;
     rx.packets = seq_count(*flow, network().config().mtu_payload);
-    rx.needs_matching = flow->size > cfg_.effective_short_threshold();
+    rx.needs_matching = flow->size > network().bdp();
     it = rx_flows_.emplace(id, std::move(rx)).first;
     if (it->second.needs_matching) {
       rx_by_sender_[flow->src].push_back(id);
@@ -450,7 +455,7 @@ void DcpimHost::handle_data(net::PacketPtr p) {
       // the clean-run event stream untouched.
       it->second.rescue_deadline = network().sim().now() +
                                    nic()->tx_time(flow->size) +
-                                   cfg_.control_rtt * 4;
+                                   network().max_control_rtt() * 4;
       rescue_watch_.push_back(id);
     }
   }
@@ -473,7 +478,7 @@ void DcpimHost::handle_data(net::PacketPtr p) {
   for (ActiveMatch& match : active_matches_) {
     if (match.sender != sender || match.skipped_ticks == 0) continue;
     const TimePoint phase_end =
-        data_phase_start(active_phase_) + cfg_.epoch_length();
+        data_phase_start(active_phase_) + epoch_length();
     if (network().sim().now() < phase_end && issue_token(match)) {
       --match.skipped_ticks;
     }
@@ -540,7 +545,7 @@ void DcpimHost::run_request_stage(std::uint64_t m, int round) {
 
 void DcpimHost::handle_grant(const GrantPacket& grant) {
   ReceiverEpochState& st = receiver_epoch(grant.epoch);
-  const Time S = cfg_.stage_length();
+  const Time S = stage_length();
   // Same straggler roll-forward as for requests: a late grant competes in
   // the next accept stage of the epoch instead of being lost.
   int round = grant.round;
@@ -574,7 +579,7 @@ void DcpimHost::run_accept_stage(std::uint64_t m, int round) {
       round == 1 && cfg_.fct_optimizing_first_round && cfg_.flow_size_aware;
   if (fct_round) {
     // Clamped SRPT order with random tie-break, as in run_grant_stage.
-    const Bytes cap = bytes_in(cfg_.epoch_length(), nic()->config().rate);
+    const Bytes cap = bytes_in(epoch_length(), nic()->config().rate);
     for (std::size_t i = grants.size(); i > 1; --i) {
       std::swap(grants[i - 1], grants[network().rng().uniform_int(i)]);
     }
@@ -627,7 +632,7 @@ void DcpimHost::start_data_phase(std::uint64_t m) {
   active_phase_ = m;
   if (it == recv_epochs_.end() || it->second.matches.empty()) return;
 
-  const Time token_timeout = cfg_.epoch_length() + cfg_.control_rtt;
+  const Time token_timeout = epoch_length() + network().max_control_rtt();
   const TimePoint now = network().sim().now();
   // active_matches_ indexes token_tick round-robin order: sender-id order.
   for (const auto& [sender, channels] : it->second.matches) {
@@ -658,7 +663,7 @@ void DcpimHost::start_data_phase(std::uint64_t m) {
 
 void DcpimHost::token_tick(std::uint64_t phase, std::size_t match_idx) {
   if (phase != active_phase_ || match_idx >= active_matches_.size()) return;
-  const TimePoint phase_end = data_phase_start(phase) + cfg_.epoch_length();
+  const TimePoint phase_end = data_phase_start(phase) + epoch_length();
   if (network().sim().now() >= phase_end) return;
 
   ActiveMatch& match = active_matches_[match_idx];
@@ -742,7 +747,7 @@ bool DcpimHost::issue_token(ActiveMatch& match) {
 std::uint8_t DcpimHost::data_priority_for(Bytes remaining) const {
   if (cfg_.long_flow_priorities <= 1) return kLongFlowBasePriority;
   // Map remaining size to levels 2..(2+levels-1) on a geometric BDP scale.
-  Bytes threshold = cfg_.bdp_bytes * 2;
+  Bytes threshold = network().bdp() * 2;
   int level = 0;
   while (level < cfg_.long_flow_priorities - 1 && remaining > threshold) {
     threshold *= 4;

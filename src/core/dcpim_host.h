@@ -97,6 +97,8 @@ class DcpimHost : public net::Host {
 
  private:
   // === clock =================================================================
+  Time stage_length() const;  ///< S = beta * cRTT / 2 (§3.3)
+  Time epoch_length() const;  ///< E = (2r + 1) S
   Time period() const;  ///< epoch period P (E pipelined, 2E sequential)
   TimePoint matching_start(std::uint64_t m) const;
   TimePoint data_phase_start(std::uint64_t m) const;
@@ -203,9 +205,7 @@ class DcpimHost : public net::Host {
   void gc_epochs(std::uint64_t current);
 
   // === members ================================================================
-  /// Shared protocol config. Held by reference: the topology-dependent
-  /// fields (control_rtt, bdp_bytes) are filled in by the owner after the
-  /// topology is built but before the simulation starts.
+  /// Shared protocol config; the owner keeps it alive for the run.
   const DcpimConfig& cfg_;
   Time jitter_{};
   Counters counters_;
@@ -239,10 +239,8 @@ class DcpimHost : public net::Host {
   void forget_outstanding(RxFlow& rx);
 };
 
-/// Topology-aware factory helper: fills control_rtt / bdp into `cfg` and
-/// returns a HostFactory for Topology builders. The config must outlive the
-/// returned factory. (Two-phase because the topology metrics are only known
-/// after build; see make_dcpim_network in harness for the ergonomic path.)
+/// HostFactory for Topology builders. The config must outlive the returned
+/// factory and the hosts it builds.
 net::Topology::HostFactory dcpim_host_factory(const DcpimConfig& cfg);
 
 }  // namespace dcpim::core

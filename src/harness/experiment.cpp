@@ -92,6 +92,7 @@ net::Topology::HostFactory make_factory(Runtime& rt) {
       return proto::phost_host_factory(rt.exp.phost);
     case Protocol::Homa:
     case Protocol::HomaAeolus:
+      rt.exp.homa.aeolus = rt.exp.protocol == Protocol::HomaAeolus;
       return proto::homa_host_factory(rt.exp.homa);
     case Protocol::Ndp:
       return proto::ndp_host_factory(rt.exp.ndp);
@@ -102,8 +103,7 @@ net::Topology::HostFactory make_factory(Runtime& rt) {
     case Protocol::Tcp:
       return proto::tcp_host_factory(rt.exp.tcp);
     case Protocol::Fastpass:
-      rt.fastpass_arbiter = std::make_unique<proto::FastpassArbiter>(
-          *rt.net, rt.exp.fastpass);
+      rt.fastpass_arbiter = std::make_unique<proto::FastpassArbiter>(*rt.net);
       return proto::fastpass_host_factory(rt.exp.fastpass,
                                           *rt.fastpass_arbiter);
   }
@@ -130,13 +130,11 @@ net::PortCustomize make_port_customize(Runtime& rt, Bytes mtu_wire) {
         pc.loss_rate = loss;
         proto::hpcc_port_customize(pc);
       };
-    case Protocol::Dctcp: {
-      const Bytes threshold = rt.exp.dctcp.ecn_threshold_bytes;
-      return [loss, threshold](net::PortConfig& pc) {
+    case Protocol::Dctcp:
+      return [loss](net::PortConfig& pc) {
         pc.loss_rate = loss;
-        proto::dctcp_port_customize(pc, threshold);
+        proto::dctcp_port_customize(pc, Bytes{});
       };
-    }
     default:
       return [loss](net::PortConfig& pc) { pc.loss_rate = loss; };
   }
@@ -184,34 +182,6 @@ void build_topology(Runtime& rt, const net::Topology::HostFactory& factory,
   }
 }
 
-void fill_protocol_params(Runtime& rt) {
-  const net::Topology& topo = *rt.topo;
-  auto& exp = rt.exp;
-  exp.dcpim.control_rtt = topo.max_control_rtt();
-  exp.dcpim.bdp_bytes = topo.bdp_bytes();
-
-  exp.phost.bdp_bytes = topo.bdp_bytes();
-  exp.phost.control_rtt = topo.max_control_rtt();
-
-  exp.homa.bdp_bytes = topo.bdp_bytes();
-  exp.homa.control_rtt = topo.max_control_rtt();
-  exp.homa.aeolus = exp.protocol == Protocol::HomaAeolus;
-
-  exp.ndp.bdp_bytes = topo.bdp_bytes();
-  exp.ndp.control_rtt = topo.max_control_rtt();
-
-  for (proto::WindowConfig* w :
-       {&exp.hpcc.window, &exp.dctcp.window, &exp.tcp.window}) {
-    w->bdp_bytes = topo.bdp_bytes();
-    w->base_rtt = topo.max_data_rtt();
-  }
-  exp.hpcc.window.collect_int = true;
-
-  // Same post-topology fill the Fastpass test fixture uses: the arbiter and
-  // hosts hold the config by reference, so this lands before any event runs.
-  exp.fastpass.control_rtt = topo.max_control_rtt();
-}
-
 void drive_pattern(Runtime& rt, std::vector<std::unique_ptr<workload::PoissonGenerator>>& gens) {
   auto& exp = rt.exp;
   net::Network& net = *rt.net;
@@ -219,8 +189,8 @@ void drive_pattern(Runtime& rt, std::vector<std::unique_ptr<workload::PoissonGen
 
   const workload::EmpiricalCdf* cdf = nullptr;
   if (exp.fixed_size != Bytes{}) {
-    const Bytes size = exp.fixed_size > Bytes{} ? exp.fixed_size
-                                                : topo.bdp_bytes() + Bytes{1};  // Fig 4b
+    const Bytes size =  // negative: BDP + 1 byte, the Fig 4b worst case
+        exp.fixed_size > Bytes{} ? exp.fixed_size : net.bdp() + Bytes{1};
     rt.fixed_cdf =
         std::make_unique<workload::EmpiricalCdf>(workload::fixed_size_cdf(size));
     cdf = rt.fixed_cdf.get();
@@ -300,7 +270,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   auto factory = make_factory(rt);
   auto customize = make_port_customize(rt, ncfg.mtu_wire());
   build_topology(rt, factory, customize);
-  fill_protocol_params(rt);
 
   stats::FlowStats fstats(*rt.net, *rt.topo);
   fstats.set_window(cfg.measure_start, cfg.measure_end);
@@ -335,9 +304,9 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   res.sim_end = rt.net->sim().now();
   res.pool_acquired = rt.net->packet_pool().acquired();
   res.pool_recycled = rt.net->packet_pool().recycled();
-  res.bdp = rt.topo->bdp_bytes();
-  res.data_rtt = rt.topo->max_data_rtt();
-  res.control_rtt = rt.topo->max_control_rtt();
+  res.bdp = rt.net->bdp();
+  res.data_rtt = rt.net->max_data_rtt();
+  res.control_rtt = rt.net->max_control_rtt();
   res.overall = fstats.summary();
   res.short_flows = fstats.short_flows(res.bdp);
   res.buckets = fstats.by_buckets(default_bucket_edges(res.bdp));

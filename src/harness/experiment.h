@@ -81,7 +81,6 @@ struct ExperimentConfig {
   Bytes incast_size = kKB * 128;
   Time incast_interval = us(100);
   int incast_bursts = 6;
-  double shuffle_load = 0.9;  ///< rack-to-rack all-to-all component
 
   // --- dense-TM parameters (Fig 4c) ---------------------------------------------
   Bytes dense_flow_size = kMB;
@@ -115,7 +114,7 @@ struct ExperimentConfig {
   /// result_fingerprint() equality on/off for every protocol.
   bool packet_pool = true;
 
-  // --- per-protocol parameters (topology-derived fields filled at run) ---------
+  // --- per-protocol parameters ---------------------------------------------
   core::DcpimConfig dcpim;
   proto::PhostConfig phost;
   proto::HomaConfig homa;

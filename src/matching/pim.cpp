@@ -333,105 +333,6 @@ ChannelMatchResult run_channel_pim(
   return result;
 }
 
-namespace {
-
-/// Samples index i with probability weight[i] / sum(weight).
-std::size_t weighted_pick(const std::vector<int>& weights, Rng& rng) {
-  long long total = 0;
-  for (int w : weights) total += w;
-  if (total <= 0) return rng.uniform_int(weights.size());
-  long long target =
-      static_cast<long long>(rng.uniform_int(static_cast<std::uint64_t>(total)));
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    target -= weights[i];
-    if (target < 0) return i;
-  }
-  return weights.size() - 1;
-}
-
-}  // namespace
-
-ChannelMatchResult run_weighted_channel_pim(
-    const BipartiteGraph& g, const std::vector<std::vector<int>>& demand,
-    int k, int rounds, Rng& rng) {
-  const int n = g.n();
-  ChannelMatchResult result;
-  result.sender_channels.assign(static_cast<std::size_t>(n), 0);
-  result.receiver_channels.assign(static_cast<std::size_t>(n), 0);
-  std::vector<std::vector<int>> remaining = demand;
-  std::vector<std::vector<std::pair<int, int>>> accepted(
-      static_cast<std::size_t>(n));
-
-  struct Offer {
-    int peer;
-    int channels;
-    int weight;  ///< outstanding demand backing this offer
-  };
-  std::vector<std::vector<Offer>> requests(static_cast<std::size_t>(n));
-  std::vector<std::vector<Offer>> grants(static_cast<std::size_t>(n));
-
-  for (int round = 0; round < rounds; ++round) {
-    for (auto& v : requests) v.clear();
-    for (int r = 0; r < n; ++r) {
-      const int spare = k - result.receiver_channels[static_cast<std::size_t>(r)];
-      if (spare <= 0) continue;
-      for (int s : g.senders_of(r)) {
-        const int rem =
-            remaining[static_cast<std::size_t>(s)][static_cast<std::size_t>(r)];
-        const int want = std::min(spare, rem);
-        if (want > 0) {
-          requests[static_cast<std::size_t>(s)].push_back(Offer{r, want, rem});
-        }
-      }
-    }
-    for (auto& v : grants) v.clear();
-    for (int s = 0; s < n; ++s) {
-      auto& reqs = requests[static_cast<std::size_t>(s)];
-      int spare = k - result.sender_channels[static_cast<std::size_t>(s)];
-      while (spare > 0 && !reqs.empty()) {
-        std::vector<int> weights;
-        weights.reserve(reqs.size());
-        for (const Offer& o : reqs) weights.push_back(o.weight);
-        const std::size_t pick = weighted_pick(weights, rng);
-        const Offer req = reqs[pick];
-        reqs[pick] = reqs.back();
-        reqs.pop_back();
-        const int give = std::min(spare, req.channels);
-        grants[static_cast<std::size_t>(req.peer)].push_back(
-            Offer{s, give, req.weight});
-        spare -= give;
-      }
-    }
-    for (int r = 0; r < n; ++r) {
-      auto& grs = grants[static_cast<std::size_t>(r)];
-      while (!grs.empty()) {
-        int& rcap = result.receiver_channels[static_cast<std::size_t>(r)];
-        if (rcap >= k) break;
-        std::vector<int> weights;
-        weights.reserve(grs.size());
-        for (const Offer& o : grs) weights.push_back(o.weight);
-        const std::size_t pick = weighted_pick(weights, rng);
-        const Offer gr = grs[pick];
-        grs[pick] = grs.back();
-        grs.pop_back();
-        const int take = std::min(k - rcap, gr.channels);
-        rcap += take;
-        result.sender_channels[static_cast<std::size_t>(gr.peer)] += take;
-        accepted[static_cast<std::size_t>(gr.peer)].push_back({r, take});
-        auto& rem = remaining[static_cast<std::size_t>(gr.peer)]
-                             [static_cast<std::size_t>(r)];
-        rem = std::max(0, rem - take);
-      }
-    }
-  }
-  for (int s = 0; s < n; ++s) {
-    for (const auto& [r, c] : accepted[static_cast<std::size_t>(s)]) {
-      result.matches.push_back(ChannelMatchResult::Edge{s, r, c});
-    }
-  }
-  return result;
-}
-
 double theorem1_bound(int n, double avg_degree, double m_star, int rounds) {
   const double alpha = static_cast<double>(n) / m_star;
   const double factor =

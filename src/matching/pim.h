@@ -103,17 +103,6 @@ ChannelMatchResult run_channel_pim(const BipartiteGraph& g,
                                    const std::vector<std::vector<int>>& demand,
                                    int k, int rounds, Rng& rng);
 
-/// Weighted multi-channel matching — the non-uniform allocation direction
-/// the paper defers to [1] ("the problem of designing a near-optimal
-/// matching algorithm that performs non-uniform bandwidth allocation across
-/// channels is explored in [1]"). Identical to run_channel_pim except that
-/// grant and accept stages sample requests/grants with probability
-/// proportional to the outstanding demand behind them, so heavier pairs
-/// collect more channels in expectation.
-ChannelMatchResult run_weighted_channel_pim(
-    const BipartiteGraph& g, const std::vector<std::vector<int>>& demand,
-    int k, int rounds, Rng& rng);
-
 /// iSLIP (McKeown '99): deterministic round-robin pointers instead of
 /// random choices. Converges in one iteration on uniform traffic once the
 /// pointers desynchronize, but — as §5 of the dcPIM paper notes — its

@@ -17,6 +17,7 @@
 #include "net/flow.h"
 #include "net/packet_pool.h"
 #include "sim/simulator.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace dcpim::net {
@@ -35,6 +36,18 @@ class Network {
   const NetConfig& config() const { return cfg_; }
   PacketPool& packet_pool() { return pool_; }
   const PacketPool& packet_pool() const { return pool_; }
+
+  // --- fabric constants (written once by Topology::finalize) ---------------
+  /// Bandwidth-delay product at the access link for the longest pair: the
+  /// paper's short-flow threshold and token-window unit.
+  Bytes bdp() const { return require_fabric().bdp; }
+  /// Longest unloaded RTT of a full data packet out, a control packet back.
+  Time max_data_rtt() const { return require_fabric().max_data_rtt; }
+  /// Longest unloaded control-packet RTT (dcPIM's cRTT, §3.3).
+  Time max_control_rtt() const { return require_fabric().max_control_rtt; }
+  void set_fabric(Bytes bdp, Time max_data_rtt, Time max_control_rtt) {
+    fabric_ = {bdp, max_data_rtt, max_control_rtt};
+  }
 
   /// Constructs and registers a device. T must derive from Device and take
   /// (Network&, args...) as constructor arguments.
@@ -139,6 +152,16 @@ class Network {
   }
 
  private:
+  struct Fabric {
+    Bytes bdp{};
+    Time max_data_rtt{};
+    Time max_control_rtt{};
+  };
+  const Fabric& require_fabric() const {
+    DCPIM_CHECK(fabric_.bdp > Bytes{},
+                "fabric constants read before a topology set them");
+    return fabric_;
+  }
   void register_device(std::unique_ptr<Device> dev);
 
   std::vector<FlowObserver> flow_observers_;
@@ -159,6 +182,7 @@ class Network {
   std::vector<std::unique_ptr<Device>> devices_;
   std::vector<Host*> hosts_;
   std::vector<std::unique_ptr<Flow>> flows_;  ///< flows_[id - 1] has id `id`
+  Fabric fabric_;
 };
 
 }  // namespace dcpim::net

@@ -120,6 +120,8 @@ void Topology::finalize(Network& net) {
 
   // Network-wide extremes (dcPIM sizes its stages on the longest cRTT).
   host_rate_ = net.host(0)->nic()->config().rate;
+  Time max_data_rtt{};
+  Time max_control_rtt{};
   for (const auto& [hops, prof] : class_profiles_) {
     Time data_one_way = prof.fixed_latency;
     Time ctrl_one_way = prof.fixed_latency;
@@ -127,14 +129,15 @@ void Topology::finalize(Network& net) {
       data_one_way += serialization_time(cfg.mtu_wire(), rate);
       ctrl_one_way += serialization_time(cfg.control_packet_bytes, rate);
     }
-    max_data_rtt_ = std::max(max_data_rtt_, data_one_way + ctrl_one_way);
-    max_control_rtt_ = std::max(max_control_rtt_, 2 * ctrl_one_way);
+    max_data_rtt = std::max(max_data_rtt, data_one_way + ctrl_one_way);
+    max_control_rtt = std::max(max_control_rtt, 2 * ctrl_one_way);
   }
-  bdp_bytes_ = bytes_in(max_data_rtt_, host_rate_);
+  const Bytes bdp = bytes_in(max_data_rtt, host_rate_);
+  net.set_fabric(bdp, max_data_rtt, max_control_rtt);
   LOG_INFO("topology: %d hosts, data RTT %.2f us, cRTT %.2f us, BDP %lld B",
-           num_hosts_, to_us(max_data_rtt_), to_us(max_control_rtt_),
+           num_hosts_, to_us(max_data_rtt), to_us(max_control_rtt),
            // sa-ok(unit-raw): printf interop
-           static_cast<long long>(bdp_bytes_.raw()));
+           static_cast<long long>(bdp.raw()));
 }
 
 const Topology::PathProfile& Topology::profile(int src, int dst) const {

@@ -6,7 +6,8 @@
 //    oversubscription or asymmetry is handled uniformly), and
 //  * analytic per-pair path profiles used for unloaded ("oracle") flow
 //    completion times — the denominator of the paper's slowdown metric —
-//    and for the control-RTT that sizes dcPIM's matching stages.
+//    and for the fabric-wide BDP and RTTs that finalize() stores on the
+//    Network (Network::bdp/max_data_rtt/max_control_rtt).
 #pragma once
 
 #include <functional>
@@ -64,22 +65,6 @@ class Topology {
   Time one_way_data(int src, int dst) const;
   Time one_way_control(int src, int dst) const;
 
-  /// Unloaded RTT: full data packet out, control-sized ack back.
-  Time data_rtt(int src, int dst) const {
-    return one_way_data(src, dst) + one_way_control(dst, src);
-  }
-  /// Unloaded control-packet RTT.
-  Time control_rtt(int src, int dst) const {
-    return one_way_control(src, dst) + one_way_control(dst, src);
-  }
-
-  Time max_data_rtt() const { return max_data_rtt_; }
-  Time max_control_rtt() const { return max_control_rtt_; }
-
-  /// Bandwidth-delay product at the access link for the longest pair —
-  /// the paper's short-flow threshold and token window unit.
-  Bytes bdp_bytes() const { return bdp_bytes_; }
-
   /// Optimal FCT for a flow alone in the network (slowdown denominator):
   /// pipelined store-and-forward of the first packet plus the remaining
   /// bytes at the path bottleneck.
@@ -92,16 +77,14 @@ class Topology {
     BitsPerSec bottleneck{};
   };
 
-  /// Computes routing tables and per-hop-count path profiles.
+  /// Computes routing tables and per-hop-count path profiles, and stores
+  /// the fabric constants on the Network.
   void finalize(Network& net);
   const PathProfile& profile(int src, int dst) const;
 
   Network* net_ = nullptr;
   int num_hosts_ = 0;
   BitsPerSec host_rate_{};
-  Time max_data_rtt_{};
-  Time max_control_rtt_{};
-  Bytes bdp_bytes_{};
   std::vector<std::uint8_t> pair_class_;  ///< hop count per (src,dst)
   std::map<int, PathProfile> class_profiles_;
 };

@@ -13,7 +13,7 @@ void DctcpHost::on_ack_event(WFlow& f, const AckPacket& ack) {
   if (ack.ecn_echo) ++f.window_marks;
 
   const TimePoint now = network().sim().now();
-  const Time rtt = f.srtt > Time{} ? f.srtt : window_config().base_rtt;
+  const Time rtt = f.srtt > Time{} ? f.srtt : network().max_data_rtt();
   if (now - f.window_start >= rtt && f.window_acks > 0) {
     const double frac = static_cast<double>(f.window_marks) /
                         static_cast<double>(f.window_acks);

@@ -12,8 +12,6 @@ namespace dcpim::proto {
 struct DctcpConfig {
   WindowConfig window;
   double g = 1.0 / 16.0;  ///< EWMA gain for alpha
-  /// Switch ECN marking threshold; applied by dctcp_port_customize.
-  Bytes ecn_threshold_bytes{};  ///< zero = ~1/4 of the port buffer
 };
 
 class DctcpHost : public WindowHost {
@@ -31,6 +29,7 @@ class DctcpHost : public WindowHost {
 };
 
 net::Topology::HostFactory dctcp_host_factory(const DctcpConfig& cfg);
+/// Switch ECN marking threshold; zero = 1/4 of the port buffer.
 void dctcp_port_customize(net::PortConfig& cfg, Bytes threshold);
 
 }  // namespace dcpim::proto

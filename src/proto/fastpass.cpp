@@ -20,8 +20,7 @@ enum FastpassKind : int {
 
 // ===== arbiter ===============================================================
 
-FastpassArbiter::FastpassArbiter(net::Network& net, const FastpassConfig& cfg)
-    : net_(net), cfg_(cfg) {}
+FastpassArbiter::FastpassArbiter(net::Network& net) : net_(net) {}
 
 void FastpassArbiter::register_host(int host_id, FastpassHost* host) {
   hosts_[host_id] = host;
@@ -78,15 +77,12 @@ void FastpassArbiter::tick() {
     ++slots_allocated_;
     // Allocation reaches the sender half a control RTT later.
     FastpassHost* host = hosts_.at(key.first);
-    net_.sim().schedule_after(cfg_.control_rtt / 2,
+    net_.sim().schedule_after(net_.max_control_rtt() / 2,
                               [host, id]() { host->on_allocation(id); });
   }
 
-  const Time slot =
-      cfg_.timeslot > Time{}
-          ? cfg_.timeslot
-          : serialization_time(net_.config().mtu_wire(),
-                               net_.host(0)->nic()->config().rate);
+  const Time slot = serialization_time(net_.config().mtu_wire(),
+                                       net_.host(0)->nic()->config().rate);
   net_.sim().schedule_after(slot, [this]() { tick(); });
 }
 
@@ -112,10 +108,10 @@ void FastpassHost::on_flow_arrival(net::Flow& flow) {
   const int dst = flow.dst;
   const std::uint64_t id = flow.id;
   const std::uint32_t packets = tx.packets;
-  network().sim().schedule_after(cfg_.control_rtt / 2, [this, src, dst, id,
-                                                        packets]() {
-    arbiter_.add_demand(src, dst, id, packets);
-  });
+  network().sim().schedule_after(
+      network().max_control_rtt() / 2, [this, src, dst, id, packets]() {
+        arbiter_.add_demand(src, dst, id, packets);
+      });
   ++counters_.requests_sent;
   arm_loss_timer(flow.id);
 }
@@ -141,7 +137,7 @@ void FastpassHost::on_allocation(std::uint64_t flow_id) {
 
 void FastpassHost::arm_loss_timer(std::uint64_t flow_id) {
   network().sim().schedule_after(
-      cfg_.effective_loss_timeout(), [this, flow_id]() {
+      network().max_control_rtt() * 10, [this, flow_id]() {
         auto it = tx_flows_.find(flow_id);
         if (it == tx_flows_.end()) return;
         TxFlow& tx = it->second;

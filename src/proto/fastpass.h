@@ -22,16 +22,11 @@
 
 namespace dcpim::proto {
 
+/// Host <-> arbiter round trip is the fabric cRTT
+/// (Network::max_control_rtt()), a timeslot is one MTU transmission time at
+/// the host rate, and the sender-side loss timeout is 10 cRTTs.
 struct FastpassConfig {
-  Time control_rtt{};  ///< host <-> arbiter round trip (topology cRTT)
-  Time timeslot{};     ///< zero = one MTU transmission time at the host rate
   std::uint8_t data_priority = 2;
-  /// Receiver-side loss timeout; zero = 10 control RTTs.
-  Time loss_timeout{};
-
-  Time effective_loss_timeout() const {
-    return loss_timeout > Time{} ? loss_timeout : control_rtt * 10;
-  }
 };
 
 class FastpassHost;
@@ -40,7 +35,7 @@ class FastpassHost;
 /// half-cRTT-delayed calls.
 class FastpassArbiter {
  public:
-  FastpassArbiter(net::Network& net, const FastpassConfig& cfg);
+  explicit FastpassArbiter(net::Network& net);
 
   /// Sender requests `packets` worth of timeslots for flow (src -> dst).
   void add_demand(int src, int dst, std::uint64_t flow_id,
@@ -60,7 +55,6 @@ class FastpassArbiter {
   };
 
   net::Network& net_;
-  const FastpassConfig& cfg_;
   std::map<int, FastpassHost*> hosts_;
   /// demand[(src,dst)] — per-pair FIFO of flow allocations to hand out.
   std::map<std::pair<int, int>, PairDemand> demand_;

@@ -36,7 +36,7 @@ std::uint8_t HomaHost::unsched_priority_for(Bytes size) const {
   }
   // Geometric defaults on the BDP scale (Homa computes these from the
   // workload CDF; the geometric ladder preserves smaller==higher-priority).
-  const Bytes bdp = cfg_.bdp_bytes;
+  const Bytes bdp = network().bdp();
   if (size <= bdp / 8) return 1;
   if (size <= bdp / 2) return 2;
   if (size <= bdp * 2) return 3;
@@ -45,7 +45,7 @@ std::uint8_t HomaHost::unsched_priority_for(Bytes size) const {
 
 std::uint32_t HomaHost::window_packets() const {
   return static_cast<std::uint32_t>(std::max<std::int64_t>(
-      1, cfg_.bdp_bytes / network().config().mtu_payload));
+      1, network().bdp() / network().config().mtu_payload));
 }
 
 // ===== sender side ===========================================================
@@ -76,12 +76,13 @@ void HomaHost::on_flow_arrival(net::Flow& flow) {
     // through the scheduled path.
     const std::uint64_t id = flow.id;
     const int dst = flow.dst;
-    network().sim().schedule_after(cfg_.control_rtt, [this, id, dst]() {
-      auto probe = make_control<net::Packet>(dst, kHomaProbe);
-      probe->flow_id = id;
-      send(std::move(probe));
-      ++counters_.probes_sent;
-    });
+    network().sim().schedule_after(
+        network().max_control_rtt(), [this, id, dst]() {
+          auto probe = make_control<net::Packet>(dst, kHomaProbe);
+          probe->flow_id = id;
+          send(std::move(probe));
+          ++counters_.probes_sent;
+        });
   }
 
   // If the notify AND the whole unscheduled burst die (a blackholed spine,
@@ -89,7 +90,7 @@ void HomaHost::on_flow_arrival(net::Flow& flow) {
   // nothing on its side can retry — re-announce until it engages. Same
   // first-contact insurance as pHost's arm_rts_retry.
   const std::uint64_t id = flow.id;
-  network().sim().schedule_after(cfg_.effective_resend(),
+  network().sim().schedule_after(resend_period(),
                                  [this, id]() { notify_check(id); });
 }
 
@@ -106,7 +107,7 @@ void HomaHost::notify_check(std::uint64_t flow_id) {
   note->flow_size = tx.flow->size;
   send(std::move(note));
   ++counters_.notify_retx;
-  network().sim().schedule_after(cfg_.effective_resend(),
+  network().sim().schedule_after(resend_period(),
                                  [this, flow_id]() { notify_check(flow_id); });
 }
 
@@ -167,7 +168,7 @@ HomaHost::RxFlow* HomaHost::ensure_rx_flow(std::uint64_t flow_id) {
   }
   // Plain Homa relies on this (slow) resend timer for all loss recovery;
   // Aeolus keeps it for scheduled losses.
-  network().sim().schedule_after(cfg_.effective_resend(), [this, flow_id]() {
+  network().sim().schedule_after(resend_period(), [this, flow_id]() {
     resend_check(flow_id);
   });
   return &it->second;
@@ -232,7 +233,7 @@ void HomaHost::resend_check(std::uint64_t flow_id) {
     ++counters_.resend_requests;
     const TimePoint now = network().sim().now();
     std::erase_if(rx.outstanding, [&](const auto& entry) {
-      if (now - entry.second <= cfg_.effective_resend()) return false;
+      if (now - entry.second <= resend_period()) return false;
       rx.readmit.insert(entry.first);
       return true;
     });
@@ -247,7 +248,7 @@ void HomaHost::resend_check(std::uint64_t flow_id) {
     }
   }
   rx.last_progress_bytes = received;
-  network().sim().schedule_after(cfg_.effective_resend(), [this, flow_id]() {
+  network().sim().schedule_after(resend_period(), [this, flow_id]() {
     resend_check(flow_id);
   });
 }

@@ -27,11 +27,9 @@
 
 namespace dcpim::proto {
 
+/// RTT-bytes, the unscheduled allowance and grant window, is 1 BDP
+/// (Network::bdp()); the plain-Homa resend timer is 20 cRTTs.
 struct HomaConfig {
-  // Topology-derived (filled after build, before the simulation starts).
-  Bytes bdp_bytes{};    ///< RTT-bytes: unscheduled allowance & grant window
-  Time control_rtt{};
-
   int overcommit = 2;  ///< scheduled flows granted concurrently per receiver
   /// Unscheduled priority cutoffs by flow size; level i is used when
   /// size <= cutoffs[i] (priorities 1..n, smaller flows higher priority).
@@ -40,13 +38,7 @@ struct HomaConfig {
   std::uint8_t scheduled_priority = 5;
 
   bool aeolus = false;  ///< probe-based first-RTT loss recovery
-  /// Plain-Homa resend timer (receiver-side); zero = 20 control RTTs.
-  Time resend_interval{};
   int max_resends = 100;
-
-  Time effective_resend() const {
-    return resend_interval > Time{} ? resend_interval : control_rtt * 20;
-  }
 };
 
 class HomaHost : public net::Host {
@@ -94,6 +86,7 @@ class HomaHost : public net::Host {
     int resends = 0;
   };
 
+  Time resend_period() const { return network().max_control_rtt() * 20; }
   std::uint8_t unsched_priority_for(Bytes size) const;
   std::uint32_t window_packets() const;
   /// Sender-side pacer: granted packets go out one per MTU-time, so a

@@ -6,7 +6,8 @@ namespace dcpim::proto {
 
 HpccHost::HpccHost(net::Network& net, int host_id, const net::PortConfig& nic,
                    const HpccConfig& cfg)
-    : WindowHost(net, host_id, nic, cfg.window), cfg_(cfg) {}
+    : WindowHost(net, host_id, nic, cfg.window, /*collect_int=*/true),
+      cfg_(cfg) {}
 
 void HpccHost::on_flow_init(WFlow& f) {
   f.wc_bytes = f.cwnd_bytes;
@@ -14,7 +15,7 @@ void HpccHost::on_flow_init(WFlow& f) {
 }
 
 double HpccHost::utilization_estimate(WFlow& f, const AckPacket& ack) const {
-  const double t_sec = to_sec(window_config().base_rtt) ;
+  const double t_sec = to_sec(network().max_data_rtt());
   double u = 0.0;
   const std::size_t hops = std::min(ack.int_echo.size(), f.last_int.size());
   for (std::size_t j = 0; j < hops; ++j) {
@@ -56,7 +57,7 @@ void HpccHost::on_ack_event(WFlow& f, const AckPacket& ack) {
 
   const double wai = static_cast<double>(
       // sa-ok(unit-raw): additive-increase feeds the double-valued window update
-      (cfg_.wai_bytes > Bytes{} ? cfg_.wai_bytes : mss() / 2).raw());
+      (mss() / 2).raw());
   double w;
   if (u >= cfg_.eta || f.inc_stage >= cfg_.max_stage) {
     w = f.wc_bytes / std::max(u / cfg_.eta, 1e-3) + wai;
@@ -64,7 +65,7 @@ void HpccHost::on_ack_event(WFlow& f, const AckPacket& ack) {
     w = f.wc_bytes + wai;
   }
   // sa-ok(unit-raw): the congestion window evolves multiplicatively, in doubles
-  const double cap = 2.0 * static_cast<double>(window_config().bdp_bytes.raw());
+  const double cap = 2.0 * static_cast<double>(network().bdp().raw());
   f.cwnd_bytes = std::clamp(w, static_cast<double>(mss().raw()), cap);
 
   // Reference-window update once per RTT (tracked via acked seq progress).

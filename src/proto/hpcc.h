@@ -15,11 +15,12 @@
 
 namespace dcpim::proto {
 
+/// HPCC data packets always collect INT; the additive increase is half an
+/// MTU payload and the window is capped at 2 BDP.
 struct HpccConfig {
-  WindowConfig window;  ///< set collect_int internally
+  WindowConfig window;
   double eta = 0.95;    ///< target utilization
   int max_stage = 5;    ///< additive-increase stages per RTT
-  Bytes wai_bytes{};  ///< additive increase; zero = mtu/2
 };
 
 class HpccHost : public WindowHost {

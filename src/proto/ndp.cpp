@@ -32,7 +32,7 @@ void NdpHost::on_flow_arrival(net::Flow& flow) {
   TxFlow& ref = it->second;
 
   const auto window = static_cast<std::uint32_t>(std::max<std::int64_t>(
-      1, cfg_.bdp_bytes / network().config().mtu_payload));
+      1, network().bdp() / network().config().mtu_payload));
   const std::uint32_t burst = std::min(ref.packets, window);
   for (std::uint32_t seq = 0; seq < burst; ++seq) {
     send(make_data_packet(flow,
@@ -87,12 +87,12 @@ void NdpHost::handle_ack(const net::Packet& p) {
 }
 
 void NdpHost::arm_rto(std::uint64_t flow_id) {
-  network().sim().schedule_after(cfg_.effective_rto(), [this, flow_id]() {
+  network().sim().schedule_after(fallback_timeout(), [this, flow_id]() {
     auto it = tx_flows_.find(flow_id);
     if (it == tx_flows_.end()) return;
     TxFlow& tx = it->second;
     if (tx.rto_count >= cfg_.max_rto_retx) return;
-    if (network().sim().now() - tx.last_progress >= cfg_.effective_rto()) {
+    if (network().sim().now() - tx.last_progress >= fallback_timeout()) {
       // Total stall: blindly resend the first unacked packet to restart the
       // arrival->pull feedback loop.
       ++tx.rto_count;

@@ -23,17 +23,11 @@
 
 namespace dcpim::proto {
 
+/// The initial blind window is 1 BDP (Network::bdp()); the sender
+/// fallback timer is 20 cRTTs.
 struct NdpConfig {
-  Bytes bdp_bytes{};   ///< initial blind window (topology-derived)
-  Time control_rtt{};  ///< topology-derived
   std::uint8_t data_priority = 2;
-  /// Sender fallback timer; zero = 20 control RTTs.
-  Time rto{};
   int max_rto_retx = 100;
-
-  Time effective_rto() const {
-    return rto > Time{} ? rto : control_rtt * 20;
-  }
 };
 
 class NdpHost : public net::Host {
@@ -76,6 +70,7 @@ class NdpHost : public net::Host {
     std::uint32_t packets = 0;
   };
 
+  Time fallback_timeout() const { return network().max_control_rtt() * 20; }
   void send_one(TxFlow& tx);  ///< release one packet (retx first)
   void handle_pull(const net::Packet& p);
   void handle_nack(const net::Packet& p);

@@ -39,9 +39,9 @@ void PhostHost::on_flow_arrival(net::Flow& flow) {
 
   // Free tokens: the first BDP is transmitted immediately, unscheduled.
   const auto free_pkts = static_cast<std::uint32_t>(std::max<std::int64_t>(
-      1, cfg_.bdp_bytes / network().config().mtu_payload));
+      1, network().bdp() / network().config().mtu_payload));
   const std::uint32_t burst = std::min(tx.packets, free_pkts);
-  const bool is_short = flow.size <= cfg_.bdp_bytes;
+  const bool is_short = flow.size <= network().bdp();
   for (std::uint32_t seq = 0; seq < burst; ++seq) {
     send(make_data_packet(
         flow, {.seq = seq,
@@ -59,7 +59,7 @@ void PhostHost::arm_rts_retry(std::uint64_t flow_id, int attempt) {
   // coarse timer until the flow finishes.
   if (attempt >= 50) return;
   network().sim().schedule_after(
-      cfg_.effective_token_timeout() * 4, [this, flow_id, attempt]() {
+      token_expiry() * 4, [this, flow_id, attempt]() {
         auto it = tx_flows_.find(flow_id);
         if (it == tx_flows_.end() || it->second.flow->finished()) return;
         auto rts = make_control<SizedNotifyPacket>(it->second.flow->dst,
@@ -119,7 +119,7 @@ PhostHost::RxFlow* PhostHost::ensure_rx(std::uint64_t flow_id) {
       flow->packet_count(network().config().mtu_payload).raw());
   rx.free_packets = std::min<std::uint32_t>(
       rx.packets, static_cast<std::uint32_t>(std::max<std::int64_t>(
-                      1, cfg_.bdp_bytes / network().config().mtu_payload)));
+                      1, network().bdp() / network().config().mtu_payload)));
   rx.next_new_seq = rx.free_packets;
   rx.created_at = network().sim().now();
   it = rx_flows_.emplace(flow_id, std::move(rx)).first;
@@ -150,7 +150,7 @@ void PhostHost::expire_stale(RxFlow& rx) {
   // Unscheduled (free-token) packets that never arrived are re-granted like
   // any other loss once the initial burst has clearly landed or died.
   if (!rx.free_burst_checked &&
-      now - rx.created_at > cfg_.effective_token_timeout()) {
+      now - rx.created_at > token_expiry()) {
     rx.free_burst_checked = true;
     const net::FlowRxState* st = find_rx_state(rx.flow->id);
     for (std::uint32_t seq = 0; seq < rx.free_packets; ++seq) {
@@ -161,7 +161,7 @@ void PhostHost::expire_stale(RxFlow& rx) {
     }
   }
   std::erase_if(rx.outstanding, [&](const auto& entry) {
-    if (now - entry.second <= cfg_.effective_token_timeout()) return false;
+    if (now - entry.second <= token_expiry()) return false;
     rx.readmit.insert(entry.first);
     ++counters_.tokens_expired;
     ++rx.consecutive_expired;
@@ -169,7 +169,7 @@ void PhostHost::expire_stale(RxFlow& rx) {
   });
   if (rx.consecutive_expired >= cfg_.max_expired_before_downgrade) {
     // The sender is busy elsewhere: deprioritize so other flows progress.
-    rx.downgraded_until = now + cfg_.effective_token_timeout();
+    rx.downgraded_until = now + token_expiry();
     rx.consecutive_expired = 0;
     ++counters_.downgrades;
   }
@@ -181,7 +181,7 @@ PhostHost::RxFlow* PhostHost::pick_flow() {
   Bytes best_rem = Bytes::max();
   bool best_downgraded = true;
   const auto window = static_cast<std::size_t>(std::max<std::int64_t>(
-      1, cfg_.bdp_bytes / network().config().mtu_payload));
+      1, network().bdp() / network().config().mtu_payload));
   for (auto& [id, rx] : rx_flows_) {
     if (rx.flow->finished()) continue;
     expire_stale(rx);
@@ -221,7 +221,7 @@ void PhostHost::receiver_tick() {
     auto tok = make_control<GrantTokenPacket>(rx->flow->src, kPhostToken);
     tok->flow_id = rx->flow->id;
     tok->data_seq = seq;
-    tok->data_priority = rx->flow->size <= cfg_.bdp_bytes
+    tok->data_priority = rx->flow->size <= network().bdp()
                              ? cfg_.short_priority
                              : cfg_.long_priority;
     send(std::move(tok));

@@ -26,20 +26,14 @@
 
 namespace dcpim::proto {
 
+/// The free-token allowance and per-flow window are 1 BDP
+/// (Network::bdp()); the receiver expires unused tokens after 3 cRTTs.
 struct PhostConfig {
-  Bytes bdp_bytes{};   ///< free-token allowance & per-flow window
-  Time control_rtt{};
   std::uint8_t short_priority = 1;
   std::uint8_t long_priority = 2;
-  /// Token unused-expiry at the receiver; zero = 3 control RTTs.
-  Time token_timeout{};
   /// Receiver gives up on a sender after this many consecutive expired
   /// tokens and deprioritizes the flow for one timeout period.
   int max_expired_before_downgrade = 8;
-
-  Time effective_token_timeout() const {
-    return token_timeout > Time{} ? token_timeout : control_rtt * 3;
-  }
 };
 
 class PhostHost : public net::Host {
@@ -87,6 +81,7 @@ class PhostHost : public net::Host {
     bool free_burst_checked = false;  ///< lost unscheduled seqs swept once
   };
 
+  Time token_expiry() const { return network().max_control_rtt() * 3; }
   RxFlow* ensure_rx(std::uint64_t flow_id);
   void arm_rts_retry(std::uint64_t flow_id, int attempt);
   /// pHost senders transmit at most one packet per MTU-time; tokens beyond

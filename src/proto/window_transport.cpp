@@ -14,8 +14,9 @@ enum WindowKind : int {
 }  // namespace
 
 WindowHost::WindowHost(net::Network& net, int host_id,
-                       const net::PortConfig& nic, const WindowConfig& cfg)
-    : net::Host(net, host_id, nic), cfg_(cfg) {}
+                       const net::PortConfig& nic, const WindowConfig& cfg,
+                       bool collect_int)
+    : net::Host(net, host_id, nic), cfg_(cfg), collect_int_(collect_int) {}
 
 void WindowHost::on_flow_arrival(net::Flow& flow) {
   WFlow f;
@@ -25,7 +26,8 @@ void WindowHost::on_flow_arrival(net::Flow& flow) {
       flow.packet_count(network().config().mtu_payload).raw());
   f.acked.reset(f.packets);
   // sa-ok(unit-raw): the congestion window evolves multiplicatively, in doubles
-  f.cwnd_bytes = static_cast<double>(cfg_.effective_init_cwnd().raw());
+  f.cwnd_bytes = static_cast<double>(
+      (cfg_.init_cwnd > Bytes{} ? cfg_.init_cwnd : network().bdp()).raw());
   f.window_start = network().sim().now();
   auto [it, _] = flows_.emplace(flow.id, std::move(f));
   on_flow_init(it->second);
@@ -34,8 +36,7 @@ void WindowHost::on_flow_arrival(net::Flow& flow) {
 }
 
 Time WindowHost::rto(const WFlow& f) const {
-  const Time base = cfg_.effective_min_rto();
-  return std::max(base, f.srtt * 3);
+  return std::max(rto_floor(), f.srtt * 3);
 }
 
 void WindowHost::try_send(WFlow& f) {
@@ -61,7 +62,7 @@ void WindowHost::try_send(WFlow& f) {
     }
     auto p = make_data_packet(*f.flow,
                               {.seq = seq, .priority = cfg_.data_priority});
-    p->collect_int = cfg_.collect_int;
+    p->collect_int = collect_int_;
     send(std::move(p));
     f.inflight[seq] = network().sim().now();
     ++counters_.data_sent;
@@ -69,7 +70,7 @@ void WindowHost::try_send(WFlow& f) {
 }
 
 void WindowHost::arm_rto(std::uint64_t flow_id) {
-  network().sim().schedule_after(cfg_.effective_min_rto(), [this, flow_id]() {
+  network().sim().schedule_after(rto_floor(), [this, flow_id]() {
     auto it = flows_.find(flow_id);
     if (it == flows_.end()) return;
     WFlow& f = it->second;

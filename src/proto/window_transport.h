@@ -18,27 +18,19 @@
 
 namespace dcpim::proto {
 
+/// The base RTT is the fabric's longest unloaded data RTT
+/// (Network::max_data_rtt()); the minimum RTO is 20 of them.
 struct WindowConfig {
-  Bytes init_cwnd{};   ///< initial window; zero = 1 BDP
-  Bytes bdp_bytes{};   ///< topology-derived
-  Time base_rtt{};     ///< topology-derived unloaded data RTT
-  Time min_rto{};      ///< zero = 20x base_rtt
+  Bytes init_cwnd{};   ///< initial window; zero = 1 BDP (Network::bdp())
   std::uint8_t data_priority = 2;
-  bool collect_int = false;  ///< HPCC: gather per-hop telemetry
   int dupack_threshold = 3;
-
-  Time effective_min_rto() const {
-    return min_rto > Time{} ? min_rto : base_rtt * 20;
-  }
-  Bytes effective_init_cwnd() const {
-    return init_cwnd > Bytes{} ? init_cwnd : bdp_bytes;
-  }
 };
 
 class WindowHost : public net::Host {
  public:
+  /// `collect_int`: data packets gather per-hop telemetry (HPCC).
   WindowHost(net::Network& net, int host_id, const net::PortConfig& nic,
-             const WindowConfig& cfg);
+             const WindowConfig& cfg, bool collect_int = false);
 
   void on_flow_arrival(net::Flow& flow) override;
 
@@ -97,10 +89,9 @@ class WindowHost : public net::Host {
   void try_send(WFlow& f);
   Bytes mss() const { return network().config().mtu_payload; }
   Time rto(const WFlow& f) const;
+  Time rto_floor() const { return network().max_data_rtt() * 20; }
 
   void on_packet(net::PacketPtr p) override;
-
-  const WindowConfig& window_config() const { return cfg_; }
 
  private:
   void handle_data(net::PacketPtr p);
@@ -108,6 +99,7 @@ class WindowHost : public net::Host {
   void arm_rto(std::uint64_t flow_id);
 
   const WindowConfig& cfg_;
+  const bool collect_int_;
   Counters counters_;
   std::map<std::uint64_t, WFlow> flows_;
 };

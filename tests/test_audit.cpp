@@ -139,8 +139,6 @@ TEST(AuditedExperimentTest, ChannelLedgerCatchesForgedAccept) {
              const net::PortConfig& nic) -> net::Host* {
         return n.add_device<ForgeableDcpimHost>(id, nic, cfg);
       });
-  cfg.control_rtt = topo.max_control_rtt();
-  cfg.bdp_bytes = topo.bdp_bytes();
 
   // Host 1 claims two channels against host 0 in an epoch where host 0
   // never granted it anything — a double-spend the matching-range audit

@@ -284,6 +284,10 @@ void expect_error(const std::string& text, int line,
 TEST(CampaignDiagnostics, UnknownKey) {
   expect_error("[campaign]\nname = x\n\n[traffic]\nloda = 0.5\n", 5,
                "unknown key");
+  // No shuffle_load knob: the bursty pattern's shuffle is a dense TM of
+  // dense_flow_size flows.
+  expect_error("[campaign]\nname = x\n\n[traffic]\nshuffle_load = 0.5\n", 5,
+               "unknown key");
 }
 
 TEST(CampaignDiagnostics, KeyInWrongSection) {

@@ -46,6 +46,13 @@ TEST(CheckDeathTest, NetworkInvariantFiresOnBadFlow) {
                "flows must carry payload");
 }
 
+TEST(CheckDeathTest, FabricConstantsNeedATopology) {
+  // BDP and RTTs exist only once a topology has measured the fabric.
+  net::Network net{net::NetConfig{}};
+  EXPECT_DEATH((void)net.bdp(),
+               "fabric constants read before a topology set them");
+}
+
 TEST(CheckTest, DcheckSideEffectFreeWhenDisabled) {
   // Whatever the build type, DCPIM_DCHECK must never evaluate its condition
   // twice, and in NDEBUG builds it must not evaluate it at all — but it

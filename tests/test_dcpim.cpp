@@ -20,8 +20,6 @@ struct Fixture {
       : cfg(base), net(std::make_unique<net::Network>(ncfg)) {
     topo = std::make_unique<net::Topology>(
         net::Topology::leaf_spine(*net, params, dcpim_host_factory(cfg)));
-    cfg.control_rtt = topo->max_control_rtt();
-    cfg.bdp_bytes = topo->bdp_bytes();
   }
 
   static net::LeafSpineParams small_topo() {
@@ -55,7 +53,7 @@ TEST(DcpimTest, ShortFlowBypassesMatchingAtNearOracleLatency) {
 
 TEST(DcpimTest, LongFlowIsAdmittedThroughMatchingAndTokens) {
   Fixture f;
-  const Bytes size = f.cfg.bdp_bytes * 5;
+  const Bytes size = f.net->bdp() * 5;
   net::Flow* flow = f.net->create_flow(0, 7, size, TimePoint(us(1)));
   f.net->sim().run(TimePoint(ms(3)));
   ASSERT_TRUE(flow->finished());
@@ -72,12 +70,12 @@ TEST(DcpimTest, LongFlowIsAdmittedThroughMatchingAndTokens) {
 
 TEST(DcpimTest, LongFlowWaitsForMatchingPhase) {
   Fixture f;
-  const Bytes size = f.cfg.bdp_bytes * 5;
+  const Bytes size = f.net->bdp() * 5;
   net::Flow* flow = f.net->create_flow(0, 7, size, TimePoint(us(1)));
   f.net->sim().run(TimePoint(ms(3)));
   ASSERT_TRUE(flow->finished());
   // A matched flow cannot beat one epoch of matching delay.
-  EXPECT_GT(flow->fct(), f.cfg.epoch_length());
+  EXPECT_GT(flow->fct(), f.cfg.epoch_length(f.net->max_control_rtt()));
 }
 
 TEST(DcpimTest, NotificationPerFlowAndFinishHandshake) {
@@ -94,9 +92,9 @@ TEST(DcpimTest, MatchedChannelsNeverExceedK) {
   Fixture f;
   // Four senders each push a long flow to receiver 7.
   for (int s = 0; s < 4; ++s) {
-    f.net->create_flow(s, 7, f.cfg.bdp_bytes * 10, TimePoint{});
+    f.net->create_flow(s, 7, f.net->bdp() * 10, TimePoint{});
   }
-  const Time period = f.cfg.epoch_length();
+  const Time period = f.cfg.epoch_length(f.net->max_control_rtt());
   for (int epoch = 0; epoch < 20; ++epoch) {
     f.net->sim().run(TimePoint(period * (epoch + 1)));
     EXPECT_LE(f.host(7)->receiver_matched_channels(
@@ -111,9 +109,9 @@ TEST(DcpimTest, MultipleSendersShareReceiverViaChannels) {
   // the receiver can and should admit several senders in the same phase.
   std::vector<net::Flow*> flows;
   for (int s = 0; s < 4; ++s) {
-    flows.push_back(f.net->create_flow(s, 7, f.cfg.bdp_bytes * 2, TimePoint{}));
+    flows.push_back(f.net->create_flow(s, 7, f.net->bdp() * 2, TimePoint{}));
   }
-  const Time period = f.cfg.epoch_length();
+  const Time period = f.cfg.epoch_length(f.net->max_control_rtt());
   bool multi = false;
   for (int epoch = 0; epoch < 40 && !multi; ++epoch) {
     f.net->sim().run(TimePoint(period * (epoch + 1)));
@@ -130,7 +128,7 @@ TEST(DcpimTest, TokenWindowBoundsOutstandingAdmissions) {
   base.channels = 1;
   base.rounds = 1;
   Fixture f(Fixture::small_topo(), base);
-  const Bytes size = f.cfg.bdp_bytes * 20;
+  const Bytes size = f.net->bdp() * 20;
   net::Flow* flow = f.net->create_flow(0, 7, size, TimePoint{});
   f.net->sim().run(TimePoint(ms(10)));
   ASSERT_TRUE(flow->finished());
@@ -152,7 +150,7 @@ TEST(DcpimTest, AllToAllTrafficCompletesWithLowShortFlowSlowdown) {
   f.net->sim().run(TimePoint(ms(5)));
   ASSERT_GT(f.net->num_flows(), 20u);
   EXPECT_EQ(f.net->completed_flows, f.net->num_flows());
-  const auto sf = stats.short_flows(f.cfg.bdp_bytes);
+  const auto sf = stats.short_flows(f.net->bdp());
   EXPECT_LT(sf.mean, 1.3);
   EXPECT_LT(sf.p99, 2.0);
 }
@@ -162,7 +160,7 @@ TEST(DcpimTest, RecoversFromRandomPacketLoss) {
   p.port_customize = [](net::PortConfig& pc) { pc.loss_rate = 0.02; };
   Fixture f(p);
   for (int i = 0; i < 8; ++i) {
-    f.net->create_flow(i % 4, 4 + (i % 4), f.cfg.bdp_bytes * 3, TimePoint(us(i)));
+    f.net->create_flow(i % 4, 4 + (i % 4), f.net->bdp() * 3, TimePoint(us(i)));
   }
   f.net->create_flow(0, 5, Bytes{10'000}, TimePoint(us(3)));  // short flow under loss
   f.net->sim().run(TimePoint(ms(40)));
@@ -191,10 +189,10 @@ TEST(DcpimTest, ShortFlowRescueAfterHeavyIncastLoss) {
 TEST(DcpimTest, AsynchronousClocksStillComplete) {
   DcpimConfig base;
   Fixture probe;  // to learn stage length for jitter sizing
-  base.clock_jitter = probe.cfg.stage_length() / 2;
+  base.clock_jitter = probe.cfg.stage_length(probe.net->max_control_rtt()) / 2;
   Fixture f(Fixture::small_topo(), base);
   for (int i = 0; i < 6; ++i) {
-    f.net->create_flow(i % 4, 4 + ((i + 1) % 4), f.cfg.bdp_bytes * 4, TimePoint(us(i)));
+    f.net->create_flow(i % 4, 4 + ((i + 1) % 4), f.net->bdp() * 4, TimePoint(us(i)));
   }
   f.net->sim().run(TimePoint(ms(20)));
   EXPECT_EQ(f.net->completed_flows, f.net->num_flows());
@@ -225,8 +223,8 @@ TEST(DcpimTest, FctOptimizingRoundFavoursSmallerFlow) {
   DcpimConfig base;
   base.channels = 1;
   Fixture f(Fixture::small_topo(), base);
-  net::Flow* big = f.net->create_flow(0, 7, f.cfg.bdp_bytes * 40, TimePoint{});
-  net::Flow* small = f.net->create_flow(1, 7, f.cfg.bdp_bytes * 3, TimePoint(us(1)));
+  net::Flow* big = f.net->create_flow(0, 7, f.net->bdp() * 40, TimePoint{});
+  net::Flow* small = f.net->create_flow(1, 7, f.net->bdp() * 3, TimePoint(us(1)));
   f.net->sim().run(TimePoint(ms(40)));
   ASSERT_TRUE(big->finished());
   ASSERT_TRUE(small->finished());
@@ -258,11 +256,9 @@ TEST(DcpimTest, EpochLengthMatchesFormula) {
   DcpimConfig cfg;
   cfg.rounds = 4;
   cfg.beta = 1.3;
-  cfg.control_rtt = us(5.2);
-  cfg.bdp_bytes = Bytes{72'500};
   // (2r+1) * beta * cRTT/2 = 9 * 1.3 * 2.6us = 30.42us (paper §3.4).
-  EXPECT_NEAR(to_us(cfg.epoch_length()), 30.42, 0.1);
-  EXPECT_NEAR(to_us(cfg.stage_length()), 3.38, 0.05);
+  EXPECT_NEAR(to_us(cfg.epoch_length(us(5.2))), 30.42, 0.1);
+  EXPECT_NEAR(to_us(cfg.stage_length(us(5.2))), 3.38, 0.05);
 }
 
 TEST(DcpimTest, ConfigDefaultsFollowPaper) {
@@ -272,9 +268,6 @@ TEST(DcpimTest, ConfigDefaultsFollowPaper) {
   EXPECT_NEAR(cfg.beta, 1.3, 1e-9);
   EXPECT_TRUE(cfg.fct_optimizing_first_round);
   EXPECT_TRUE(cfg.pipeline_phases);
-  cfg.bdp_bytes = Bytes{70'000};
-  EXPECT_EQ(cfg.effective_short_threshold(), Bytes{70'000});  // 1 BDP default
-  EXPECT_EQ(cfg.effective_token_window(), Bytes{70'000});
 }
 
 }  // namespace

@@ -18,8 +18,6 @@ struct Fixture {
       : cfg(base), net(std::make_unique<net::Network>(ncfg)) {
     topo = std::make_unique<net::Topology>(
         net::Topology::leaf_spine(*net, params, dcpim_host_factory(cfg)));
-    cfg.control_rtt = topo->max_control_rtt();
-    cfg.bdp_bytes = topo->bdp_bytes();
   }
   static net::LeafSpineParams small_topo() {
     net::LeafSpineParams p;
@@ -45,7 +43,7 @@ TEST(DcpimEdgeTest, OneByteFlow) {
 TEST(DcpimEdgeTest, FlowExactlyAtShortThreshold) {
   Fixture f;
   // size == threshold is still "short" (<=, §3.5).
-  net::Flow* flow = f.net->create_flow(0, 7, f.cfg.effective_short_threshold(), TimePoint{});
+  net::Flow* flow = f.net->create_flow(0, 7, f.net->bdp(), TimePoint{});
   f.net->sim().run(TimePoint(ms(2)));
   ASSERT_TRUE(flow->finished());
   EXPECT_GT(f.host(0)->counters().short_data_sent, 0u);
@@ -55,7 +53,7 @@ TEST(DcpimEdgeTest, FlowExactlyAtShortThreshold) {
 TEST(DcpimEdgeTest, FlowOneByteOverThresholdIsMatched) {
   Fixture f;
   net::Flow* flow =
-      f.net->create_flow(0, 7, f.cfg.effective_short_threshold() + Bytes{1},
+      f.net->create_flow(0, 7, f.net->bdp() + Bytes{1},
                          TimePoint{});
   f.net->sim().run(TimePoint(ms(3)));
   ASSERT_TRUE(flow->finished());
@@ -123,7 +121,7 @@ TEST(DcpimEdgeTest, HeavyControlLossStillCompletes) {
   net::LeafSpineParams p = Fixture::small_topo();
   p.port_customize = [](net::PortConfig& pc) { pc.loss_rate = 0.05; };
   Fixture f(p);
-  f.net->create_flow(0, 7, f.cfg.bdp_bytes * 3, TimePoint{});
+  f.net->create_flow(0, 7, f.net->bdp() * 3, TimePoint{});
   f.net->create_flow(1, 6, Bytes{8'000}, TimePoint{});
   f.net->sim().run(TimePoint(ms(80)));
   EXPECT_EQ(f.net->completed_flows, 2u);
@@ -146,7 +144,7 @@ TEST(DcpimEdgeTest, SevereLossTokenAccountingStaysBounded) {
   net::LeafSpineParams p = Fixture::small_topo();
   p.port_customize = [](net::PortConfig& pc) { pc.loss_rate = 0.3; };
   Fixture f(p);
-  net::Flow* flow = f.net->create_flow(0, 7, f.cfg.bdp_bytes * 5, TimePoint{});
+  net::Flow* flow = f.net->create_flow(0, 7, f.net->bdp() * 5, TimePoint{});
   f.net->sim().run(TimePoint(ms(200)));
   EXPECT_TRUE(flow->finished());
   std::uint64_t expired = 0, tokens = 0;
@@ -215,7 +213,7 @@ TEST_P(DcpimBetaTest, LongFlowCompletes) {
   DcpimConfig base;
   base.beta = GetParam();
   Fixture f(Fixture::small_topo(), base);
-  net::Flow* flow = f.net->create_flow(0, 7, f.cfg.bdp_bytes * 4, TimePoint{});
+  net::Flow* flow = f.net->create_flow(0, 7, f.net->bdp() * 4, TimePoint{});
   f.net->sim().run(TimePoint(ms(10)));
   EXPECT_TRUE(flow->finished());
 }

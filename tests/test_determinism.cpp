@@ -37,8 +37,6 @@ std::size_t traced_run_hash(std::uint64_t seed) {
   p.spines = 2;
   net::Topology topo = net::Topology::leaf_spine(
       *network, p, core::dcpim_host_factory(cfg));
-  cfg.control_rtt = topo.max_control_rtt();
-  cfg.bdp_bytes = topo.bdp_bytes();
 
   workload::PoissonPatternConfig pc;
   pc.cdf = &workload::workload_by_name("imc10");

@@ -44,8 +44,6 @@ TEST(LinkFailureTest, PortDropsWhileDownAndResumes) {
   core::DcpimConfig cfg;
   auto topo = net::Topology::leaf_spine(net, small_topo(),
                                         core::dcpim_host_factory(cfg));
-  cfg.control_rtt = topo.max_control_rtt();
-  cfg.bdp_bytes = topo.bdp_bytes();
 
   net::Port* uplink = first_uplink(net);
   ASSERT_NE(uplink, nullptr);
@@ -62,13 +60,11 @@ TEST(LinkFailureTest, DcpimSurvivesSpineLinkFlap) {
   core::DcpimConfig cfg;
   auto topo = net::Topology::leaf_spine(net, small_topo(),
                                         core::dcpim_host_factory(cfg));
-  cfg.control_rtt = topo.max_control_rtt();
-  cfg.bdp_bytes = topo.bdp_bytes();
 
   // Inter-rack flows that span the flapping uplink (packet spraying puts
   // roughly half their packets on it while it is down).
   for (int i = 0; i < 4; ++i) {
-    net.create_flow(i, 4 + i, topo.bdp_bytes() * 4, TimePoint(us(i)));
+    net.create_flow(i, 4 + i, net.bdp() * 4, TimePoint(us(i)));
   }
   net.create_flow(0, 5, Bytes{8'000}, TimePoint(us(2)));  // short flow during the outage
 
@@ -93,8 +89,6 @@ TEST(LinkFailureTest, NdpSurvivesSpineLinkFlap) {
   };
   auto topo =
       net::Topology::leaf_spine(net, p, proto::ndp_host_factory(cfg));
-  cfg.bdp_bytes = topo.bdp_bytes();
-  cfg.control_rtt = topo.max_control_rtt();
 
   for (int i = 0; i < 4; ++i) {
     net.create_flow(i, 4 + i, Bytes{200'000}, TimePoint(us(i)));
@@ -114,8 +108,6 @@ TEST(LinkFailureTest, TcpSurvivesAccessLinkFlap) {
   proto::TcpConfig cfg;
   auto topo = net::Topology::leaf_spine(net, small_topo(),
                                         proto::tcp_host_factory(cfg));
-  cfg.window.bdp_bytes = topo.bdp_bytes();
-  cfg.window.base_rtt = topo.max_data_rtt();
 
   net.create_flow(0, 7, Bytes{150'000}, TimePoint{});
   // Flap the sender's own NIC: a total blackout only RTO recovers from.
@@ -134,12 +126,10 @@ TEST(LinkFailureTest, ControlRetransmissionCoversNotificationLoss) {
   core::DcpimConfig cfg;
   auto topo = net::Topology::leaf_spine(net, small_topo(),
                                         core::dcpim_host_factory(cfg));
-  cfg.control_rtt = topo.max_control_rtt();
-  cfg.bdp_bytes = topo.bdp_bytes();
 
   net::Port* nic = net.host(0)->nic();
   net.sim().schedule_at(TimePoint(us(1) - ps(1)), [nic]() { nic->set_link_up(false); });
-  net.create_flow(0, 5, topo.bdp_bytes() * 3, TimePoint(us(1)));
+  net.create_flow(0, 5, net.bdp() * 3, TimePoint(us(1)));
   net.sim().schedule_at(TimePoint(us(40)), [nic]() { nic->set_link_up(true); });
   net.sim().run(TimePoint(ms(60)));
   EXPECT_EQ(net.completed_flows, 1u);
@@ -163,11 +153,9 @@ std::uint64_t run_targeted_drop(const std::string& spec,
   core::DcpimConfig cfg;
   auto topo = net::Topology::leaf_spine(net, small_topo(),
                                         core::dcpim_host_factory(cfg));
-  cfg.control_rtt = topo.max_control_rtt();
-  cfg.bdp_bytes = topo.bdp_bytes();
 
   for (int i = 0; i < 4; ++i) {
-    net.create_flow(i, 4 + i, topo.bdp_bytes() * 4, TimePoint(us(i)));
+    net.create_flow(i, 4 + i, net.bdp() * 4, TimePoint(us(i)));
   }
   harness::FaultInjector inj(net, sim::fault::parse_fault_spec(spec), {});
   inj.install();

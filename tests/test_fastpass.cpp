@@ -23,10 +23,9 @@ net::LeafSpineParams small_topo() {
 struct FastpassFixture {
   explicit FastpassFixture(net::LeafSpineParams p = small_topo())
       : net(std::make_unique<net::Network>(net::NetConfig{})),
-        arbiter(std::make_unique<FastpassArbiter>(*net, cfg)) {
+        arbiter(std::make_unique<FastpassArbiter>(*net)) {
     topo = std::make_unique<net::Topology>(net::Topology::leaf_spine(
         *net, p, fastpass_host_factory(cfg, *arbiter)));
-    cfg.control_rtt = topo->max_control_rtt();
   }
   FastpassConfig cfg;
   std::unique_ptr<net::Network> net;
@@ -56,7 +55,7 @@ TEST(FastpassTest, ShortFlowPaysTheArbiterRoundTrip) {
   f.net->sim().run(TimePoint(ms(2)));
   ASSERT_TRUE(flow->finished());
   const Time oracle = f.topo->oracle_fct(0, 7, Bytes{1'000});
-  EXPECT_GE(flow->fct(), oracle + f.cfg.control_rtt);
+  EXPECT_GE(flow->fct(), oracle + f.net->max_control_rtt());
   EXPECT_GE(fratio(flow->fct(), oracle), 1.8);
 }
 
@@ -74,8 +73,6 @@ TEST(FastpassTest, DcpimBeatsFastpassOnShortFlows) {
     auto net = std::make_unique<net::Network>(net::NetConfig{});
     auto topo = std::make_unique<net::Topology>(net::Topology::leaf_spine(
         *net, small_topo(), core::dcpim_host_factory(dcfg)));
-    dcfg.control_rtt = topo->max_control_rtt();
-    dcfg.bdp_bytes = topo->bdp_bytes();
     net::Flow* flow = net->create_flow(0, 7, Bytes{1'000}, TimePoint{});
     net->sim().run(TimePoint(ms(2)));
     dcpim_fct = flow->fct();

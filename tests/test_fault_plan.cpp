@@ -349,11 +349,8 @@ net::LeafSpineParams small_topo() {
 
 struct Fixture {
   explicit Fixture(std::uint64_t seed = 1) : net(net_config(seed)) {
-    auto topo = net::Topology::leaf_spine(net, small_topo(),
-                                          core::dcpim_host_factory(cfg));
-    cfg.control_rtt = topo.max_control_rtt();
-    cfg.bdp_bytes = topo.bdp_bytes();
-    bdp = topo.bdp_bytes();
+    net::Topology::leaf_spine(net, small_topo(),
+                              core::dcpim_host_factory(cfg));
   }
   static net::NetConfig net_config(std::uint64_t seed) {
     net::NetConfig c;
@@ -368,7 +365,6 @@ struct Fixture {
   }
   net::Network net;
   core::DcpimConfig cfg;
-  Bytes bdp{};
 };
 
 harness::FaultInjector::Options injector_opts(std::uint64_t seed = 1) {
@@ -503,7 +499,7 @@ TEST(FaultInjectorTest, InstalledPlanReportsWindows) {
 TEST(FaultInjectorTest, RecoveryStatsAfterFaultedRun) {
   Fixture f;
   for (int i = 0; i < 4; ++i) {
-    f.net.create_flow(i, 4 + i, f.bdp * 4, TimePoint(us(i)));
+    f.net.create_flow(i, 4 + i, f.net.bdp() * 4, TimePoint(us(i)));
   }
   harness::FaultInjector inj(
       f.net, fault::parse_fault_spec("blackhole:spine0@5us:60us"),
@@ -578,7 +574,7 @@ TEST(FaultInjectorTest, GraySrlgRecoveryStatsAttribute) {
   Fixture f;
   for (int i = 0; i < 4; ++i) {
     // Large flows: data must still be on the wire once the windows open.
-    f.net.create_flow(i, 4 + i, f.bdp * 32, TimePoint(us(i)));
+    f.net.create_flow(i, 4 + i, f.net.bdp() * 32, TimePoint(us(i)));
   }
   harness::FaultInjector inj(
       f.net,

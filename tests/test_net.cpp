@@ -371,11 +371,11 @@ TEST(TopologyTest, LeafSpineShapeAndMetrics) {
   EXPECT_EQ(topo.host_rate(), 100 * kGbps);
   // Paper's setup: data RTT ~5.8us, cRTT ~5.2us, BDP ~72.5KB. Ours must be
   // in the same ballpark for the protocol dynamics to match.
-  EXPECT_GT(topo.max_data_rtt(), us(4));
-  EXPECT_LT(topo.max_data_rtt(), us(7));
-  EXPECT_GT(topo.bdp_bytes(), 50 * kKB);
-  EXPECT_LT(topo.bdp_bytes(), 90 * kKB);
-  EXPECT_LT(topo.max_control_rtt(), topo.max_data_rtt());
+  EXPECT_GT(net.max_data_rtt(), us(4));
+  EXPECT_LT(net.max_data_rtt(), us(7));
+  EXPECT_GT(net.bdp(), 50 * kKB);
+  EXPECT_LT(net.bdp(), 90 * kKB);
+  EXPECT_LT(net.max_control_rtt(), net.max_data_rtt());
 }
 
 TEST(TopologyTest, IntraRackFasterThanInterRack) {

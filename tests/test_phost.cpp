@@ -24,8 +24,6 @@ struct PhostFixture {
       : net(std::make_unique<net::Network>(net::NetConfig{})) {
     topo = std::make_unique<net::Topology>(net::Topology::leaf_spine(
         *net, p, proto::phost_host_factory(cfg)));
-    cfg.bdp_bytes = topo->bdp_bytes();
-    cfg.control_rtt = topo->max_control_rtt();
   }
   proto::PhostConfig cfg;
   std::unique_ptr<net::Network> net;
@@ -48,7 +46,7 @@ TEST(PhostTest, ShortFlowRidesFreeTokens) {
 
 TEST(PhostTest, LongFlowNeedsReceiverTokens) {
   PhostFixture f;
-  const Bytes size = f.cfg.bdp_bytes * 5;
+  const Bytes size = f.net->bdp() * 5;
   net::Flow* flow = f.net->create_flow(0, 7, size, TimePoint{});
   f.net->sim().run(TimePoint(ms(5)));
   ASSERT_TRUE(flow->finished());
@@ -57,8 +55,8 @@ TEST(PhostTest, LongFlowNeedsReceiverTokens) {
 
 TEST(PhostTest, SrptPrefersSmallerFlow) {
   PhostFixture f;
-  net::Flow* big = f.net->create_flow(0, 7, f.cfg.bdp_bytes * 30, TimePoint{});
-  net::Flow* small = f.net->create_flow(1, 7, f.cfg.bdp_bytes * 3, TimePoint(us(1)));
+  net::Flow* big = f.net->create_flow(0, 7, f.net->bdp() * 30, TimePoint{});
+  net::Flow* small = f.net->create_flow(1, 7, f.net->bdp() * 3, TimePoint(us(1)));
   f.net->sim().run(TimePoint(ms(30)));
   ASSERT_TRUE(big->finished());
   ASSERT_TRUE(small->finished());
@@ -70,8 +68,8 @@ TEST(PhostTest, TokenExpiryUnblocksBusySender) {
   // rate but the sender can only send one packet per MTU-time: half the
   // tokens expire and the receivers re-grant — everything still completes.
   PhostFixture f;
-  f.net->create_flow(0, 6, f.cfg.bdp_bytes * 10, TimePoint{});
-  f.net->create_flow(0, 7, f.cfg.bdp_bytes * 10, TimePoint{});
+  f.net->create_flow(0, 6, f.net->bdp() * 10, TimePoint{});
+  f.net->create_flow(0, 7, f.net->bdp() * 10, TimePoint{});
   f.net->sim().run(TimePoint(ms(60)));
   EXPECT_EQ(f.net->completed_flows, 2u);
   const std::uint64_t expired = f.host(6)->counters().tokens_expired +
@@ -112,8 +110,6 @@ struct BlindDcpimFixture {
     cfg.flow_size_aware = false;
     topo = std::make_unique<net::Topology>(net::Topology::leaf_spine(
         *net, small_topo(), core::dcpim_host_factory(cfg)));
-    cfg.control_rtt = topo->max_control_rtt();
-    cfg.bdp_bytes = topo->bdp_bytes();
   }
   core::DcpimConfig cfg;
   std::unique_ptr<net::Network> net;
@@ -137,8 +133,8 @@ TEST(DcpimSizeUnawareTest, NoSrptMeansFifoServiceWithinSender) {
   // Two long flows from the same sender: without size info the earlier one
   // is served first regardless of size.
   BlindDcpimFixture f;
-  net::Flow* first = f.net->create_flow(0, 7, f.cfg.bdp_bytes * 20, TimePoint{});
-  net::Flow* second = f.net->create_flow(0, 7, f.cfg.bdp_bytes * 2, TimePoint(us(5)));
+  net::Flow* first = f.net->create_flow(0, 7, f.net->bdp() * 20, TimePoint{});
+  net::Flow* second = f.net->create_flow(0, 7, f.net->bdp() * 2, TimePoint(us(5)));
   f.net->sim().run(TimePoint(ms(40)));
   ASSERT_TRUE(first->finished());
   ASSERT_TRUE(second->finished());

@@ -2,6 +2,7 @@
 // window-based family (HPCC / DCTCP / TCP).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
 #include "net/topology.h"
@@ -39,8 +40,6 @@ struct HomaFixture {
     }
     topo = std::make_unique<net::Topology>(net::Topology::leaf_spine(
         *net, p, homa_host_factory(cfg)));
-    cfg.bdp_bytes = topo->bdp_bytes();
-    cfg.control_rtt = topo->max_control_rtt();
   }
   HomaConfig cfg;
   std::unique_ptr<net::Network> net;
@@ -61,7 +60,7 @@ TEST(HomaTest, ShortFlowIsPureUnscheduled) {
 
 TEST(HomaTest, LongFlowUsesGrants) {
   HomaFixture f(false);
-  const Bytes size = f.cfg.bdp_bytes * 5;
+  const Bytes size = f.net->bdp() * 5;
   net::Flow* flow = f.net->create_flow(0, 7, size, TimePoint{});
   f.net->sim().run(TimePoint(ms(3)));
   ASSERT_TRUE(flow->finished());
@@ -70,23 +69,30 @@ TEST(HomaTest, LongFlowUsesGrants) {
 }
 
 TEST(HomaTest, SmallerFlowsGetHigherUnscheduledPriority) {
+  // Geometric defaults on the BDP scale: <= BDP/8 -> 1, <= BDP/2 -> 2,
+  // <= 2 BDP -> 3, else 4.
   HomaFixture f(false);
-  // Probe the priority ladder through observable packets is heavy; the
-  // config rule itself is the contract.
-  HomaConfig cfg;
-  cfg.bdp_bytes = Bytes{80'000};
-  // geometric defaults: <=10KB -> 1, <=40KB -> 2, <=160KB -> 3, else 4.
-  net::Network net{net::NetConfig{}};
-  (void)net;
-  EXPECT_LT(cfg.bdp_bytes / 8, cfg.bdp_bytes / 2);
-  SUCCEED();
+  std::map<std::uint64_t, int> priority;  // first unscheduled packet's
+  f.net->add_inject_observer([&priority](const net::Packet& p) {
+    if (p.unscheduled) priority.emplace(p.flow_id, p.priority);
+  });
+  const Bytes bdp = f.net->bdp();
+  const net::Flow* tiny = f.net->create_flow(0, 7, bdp / 8, TimePoint{});
+  const net::Flow* small = f.net->create_flow(1, 6, bdp / 2, TimePoint{});
+  const net::Flow* mid = f.net->create_flow(2, 5, bdp * 2, TimePoint{});
+  const net::Flow* big = f.net->create_flow(3, 4, bdp * 4, TimePoint{});
+  f.net->sim().run(TimePoint(us(100)));
+  EXPECT_EQ(priority[tiny->id], 1);
+  EXPECT_EQ(priority[small->id], 2);
+  EXPECT_EQ(priority[mid->id], 3);
+  EXPECT_EQ(priority[big->id], 4);
 }
 
 TEST(HomaTest, OvercommitGrantsMultipleFlows) {
   HomaFixture f(false);
   // Three long flows into receiver 7; overcommit=2 grants two at a time.
   for (int s = 0; s < 3; ++s) {
-    f.net->create_flow(s, 7, f.cfg.bdp_bytes * 6, TimePoint{});
+    f.net->create_flow(s, 7, f.net->bdp() * 6, TimePoint{});
   }
   f.net->sim().run(TimePoint(ms(10)));
   EXPECT_EQ(f.net->completed_flows, 3u);
@@ -97,7 +103,7 @@ TEST(HomaTest, PlainHomaRecoversViaResendTimer) {
   p.port_customize = [](net::PortConfig& pc) { pc.loss_rate = 0.03; };
   HomaFixture f(false, p);
   for (int i = 0; i < 6; ++i) {
-    f.net->create_flow(i % 4, 4 + (i % 4), f.cfg.bdp_bytes * 2,
+    f.net->create_flow(i % 4, 4 + (i % 4), f.net->bdp() * 2,
                        TimePoint(us(i)));
   }
   f.net->sim().run(TimePoint(ms(60)));
@@ -169,8 +175,6 @@ struct NdpFixture {
     };
     topo = std::make_unique<net::Topology>(
         net::Topology::leaf_spine(*net, p, ndp_host_factory(cfg)));
-    cfg.bdp_bytes = topo->bdp_bytes();
-    cfg.control_rtt = topo->max_control_rtt();
   }
   NdpConfig cfg;
   std::unique_ptr<net::Network> net;
@@ -244,8 +248,6 @@ struct WinFixture {
     p.port_customize = std::move(customize);
     topo = std::make_unique<net::Topology>(
         net::Topology::leaf_spine(*net, p, factory_fn(cfg)));
-    cfg.window.bdp_bytes = topo->bdp_bytes();
-    cfg.window.base_rtt = topo->max_data_rtt();
   }
   static net::NetConfig make_ncfg(bool spraying) {
     net::NetConfig ncfg;
@@ -261,7 +263,6 @@ struct WinFixture {
 TEST(HpccTest, SingleFlowCompletesWithIntFeedback) {
   WinFixture<HpccConfig, decltype(&hpcc_host_factory)> f(
       &hpcc_host_factory, [](net::PortConfig& pc) { hpcc_port_customize(pc); });
-  f.cfg.window.collect_int = true;
   net::Flow* flow = f.net->create_flow(0, 7, Bytes{500'000}, TimePoint{});
   f.net->sim().run(TimePoint(ms(10)));
   ASSERT_TRUE(flow->finished());
@@ -272,7 +273,6 @@ TEST(HpccTest, SingleFlowCompletesWithIntFeedback) {
 TEST(HpccTest, CongestionShrinksWindowNoDrops) {
   WinFixture<HpccConfig, decltype(&hpcc_host_factory)> f(
       &hpcc_host_factory, [](net::PortConfig& pc) { hpcc_port_customize(pc); });
-  f.cfg.window.collect_int = true;
   // 6:1 incast: PFC + INT should avoid drops entirely.
   std::vector<int> senders{1, 2, 3, 4, 5, 6};
   workload::schedule_incast(*f.net, 0, senders, Bytes{400'000}, TimePoint{});
@@ -288,7 +288,6 @@ TEST(HpccTest, PfcPausesFireUnderIncast) {
         pc.pfc_pause_threshold = kKB * 30;  // aggressive to force pauses
         pc.pfc_resume_threshold = kKB * 15;
       });
-  f.cfg.window.collect_int = true;
   std::vector<int> senders{1, 2, 3, 4, 5, 6, 7};
   workload::schedule_incast(*f.net, 0, senders, Bytes{400'000}, TimePoint{});
   f.net->sim().run(TimePoint(ms(20)));

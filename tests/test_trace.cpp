@@ -21,8 +21,6 @@ struct Fixture {
     p.spines = 1;
     topo = std::make_unique<net::Topology>(net::Topology::leaf_spine(
         *net, p, core::dcpim_host_factory(cfg)));
-    cfg.control_rtt = topo->max_control_rtt();
-    cfg.bdp_bytes = topo->bdp_bytes();
   }
   core::DcpimConfig cfg;
   std::unique_ptr<net::Network> net;

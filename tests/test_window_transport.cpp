@@ -33,8 +33,6 @@ struct Fix {
     p.port_customize = std::move(customize);
     topo = std::make_unique<net::Topology>(
         net::Topology::leaf_spine(*net, p, factory(cfg)));
-    cfg.window.bdp_bytes = topo->bdp_bytes();
-    cfg.window.base_rtt = topo->max_data_rtt();
   }
   static net::NetConfig make_ncfg() {
     net::NetConfig ncfg;
@@ -101,8 +99,7 @@ TEST(WindowTransportTest, HpccKeepsQueuesShorterThanTcpUnderIncast) {
     if (hpcc) {
       Fix<HpccConfig, HpccHost> f(
           &hpcc_host_factory,
-          [](net::PortConfig& pc) { hpcc_port_customize(pc); },
-          [](HpccConfig& cfg) { cfg.window.collect_int = true; });
+          [](net::PortConfig& pc) { hpcc_port_customize(pc); });
       std::vector<int> senders{1, 2, 3, 4, 5, 6};
       for (int s : senders) f.net->create_flow(s, 0, Bytes{300'000}, TimePoint{});
       f.net->sim().run(TimePoint(ms(30)));
@@ -124,7 +121,6 @@ TEST(WindowTransportTest, HpccKeepsQueuesShorterThanTcpUnderIncast) {
 TEST(WindowTransportTest, HomaCustomUnschedCutoffs) {
   // Config-level contract for the priority ladder.
   HomaConfig cfg;
-  cfg.bdp_bytes = Bytes{80'000};
   cfg.unsched_cutoffs = {Bytes{1'000}, Bytes{10'000}, Bytes{100'000}};
   // The ladder is exercised through HomaHost::unsched_priority_for; here we
   // assert the configuration invariants the host relies on.
