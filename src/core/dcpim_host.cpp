@@ -487,8 +487,7 @@ void DcpimHost::handle_data(net::PacketPtr p) {
 }
 
 Bytes DcpimHost::flow_remaining(const RxFlow& rx) const {
-  const net::FlowRxState* st =
-      const_cast<DcpimHost*>(this)->find_rx_state(rx.flow->id);
+  const net::FlowRxState* st = find_rx_state(rx.flow->id);
   const Bytes received = st != nullptr ? st->received_bytes() : Bytes{};
   return rx.flow->size - received;
 }
@@ -834,14 +833,14 @@ int DcpimHost::receiver_matched_peers(std::uint64_t epoch) const {
 // ===== invariant audit hooks ================================================
 
 void DcpimHost::audit_token_accounting(std::vector<std::string>& out) const {
-  const std::string who = "host " + std::to_string(host_id());
+  const auto who = [this] { return "host " + std::to_string(host_id()); };
   // Token clocking (§3.2): scheduled (matched-phase) data is admitted one
   // packet per token, so a sender can never have sent more token-clocked
   // packets than tokens it heard about.
   const std::uint64_t scheduled =
       counters_.data_sent - counters_.short_data_sent;
   if (scheduled > counters_.tokens_received) {
-    out.push_back(who + " sent " + std::to_string(scheduled) +
+    out.push_back(who() + " sent " + std::to_string(scheduled) +
                   " token-clocked data packets but received only " +
                   std::to_string(counters_.tokens_received) + " tokens");
   }
@@ -852,14 +851,14 @@ void DcpimHost::audit_token_accounting(std::vector<std::string>& out) const {
   for (const auto& [id, rx] : rx_flows_) {
     per_flow_outstanding += rx.outstanding.size();
     if (rx.outstanding.size() > window_cap) {
-      out.push_back(who + " flow " + std::to_string(id) + " has " +
+      out.push_back(who() + " flow " + std::to_string(id) + " has " +
                     std::to_string(rx.outstanding.size()) +
                     " outstanding tokens, above the " +
                     std::to_string(window_cap) + "-packet window");
     }
   }
   if (per_flow_outstanding != outstanding_total_) {
-    out.push_back(who + " outstanding-token total " +
+    out.push_back(who() + " outstanding-token total " +
                   std::to_string(outstanding_total_) +
                   " != per-flow sum " +
                   std::to_string(per_flow_outstanding));
@@ -867,10 +866,10 @@ void DcpimHost::audit_token_accounting(std::vector<std::string>& out) const {
 }
 
 void DcpimHost::audit_matching(std::vector<std::string>& out) const {
-  const std::string who = "host " + std::to_string(host_id());
+  const auto who = [this] { return "host " + std::to_string(host_id()); };
   for (const auto& [epoch, st] : send_epochs_) {
     if (st.matched_channels < 0 || st.matched_channels > cfg_.channels) {
-      out.push_back(who + " (sender) epoch " + std::to_string(epoch) +
+      out.push_back(who() + " (sender) epoch " + std::to_string(epoch) +
                     " matched " + std::to_string(st.matched_channels) +
                     " channels, outside [0, " +
                     std::to_string(cfg_.channels) + "]");
@@ -878,7 +877,7 @@ void DcpimHost::audit_matching(std::vector<std::string>& out) const {
   }
   for (const auto& [epoch, st] : recv_epochs_) {
     if (st.matched_channels < 0 || st.matched_channels > cfg_.channels) {
-      out.push_back(who + " (receiver) epoch " + std::to_string(epoch) +
+      out.push_back(who() + " (receiver) epoch " + std::to_string(epoch) +
                     " matched " + std::to_string(st.matched_channels) +
                     " channels, outside [0, " +
                     std::to_string(cfg_.channels) + "]");
@@ -886,14 +885,14 @@ void DcpimHost::audit_matching(std::vector<std::string>& out) const {
     int accepted_sum = 0;
     for (const auto& [sender, channels] : st.matches) {
       if (channels < 1 || channels > cfg_.channels) {
-        out.push_back(who + " (receiver) epoch " + std::to_string(epoch) +
+        out.push_back(who() + " (receiver) epoch " + std::to_string(epoch) +
                       " matched sender " + std::to_string(sender) + " on " +
                       std::to_string(channels) + " channels");
       }
       accepted_sum += channels;
     }
     if (accepted_sum != st.matched_channels) {
-      out.push_back(who + " (receiver) epoch " + std::to_string(epoch) +
+      out.push_back(who() + " (receiver) epoch " + std::to_string(epoch) +
                     " per-sender matches sum to " +
                     std::to_string(accepted_sum) + " but total says " +
                     std::to_string(st.matched_channels));
@@ -902,7 +901,7 @@ void DcpimHost::audit_matching(std::vector<std::string>& out) const {
 }
 
 void DcpimHost::audit_channel_ledger(std::vector<std::string>& out) const {
-  const std::string who = "host " + std::to_string(host_id());
+  const auto who = [this] { return "host " + std::to_string(host_id()); };
   // Double-spend check (§3.3): a receiver spends a sender's grant by
   // accepting channels against it. Accepting more than this sender ever
   // offered it — in any round of the epoch — means a forged, replayed, or
@@ -910,13 +909,14 @@ void DcpimHost::audit_channel_ledger(std::vector<std::string>& out) const {
   // receiver), so only the per-receiver upper bound is asserted, plus the
   // closed-ledger identity matched == Σ accepted.
   for (const auto& [epoch, st] : send_epochs_) {
-    const std::string tag =
-        who + " (sender) epoch " + std::to_string(epoch);
+    const auto tag = [&who, epoch] {
+      return who() + " (sender) epoch " + std::to_string(epoch);
+    };
     int accepted_sum = 0;
     for (const auto& [receiver, taken] : st.accepted) {
       accepted_sum += taken;
       if (taken < 0) {
-        out.push_back(tag + " recorded " + std::to_string(taken) +
+        out.push_back(tag() + " recorded " + std::to_string(taken) +
                       " accepted channels from receiver " +
                       std::to_string(receiver));
         continue;
@@ -924,20 +924,20 @@ void DcpimHost::audit_channel_ledger(std::vector<std::string>& out) const {
       auto it = st.granted.find(receiver);
       const int offered = it == st.granted.end() ? 0 : it->second;
       if (taken > offered) {
-        out.push_back(tag + " receiver " + std::to_string(receiver) +
+        out.push_back(tag() + " receiver " + std::to_string(receiver) +
                       " accepted " + std::to_string(taken) +
                       " channels against only " + std::to_string(offered) +
                       " granted (double-spend)");
       }
     }
     if (accepted_sum != st.matched_channels) {
-      out.push_back(tag + " per-receiver accepts sum to " +
+      out.push_back(tag() + " per-receiver accepts sum to " +
                     std::to_string(accepted_sum) + " but matched total says " +
                     std::to_string(st.matched_channels));
     }
     for (const auto& [receiver, offered] : st.granted) {
       if (offered < 0 || offered > cfg_.channels * cfg_.rounds) {
-        out.push_back(tag + " offered receiver " +
+        out.push_back(tag() + " offered receiver " +
                       std::to_string(receiver) + " " +
                       std::to_string(offered) + " channels, outside [0, " +
                       std::to_string(cfg_.channels * cfg_.rounds) + "]");

@@ -53,30 +53,28 @@ struct FlowLedger {
   }
 };
 
-Bytes delivered_bytes(net::Network& net, const net::Flow& f) {
-  net::Host* dst = net.host(f.dst);
-  net::FlowRxState* rx = dst->find_rx_state(f.id);
-  return rx == nullptr ? Bytes{} : rx->received_bytes();
-}
+// Sweeps run every few simulated microseconds and nearly always pass, so
+// each check builds its message (and the flow or port tag in it) only
+// inside its failure branch.
 
 void check_flow_conservation(net::Network& net, const FlowLedger& ledger,
                              sim::Auditor::Context& ctx) {
   Bytes delivered_sum{};
   for (const auto& f : net.flows()) {
-    const Bytes delivered = delivered_bytes(net, *f);
+    const Bytes delivered = f->rx ? f->rx->received_bytes() : Bytes{};
     delivered_sum += delivered;
-    const std::string tag = "flow " + std::to_string(f->id);
+    const auto tag = [&f] { return "flow " + std::to_string(f->id); };
     if (delivered > f->size) {
-      ctx.fail(tag + " delivered " + to_string(delivered) +
+      ctx.fail(tag() + " delivered " + to_string(delivered) +
                ", more than its size " + to_string(f->size));
     }
     if (f->finished() && delivered != f->size) {
-      ctx.fail(tag + " finished with " + to_string(delivered) + " of " +
+      ctx.fail(tag() + " finished with " + to_string(delivered) + " of " +
                to_string(f->size) + " delivered");
     }
     const FlowLedger::Entry entry = ledger.lookup(f->id);
     if (delivered + entry.dropped() > entry.injected) {
-      ctx.fail(tag + " accounts " + to_string(delivered) + " delivered + " +
+      ctx.fail(tag() + " accounts " + to_string(delivered) + " delivered + " +
                to_string(entry.dropped()) + " dropped (" +
                to_string(entry.dropped_fault) + " fault-injected, " +
                to_string(entry.dropped_gray) + " gray) against " +
@@ -93,33 +91,35 @@ void check_flow_conservation(net::Network& net, const FlowLedger& ledger,
 void check_queue_occupancy(net::Network& net, sim::Auditor::Context& ctx) {
   for (const auto& dev : net.devices()) {
     for (const auto& port : dev->ports) {
-      const std::string tag = dev->name() + " port " +
-                              std::to_string(port->index());
+      const auto tag = [&dev, &port] {
+        return dev->name() + " port " + std::to_string(port->index());
+      };
       Bytes prio_sum{};
       for (int prio = 0; prio < net::kNumPriorities; ++prio) {
         const Bytes q = port->queued_bytes(prio);
         if (q < Bytes{}) {
-          ctx.fail(tag + " priority " + std::to_string(prio) +
+          ctx.fail(tag() + " priority " + std::to_string(prio) +
                    " holds negative bytes: " + to_string(q));
         }
         prio_sum += q;
       }
       if (prio_sum != port->queued_bytes()) {
-        ctx.fail(tag + " per-priority bytes sum to " + to_string(prio_sum) +
-                 " but total says " + to_string(port->queued_bytes()));
+        ctx.fail(tag() + " per-priority bytes sum to " +
+                 to_string(prio_sum) + " but total says " +
+                 to_string(port->queued_bytes()));
       }
       const net::PortConfig& cfg = port->config();
       if (cfg.buffer_bytes < Bytes{}) continue;
       const Bytes data_queued = port->queued_bytes() - port->queued_bytes(0);
       if (data_queued > cfg.buffer_bytes) {
-        ctx.fail(tag + " data queues hold " + to_string(data_queued) +
+        ctx.fail(tag() + " data queues hold " + to_string(data_queued) +
                  ", above the " + to_string(cfg.buffer_bytes) + " buffer");
       }
       // Trimming bypasses the control budget by design (headers of trimmed
       // data land on priority 0 unconditionally), so the control bound only
       // applies on non-trimming ports.
       if (!cfg.trim_enable && port->queued_bytes(0) > cfg.buffer_bytes) {
-        ctx.fail(tag + " control queue holds " +
+        ctx.fail(tag() + " control queue holds " +
                  to_string(port->queued_bytes(0)) + ", above the " +
                  to_string(cfg.buffer_bytes) + " buffer");
       }
@@ -148,22 +148,23 @@ void check_pfc_pause_ledger(net::Network& net, sim::Auditor::Context& ctx) {
       any_pfc = any_pfc || port->config().pfc_enable;
       any_trim = any_trim || port->config().trim_enable;
       if (!port->config().pfc_enable) continue;
-      const std::string tag =
-          sw->name() + " ingress " + std::to_string(port->index());
+      const auto tag = [sw, &port] {
+        return sw->name() + " ingress " + std::to_string(port->index());
+      };
       const Bytes buffered = sw->ingress_buffered(port->index());
       ledger_sum += buffered;
       if (buffered < Bytes{}) {
-        ctx.fail(tag + " PFC ledger went negative: " + to_string(buffered));
+        ctx.fail(tag() + " PFC ledger went negative: " + to_string(buffered));
       }
       const net::PortConfig& cfg = port->config();
       if (sw->ingress_paused(port->index())) {
         if (buffered < cfg.pfc_resume_threshold) {
-          ctx.fail(tag + " still paused at " + to_string(buffered) +
+          ctx.fail(tag() + " still paused at " + to_string(buffered) +
                    ", below the resume threshold " +
                    to_string(cfg.pfc_resume_threshold));
         }
       } else if (buffered > cfg.pfc_pause_threshold) {
-        ctx.fail(tag + " not paused at " + to_string(buffered) +
+        ctx.fail(tag() + " not paused at " + to_string(buffered) +
                  ", above the pause threshold " +
                  to_string(cfg.pfc_pause_threshold));
       }

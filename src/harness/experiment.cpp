@@ -304,6 +304,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   res.sim_end = rt.net->sim().now();
   res.pool_acquired = rt.net->packet_pool().acquired();
   res.pool_recycled = rt.net->packet_pool().recycled();
+  res.peak_pending = rt.net->sim().peak_pending();
   res.bdp = rt.net->bdp();
   res.data_rtt = rt.net->max_data_rtt();
   res.control_rtt = rt.net->max_control_rtt();

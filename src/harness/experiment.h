@@ -155,6 +155,10 @@ struct ExperimentResult {
   /// traffic only, never results.
   std::uint64_t pool_acquired = 0;
   std::uint64_t pool_recycled = 0;
+  /// Most simulator events queued at once (Simulator::peak_pending). Not
+  /// part of result_fingerprint(): the event queue's shape is not an
+  /// outcome.
+  std::uint64_t peak_pending = 0;
   Bytes bdp{};
   Time data_rtt{};
   Time control_rtt{};

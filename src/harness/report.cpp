@@ -17,7 +17,8 @@ std::string csv_header() {
          "fault_active_us,mean_recovery_us,max_recovery_us,"
          "goodput_during_faults,goodput_after_faults,"
          "gray_drops,time_to_first_retx_us,degrade_active_us,"
-         "goodput_during_degrade,srlg_groups,srlg_drops,srlg_flows_stalled";
+         "goodput_during_degrade,srlg_groups,srlg_drops,srlg_flows_stalled,"
+         "peak_pending";
 }
 
 std::string format_recovery_stats(const sim::fault::RecoveryStats& r) {
@@ -95,7 +96,8 @@ std::string to_csv_row(const ReportRow& row) {
     srlg_drops += g.drops;
     srlg_stalled += g.flows_stalled;
   }
-  os << r.recovery.srlg.size() << ',' << srlg_drops << ',' << srlg_stalled;
+  os << r.recovery.srlg.size() << ',' << srlg_drops << ',' << srlg_stalled
+     << ',' << r.peak_pending;
   return os.str();
 }
 

@@ -52,11 +52,12 @@ Port::Port(Device& owner, int index, PortConfig cfg)
   net_.sim().register_target(*this);
 }
 
-void Port::PacketRing::grow() {
+template <typename T>
+void Port::Ring<T>::grow() {
   const std::uint32_t cap = cap_ == 0 ? 4 : 2 * cap_;
   // sa-ok(hot-alloc): ring growth stops at the port's peak backlog — the
   // ring doubles, never shrinks, and steady state reuses its slots.
-  auto slots = std::make_unique<PacketPtr[]>(cap);
+  auto slots = std::make_unique<T[]>(cap);
   for (std::uint32_t i = 0; i < cap_; ++i) {
     slots[i] = std::move(slots_[(head_ + i) & (cap_ - 1)]);
   }
@@ -65,6 +66,8 @@ void Port::PacketRing::grow() {
   tail_ = cap_;
   cap_ = cap;
 }
+template class Port::Ring<PacketPtr>;
+template class Port::Ring<Port::InFlight>;
 
 void Port::connect(Device* peer, Port* reverse) {
   peer_ = peer;
@@ -226,17 +229,27 @@ void Port::on_event(unsigned kind) {
     ++tx_packets;
     busy_ = false;
     const Time ingress = peer_->ingress_latency();
+    DCPIM_CHECK_GE(ingress, Time{}, "ingress latency cannot be negative");
     const TimePoint arrival =
         net_.sim().now() + link_lookahead().bound() + ingress;
-    // The in-flight FIFO is exact only while arrivals keep send order.
-    DCPIM_DCHECK_GE(arrival, last_arrival_, "in-flight packets would reorder");
+    // The in-flight FIFO is exact only while arrivals keep send order; a
+    // reordered arrival would be queued below now() once its turn came.
+    DCPIM_CHECK_GE(arrival, last_arrival_, "in-flight packets would reorder");
     last_arrival_ = arrival;
-    inflight_.push(std::move(tx_packet_));
-    net_.sim().schedule_remote(link_lookahead(), ingress, *this, kArrived);
+    // The key is taken now, as if the arrival were queued now; only the
+    // front of the delay line is queued, so a busy link costs one entry.
+    const std::uint64_t key = net_.sim().reserve_key(*this, kArrived);
+    if (inflight_.empty()) net_.sim().schedule_keyed(arrival, key);
+    inflight_.push(InFlight{std::move(tx_packet_), arrival, key});
     try_transmit();
     return;
   }
-  peer_->receive(inflight_.pop(), reverse_);
+  InFlight head = inflight_.pop();
+  if (!inflight_.empty()) {
+    const InFlight& next = inflight_.front();
+    net_.sim().schedule_keyed(next.arrival, next.key);
+  }
+  peer_->receive(std::move(head.packet), reverse_);
 }
 
 Device::Device(Network& net, Kind kind, std::string name)

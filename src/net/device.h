@@ -11,6 +11,11 @@
 // the port's in-flight FIFO, kind 1 hands the FIFO front to the peer. The
 // FIFO is exact because serialization is sequential and a link's
 // propagation delay never changes mid-run (degrade faults change the rate).
+// It is also a delay line: each in-flight packet carries its arrival time
+// and the event key reserved when its serialization ended, and only the
+// front arrival sits in the simulator's heap; delivering it queues the next
+// one under its original key, so events pop in the same order as if every
+// arrival had been queued up front (DESIGN.md §13).
 #pragma once
 
 #include <array>
@@ -57,28 +62,34 @@ const char* to_string(DropReason reason);
 
 class Port final : public sim::EventTarget {
  public:
-  /// FIFO of packets in a power-of-two ring. Allocates nothing until the
-  /// first push, then doubles when full; steady state never allocates.
-  class PacketRing {
+  /// FIFO in a power-of-two ring. Allocates nothing until the first push,
+  /// then doubles when full; steady state never allocates.
+  template <typename T>
+  class Ring {
    public:
     bool empty() const { return head_ == tail_; }
     std::uint32_t size() const { return tail_ - head_; }
-    void push(PacketPtr p) {
+    void push(T v) {
       if (size() == cap_) grow();
-      slots_[tail_++ & (cap_ - 1)] = std::move(p);
+      slots_[tail_++ & (cap_ - 1)] = std::move(v);
     }
-    PacketPtr pop() {
+    T pop() {
       DCPIM_DCHECK(!empty(), "pop from an empty packet ring");
       return std::move(slots_[head_++ & (cap_ - 1)]);
+    }
+    const T& front() const {
+      DCPIM_DCHECK(!empty(), "front of an empty packet ring");
+      return slots_[head_ & (cap_ - 1)];
     }
 
    private:
     void grow();
-    std::unique_ptr<PacketPtr[]> slots_;
+    std::unique_ptr<T[]> slots_;
     std::uint32_t head_ = 0;  ///< free-running; masked on access
     std::uint32_t tail_ = 0;
     std::uint32_t cap_ = 0;  ///< 0 or a power of two
   };
+  using PacketRing = Ring<PacketPtr>;
 
   Port(Device& owner, int index, PortConfig cfg);
 
@@ -130,10 +141,11 @@ class Port final : public sim::EventTarget {
   /// Serialization time of `bytes` on this link.
   Time tx_time(Bytes bytes) const;
 
-  /// This link's propagation delay, as the positive bound
-  /// schedule_remote() requires. The only Lookahead construction site in
-  /// src/, so every cross-link delay traces back to a link; the
-  /// topology-sanity ctest pins all inter-host propagation delays > 0.
+  /// This link's propagation delay, as the positive bound that times this
+  /// port's arrivals and that schedule_remote() requires. The only
+  /// Lookahead construction site in src/, so every cross-link delay traces
+  /// back to a link; the topology-sanity ctest pins all inter-host
+  /// propagation delays > 0.
   sim::Lookahead link_lookahead() const {
     return sim::Lookahead(cfg_.propagation);
   }
@@ -155,6 +167,14 @@ class Port final : public sim::EventTarget {
   /// True if some queue with a transmittable packet is non-empty.
   int next_priority_to_send() const;
 
+  /// A serialized packet on the link: when it reaches the peer, and the
+  /// simulator key reserved for that arrival at serialization end.
+  struct InFlight {
+    PacketPtr packet;
+    TimePoint arrival{};
+    std::uint64_t key = 0;
+  };
+
   Device& owner_;
   Network& net_;
   int index_;
@@ -164,7 +184,7 @@ class Port final : public sim::EventTarget {
 
   std::array<PacketRing, kNumPriorities> queues_;
   PacketPtr tx_packet_;  ///< being serialized while busy_
-  PacketRing inflight_;  ///< serialized, propagating to the peer
+  Ring<InFlight> inflight_;  ///< serialized, propagating; front is queued
   TimePoint last_arrival_{};  ///< arrival time of the newest in-flight packet
   std::array<Bytes, kNumPriorities> qbytes_{};
   Bytes total_qbytes_{};

@@ -66,19 +66,18 @@ Bytes Host::accept_data(const Packet& p) {
 }
 
 FlowRxState& Host::rx_state(Flow& flow) {
-  auto it = rx_.find(flow.id);
-  if (it == rx_.end()) {
+  DCPIM_CHECK_EQ(flow.dst, host_id_, "data accepted off its flow's dst");
+  if (!flow.rx) {
     // sa-ok(hot-alloc): once per flow (first data packet), not per packet.
-    it = rx_.emplace(flow.id,
-                     FlowRxState(&flow, network().config().mtu_payload))
-             .first;
+    flow.rx.emplace(&flow, network().config().mtu_payload);
   }
-  return it->second;
+  return *flow.rx;
 }
 
-FlowRxState* Host::find_rx_state(std::uint64_t flow_id) {
-  auto it = rx_.find(flow_id);
-  return it == rx_.end() ? nullptr : &it->second;
+const FlowRxState* Host::find_rx_state(std::uint64_t flow_id) const {
+  const Flow* flow = network().flow(flow_id);
+  if (flow == nullptr || flow->dst != host_id_ || !flow->rx) return nullptr;
+  return &*flow->rx;
 }
 
 Time Host::mtu_tx_time() const {

@@ -5,7 +5,6 @@
 
 #include "util/check.h"
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <type_traits>
 
@@ -94,12 +93,14 @@ class Host : public Device {
   /// signals flow completion. Returns the number of new payload bytes.
   Bytes accept_data(const Packet& p);
 
-  /// Receiver-side reassembly state for a flow (created on first use).
+  /// Receiver-side reassembly state for a flow this host is the
+  /// destination of (created on first use, held on the Flow).
   FlowRxState& rx_state(Flow& flow);
 
  public:
-  /// Receiver-side reassembly state, if any (introspection/debugging).
-  FlowRxState* find_rx_state(std::uint64_t flow_id);
+  /// Receiver-side reassembly state, if any: null before the flow's first
+  /// data packet and on every host but the flow's destination.
+  const FlowRxState* find_rx_state(std::uint64_t flow_id) const;
 
  protected:
 
@@ -109,7 +110,6 @@ class Host : public Device {
  private:
   int host_id_;
   Bytes payload_delivered_{};
-  std::map<std::uint64_t, FlowRxState> rx_;
 };
 
 }  // namespace dcpim::net

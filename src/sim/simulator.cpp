@@ -40,6 +40,7 @@ void Simulator::heap_push(Entry e) {
   // steady-state capacity within the first few simulated RTTs.
   heap_.push_back(e);  // placeholder; the hole-sift below places `e`
   std::size_t i = heap_.size() - 1;
+  if (heap_.size() > peak_pending_) peak_pending_ = heap_.size();
   while (i > 0) {
     const std::size_t parent = (i - 1) / kHeapArity;
     if (!e.before(heap_[parent])) break;
@@ -87,14 +88,25 @@ void Simulator::register_target(EventTarget& target) {
 }
 
 void Simulator::schedule_at(TimePoint t, EventTarget& target, unsigned kind) {
-  DCPIM_DCHECK_GE(t, now_, "cannot schedule into the past");
+  schedule_keyed(t, reserve_key(target, kind));
+}
+
+// sa-hot: once per packet hop (Port serialization end).
+std::uint64_t Simulator::reserve_key(EventTarget& target, unsigned kind) {
   DCPIM_DCHECK(kind <= 1, "typed events have kind 0 or 1");
   DCPIM_DCHECK(target.target_id_ < targets_.size() &&
                    targets_[target.target_id_] == &target,
                "event target not registered with this simulator");
+  return event_key(next_seq_++, kCallbackTag + 1 + kind, target.target_id_);
+}
+
+// sa-hot: every typed event, and each delay-line arrival, is queued here.
+void Simulator::schedule_keyed(TimePoint t, std::uint64_t key) {
+  DCPIM_DCHECK_GE(t, now_, "cannot schedule into the past");
+  DCPIM_DCHECK((key >> kEventIndexBits & 3u) != kCallbackTag,
+               "schedule_keyed takes a key from reserve_key()");
   if (t < now_) t = now_;  // degrade gracefully in release builds
-  heap_push(Entry{t, event_key(next_seq_++, kCallbackTag + 1 + kind,
-                               target.target_id_)});
+  heap_push(Entry{t, key});
 }
 
 // sa-hot: the event loop proper — every simulated event passes through.

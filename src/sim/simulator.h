@@ -23,6 +23,14 @@
 // transports that retire a timer let it fire and discard it with a
 // staleness check, so every pop is live and the per-event path is exactly
 // one O(log n) sift each way.
+//
+// Delay lines: a target whose events fire in the order they were scheduled
+// (a link's in-flight FIFO) may take its key early with reserve_key() and
+// queue it later with schedule_keyed(), keeping only its oldest pending
+// event in the heap. The pop order is the one the eager schedule would have
+// given, provided each reserved event is queued before anything that
+// orders after it pops — Port queues the next arrival as the previous one
+// fires (DESIGN.md §13).
 #pragma once
 
 #include <cstdint>
@@ -38,8 +46,9 @@ namespace dcpim::sim {
 /// Proven-positive scheduling bound for events that cross a link — the
 /// link's propagation delay. Constructible only from a strictly positive
 /// Time, and with Time being integer picoseconds that means every Lookahead
-/// is >= 1 ps: a schedule_remote() call can never land at the caller's own
-/// instant. Port::link_lookahead() is the one construction site in src/
+/// is >= 1 ps: a schedule_remote() call, or a Port arrival timed from its
+/// link's bound, can never land at the sender's own instant.
+/// Port::link_lookahead() is the one construction site in src/
 /// (DESIGN.md §15).
 class Lookahead {
  public:
@@ -172,13 +181,14 @@ class Simulator {
   void schedule_remote(Lookahead link, Callback cb) {
     schedule_remote(link, Time{}, std::move(cb));
   }
-  /// Typed-event form of schedule_remote: `target.on_event(kind)` fires
-  /// `link.bound() + extra` after now().
-  void schedule_remote(Lookahead link, Time extra, EventTarget& target,
-                       unsigned kind) {
-    DCPIM_CHECK_GE(extra, Time{}, "remote extra delay cannot be negative");
-    schedule_at(now_ + link.bound() + extra, target, kind);
-  }
+  /// Takes the next scheduling sequence number for a later
+  /// `target.on_event(kind)`: the returned key breaks time ties as if the
+  /// event had been scheduled now. Queue it with schedule_keyed().
+  std::uint64_t reserve_key(EventTarget& target, unsigned kind);
+
+  /// Queues the event of a key from reserve_key() at absolute time `t`
+  /// (must be >= now()). Queue each reserved key once.
+  void schedule_keyed(TimePoint t, std::uint64_t key);
 
   /// Runs events until the queue drains, `until` is passed, or stop().
   /// Events scheduled exactly at `until` still execute.
@@ -190,8 +200,12 @@ class Simulator {
   /// Number of events executed since construction.
   std::uint64_t events_executed() const { return executed_; }
 
-  /// Number of events currently pending.
+  /// Number of events currently queued. A delay line keeps only its oldest
+  /// event queued, so this is zero exactly when nothing is pending.
   std::size_t pending() const { return heap_.size(); }
+
+  /// Most events queued at once since construction.
+  std::size_t peak_pending() const { return peak_pending_; }
 
  private:
   struct Entry {
@@ -211,6 +225,7 @@ class Simulator {
   std::uint64_t executed_ = 0;
   bool stopped_ = false;
   std::vector<Entry> heap_;
+  std::size_t peak_pending_ = 0;
   CallbackSlab slab_;  ///< callback storage; tag-0 heap_ entries index it
   std::vector<EventTarget*> targets_;  ///< by id; tag-1/2 entries index it
 };

@@ -67,18 +67,19 @@ Topology::HostFactory factory_of() {
 }
 
 /// Two hosts on one switch; returns pointers via out-params.
+template <typename HostT = SinkHost>
 struct TwoHostFixture {
   explicit TwoHostFixture(PortConfig link, NetConfig ncfg = {}) : net(ncfg) {
-    a = net.add_device<SinkHost>(0, link);
-    b = net.add_device<SinkHost>(1, link);
+    a = net.add_device<HostT>(0, link);
+    b = net.add_device<HostT>(1, link);
     sw = net.add_device<Switch>("sw");
     Network::connect(*a, *sw, link);
     Network::connect(*b, *sw, link);
     sw->set_next_hops({{0}, {1}});
   }
   Network net;
-  SinkHost* a;
-  SinkHost* b;
+  HostT* a;
+  HostT* b;
   Switch* sw;
 };
 
@@ -253,10 +254,12 @@ TEST(PortTest, QueuesKeepFifoAndPriorityAcrossRingWrapAndGrowth) {
 }
 
 TEST(PortTest, BackToBackPacketsArriveAtDequeuePlusSerPropIngress) {
+  // Propagation (20 us) dwarfs serialization (120 ns), so all 64 packets
+  // are in flight on the NIC's link at once.
   PortConfig link = fast_link();
-  link.propagation = us(2);  // ~17 packets in flight per link at once
+  link.propagation = us(20);
   TwoHostFixture f(link);
-  constexpr int kPackets = 20;
+  constexpr int kPackets = 64;
   for (int i = 0; i < kPackets; ++i) {
     PacketPtr p = f.a->make_raw(1, Bytes{1500}, 2, false);
     p->seq = static_cast<std::uint32_t>(i);
@@ -268,10 +271,48 @@ TEST(PortTest, BackToBackPacketsArriveAtDequeuePlusSerPropIngress) {
     const auto k = static_cast<std::size_t>(i);
     EXPECT_EQ(f.b->received[k]->seq, k);
     // Dequeued at the NIC at i * 120 ns; each hop adds ser 120 ns + prop
-    // 2 us + the receiver's ingress (switch 450 ns, host 500 ns).
+    // 20 us + the receiver's ingress (switch 450 ns, host 500 ns).
     EXPECT_EQ(f.b->arrival_times[k],
-              TimePoint(ns(120 * i + (120 + 2000 + 450) + (120 + 2000 + 500))));
+              TimePoint(ns(120 * i + (120 + 20000 + 450) +
+                           (120 + 20000 + 500))));
   }
+  // Delay lines: the simulator only ever holds each busy port's
+  // serialization end and its front arrival, never one entry per packet
+  // in flight (~64 here).
+  EXPECT_LE(f.net.sim().peak_pending(), 3u);
+}
+
+/// Two back-to-back packets a -> switch -> b over 2 us links. The second
+/// one's switch-to-b arrival (at `second`) has its key reserved when the
+/// switch finishes serializing it (2810 ns), but while the first packet is
+/// still on that link (until 5190 ns) it is not queued. Returns how many
+/// packets b had received when a callback scheduled at simulated time
+/// `scheduled_at` for the same picosecond as that arrival ran.
+std::size_t received_at_second_arrival(TimePoint scheduled_at) {
+  PortConfig link = fast_link();
+  link.propagation = us(2);
+  TwoHostFixture f(link);
+  for (int i = 0; i < 2; ++i) {
+    f.a->inject(f.a->make_raw(1, Bytes{1500}, 2, false));
+  }
+  const TimePoint second(ns(120 + (120 + 2000 + 450) + (120 + 2000 + 500)));
+  std::size_t seen = 0;
+  f.net.sim().schedule_at(scheduled_at, [&]() {
+    f.net.sim().schedule_at(second, [&]() { seen = f.b->received.size(); });
+  });
+  f.net.sim().run();
+  EXPECT_EQ(f.b->arrival_times.at(1), second);
+  return seen;
+}
+
+TEST(PortTest, ArrivalReservedBeforeASameInstantCallbackFiresFirst) {
+  EXPECT_EQ(received_at_second_arrival(TimePoint(ns(3000))), 2u);
+  EXPECT_EQ(received_at_second_arrival(TimePoint(ns(5200))), 2u);
+}
+
+TEST(PortTest, CallbackScheduledBeforeAnArrivalsReservationFiresFirst) {
+  EXPECT_EQ(received_at_second_arrival(TimePoint{}), 1u);
+  EXPECT_EQ(received_at_second_arrival(TimePoint(ns(2800))), 1u);
 }
 
 TEST(PortTest, TxCountersChangeAtSerializationEnd) {
@@ -359,6 +400,37 @@ TEST(FlowRxStateTest, DedupesAndCompletes) {
   EXPECT_EQ(st.received_bytes(), Bytes{3000});
   EXPECT_EQ(st.first_missing(), 3u);
   EXPECT_EQ(st.on_data(99), Bytes{});  // out of range ignored
+}
+
+/// BlastHost whose receive-side helper the tests can call directly.
+class AcceptHost : public BlastHost {
+ public:
+  using BlastHost::BlastHost;
+  using Host::accept_data;
+};
+
+TEST(HostTest, RxStateExistsOnlyAtTheDestinationAfterFirstData) {
+  TwoHostFixture<AcceptHost> f(fast_link());
+  Flow* flow = f.net.create_flow(0, 1, Bytes{3000}, TimePoint(us(1)));
+  EXPECT_EQ(f.b->find_rx_state(flow->id), nullptr);
+  f.net.sim().run(TimePoint(us(1)));  // sent, nothing delivered yet
+  EXPECT_EQ(f.b->find_rx_state(flow->id), nullptr);
+  f.net.sim().run();
+  const FlowRxState* st = f.b->find_rx_state(flow->id);
+  ASSERT_NE(st, nullptr);
+  EXPECT_TRUE(st->complete());
+  EXPECT_EQ(st->received_bytes(), Bytes{3000});
+  EXPECT_TRUE(flow->finished());
+  EXPECT_EQ(f.a->find_rx_state(flow->id), nullptr);  // the source
+  EXPECT_EQ(f.b->find_rx_state(flow->id + 1), nullptr);  // no such flow
+}
+
+TEST(HostDeathTest, DataAcceptedOffItsDestinationIsChecked) {
+  TwoHostFixture<AcceptHost> f(fast_link());
+  Flow* flow = f.net.create_flow(0, 1, Bytes{3000}, TimePoint(us(1)));
+  Packet p;
+  p.flow_id = flow->id;
+  EXPECT_DEATH(f.a->accept_data(p), "off its flow's dst");
 }
 
 TEST(TopologyTest, LeafSpineShapeAndMetrics) {

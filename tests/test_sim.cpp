@@ -144,14 +144,14 @@ TEST(SimulatorTest, CallbackAndTypedEventsTieInScheduleOrder) {
   EXPECT_EQ(sim.events_executed(), 6u);
 }
 
-TEST(SimulatorTest, TypedRemoteEventsLandAfterLinkAndExtra) {
+TEST(SimulatorTest, KeyedEventsFireAtTheirTime) {
   Simulator sim;
   std::vector<std::string> log;
   LogTarget x("x", log);
   sim.register_target(x);
   TimePoint seen = kTimeUnset;
   sim.schedule_at(TimePoint(us(1)), [&]() {
-    sim.schedule_remote(Lookahead(ns(200)), ns(50), x, 1);
+    sim.schedule_keyed(TimePoint(us(1)) + ns(250), sim.reserve_key(x, 1));
     sim.schedule_at(TimePoint(us(1)) + ns(250), [&]() { seen = sim.now(); });
   });
   sim.run(TimePoint(us(1)));
@@ -159,6 +159,48 @@ TEST(SimulatorTest, TypedRemoteEventsLandAfterLinkAndExtra) {
   sim.run();
   EXPECT_EQ(log, (std::vector<std::string>{"x1"}));
   EXPECT_EQ(seen, TimePoint(us(1)) + ns(250));
+}
+
+TEST(SimulatorTest, ReservedKeyBreaksTiesAsOfItsReservation) {
+  // A key reserved before a same-instant callback was scheduled fires
+  // first even when it is queued after that callback — the delay-line
+  // case, where an arrival's key is taken at serialization end and queued
+  // only when the arrival ahead of it fires.
+  Simulator sim;
+  std::vector<std::string> log;
+  LogTarget x("x", log);
+  sim.register_target(x);
+  const TimePoint t(us(5));
+  const std::uint64_t early = sim.reserve_key(x, 1);
+  sim.schedule_at(t, [&]() { log.push_back("cb"); });
+  sim.schedule_at(TimePoint(us(3)), [&]() { sim.schedule_keyed(t, early); });
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"x1", "cb"}));
+}
+
+TEST(SimulatorTest, KeyReservedAfterACallbackFiresAfterIt) {
+  Simulator sim;
+  std::vector<std::string> log;
+  LogTarget x("x", log);
+  sim.register_target(x);
+  const TimePoint t(us(5));
+  sim.schedule_at(t, [&]() { log.push_back("cb"); });
+  const std::uint64_t late = sim.reserve_key(x, 1);
+  sim.schedule_at(TimePoint(us(3)), [&]() { sim.schedule_keyed(t, late); });
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"cb", "x1"}));
+}
+
+TEST(SimulatorTest, PeakPendingIsTheMostEverQueued) {
+  Simulator sim;
+  EXPECT_EQ(sim.peak_pending(), 0u);
+  for (int i = 1; i <= 3; ++i) sim.schedule_at(TimePoint(us(i)), []() {});
+  sim.run(TimePoint(us(2)));
+  sim.schedule_at(TimePoint(us(4)), []() {});
+  EXPECT_EQ(sim.pending(), 2u);
+  sim.run();
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.peak_pending(), 3u);
 }
 
 TEST(SimulatorTest, EventKeysOrderBySeq) {
