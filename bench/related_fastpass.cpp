@@ -91,21 +91,18 @@ int main(int argc, char** argv) {
   std::printf("  %-10s %12s %12s %12s %12s %10s\n", "design", "short mean",
               "short p99", "all mean", "all p99", "done");
 
-  const core::DcpimConfig dcpim;
-  print_row("dcPIM", run_with([&](net::Network&) {
-              return core::dcpim_host_factory(dcpim);
+  print_row("dcPIM", run_with([](net::Network&) {
+              return core::dcpim_host_factory(core::DcpimConfig{});
             }));
 
-  const proto::FastpassConfig fastpass;
   std::unique_ptr<proto::FastpassArbiter> arbiter;
   print_row("Fastpass", run_with([&](net::Network& net) {
               arbiter = std::make_unique<proto::FastpassArbiter>(net);
-              return proto::fastpass_host_factory(fastpass, *arbiter);
+              return proto::fastpass_host_factory(*arbiter);
             }));
 
-  const proto::PhostConfig phost;
-  print_row("pHost", run_with([&](net::Network&) {
-              return proto::phost_host_factory(phost);
+  print_row("pHost", run_with([](net::Network&) {
+              return proto::phost_host_factory();
             }));
   return 0;
 }

@@ -319,15 +319,6 @@ const KeyInfo kRegistry[] = {
        }
        c.dcpim.long_flow_priorities = static_cast<int>(v);
      }},
-    {"dcpim.token_pacing_headroom", "protocol", true,
-     [](Config& c, const std::string& t) {
-       const double v = parse_double_token(t);
-       if (v < 0.0) {
-         throw std::invalid_argument(
-             "dcpim.token_pacing_headroom must be >= 0");
-       }
-       c.dcpim.token_pacing_headroom = v;
-     }},
 
     {"plan", "faults", true,
      [](Config& c, const std::string& t) {

@@ -23,8 +23,7 @@
 //   [protocol]            protocol, dcpim.rounds, dcpim.channels,
 //                         dcpim.beta, dcpim.fct_optimizing_first_round,
 //                         dcpim.flow_size_aware, dcpim.pipeline_phases,
-//                         dcpim.clock_jitter, dcpim.long_flow_priorities,
-//                         dcpim.token_pacing_headroom
+//                         dcpim.clock_jitter, dcpim.long_flow_priorities
 //   [faults]              plan (the --faults grammar of
 //                         sim/fault/fault_plan.h), fault_seed
 //   [harness]             audit

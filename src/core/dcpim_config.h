@@ -34,18 +34,6 @@ struct DcpimConfig {
   /// priority 2; more levels map smaller-remaining flows to higher priority.
   int long_flow_priorities = 1;
 
-  /// Fractional slack added to the token pacing interval. Pacing tokens at
-  /// exactly line rate leaves zero headroom: any control-plane jitter
-  /// compresses token spacing, builds a standing queue at the sender NIC,
-  /// and inflates the token->data loop beyond what the 1-BDP window covers.
-  /// A few percent of headroom keeps the loop near its unloaded value.
-  double token_pacing_headroom = 0.04;
-
-  // --- recovery timers ------------------------------------------------------
-  /// Notification / finish control retransmissions (one per cRTT) before
-  /// the sender gives up.
-  int max_control_retx = 50;
-
   // --- derived quantities (crtt: Network::max_control_rtt()) ----------------
   Time stage_length(Time crtt) const { return crtt * (beta / 2.0); }
   /// Matching-phase length == data-phase length (pipelined, §3.3).

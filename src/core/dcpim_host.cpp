@@ -12,15 +12,22 @@ namespace {
 constexpr std::uint8_t kShortFlowPriority = 1;
 constexpr std::uint8_t kLongFlowBasePriority = 2;
 
-std::uint32_t seq_count(const net::Flow& flow, Bytes mtu_payload) {
-  // sa-ok(unit-raw): data seq numbers are raw uint32 indices on the wire
-  return static_cast<std::uint32_t>(flow.packet_count(mtu_payload).raw());
-}
+/// Notification / finish control retransmissions (one per cRTT) before the
+/// sender gives up.
+constexpr int kMaxControlRetx = 50;
+
+/// Fractional slack added to the token pacing interval. Pacing tokens at
+/// exactly line rate leaves zero headroom: any control-plane jitter
+/// compresses token spacing, builds a standing queue at the sender NIC, and
+/// inflates the token->data loop beyond what the 1-BDP window covers. A few
+/// percent of headroom keeps the loop near its unloaded value.
+constexpr double kTokenPacingHeadroom = 0.04;
 }  // namespace
 
 DcpimHost::DcpimHost(net::Network& net, int host_id,
-                     const net::PortConfig& nic, const DcpimConfig& cfg)
+                     const net::PortConfig& nic, DcpimConfig cfg)
     : net::Host(net, host_id, nic), cfg_(cfg) {
+  cfg_.validate();  // once: the host's copy never changes
   if (cfg_.clock_jitter > Time{}) {
     jitter_ = Time{static_cast<std::int64_t>(network().rng().uniform_int(
         // sa-ok(unit-raw): the rng draws over a raw inclusive picosecond range
@@ -57,9 +64,8 @@ Bytes DcpimHost::channel_bytes_per_phase() const {
 }
 
 std::size_t DcpimHost::total_window_packets() const {
-  const Bytes mtu = network().config().mtu_payload;
   return static_cast<std::size_t>(
-      std::max<std::int64_t>(1, network().bdp() / mtu));
+      std::max<std::int64_t>(1, network().bdp() / net::kMtuPayload));
 }
 
 void DcpimHost::forget_outstanding(RxFlow& rx) {
@@ -71,12 +77,11 @@ void DcpimHost::forget_outstanding(RxFlow& rx) {
 
 std::uint32_t DcpimHost::window_packets(int channels) const {
   const Bytes window = network().bdp() * channels / cfg_.channels;
-  const Bytes mtu = network().config().mtu_payload;
-  return static_cast<std::uint32_t>(std::max<std::int64_t>(1, window / mtu));
+  return static_cast<std::uint32_t>(
+      std::max<std::int64_t>(1, window / net::kMtuPayload));
 }
 
 void DcpimHost::epoch_tick(std::uint64_t m) {
-  cfg_.validate();
   gc_epochs(m);
 
   // Epoch boundaries are the natural instants for event-driven invariant
@@ -109,7 +114,7 @@ void DcpimHost::epoch_tick(std::uint64_t m) {
 void DcpimHost::on_flow_arrival(net::Flow& flow) {
   TxFlow tx;
   tx.flow = &flow;
-  tx.packets = seq_count(flow, network().config().mtu_payload);
+  tx.packets = flow.seq_count();
   tx.sent.assign(tx.packets, false);
   tx.is_short = flow.size <= network().bdp();
   auto [it, inserted] = tx_flows_.emplace(flow.id, std::move(tx));
@@ -151,7 +156,7 @@ void DcpimHost::schedule_notify_timer(std::uint64_t flow_id) {
         auto it = tx_flows_.find(flow_id);
         if (it == tx_flows_.end()) return;
         TxFlow& tx = it->second;
-        if (tx.notify_acked || tx.notify_retx >= cfg_.max_control_retx) return;
+        if (tx.notify_acked || tx.notify_retx >= kMaxControlRetx) return;
         ++tx.notify_retx;
         send_notification(tx, /*retransmit=*/true);
         schedule_notify_timer(flow_id);
@@ -174,7 +179,7 @@ void DcpimHost::schedule_finish_timer(std::uint64_t flow_id) {
         auto it = tx_flows_.find(flow_id);
         if (it == tx_flows_.end()) return;
         TxFlow& tx = it->second;
-        if (tx.finish_acked || tx.finish_retx >= cfg_.max_control_retx) return;
+        if (tx.finish_acked || tx.finish_retx >= kMaxControlRetx) return;
         ++tx.finish_retx;
         ++counters_.finish_retx;
         auto fin = make_control<FinishPacket>(tx.flow->dst, kFinish);
@@ -348,7 +353,7 @@ void DcpimHost::handle_notification(const NotificationPacket& note) {
 
   RxFlow rx;
   rx.flow = flow;
-  rx.packets = seq_count(*flow, network().config().mtu_payload);
+  rx.packets = flow->seq_count();
   rx.needs_matching = flow->size > network().bdp();
   rx_flows_.emplace(note.flow_id, std::move(rx));
 
@@ -438,7 +443,7 @@ void DcpimHost::handle_data(net::PacketPtr p) {
     if (flow == nullptr) return;
     RxFlow rx;
     rx.flow = flow;
-    rx.packets = seq_count(*flow, network().config().mtu_payload);
+    rx.packets = flow->seq_count();
     rx.needs_matching = flow->size > network().bdp();
     it = rx_flows_.emplace(id, std::move(rx)).first;
     if (it->second.needs_matching) {
@@ -670,9 +675,9 @@ void DcpimHost::token_tick(std::uint64_t phase, std::size_t match_idx) {
 
   // c of the receiver's k channels are devoted to this sender: pace tokens
   // at c/k of the access rate (§3.4), with a small headroom (see
-  // DcpimConfig::token_pacing_headroom).
+  // kTokenPacingHeadroom).
   const Time interval = mtu_tx_time() * cfg_.channels / match.channels *
-                        (1.0 + cfg_.token_pacing_headroom);
+                        (1.0 + kTokenPacingHeadroom);
   network().sim().schedule_after(
       interval, [this, phase, match_idx]() { token_tick(phase, match_idx); });
 }
@@ -946,9 +951,9 @@ void DcpimHost::audit_channel_ledger(std::vector<std::string>& out) const {
   }
 }
 
-net::Topology::HostFactory dcpim_host_factory(const DcpimConfig& cfg) {
-  return [&cfg](net::Network& net, int host_id,
-                const net::PortConfig& nic) -> net::Host* {
+net::Topology::HostFactory dcpim_host_factory(DcpimConfig cfg) {
+  return [cfg](net::Network& net, int host_id,
+               const net::PortConfig& nic) -> net::Host* {
     return net.add_device<DcpimHost>(host_id, nic, cfg);
   };
 }

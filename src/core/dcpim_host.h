@@ -27,7 +27,7 @@ namespace dcpim::core {
 class DcpimHost : public net::Host {
  public:
   DcpimHost(net::Network& net, int host_id, const net::PortConfig& nic,
-            const DcpimConfig& cfg);
+            DcpimConfig cfg);
 
   void on_flow_arrival(net::Flow& flow) override;
 
@@ -56,7 +56,6 @@ class DcpimHost : public net::Host {
     std::uint64_t short_flows_rescued = 0;  ///< short flows moved to matching
   };
   const Counters& counters() const { return counters_; }
-  const DcpimConfig& protocol_config() const { return cfg_; }
 
   /// Loss recovery = notify/finish control retransmits plus token-timeout
   /// readmissions (§5.1) — the actions dcPIM takes only when packets die.
@@ -205,8 +204,7 @@ class DcpimHost : public net::Host {
   void gc_epochs(std::uint64_t current);
 
   // === members ================================================================
-  /// Shared protocol config; the owner keeps it alive for the run.
-  const DcpimConfig& cfg_;
+  const DcpimConfig cfg_;
   Time jitter_{};
   Counters counters_;
   EpochAuditHook epoch_audit_hook_;
@@ -239,8 +237,7 @@ class DcpimHost : public net::Host {
   void forget_outstanding(RxFlow& rx);
 };
 
-/// HostFactory for Topology builders. The config must outlive the returned
-/// factory and the hosts it builds.
-net::Topology::HostFactory dcpim_host_factory(const DcpimConfig& cfg);
+/// HostFactory for Topology builders; every host gets its own copy of `cfg`.
+net::Topology::HostFactory dcpim_host_factory(DcpimConfig cfg);
 
 }  // namespace dcpim::core

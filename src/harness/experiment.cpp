@@ -8,6 +8,13 @@
 #include "harness/audit_probes.h"
 #include "harness/fault_injector.h"
 #include "net/topology.h"
+#include "proto/dctcp.h"
+#include "proto/fastpass.h"
+#include "proto/homa.h"
+#include "proto/hpcc.h"
+#include "proto/ndp.h"
+#include "proto/phost.h"
+#include "proto/tcp.h"
 #include "sim/audit.h"
 #include "util/logging.h"
 #include "workload/cdf.h"
@@ -46,12 +53,10 @@ std::vector<Bytes> default_bucket_edges(Bytes bdp) {
   return {Bytes{}, bdp / 4, bdp, bdp * 4, bdp * 16, bdp * 64};
 }
 
-/// Everything whose lifetime must span the simulation (hosts keep references
-/// to the protocol configs).
+/// Everything whose lifetime must span the simulation.
 struct Runtime {
-  explicit Runtime(const ExperimentConfig& cfg)
-      : exp(cfg) {}
-  ExperimentConfig exp;  ///< owned copy; protocol configs live here
+  explicit Runtime(const ExperimentConfig& cfg) : exp(cfg) {}
+  const ExperimentConfig& exp;
   std::unique_ptr<net::Network> net;
   /// Fastpass only: the shared arbiter, created after the Network and
   /// before the topology (hosts bind to it at construction).
@@ -89,28 +94,27 @@ net::Topology::HostFactory make_factory(Runtime& rt) {
     case Protocol::Dcpim:
       return core::dcpim_host_factory(rt.exp.dcpim);
     case Protocol::Phost:
-      return proto::phost_host_factory(rt.exp.phost);
+      return proto::phost_host_factory();
     case Protocol::Homa:
+      return proto::homa_host_factory(/*aeolus=*/false);
     case Protocol::HomaAeolus:
-      rt.exp.homa.aeolus = rt.exp.protocol == Protocol::HomaAeolus;
-      return proto::homa_host_factory(rt.exp.homa);
+      return proto::homa_host_factory(/*aeolus=*/true);
     case Protocol::Ndp:
-      return proto::ndp_host_factory(rt.exp.ndp);
+      return proto::ndp_host_factory();
     case Protocol::Hpcc:
-      return proto::hpcc_host_factory(rt.exp.hpcc);
+      return proto::hpcc_host_factory();
     case Protocol::Dctcp:
-      return proto::dctcp_host_factory(rt.exp.dctcp);
+      return proto::dctcp_host_factory();
     case Protocol::Tcp:
-      return proto::tcp_host_factory(rt.exp.tcp);
+      return proto::tcp_host_factory();
     case Protocol::Fastpass:
       rt.fastpass_arbiter = std::make_unique<proto::FastpassArbiter>(*rt.net);
-      return proto::fastpass_host_factory(rt.exp.fastpass,
-                                          *rt.fastpass_arbiter);
+      return proto::fastpass_host_factory(*rt.fastpass_arbiter);
   }
   throw std::logic_error("unknown protocol");
 }
 
-net::PortCustomize make_port_customize(Runtime& rt, Bytes mtu_wire) {
+net::PortCustomize make_port_customize(const Runtime& rt) {
   const double loss = rt.exp.loss_rate;
   switch (rt.exp.protocol) {
     case Protocol::HomaAeolus:
@@ -121,9 +125,9 @@ net::PortCustomize make_port_customize(Runtime& rt, Bytes mtu_wire) {
         pc.aeolus_threshold = pc.buffer_bytes / 8;
       };
     case Protocol::Ndp:
-      return [loss, mtu_wire](net::PortConfig& pc) {
+      return [loss](net::PortConfig& pc) {
         pc.loss_rate = loss;
-        proto::ndp_port_customize(pc, mtu_wire);
+        proto::ndp_port_customize(pc);
       };
     case Protocol::Hpcc:
       return [loss](net::PortConfig& pc) {
@@ -183,7 +187,7 @@ void build_topology(Runtime& rt, const net::Topology::HostFactory& factory,
 }
 
 void drive_pattern(Runtime& rt, std::vector<std::unique_ptr<workload::PoissonGenerator>>& gens) {
-  auto& exp = rt.exp;
+  const ExperimentConfig& exp = rt.exp;
   net::Network& net = *rt.net;
   const net::Topology& topo = *rt.topo;
 
@@ -268,7 +272,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   rt.net = std::make_unique<net::Network>(ncfg);
 
   auto factory = make_factory(rt);
-  auto customize = make_port_customize(rt, ncfg.mtu_wire());
+  auto customize = make_port_customize(rt);
   build_topology(rt, factory, customize);
 
   stats::FlowStats fstats(*rt.net, *rt.topo);
@@ -290,9 +294,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
 
   std::unique_ptr<sim::Auditor> auditor;
   if (cfg.audit) {
-    sim::Auditor::Options opts;
-    opts.period = cfg.audit_period;
-    auditor = std::make_unique<sim::Auditor>(opts);
+    auditor = std::make_unique<sim::Auditor>();
     install_standard_probes(*auditor, *rt.net);
     auditor->attach(rt.net->sim());
   }

@@ -10,15 +10,8 @@
 
 #include "core/dcpim_config.h"
 #include "net/config.h"
-#include "proto/dctcp.h"
-#include "proto/fastpass.h"
 #include "sim/audit.h"
 #include "sim/fault/fault_plan.h"
-#include "proto/homa.h"
-#include "proto/hpcc.h"
-#include "proto/ndp.h"
-#include "proto/phost.h"
-#include "proto/tcp.h"
 #include "stats/metrics.h"
 #include "util/time.h"
 #include "util/units.h"
@@ -104,25 +97,17 @@ struct ExperimentConfig {
 
   // --- invariant auditing ---------------------------------------------------
   /// When set, the standard invariant probes (see harness/audit_probes.h)
-  /// sweep the simulation every `audit_period` plus once at the end; the
-  /// result lands in ExperimentResult::audit.
+  /// sweep the simulation every 10 us plus once at the end; the result
+  /// lands in ExperimentResult::audit.
   bool audit = false;
-  Time audit_period = us(10);
 
   /// Recycle data packets through net::PacketPool (NetConfig::packet_pool).
   /// Behaviour-invariant by contract: tests/test_packet_pool.cpp asserts
   /// result_fingerprint() equality on/off for every protocol.
   bool packet_pool = true;
 
-  // --- per-protocol parameters ---------------------------------------------
+  /// dcPIM's parameters; the baselines have none.
   core::DcpimConfig dcpim;
-  proto::PhostConfig phost;
-  proto::HomaConfig homa;
-  proto::NdpConfig ndp;
-  proto::HpccConfig hpcc;
-  proto::DctcpConfig dctcp;
-  proto::TcpConfig tcp;
-  proto::FastpassConfig fastpass;
 };
 
 struct ExperimentResult {

@@ -10,6 +10,20 @@ namespace dcpim::net {
 
 inline constexpr int kNumPriorities = 8;
 
+// Packet sizes and fixed latencies of the fabric (Table 1).
+/// Application bytes per full data packet.
+inline constexpr Bytes kMtuPayload{1460};
+/// Per-packet wire overhead.
+inline constexpr Bytes kHeaderBytes{40};
+/// Wire size of a full data packet.
+inline constexpr Bytes kMtuWire = kMtuPayload + kHeaderBytes;
+/// Wire size of a control packet.
+inline constexpr Bytes kControlPacketBytes{64};
+/// Per-switch processing delay.
+inline constexpr Time kSwitchLatency = ns(450);
+/// End-host ingress (NIC/stack) delay.
+inline constexpr Time kHostLatency = ns(500);
+
 /// How a switch spreads a multi-path destination across its equal-cost
 /// next hops (Switch::select_egress). Spray and EcmpFlow reproduce the
 /// paper's two forwarding modes; Flowlet and EcmpWeighted are the
@@ -60,13 +74,8 @@ struct PortConfig {
   double gray_loss_rate = 0.0;
 };
 
-/// Network-wide constants.
+/// Network-wide settings.
 struct NetConfig {
-  Bytes mtu_payload{1460};        ///< application bytes per full data packet
-  Bytes header_bytes{40};         ///< per-packet wire overhead
-  Bytes control_packet_bytes{64};  ///< wire size of control packets
-  Time switch_latency = ns(450);  ///< per-switch processing delay (Table 1)
-  Time host_latency = ns(500);    ///< end-host ingress (NIC/stack) delay
   /// Multi-path forwarding policy.
   LbPolicy lb_policy = LbPolicy::kSpray;
   /// Flowlet policy only: idle gap after which a flow's next hop re-draws.
@@ -77,8 +86,6 @@ struct NetConfig {
   /// for allocator-level debugging (e.g. ASan use-after-free pinpointing).
   bool packet_pool = true;
   std::uint64_t seed = 1;
-
-  Bytes mtu_wire() const { return mtu_payload + header_bytes; }
 };
 
 }  // namespace dcpim::net

@@ -28,6 +28,11 @@ std::uint64_t fault_stream_seed(std::uint64_t net_seed, int device_id,
 constexpr unsigned kSerialized = 0;
 constexpr unsigned kArrived = 1;
 
+// Device::ingress_latency() is zero or one of these, so an arrival is at
+// least the link's (positive) propagation delay after its serialization.
+static_assert(kSwitchLatency >= Time{} && kHostLatency >= Time{},
+              "ingress latency cannot be negative");
+
 }  // namespace
 
 const char* to_string(DropReason reason) {
@@ -49,6 +54,7 @@ Port::Port(Device& owner, int index, PortConfig cfg)
       cfg_(cfg),
       fault_rng_(fault_stream_seed(owner.network().config().seed,
                                    owner.device_id(), index)) {
+  DCPIM_CHECK_GT(cfg_.propagation, Time{}, "link propagation must be positive");
   net_.sim().register_target(*this);
 }
 
@@ -228,10 +234,8 @@ void Port::on_event(unsigned kind) {
     tx_bytes += tx_packet_->size;
     ++tx_packets;
     busy_ = false;
-    const Time ingress = peer_->ingress_latency();
-    DCPIM_CHECK_GE(ingress, Time{}, "ingress latency cannot be negative");
     const TimePoint arrival =
-        net_.sim().now() + link_lookahead().bound() + ingress;
+        net_.sim().now() + cfg_.propagation + peer_->ingress_latency();
     // The in-flight FIFO is exact only while arrivals keep send order; a
     // reordered arrival would be queued below now() once its turn came.
     DCPIM_CHECK_GE(arrival, last_arrival_, "in-flight packets would reorder");

@@ -91,6 +91,9 @@ class Port final : public sim::EventTarget {
   };
   using PacketRing = Ring<PacketPtr>;
 
+  /// DCPIM_CHECKs that `cfg.propagation` is positive: an arrival then
+  /// never lands at its sender's own instant. Nothing changes the
+  /// propagation delay after construction.
   Port(Device& owner, int index, PortConfig cfg);
 
   /// Typed simulator events: kind 0 ends the current serialization,
@@ -140,15 +143,6 @@ class Port final : public sim::EventTarget {
 
   /// Serialization time of `bytes` on this link.
   Time tx_time(Bytes bytes) const;
-
-  /// This link's propagation delay, as the positive bound that times this
-  /// port's arrivals and that schedule_remote() requires. The only
-  /// Lookahead construction site in src/, so every cross-link delay traces
-  /// back to a link; the topology-sanity ctest pins all inter-host
-  /// propagation delays > 0.
-  sim::Lookahead link_lookahead() const {
-    return sim::Lookahead(cfg_.propagation);
-  }
 
   // --- statistics ---------------------------------------------------------
   std::uint64_t drops = 0;           ///< all drops, any reason

@@ -5,6 +5,7 @@
 #include <optional>
 #include <vector>
 
+#include "net/config.h"
 #include "util/time.h"
 #include "util/units.h"
 
@@ -16,7 +17,7 @@ struct Flow;
 /// retransmissions, and detects completion.
 class FlowRxState {
  public:
-  FlowRxState(Flow* flow, Bytes mtu_payload);
+  explicit FlowRxState(Flow* flow);
 
   /// Records receipt of packet `seq`; returns the number of *new* payload
   /// bytes (0 for duplicates).
@@ -37,7 +38,6 @@ class FlowRxState {
 
  private:
   Flow* flow_ = nullptr;
-  Bytes mtu_payload_{1460};
   std::uint32_t first_missing_ = 0;  ///< cursor maintained by on_data()
   std::vector<bool> seen_;
   std::size_t received_count_ = 0;
@@ -60,24 +60,27 @@ struct Flow {
   Time fct() const { return finish_time - start_time; }
 
   /// Number of MTU-payload-sized data packets for this flow.
-  PacketCount packet_count(Bytes mtu_payload) const {
-    return PacketCount{(size + mtu_payload - Bytes{1}) / mtu_payload};
+  PacketCount packet_count() const {
+    return PacketCount{(size + kMtuPayload - Bytes{1}) / kMtuPayload};
+  }
+
+  /// packet_count() as the size of the flow's uint32 sequence space.
+  std::uint32_t seq_count() const {
+    // sa-ok(unit-raw): data seq numbers are raw uint32 indices on the wire
+    return static_cast<std::uint32_t>(packet_count().raw());
   }
 
   /// Payload carried by data packet `seq` (last packet may be short).
-  Bytes payload_of(std::uint32_t seq, Bytes mtu_payload) const {
-    const Bytes offset = mtu_payload * seq;
+  Bytes payload_of(std::uint32_t seq) const {
+    const Bytes offset = kMtuPayload * seq;
     const Bytes remaining = size - offset;
-    return remaining < mtu_payload ? remaining : mtu_payload;
+    return remaining < kMtuPayload ? remaining : kMtuPayload;
   }
 };
 
-inline FlowRxState::FlowRxState(Flow* flow, Bytes mtu_payload)
+inline FlowRxState::FlowRxState(Flow* flow)
     : flow_(flow),
-      mtu_payload_(mtu_payload),
-      // sa-ok(unit-raw): vector sizing takes a bare count
-      seen_(static_cast<std::size_t>(flow->packet_count(mtu_payload).raw()),
-            false) {}
+      seen_(flow->seq_count(), false) {}
 
 inline Bytes FlowRxState::on_data(std::uint32_t seq) {
   if (seq >= seen_.size() || seen_[seq]) return Bytes{};
@@ -90,7 +93,7 @@ inline Bytes FlowRxState::on_data(std::uint32_t seq) {
   while (first_missing_ < seen_.size() && seen_[first_missing_]) {
     ++first_missing_;
   }
-  const Bytes got = flow_->payload_of(seq, mtu_payload_);
+  const Bytes got = flow_->payload_of(seq);
   received_bytes_ += got;
   return got;
 }

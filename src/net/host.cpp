@@ -25,14 +25,13 @@ void Host::send(PacketPtr p) {
 // the network's PacketPool: acquire() here, release at whichever drop or
 // delivery site destroys the PacketPtr (PacketDeleter funnels them back).
 PacketPtr Host::make_data_packet(const Flow& flow, DataPacketSpec spec) const {
-  const auto& cfg = network().config();
   PacketPtr p = network().packet_pool().acquire();
   p->src = flow.src;
   p->dst = flow.dst;
   p->flow_id = flow.id;
   p->seq = spec.seq;
-  p->payload = flow.payload_of(spec.seq, cfg.mtu_payload);
-  p->size = p->payload + cfg.header_bytes;
+  p->payload = flow.payload_of(spec.seq);
+  p->size = p->payload + kHeaderBytes;
   p->priority = spec.priority;
   p->unscheduled = spec.unscheduled;
   p->created_at = network().sim().now();
@@ -69,7 +68,7 @@ FlowRxState& Host::rx_state(Flow& flow) {
   DCPIM_CHECK_EQ(flow.dst, host_id_, "data accepted off its flow's dst");
   if (!flow.rx) {
     // sa-ok(hot-alloc): once per flow (first data packet), not per packet.
-    flow.rx.emplace(&flow, network().config().mtu_payload);
+    flow.rx.emplace(&flow);
   }
   return *flow.rx;
 }
@@ -81,7 +80,7 @@ const FlowRxState* Host::find_rx_state(std::uint64_t flow_id) const {
 }
 
 Time Host::mtu_tx_time() const {
-  return nic()->tx_time(network().config().mtu_wire());
+  return nic()->tx_time(kMtuWire);
 }
 
 }  // namespace dcpim::net

@@ -32,9 +32,7 @@ class Host : public Device {
   /// Device interface: unwraps the packet and forwards to the protocol.
   void receive(PacketPtr p, Port* in) final;
 
-  Time ingress_latency() const override {
-    return network().config().host_latency;
-  }
+  Time ingress_latency() const override { return kHostLatency; }
 
   /// New locally-originated flow to transmit.
   virtual void on_flow_arrival(Flow& flow) = 0;
@@ -80,7 +78,7 @@ class Host : public Device {
     auto p = std::make_unique<T>();
     p->src = host_id_;
     p->dst = dst;
-    p->size = network().config().control_packet_bytes;
+    p->size = kControlPacketBytes;
     p->priority = 0;
     p->control = true;
     p->kind = kind;

@@ -129,13 +129,13 @@ void Switch::pfc_update(int ingress_index) {
     ++pfc_pauses_sent;
     // The pause frame crosses the link back to the upstream egress port.
     Port* upstream = in->reverse();
-    network().sim().schedule_remote(
-        in->link_lookahead(), [upstream]() { upstream->set_paused(true); });
+    network().sim().schedule_after(
+        in->config().propagation, [upstream]() { upstream->set_paused(true); });
   } else if (should_resume && ingress_paused_[idx]) {
     ingress_paused_[idx] = false;
     Port* upstream = in->reverse();
-    network().sim().schedule_remote(
-        in->link_lookahead(), [upstream]() { upstream->set_paused(false); });
+    network().sim().schedule_after(
+        in->config().propagation, [upstream]() { upstream->set_paused(false); });
   }
 }
 

@@ -31,9 +31,7 @@ class Switch : public Device {
   /// Sizes the per-ingress PFC ledgers eagerly at topology-build time, so
   /// the per-packet accounting path never grows a vector.
   void on_port_added(Port& port) override;
-  Time ingress_latency() const override {
-    return network().config().switch_latency;
-  }
+  Time ingress_latency() const override { return kSwitchLatency; }
 
   /// next_hops[dst_host] = candidate local egress port indices.
   void set_next_hops(std::vector<std::vector<std::uint16_t>> table) {

@@ -38,7 +38,6 @@ std::vector<int> bfs_distances(const Network& net, const Device* start) {
 }  // namespace
 
 void Topology::finalize(Network& net) {
-  net_ = &net;
   num_hosts_ = net.num_hosts();
   const auto& devices = net.devices();
 
@@ -76,7 +75,6 @@ void Topology::finalize(Network& net) {
   pair_class_.assign(
       static_cast<std::size_t>(num_hosts_) * static_cast<std::size_t>(num_hosts_),
       0);
-  const auto& cfg = net.config();
   for (int s = 0; s < num_hosts_; ++s) {
     for (int d = 0; d < num_hosts_; ++d) {
       if (s == d) continue;
@@ -126,8 +124,8 @@ void Topology::finalize(Network& net) {
     Time data_one_way = prof.fixed_latency;
     Time ctrl_one_way = prof.fixed_latency;
     for (BitsPerSec rate : prof.link_rates) {
-      data_one_way += serialization_time(cfg.mtu_wire(), rate);
-      ctrl_one_way += serialization_time(cfg.control_packet_bytes, rate);
+      data_one_way += serialization_time(kMtuWire, rate);
+      ctrl_one_way += serialization_time(kControlPacketBytes, rate);
     }
     max_data_rtt = std::max(max_data_rtt, data_one_way + ctrl_one_way);
     max_control_rtt = std::max(max_control_rtt, 2 * ctrl_one_way);
@@ -150,9 +148,8 @@ const Topology::PathProfile& Topology::profile(int src, int dst) const {
 Time Topology::one_way_data(int src, int dst) const {
   const PathProfile& prof = profile(src, dst);
   Time t = prof.fixed_latency;
-  const Bytes mtu_wire = net_->config().mtu_wire();
   for (BitsPerSec rate : prof.link_rates) {
-    t += serialization_time(mtu_wire, rate);
+    t += serialization_time(kMtuWire, rate);
   }
   return t;
 }
@@ -160,20 +157,18 @@ Time Topology::one_way_data(int src, int dst) const {
 Time Topology::one_way_control(int src, int dst) const {
   const PathProfile& prof = profile(src, dst);
   Time t = prof.fixed_latency;
-  const Bytes ctrl = net_->config().control_packet_bytes;
   for (BitsPerSec rate : prof.link_rates) {
-    t += serialization_time(ctrl, rate);
+    t += serialization_time(kControlPacketBytes, rate);
   }
   return t;
 }
 
 Time Topology::oracle_fct(int src, int dst, Bytes size) const {
   const PathProfile& prof = profile(src, dst);
-  const auto& cfg = net_->config();
-  const Bytes first_payload = std::min(size, cfg.mtu_payload);
-  const Bytes first_wire = first_payload + cfg.header_bytes;
-  const std::int64_t npkts = (size + cfg.mtu_payload - Bytes{1}) / cfg.mtu_payload;
-  const Bytes total_wire = size + cfg.header_bytes * npkts;
+  const Bytes first_payload = std::min(size, kMtuPayload);
+  const Bytes first_wire = first_payload + kHeaderBytes;
+  const std::int64_t npkts = (size + kMtuPayload - Bytes{1}) / kMtuPayload;
+  const Bytes total_wire = size + kHeaderBytes * npkts;
 
   Time t = prof.fixed_latency;
   for (BitsPerSec rate : prof.link_rates) {

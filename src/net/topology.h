@@ -82,7 +82,6 @@ class Topology {
   void finalize(Network& net);
   const PathProfile& profile(int src, int dst) const;
 
-  Network* net_ = nullptr;
   int num_hosts_ = 0;
   BitsPerSec host_rate_{};
   std::vector<std::uint8_t> pair_class_;  ///< hop count per (src,dst)

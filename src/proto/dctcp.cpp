@@ -4,9 +4,14 @@
 
 namespace dcpim::proto {
 
+namespace {
+/// EWMA gain of the marked-fraction estimate alpha.
+constexpr double kAlphaGain = 1.0 / 16.0;
+}  // namespace
+
 DctcpHost::DctcpHost(net::Network& net, int host_id,
-                     const net::PortConfig& nic, const DctcpConfig& cfg)
-    : WindowHost(net, host_id, nic, cfg.window), cfg_(cfg) {}
+                     const net::PortConfig& nic)
+    : WindowHost(net, host_id, nic) {}
 
 void DctcpHost::on_ack_event(WFlow& f, const AckPacket& ack) {
   ++f.window_acks;
@@ -17,7 +22,7 @@ void DctcpHost::on_ack_event(WFlow& f, const AckPacket& ack) {
   if (now - f.window_start >= rtt && f.window_acks > 0) {
     const double frac = static_cast<double>(f.window_marks) /
                         static_cast<double>(f.window_acks);
-    f.dctcp_alpha = (1.0 - cfg_.g) * f.dctcp_alpha + cfg_.g * frac;
+    f.dctcp_alpha = (1.0 - kAlphaGain) * f.dctcp_alpha + kAlphaGain * frac;
     if (f.window_marks > 0) {
       // sa-ok(unit-raw): the congestion window evolves multiplicatively, in
       // doubles
@@ -54,10 +59,10 @@ void DctcpHost::on_timeout(WFlow& f) {
   f.cwnd_bytes = static_cast<double>(mss().raw());
 }
 
-net::Topology::HostFactory dctcp_host_factory(const DctcpConfig& cfg) {
-  return [&cfg](net::Network& net, int host_id,
-                const net::PortConfig& nic) -> net::Host* {
-    return net.add_device<DctcpHost>(host_id, nic, cfg);
+net::Topology::HostFactory dctcp_host_factory() {
+  return [](net::Network& net, int host_id,
+            const net::PortConfig& nic) -> net::Host* {
+    return net.add_device<DctcpHost>(host_id, nic);
   };
 }
 

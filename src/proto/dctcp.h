@@ -9,26 +9,17 @@
 
 namespace dcpim::proto {
 
-struct DctcpConfig {
-  WindowConfig window;
-  double g = 1.0 / 16.0;  ///< EWMA gain for alpha
-};
-
 class DctcpHost : public WindowHost {
  public:
-  DctcpHost(net::Network& net, int host_id, const net::PortConfig& nic,
-            const DctcpConfig& cfg);
+  DctcpHost(net::Network& net, int host_id, const net::PortConfig& nic);
 
  protected:
   void on_ack_event(WFlow& f, const AckPacket& ack) override;
   void on_fast_retransmit(WFlow& f) override;
   void on_timeout(WFlow& f) override;
-
- private:
-  const DctcpConfig& cfg_;
 };
 
-net::Topology::HostFactory dctcp_host_factory(const DctcpConfig& cfg);
+net::Topology::HostFactory dctcp_host_factory();
 /// Switch ECN marking threshold; zero = 1/4 of the port buffer.
 void dctcp_port_customize(net::PortConfig& cfg, Bytes threshold);
 

@@ -16,6 +16,9 @@ namespace {
 enum FastpassKind : int {
   kFpData = 0,
 };
+
+/// Strict-priority queue of every data packet.
+constexpr std::uint8_t kDataPriority = 2;
 }  // namespace
 
 // ===== arbiter ===============================================================
@@ -81,8 +84,8 @@ void FastpassArbiter::tick() {
                               [host, id]() { host->on_allocation(id); });
   }
 
-  const Time slot = serialization_time(net_.config().mtu_wire(),
-                                       net_.host(0)->nic()->config().rate);
+  const Time slot =
+      serialization_time(net::kMtuWire, net_.host(0)->nic()->config().rate);
   net_.sim().schedule_after(slot, [this]() { tick(); });
 }
 
@@ -90,17 +93,15 @@ void FastpassArbiter::tick() {
 
 FastpassHost::FastpassHost(net::Network& net, int host_id,
                            const net::PortConfig& nic,
-                           const FastpassConfig& cfg, FastpassArbiter& arbiter)
-    : net::Host(net, host_id, nic), cfg_(cfg), arbiter_(arbiter) {
+                           FastpassArbiter& arbiter)
+    : net::Host(net, host_id, nic), arbiter_(arbiter) {
   arbiter.register_host(host_id, this);
 }
 
 void FastpassHost::on_flow_arrival(net::Flow& flow) {
   TxFlow tx;
   tx.flow = &flow;
-  tx.packets = static_cast<std::uint32_t>(
-      // sa-ok(unit-raw): data seq numbers are raw uint32 indices on the wire
-      flow.packet_count(network().config().mtu_payload).raw());
+  tx.packets = flow.seq_count();
   tx_flows_.emplace(flow.id, tx);
   // Every packet — even a single-packet RPC — must be scheduled first: the
   // request reaches the arbiter half a control RTT from now.
@@ -130,8 +131,7 @@ void FastpassHost::on_allocation(std::uint64_t flow_id) {
   } else {
     return;  // nothing left (e.g. re-requested slots raced a completion)
   }
-  send(make_data_packet(*tx.flow,
-                        {.seq = seq, .priority = cfg_.data_priority}));
+  send(make_data_packet(*tx.flow, {.seq = seq, .priority = kDataPriority}));
   ++counters_.data_sent;
 }
 
@@ -172,11 +172,10 @@ void FastpassHost::on_packet(net::PacketPtr p) {
   }
 }
 
-net::Topology::HostFactory fastpass_host_factory(const FastpassConfig& cfg,
-                                                 FastpassArbiter& arbiter) {
-  return [&cfg, &arbiter](net::Network& net, int host_id,
-                          const net::PortConfig& nic) -> net::Host* {
-    return net.add_device<FastpassHost>(host_id, nic, cfg, arbiter);
+net::Topology::HostFactory fastpass_host_factory(FastpassArbiter& arbiter) {
+  return [&arbiter](net::Network& net, int host_id,
+                    const net::PortConfig& nic) -> net::Host* {
+    return net.add_device<FastpassHost>(host_id, nic, arbiter);
   };
 }
 

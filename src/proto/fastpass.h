@@ -22,13 +22,6 @@
 
 namespace dcpim::proto {
 
-/// Host <-> arbiter round trip is the fabric cRTT
-/// (Network::max_control_rtt()), a timeslot is one MTU transmission time at
-/// the host rate, and the sender-side loss timeout is 10 cRTTs.
-struct FastpassConfig {
-  std::uint8_t data_priority = 2;
-};
-
 class FastpassHost;
 
 /// The centralized scheduler. One per network; hosts talk to it through
@@ -63,10 +56,13 @@ class FastpassArbiter {
   std::uint64_t matchings_computed_ = 0;
 };
 
+/// Host <-> arbiter round trip is the fabric cRTT
+/// (Network::max_control_rtt()), a timeslot is one MTU transmission time at
+/// the host rate, and the sender-side loss timeout is 10 cRTTs.
 class FastpassHost : public net::Host {
  public:
   FastpassHost(net::Network& net, int host_id, const net::PortConfig& nic,
-               const FastpassConfig& cfg, FastpassArbiter& arbiter);
+               FastpassArbiter& arbiter);
 
   void on_flow_arrival(net::Flow& flow) override;
 
@@ -99,7 +95,6 @@ class FastpassHost : public net::Host {
 
   void arm_loss_timer(std::uint64_t flow_id);
 
-  const FastpassConfig& cfg_;
   FastpassArbiter& arbiter_;
   Counters counters_;
   std::map<std::uint64_t, TxFlow> tx_flows_;
@@ -107,7 +102,6 @@ class FastpassHost : public net::Host {
 
 /// Builds hosts bound to a shared arbiter. The arbiter must be created
 /// after the Network but before the topology (see tests for the pattern).
-net::Topology::HostFactory fastpass_host_factory(const FastpassConfig& cfg,
-                                                 FastpassArbiter& arbiter);
+net::Topology::HostFactory fastpass_host_factory(FastpassArbiter& arbiter);
 
 }  // namespace dcpim::proto

@@ -17,24 +17,21 @@ enum HomaKind : int {
   kHomaGrant,
   kHomaProbe,
 };
+
+/// Scheduled flows granted concurrently per receiver.
+constexpr int kOvercommit = 2;
+/// Data priority of scheduled (granted) packets.
+constexpr std::uint8_t kScheduledPriority = 5;
+/// Resend requests per flow before the receiver gives up.
+constexpr int kMaxResends = 100;
 }  // namespace
 
 HomaHost::HomaHost(net::Network& net, int host_id, const net::PortConfig& nic,
-                   const HomaConfig& cfg)
-    : net::Host(net, host_id, nic), cfg_(cfg) {}
+                   bool aeolus)
+    : net::Host(net, host_id, nic), aeolus_(aeolus) {}
 
 std::uint8_t HomaHost::unsched_priority_for(Bytes size) const {
-  if (!cfg_.unsched_cutoffs.empty()) {
-    for (std::size_t i = 0; i < cfg_.unsched_cutoffs.size(); ++i) {
-      if (size <= cfg_.unsched_cutoffs[i]) {
-        return static_cast<std::uint8_t>(
-            std::min<std::size_t>(1 + i, net::kNumPriorities - 1));
-      }
-    }
-    return static_cast<std::uint8_t>(std::min<std::size_t>(
-        1 + cfg_.unsched_cutoffs.size(), net::kNumPriorities - 1));
-  }
-  // Geometric defaults on the BDP scale (Homa computes these from the
+  // Geometric cutoffs on the BDP scale (Homa computes these from the
   // workload CDF; the geometric ladder preserves smaller==higher-priority).
   const Bytes bdp = network().bdp();
   if (size <= bdp / 8) return 1;
@@ -45,7 +42,7 @@ std::uint8_t HomaHost::unsched_priority_for(Bytes size) const {
 
 std::uint32_t HomaHost::window_packets() const {
   return static_cast<std::uint32_t>(std::max<std::int64_t>(
-      1, network().bdp() / network().config().mtu_payload));
+      1, network().bdp() / net::kMtuPayload));
 }
 
 // ===== sender side ===========================================================
@@ -53,9 +50,7 @@ std::uint32_t HomaHost::window_packets() const {
 void HomaHost::on_flow_arrival(net::Flow& flow) {
   TxFlow tx;
   tx.flow = &flow;
-  tx.packets = static_cast<std::uint32_t>(
-      // sa-ok(unit-raw): data seq numbers are raw uint32 indices on the wire
-      flow.packet_count(network().config().mtu_payload).raw());
+  tx.packets = flow.seq_count();
   tx.unsched_packets = std::min<std::uint32_t>(tx.packets, window_packets());
   tx_flows_.emplace(flow.id, tx);
 
@@ -70,7 +65,7 @@ void HomaHost::on_flow_arrival(net::Flow& flow) {
     ++counters_.unsched_sent;
   }
 
-  if (cfg_.aeolus) {
+  if (aeolus_) {
     // Aeolus probe: fired one control-RTT later so it lands after the
     // unscheduled burst; the receiver then re-admits whatever was dropped
     // through the scheduled path.
@@ -155,9 +150,7 @@ HomaHost::RxFlow* HomaHost::ensure_rx_flow(std::uint64_t flow_id) {
 
   RxFlow rx;
   rx.flow = flow;
-  rx.packets = static_cast<std::uint32_t>(
-      // sa-ok(unit-raw): data seq numbers are raw uint32 indices on the wire
-      flow->packet_count(network().config().mtu_payload).raw());
+  rx.packets = flow->seq_count();
   rx.unsched_packets = std::min<std::uint32_t>(rx.packets, window_packets());
   rx.next_new_seq = rx.unsched_packets;
   it = rx_flows_.emplace(flow_id, std::move(rx)).first;
@@ -226,7 +219,7 @@ void HomaHost::resend_check(std::uint64_t flow_id) {
   const net::FlowRxState* st = find_rx_state(flow_id);
   const Bytes received = st != nullptr ? st->received_bytes() : Bytes{};
   if (received == rx.last_progress_bytes &&
-      rx.resends < cfg_.max_resends) {
+      rx.resends < kMaxResends) {
     // No progress for a full resend interval: re-admit everything missing
     // that is not already queued.
     ++rx.resends;
@@ -254,7 +247,7 @@ void HomaHost::resend_check(std::uint64_t flow_id) {
 }
 
 void HomaHost::recompute_active() {
-  // Keep the `overcommit` shortest-remaining candidates granted. Ties break
+  // Keep the kOvercommit shortest-remaining candidates granted. Ties break
   // on a per-host stable hash: sorting by flow id would make every receiver
   // of a uniform workload grant the same senders (herding).
   const std::uint64_t salt =
@@ -275,7 +268,7 @@ void HomaHost::recompute_active() {
   std::sort(order.begin(), order.end());
   active_.clear();
   for (std::size_t i = 0;
-       i < order.size() && i < static_cast<std::size_t>(cfg_.overcommit);
+       i < order.size() && i < static_cast<std::size_t>(kOvercommit);
        ++i) {
     const std::uint64_t id = std::get<2>(order[i]);
     active_.insert(id);
@@ -324,7 +317,7 @@ bool HomaHost::issue_grant(RxFlow& rx) {
   auto grant = make_control<GrantTokenPacket>(rx.flow->src, kHomaGrant);
   grant->flow_id = rx.flow->id;
   grant->data_seq = seq;
-  grant->data_priority = cfg_.scheduled_priority;
+  grant->data_priority = kScheduledPriority;
   send(std::move(grant));
   ++counters_.grants_sent;
   return true;
@@ -351,10 +344,10 @@ void HomaHost::on_packet(net::PacketPtr p) {
   }
 }
 
-net::Topology::HostFactory homa_host_factory(const HomaConfig& cfg) {
-  return [&cfg](net::Network& net, int host_id,
-                const net::PortConfig& nic) -> net::Host* {
-    return net.add_device<HomaHost>(host_id, nic, cfg);
+net::Topology::HostFactory homa_host_factory(bool aeolus) {
+  return [aeolus](net::Network& net, int host_id,
+                  const net::PortConfig& nic) -> net::Host* {
+    return net.add_device<HomaHost>(host_id, nic, aeolus);
   };
 }
 

@@ -5,9 +5,10 @@
 //  * Senders blindly transmit the first RTT-bytes (1 BDP) "unscheduled" at a
 //    size-dependent high priority; the rest is "scheduled" — admitted by
 //    per-packet receiver grants (modelled as tokens) at a lower priority.
-//  * Receivers grant the `overcommit` shortest-remaining incomplete flows
-//    simultaneously, each paced at access line rate with a 1-BDP window —
-//    Homa's overcommitment, which fills last-hop buffers under load.
+//  * Receivers grant the two shortest-remaining incomplete flows
+//    simultaneously (overcommit 2), each paced at access line rate with a
+//    1-BDP window — Homa's overcommitment, which fills last-hop buffers
+//    under load.
 //  * Plain Homa recovers losses only through slow receiver-side resend
 //    timers (the behaviour that costs it utilization at realistic buffers).
 //  * The Aeolus variant adds (a) switch-side selective dropping of
@@ -20,7 +21,6 @@
 #include <deque>
 #include <map>
 #include <set>
-#include <vector>
 
 #include "net/host.h"
 #include "net/topology.h"
@@ -29,22 +29,11 @@ namespace dcpim::proto {
 
 /// RTT-bytes, the unscheduled allowance and grant window, is 1 BDP
 /// (Network::bdp()); the plain-Homa resend timer is 20 cRTTs.
-struct HomaConfig {
-  int overcommit = 2;  ///< scheduled flows granted concurrently per receiver
-  /// Unscheduled priority cutoffs by flow size; level i is used when
-  /// size <= cutoffs[i] (priorities 1..n, smaller flows higher priority).
-  /// Empty = geometric defaults from the BDP.
-  std::vector<Bytes> unsched_cutoffs;
-  std::uint8_t scheduled_priority = 5;
-
-  bool aeolus = false;  ///< probe-based first-RTT loss recovery
-  int max_resends = 100;
-};
-
 class HomaHost : public net::Host {
  public:
+  /// `aeolus`: probe-based first-RTT loss recovery (Homa Aeolus).
   HomaHost(net::Network& net, int host_id, const net::PortConfig& nic,
-           const HomaConfig& cfg);
+           bool aeolus);
 
   void on_flow_arrival(net::Flow& flow) override;
 
@@ -106,7 +95,7 @@ class HomaHost : public net::Host {
   void resend_check(std::uint64_t flow_id);
   void notify_check(std::uint64_t flow_id);
 
-  const HomaConfig& cfg_;
+  const bool aeolus_;
   Counters counters_;
 
   std::map<std::uint64_t, TxFlow> tx_flows_;
@@ -120,10 +109,10 @@ class HomaHost : public net::Host {
   std::map<std::uint64_t, RxFlow> rx_flows_;
   /// Receiver-side flows eligible for scheduling (incomplete, have work).
   std::set<std::uint64_t> sched_candidates_;
-  /// Currently granted (top `overcommit` by remaining bytes).
+  /// Currently granted (top kOvercommit by remaining bytes).
   std::set<std::uint64_t> active_;
 };
 
-net::Topology::HostFactory homa_host_factory(const HomaConfig& cfg);
+net::Topology::HostFactory homa_host_factory(bool aeolus);
 
 }  // namespace dcpim::proto

@@ -4,10 +4,15 @@
 
 namespace dcpim::proto {
 
-HpccHost::HpccHost(net::Network& net, int host_id, const net::PortConfig& nic,
-                   const HpccConfig& cfg)
-    : WindowHost(net, host_id, nic, cfg.window, /*collect_int=*/true),
-      cfg_(cfg) {}
+namespace {
+/// Target utilization (eta).
+constexpr double kEta = 0.95;
+/// Additive-increase stages per RTT.
+constexpr int kMaxStage = 5;
+}  // namespace
+
+HpccHost::HpccHost(net::Network& net, int host_id, const net::PortConfig& nic)
+    : WindowHost(net, host_id, nic, /*collect_int=*/true) {}
 
 void HpccHost::on_flow_init(WFlow& f) {
   f.wc_bytes = f.cwnd_bytes;
@@ -59,8 +64,8 @@ void HpccHost::on_ack_event(WFlow& f, const AckPacket& ack) {
       // sa-ok(unit-raw): additive-increase feeds the double-valued window update
       (mss() / 2).raw());
   double w;
-  if (u >= cfg_.eta || f.inc_stage >= cfg_.max_stage) {
-    w = f.wc_bytes / std::max(u / cfg_.eta, 1e-3) + wai;
+  if (u >= kEta || f.inc_stage >= kMaxStage) {
+    w = f.wc_bytes / std::max(u / kEta, 1e-3) + wai;
   } else {
     w = f.wc_bytes + wai;
   }
@@ -71,7 +76,7 @@ void HpccHost::on_ack_event(WFlow& f, const AckPacket& ack) {
   // Reference-window update once per RTT (tracked via acked seq progress).
   if (ack.acked_seq >= f.last_update_seq) {
     f.wc_bytes = f.cwnd_bytes;
-    f.inc_stage = u >= cfg_.eta ? 0 : f.inc_stage + 1;
+    f.inc_stage = u >= kEta ? 0 : f.inc_stage + 1;
     f.last_update_seq = f.next_new_seq;
   }
 }
@@ -91,10 +96,10 @@ void HpccHost::on_timeout(WFlow& f) {
   f.inc_stage = 0;
 }
 
-net::Topology::HostFactory hpcc_host_factory(const HpccConfig& cfg) {
-  return [&cfg](net::Network& net, int host_id,
-                const net::PortConfig& nic) -> net::Host* {
-    return net.add_device<HpccHost>(host_id, nic, cfg);
+net::Topology::HostFactory hpcc_host_factory() {
+  return [](net::Network& net, int host_id,
+            const net::PortConfig& nic) -> net::Host* {
+    return net.add_device<HpccHost>(host_id, nic);
   };
 }
 

@@ -4,8 +4,8 @@
 // Data packets collect per-hop (qlen, txBytes, rate, ts) records; acks echo
 // them and the sender computes the max per-hop utilization
 //   U_j = qlen_j / (B_j * T)  +  txRate_j / B_j
-// and applies the HPCC window update (multiplicative toward eta, with at
-// most `max_stage` additive-increase stages per RTT). Switch ports run PFC
+// and applies the HPCC window update (multiplicative toward eta = 0.95,
+// with at most five additive-increase stages per RTT). Switch ports run PFC
 // (PortConfig::pfc_enable) so drops are replaced by pauses — including the
 // head-of-line blocking the paper's Figure 4(a)/(c) exposes.
 #pragma once
@@ -17,16 +17,9 @@ namespace dcpim::proto {
 
 /// HPCC data packets always collect INT; the additive increase is half an
 /// MTU payload and the window is capped at 2 BDP.
-struct HpccConfig {
-  WindowConfig window;
-  double eta = 0.95;    ///< target utilization
-  int max_stage = 5;    ///< additive-increase stages per RTT
-};
-
 class HpccHost : public WindowHost {
  public:
-  HpccHost(net::Network& net, int host_id, const net::PortConfig& nic,
-           const HpccConfig& cfg);
+  HpccHost(net::Network& net, int host_id, const net::PortConfig& nic);
 
  protected:
   void on_flow_init(WFlow& f) override;
@@ -36,10 +29,9 @@ class HpccHost : public WindowHost {
 
  private:
   double utilization_estimate(WFlow& f, const AckPacket& ack) const;
-  const HpccConfig& cfg_;
 };
 
-net::Topology::HostFactory hpcc_host_factory(const HpccConfig& cfg);
+net::Topology::HostFactory hpcc_host_factory();
 
 /// Enables PFC + INT on every port (pause thresholds scaled to the buffer).
 void hpcc_port_customize(net::PortConfig& cfg);

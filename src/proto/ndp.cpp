@@ -14,29 +14,30 @@ enum NdpKind : int {
   kNdpNack,
   kNdpAck,
 };
+
+/// Strict-priority queue of every data packet.
+constexpr std::uint8_t kDataPriority = 2;
+/// Fallback-timer resends per flow before the sender gives up.
+constexpr int kMaxRtoRetx = 100;
 }  // namespace
 
-NdpHost::NdpHost(net::Network& net, int host_id, const net::PortConfig& nic,
-                 const NdpConfig& cfg)
-    : net::Host(net, host_id, nic), cfg_(cfg) {}
+NdpHost::NdpHost(net::Network& net, int host_id, const net::PortConfig& nic)
+    : net::Host(net, host_id, nic) {}
 
 void NdpHost::on_flow_arrival(net::Flow& flow) {
   TxFlow tx;
   tx.flow = &flow;
-  tx.packets = static_cast<std::uint32_t>(
-      // sa-ok(unit-raw): data seq numbers are raw uint32 indices on the wire
-      flow.packet_count(network().config().mtu_payload).raw());
+  tx.packets = flow.seq_count();
   tx.acked.reset(tx.packets);
   tx.last_progress = network().sim().now();
   auto [it, _] = tx_flows_.emplace(flow.id, std::move(tx));
   TxFlow& ref = it->second;
 
   const auto window = static_cast<std::uint32_t>(std::max<std::int64_t>(
-      1, network().bdp() / network().config().mtu_payload));
+      1, network().bdp() / net::kMtuPayload));
   const std::uint32_t burst = std::min(ref.packets, window);
   for (std::uint32_t seq = 0; seq < burst; ++seq) {
-    send(make_data_packet(flow,
-                          {.seq = seq, .priority = cfg_.data_priority}));
+    send(make_data_packet(flow, {.seq = seq, .priority = kDataPriority}));
     ++counters_.initial_window_sent;
   }
   ref.next_new_seq = burst;
@@ -57,8 +58,7 @@ void NdpHost::send_one(TxFlow& tx) {
     if (tx.next_new_seq >= tx.packets) return;  // nothing left to release
     seq = tx.next_new_seq++;
   }
-  send(make_data_packet(*tx.flow,
-                        {.seq = seq, .priority = cfg_.data_priority}));
+  send(make_data_packet(*tx.flow, {.seq = seq, .priority = kDataPriority}));
 }
 
 void NdpHost::handle_pull(const net::Packet& p) {
@@ -91,7 +91,7 @@ void NdpHost::arm_rto(std::uint64_t flow_id) {
     auto it = tx_flows_.find(flow_id);
     if (it == tx_flows_.end()) return;
     TxFlow& tx = it->second;
-    if (tx.rto_count >= cfg_.max_rto_retx) return;
+    if (tx.rto_count >= kMaxRtoRetx) return;
     if (network().sim().now() - tx.last_progress >= fallback_timeout()) {
       // Total stall: blindly resend the first unacked packet to restart the
       // arrival->pull feedback loop.
@@ -99,8 +99,8 @@ void NdpHost::arm_rto(std::uint64_t flow_id) {
       ++counters_.rto_fires;
       for (std::uint32_t seq = 0; seq < tx.packets; ++seq) {
         if (!tx.acked.contains(seq)) {
-          send(make_data_packet(
-              *tx.flow, {.seq = seq, .priority = cfg_.data_priority}));
+          send(make_data_packet(*tx.flow,
+                                {.seq = seq, .priority = kDataPriority}));
           break;
         }
       }
@@ -122,9 +122,7 @@ void NdpHost::handle_data_or_header(net::PacketPtr p) {
   if (it == rx_flows_.end() && !flow->finished()) {
     RxFlow rx;
     rx.flow = flow;
-    rx.packets = static_cast<std::uint32_t>(
-        // sa-ok(unit-raw): data seq numbers are raw uint32 indices on the wire
-        flow->packet_count(network().config().mtu_payload).raw());
+    rx.packets = flow->seq_count();
     it = rx_flows_.emplace(id, rx).first;
   }
 
@@ -213,16 +211,16 @@ void NdpHost::on_packet(net::PacketPtr p) {
   }
 }
 
-net::Topology::HostFactory ndp_host_factory(const NdpConfig& cfg) {
-  return [&cfg](net::Network& net, int host_id,
-                const net::PortConfig& nic) -> net::Host* {
-    return net.add_device<NdpHost>(host_id, nic, cfg);
+net::Topology::HostFactory ndp_host_factory() {
+  return [](net::Network& net, int host_id,
+            const net::PortConfig& nic) -> net::Host* {
+    return net.add_device<NdpHost>(host_id, nic);
   };
 }
 
-void ndp_port_customize(net::PortConfig& cfg, Bytes mtu_wire) {
+void ndp_port_customize(net::PortConfig& cfg) {
   cfg.trim_enable = true;
-  cfg.trim_queue_cap = mtu_wire * 8;  // Table 1: 8-packet data queues
+  cfg.trim_queue_cap = net::kMtuWire * 8;  // Table 1: 8-packet data queues
 }
 
 }  // namespace dcpim::proto

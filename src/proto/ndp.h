@@ -25,15 +25,9 @@ namespace dcpim::proto {
 
 /// The initial blind window is 1 BDP (Network::bdp()); the sender
 /// fallback timer is 20 cRTTs.
-struct NdpConfig {
-  std::uint8_t data_priority = 2;
-  int max_rto_retx = 100;
-};
-
 class NdpHost : public net::Host {
  public:
-  NdpHost(net::Network& net, int host_id, const net::PortConfig& nic,
-          const NdpConfig& cfg);
+  NdpHost(net::Network& net, int host_id, const net::PortConfig& nic);
 
   void on_flow_arrival(net::Flow& flow) override;
 
@@ -80,7 +74,6 @@ class NdpHost : public net::Host {
   void pull_tick();
   void arm_rto(std::uint64_t flow_id);
 
-  const NdpConfig& cfg_;
   Counters counters_;
 
   std::map<std::uint64_t, TxFlow> tx_flows_;
@@ -90,9 +83,9 @@ class NdpHost : public net::Host {
   bool pull_pacer_running_ = false;
 };
 
-net::Topology::HostFactory ndp_host_factory(const NdpConfig& cfg);
+net::Topology::HostFactory ndp_host_factory();
 
 /// Port customization enabling NDP's trimming queues on every link.
-void ndp_port_customize(net::PortConfig& cfg, Bytes mtu_wire);
+void ndp_port_customize(net::PortConfig& cfg);
 
 }  // namespace dcpim::proto

@@ -14,20 +14,25 @@ enum PhostKind : int {
   kPhostRts,
   kPhostToken,
 };
+
+/// Data priorities of short (<= 1 BDP) and long flows.
+constexpr std::uint8_t kShortPriority = 1;
+constexpr std::uint8_t kLongPriority = 2;
+/// The receiver gives up on a sender after this many consecutive expired
+/// tokens and deprioritizes the flow for one timeout period.
+constexpr int kMaxExpiredBeforeDowngrade = 8;
 }  // namespace
 
 PhostHost::PhostHost(net::Network& net, int host_id,
-                     const net::PortConfig& nic, const PhostConfig& cfg)
-    : net::Host(net, host_id, nic), cfg_(cfg) {}
+                     const net::PortConfig& nic)
+    : net::Host(net, host_id, nic) {}
 
 // ===== sender side ===========================================================
 
 void PhostHost::on_flow_arrival(net::Flow& flow) {
   TxFlow tx;
   tx.flow = &flow;
-  tx.packets = static_cast<std::uint32_t>(
-      // sa-ok(unit-raw): data seq numbers are raw uint32 indices on the wire
-      flow.packet_count(network().config().mtu_payload).raw());
+  tx.packets = flow.seq_count();
   tx_flows_.emplace(flow.id, tx);
 
   auto rts = make_control<SizedNotifyPacket>(flow.dst, kPhostRts);
@@ -39,14 +44,13 @@ void PhostHost::on_flow_arrival(net::Flow& flow) {
 
   // Free tokens: the first BDP is transmitted immediately, unscheduled.
   const auto free_pkts = static_cast<std::uint32_t>(std::max<std::int64_t>(
-      1, network().bdp() / network().config().mtu_payload));
+      1, network().bdp() / net::kMtuPayload));
   const std::uint32_t burst = std::min(tx.packets, free_pkts);
   const bool is_short = flow.size <= network().bdp();
   for (std::uint32_t seq = 0; seq < burst; ++seq) {
     send(make_data_packet(
         flow, {.seq = seq,
-               .priority =
-                   is_short ? cfg_.short_priority : cfg_.long_priority,
+               .priority = is_short ? kShortPriority : kLongPriority,
                .unscheduled = true}));
     ++counters_.free_tokens_spent;
     ++counters_.data_sent;
@@ -114,12 +118,10 @@ PhostHost::RxFlow* PhostHost::ensure_rx(std::uint64_t flow_id) {
   if (flow == nullptr || flow->finished()) return nullptr;
   RxFlow rx;
   rx.flow = flow;
-  rx.packets = static_cast<std::uint32_t>(
-      // sa-ok(unit-raw): data seq numbers are raw uint32 indices on the wire
-      flow->packet_count(network().config().mtu_payload).raw());
+  rx.packets = flow->seq_count();
   rx.free_packets = std::min<std::uint32_t>(
       rx.packets, static_cast<std::uint32_t>(std::max<std::int64_t>(
-                      1, network().bdp() / network().config().mtu_payload)));
+                      1, network().bdp() / net::kMtuPayload)));
   rx.next_new_seq = rx.free_packets;
   rx.created_at = network().sim().now();
   it = rx_flows_.emplace(flow_id, std::move(rx)).first;
@@ -167,7 +169,7 @@ void PhostHost::expire_stale(RxFlow& rx) {
     ++rx.consecutive_expired;
     return true;
   });
-  if (rx.consecutive_expired >= cfg_.max_expired_before_downgrade) {
+  if (rx.consecutive_expired >= kMaxExpiredBeforeDowngrade) {
     // The sender is busy elsewhere: deprioritize so other flows progress.
     rx.downgraded_until = now + token_expiry();
     rx.consecutive_expired = 0;
@@ -181,7 +183,7 @@ PhostHost::RxFlow* PhostHost::pick_flow() {
   Bytes best_rem = Bytes::max();
   bool best_downgraded = true;
   const auto window = static_cast<std::size_t>(std::max<std::int64_t>(
-      1, network().bdp() / network().config().mtu_payload));
+      1, network().bdp() / net::kMtuPayload));
   for (auto& [id, rx] : rx_flows_) {
     if (rx.flow->finished()) continue;
     expire_stale(rx);
@@ -221,9 +223,8 @@ void PhostHost::receiver_tick() {
     auto tok = make_control<GrantTokenPacket>(rx->flow->src, kPhostToken);
     tok->flow_id = rx->flow->id;
     tok->data_seq = seq;
-    tok->data_priority = rx->flow->size <= network().bdp()
-                             ? cfg_.short_priority
-                             : cfg_.long_priority;
+    tok->data_priority =
+        rx->flow->size <= network().bdp() ? kShortPriority : kLongPriority;
     send(std::move(tok));
     ++counters_.tokens_sent;
   }
@@ -248,10 +249,10 @@ void PhostHost::on_packet(net::PacketPtr p) {
   }
 }
 
-net::Topology::HostFactory phost_host_factory(const PhostConfig& cfg) {
-  return [&cfg](net::Network& net, int host_id,
-                const net::PortConfig& nic) -> net::Host* {
-    return net.add_device<PhostHost>(host_id, nic, cfg);
+net::Topology::HostFactory phost_host_factory() {
+  return [](net::Network& net, int host_id,
+            const net::PortConfig& nic) -> net::Host* {
+    return net.add_device<PhostHost>(host_id, nic);
   };
 }
 

@@ -28,18 +28,9 @@ namespace dcpim::proto {
 
 /// The free-token allowance and per-flow window are 1 BDP
 /// (Network::bdp()); the receiver expires unused tokens after 3 cRTTs.
-struct PhostConfig {
-  std::uint8_t short_priority = 1;
-  std::uint8_t long_priority = 2;
-  /// Receiver gives up on a sender after this many consecutive expired
-  /// tokens and deprioritizes the flow for one timeout period.
-  int max_expired_before_downgrade = 8;
-};
-
 class PhostHost : public net::Host {
  public:
-  PhostHost(net::Network& net, int host_id, const net::PortConfig& nic,
-            const PhostConfig& cfg);
+  PhostHost(net::Network& net, int host_id, const net::PortConfig& nic);
 
   void on_flow_arrival(net::Flow& flow) override;
 
@@ -93,7 +84,6 @@ class PhostHost : public net::Host {
   RxFlow* pick_flow();  ///< SRPT among grantable flows
   void expire_stale(RxFlow& rx);
 
-  const PhostConfig& cfg_;
   Counters counters_;
 
   std::map<std::uint64_t, TxFlow> tx_flows_;
@@ -108,6 +98,6 @@ class PhostHost : public net::Host {
   bool pacer_running_ = false;
 };
 
-net::Topology::HostFactory phost_host_factory(const PhostConfig& cfg);
+net::Topology::HostFactory phost_host_factory();
 
 }  // namespace dcpim::proto

@@ -4,9 +4,8 @@
 
 namespace dcpim::proto {
 
-TcpHost::TcpHost(net::Network& net, int host_id, const net::PortConfig& nic,
-                 const TcpConfig& cfg)
-    : WindowHost(net, host_id, nic, cfg.window), cfg_(cfg) {}
+TcpHost::TcpHost(net::Network& net, int host_id, const net::PortConfig& nic)
+    : WindowHost(net, host_id, nic) {}
 
 void TcpHost::on_ack_event(WFlow& f, const AckPacket& /*ack*/) {
   // sa-ok(unit-raw): the congestion window evolves multiplicatively, in doubles
@@ -32,10 +31,10 @@ void TcpHost::on_timeout(WFlow& f) {
   f.cwnd_bytes = static_cast<double>(mss().raw());
 }
 
-net::Topology::HostFactory tcp_host_factory(const TcpConfig& cfg) {
-  return [&cfg](net::Network& net, int host_id,
-                const net::PortConfig& nic) -> net::Host* {
-    return net.add_device<TcpHost>(host_id, nic, cfg);
+net::Topology::HostFactory tcp_host_factory() {
+  return [](net::Network& net, int host_id,
+            const net::PortConfig& nic) -> net::Host* {
+    return net.add_device<TcpHost>(host_id, nic);
   };
 }
 

@@ -9,24 +9,16 @@
 
 namespace dcpim::proto {
 
-struct TcpConfig {
-  WindowConfig window;
-};
-
 class TcpHost : public WindowHost {
  public:
-  TcpHost(net::Network& net, int host_id, const net::PortConfig& nic,
-          const TcpConfig& cfg);
+  TcpHost(net::Network& net, int host_id, const net::PortConfig& nic);
 
  protected:
   void on_ack_event(WFlow& f, const AckPacket& ack) override;
   void on_fast_retransmit(WFlow& f) override;
   void on_timeout(WFlow& f) override;
-
- private:
-  const TcpConfig& cfg_;
 };
 
-net::Topology::HostFactory tcp_host_factory(const TcpConfig& cfg);
+net::Topology::HostFactory tcp_host_factory();
 
 }  // namespace dcpim::proto

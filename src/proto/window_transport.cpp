@@ -11,23 +11,24 @@ enum WindowKind : int {
   kWinData = 0,
   kWinAck,
 };
+
+/// Strict-priority queue of every data packet.
+constexpr std::uint8_t kDataPriority = 2;
+/// Duplicate acks that trigger a fast retransmit.
+constexpr int kDupackThreshold = 3;
 }  // namespace
 
 WindowHost::WindowHost(net::Network& net, int host_id,
-                       const net::PortConfig& nic, const WindowConfig& cfg,
-                       bool collect_int)
-    : net::Host(net, host_id, nic), cfg_(cfg), collect_int_(collect_int) {}
+                       const net::PortConfig& nic, bool collect_int)
+    : net::Host(net, host_id, nic), collect_int_(collect_int) {}
 
 void WindowHost::on_flow_arrival(net::Flow& flow) {
   WFlow f;
   f.flow = &flow;
-  f.packets = static_cast<std::uint32_t>(
-      // sa-ok(unit-raw): data seq numbers are raw uint32 indices on the wire
-      flow.packet_count(network().config().mtu_payload).raw());
+  f.packets = flow.seq_count();
   f.acked.reset(f.packets);
   // sa-ok(unit-raw): the congestion window evolves multiplicatively, in doubles
-  f.cwnd_bytes = static_cast<double>(
-      (cfg_.init_cwnd > Bytes{} ? cfg_.init_cwnd : network().bdp()).raw());
+  f.cwnd_bytes = static_cast<double>(network().bdp().raw());
   f.window_start = network().sim().now();
   auto [it, _] = flows_.emplace(flow.id, std::move(f));
   on_flow_init(it->second);
@@ -60,8 +61,7 @@ void WindowHost::try_send(WFlow& f) {
       if (f.next_new_seq >= f.packets) return;
       seq = f.next_new_seq++;
     }
-    auto p = make_data_packet(*f.flow,
-                              {.seq = seq, .priority = cfg_.data_priority});
+    auto p = make_data_packet(*f.flow, {.seq = seq, .priority = kDataPriority});
     p->collect_int = collect_int_;
     send(std::move(p));
     f.inflight[seq] = network().sim().now();
@@ -137,7 +137,7 @@ void WindowHost::handle_ack(net::PacketPtr p) {
     f.fast_retx_seq = UINT32_MAX;
   } else if (ack.acked_seq > f.cum_ack) {
     ++f.dupacks;
-    if (f.dupacks >= cfg_.dupack_threshold &&
+    if (f.dupacks >= kDupackThreshold &&
         f.fast_retx_seq != f.cum_ack && !f.acked.contains(f.cum_ack)) {
       f.fast_retx_seq = f.cum_ack;
       f.retx.insert(f.cum_ack);

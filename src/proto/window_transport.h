@@ -18,19 +18,14 @@
 
 namespace dcpim::proto {
 
-/// The base RTT is the fabric's longest unloaded data RTT
-/// (Network::max_data_rtt()); the minimum RTO is 20 of them.
-struct WindowConfig {
-  Bytes init_cwnd{};   ///< initial window; zero = 1 BDP (Network::bdp())
-  std::uint8_t data_priority = 2;
-  int dupack_threshold = 3;
-};
-
+/// The initial window is 1 BDP (Network::bdp()); the base RTT is the
+/// fabric's longest unloaded data RTT (Network::max_data_rtt()) and the
+/// minimum RTO is 20 of them.
 class WindowHost : public net::Host {
  public:
   /// `collect_int`: data packets gather per-hop telemetry (HPCC).
   WindowHost(net::Network& net, int host_id, const net::PortConfig& nic,
-             const WindowConfig& cfg, bool collect_int = false);
+             bool collect_int = false);
 
   void on_flow_arrival(net::Flow& flow) override;
 
@@ -87,7 +82,7 @@ class WindowHost : public net::Host {
   virtual void on_flow_init(WFlow& /*f*/) {}
 
   void try_send(WFlow& f);
-  Bytes mss() const { return network().config().mtu_payload; }
+  static Bytes mss() { return net::kMtuPayload; }
   Time rto(const WFlow& f) const;
   Time rto_floor() const { return network().max_data_rtt() * 20; }
 
@@ -98,7 +93,6 @@ class WindowHost : public net::Host {
   void handle_ack(net::PacketPtr p);
   void arm_rto(std::uint64_t flow_id);
 
-  const WindowConfig& cfg_;
   const bool collect_int_;
   Counters counters_;
   std::map<std::uint64_t, WFlow> flows_;

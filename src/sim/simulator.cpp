@@ -74,8 +74,7 @@ Simulator::Entry Simulator::heap_pop() {
 }
 
 void Simulator::schedule_at(TimePoint t, Callback cb) {
-  DCPIM_DCHECK_GE(t, now_, "cannot schedule into the past");
-  if (t < now_) t = now_;  // degrade gracefully in release builds
+  DCPIM_CHECK_GE(t, now_, "cannot schedule into the past");
   heap_push(Entry{
       t, event_key(next_seq_++, kCallbackTag, slab_.store(std::move(cb)))});
 }
@@ -102,10 +101,9 @@ std::uint64_t Simulator::reserve_key(EventTarget& target, unsigned kind) {
 
 // sa-hot: every typed event, and each delay-line arrival, is queued here.
 void Simulator::schedule_keyed(TimePoint t, std::uint64_t key) {
-  DCPIM_DCHECK_GE(t, now_, "cannot schedule into the past");
+  DCPIM_CHECK_GE(t, now_, "cannot schedule into the past");
   DCPIM_DCHECK((key >> kEventIndexBits & 3u) != kCallbackTag,
                "schedule_keyed takes a key from reserve_key()");
-  if (t < now_) t = now_;  // degrade gracefully in release builds
   heap_push(Entry{t, key});
 }
 

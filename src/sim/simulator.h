@@ -43,24 +43,6 @@
 
 namespace dcpim::sim {
 
-/// Proven-positive scheduling bound for events that cross a link — the
-/// link's propagation delay. Constructible only from a strictly positive
-/// Time, and with Time being integer picoseconds that means every Lookahead
-/// is >= 1 ps: a schedule_remote() call, or a Port arrival timed from its
-/// link's bound, can never land at the sender's own instant.
-/// Port::link_lookahead() is the one construction site in src/
-/// (DESIGN.md §15).
-class Lookahead {
- public:
-  explicit Lookahead(Time bound) : bound_(bound) {
-    DCPIM_CHECK_GT(bound_, Time{}, "link lookahead must be positive");
-  }
-  Time bound() const { return bound_; }
-
- private:
-  Time bound_;
-};
-
 /// Stable, recycled storage for scheduled callbacks, indexed by slot.
 /// Deliberately a separate type from Simulator: these members are NOT the
 /// event queue (no ordering, no sift) — they are a slab with an intrusive
@@ -156,14 +138,14 @@ class Simulator {
   /// Current simulation time.
   TimePoint now() const { return now_; }
 
-  /// Schedules `cb` at absolute time `t` (must be >= now()).
+  /// Schedules `cb` at absolute time `t`; DCPIM_CHECKs t >= now().
   void schedule_at(TimePoint t, Callback cb);
 
   /// Registers `target` for typed events; call once, before scheduling any.
   void register_target(EventTarget& target);
 
   /// Schedules `target.on_event(kind)` (kind 0 or 1) at absolute time `t`
-  /// (must be >= now()), in the same FIFO tie order as callbacks.
+  /// (DCPIM_CHECKed >= now()), in the same FIFO tie order as callbacks.
   void schedule_at(TimePoint t, EventTarget& target, unsigned kind);
 
   /// Schedules `cb` `delay` after now().
@@ -171,23 +153,13 @@ class Simulator {
     schedule_at(now_ + delay, std::move(cb));
   }
 
-  /// Schedules `cb` across a link: fires `link.bound() + extra` after now().
-  /// `extra` models receiver-side processing latency and may be zero; the
-  /// positive link bound keeps the event strictly in the future.
-  void schedule_remote(Lookahead link, Time extra, Callback cb) {
-    DCPIM_CHECK_GE(extra, Time{}, "remote extra delay cannot be negative");
-    schedule_at(now_ + link.bound() + extra, std::move(cb));
-  }
-  void schedule_remote(Lookahead link, Callback cb) {
-    schedule_remote(link, Time{}, std::move(cb));
-  }
   /// Takes the next scheduling sequence number for a later
   /// `target.on_event(kind)`: the returned key breaks time ties as if the
   /// event had been scheduled now. Queue it with schedule_keyed().
   std::uint64_t reserve_key(EventTarget& target, unsigned kind);
 
   /// Queues the event of a key from reserve_key() at absolute time `t`
-  /// (must be >= now()). Queue each reserved key once.
+  /// (DCPIM_CHECKed >= now()). Queue each reserved key once.
   void schedule_keyed(TimePoint t, std::uint64_t key);
 
   /// Runs events until the queue drains, `until` is passed, or stop().

@@ -288,6 +288,11 @@ TEST(CampaignDiagnostics, UnknownKey) {
   // dense_flow_size flows.
   expect_error("[campaign]\nname = x\n\n[traffic]\nshuffle_load = 0.5\n", 5,
                "unknown key");
+  // No token-pacing knob: the headroom is a constant of the dcPIM host.
+  expect_error(
+      "[campaign]\nname = x\n\n[protocol]\n"
+      "dcpim.token_pacing_headroom = 0.04\n",
+      5, "unknown key");
 }
 
 TEST(CampaignDiagnostics, KeyInWrongSection) {

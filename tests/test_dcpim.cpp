@@ -34,7 +34,7 @@ struct Fixture {
     return static_cast<DcpimHost*>(net->host(i));
   }
 
-  DcpimConfig cfg;  // must precede net: hosts hold a reference
+  DcpimConfig cfg;
   std::unique_ptr<net::Network> net;
   std::unique_ptr<net::Topology> topo;
 };
@@ -59,13 +59,33 @@ TEST(DcpimTest, LongFlowIsAdmittedThroughMatchingAndTokens) {
   ASSERT_TRUE(flow->finished());
   const auto& rx = f.host(7)->counters();
   const auto& tx = f.host(0)->counters();
-  const auto packets =
-      static_cast<std::uint64_t>(flow->packet_count(Bytes{1460}).raw());
+  const std::uint64_t packets = flow->seq_count();
   EXPECT_GE(rx.tokens_sent, packets);  // every data packet was admitted
   EXPECT_GE(rx.requests_sent, 1u);
   EXPECT_GE(tx.grants_sent, 1u);
   EXPECT_GE(rx.accepts_sent, 1u);
   EXPECT_GE(tx.data_sent, packets);  // every admitted packet was sent
+}
+
+TEST(DcpimTest, FactoryOwnsACopyOfItsConfig) {
+  // The factory and every host it builds keep their own copy of the config,
+  // so a temporary config leaves nothing dangling.
+  const net::Topology::HostFactory factory = dcpim_host_factory(DcpimConfig{});
+  net::Network net{net::NetConfig{}};
+  const net::Topology topo =
+      net::Topology::leaf_spine(net, Fixture::small_topo(), factory);
+  net::Flow* flow = net.create_flow(0, 7, Bytes{200'000}, TimePoint{});
+  net.sim().run(TimePoint(ms(3)));
+  EXPECT_TRUE(flow->finished());
+}
+
+TEST(DcpimDeathTest, InvalidConfigIsRejectedAtConstruction) {
+  DcpimConfig cfg;
+  cfg.rounds = 0;
+  net::Network net{net::NetConfig{}};
+  EXPECT_DEATH((void)net::Topology::leaf_spine(net, Fixture::small_topo(),
+                                               dcpim_host_factory(cfg)),
+               "at least one matching round");
 }
 
 TEST(DcpimTest, LongFlowWaitsForMatchingPhase) {
@@ -133,8 +153,7 @@ TEST(DcpimTest, TokenWindowBoundsOutstandingAdmissions) {
   f.net->sim().run(TimePoint(ms(10)));
   ASSERT_TRUE(flow->finished());
   // Tokens per data packet: no runaway admission despite the long flow.
-  const auto packets =
-      static_cast<std::uint64_t>(flow->packet_count(Bytes{1460}).raw());
+  const std::uint64_t packets = flow->seq_count();
   EXPECT_LE(f.host(7)->counters().tokens_sent, packets + 50);
 }
 

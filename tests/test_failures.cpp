@@ -79,16 +79,10 @@ TEST(LinkFailureTest, DcpimSurvivesSpineLinkFlap) {
 }
 
 TEST(LinkFailureTest, NdpSurvivesSpineLinkFlap) {
-  net::NetConfig ncfg;
-  net::Network net(ncfg);
-  proto::NdpConfig cfg;
+  net::Network net(net::NetConfig{});
   net::LeafSpineParams p = small_topo();
-  const Bytes mtu_wire = ncfg.mtu_wire();
-  p.port_customize = [mtu_wire](net::PortConfig& pc) {
-    proto::ndp_port_customize(pc, mtu_wire);
-  };
-  auto topo =
-      net::Topology::leaf_spine(net, p, proto::ndp_host_factory(cfg));
+  p.port_customize = proto::ndp_port_customize;
+  auto topo = net::Topology::leaf_spine(net, p, proto::ndp_host_factory());
 
   for (int i = 0; i < 4; ++i) {
     net.create_flow(i, 4 + i, Bytes{200'000}, TimePoint(us(i)));
@@ -105,9 +99,8 @@ TEST(LinkFailureTest, TcpSurvivesAccessLinkFlap) {
   net::NetConfig ncfg;
   ncfg.lb_policy = net::LbPolicy::kEcmpFlow;
   net::Network net(ncfg);
-  proto::TcpConfig cfg;
   auto topo = net::Topology::leaf_spine(net, small_topo(),
-                                        proto::tcp_host_factory(cfg));
+                                        proto::tcp_host_factory());
 
   net.create_flow(0, 7, Bytes{150'000}, TimePoint{});
   // Flap the sender's own NIC: a total blackout only RTO recovers from.

@@ -26,8 +26,7 @@ class BlastHost : public Host {
  public:
   using Host::Host;
   void on_flow_arrival(Flow& flow) override {
-    const auto n = static_cast<std::uint32_t>(
-        flow.packet_count(network().config().mtu_payload).raw());
+    const std::uint32_t n = flow.seq_count();
     for (std::uint32_t seq = 0; seq < n; ++seq) {
       send(make_data_packet(flow, {.seq = seq, .priority = 2}));
     }

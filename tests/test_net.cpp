@@ -48,8 +48,7 @@ class BlastHost : public Host {
  public:
   using Host::Host;
   void on_flow_arrival(Flow& flow) override {
-    const auto n = static_cast<std::uint32_t>(
-        flow.packet_count(network().config().mtu_payload).raw());
+    const std::uint32_t n = flow.seq_count();
     for (std::uint32_t seq = 0; seq < n; ++seq) {
       send(make_data_packet(flow, {.seq = seq, .priority = 2}));
     }
@@ -388,7 +387,7 @@ TEST(FlowRxStateTest, DedupesAndCompletes) {
   Flow flow;
   flow.id = 1;
   flow.size = Bytes{3000};
-  FlowRxState st(&flow, Bytes{1460});
+  FlowRxState st(&flow);
   EXPECT_EQ(st.total_packets(), 3u);
   EXPECT_EQ(st.on_data(0), Bytes{1460});
   EXPECT_EQ(st.on_data(0), Bytes{});  // duplicate
@@ -431,6 +430,14 @@ TEST(HostDeathTest, DataAcceptedOffItsDestinationIsChecked) {
   Packet p;
   p.flow_id = flow->id;
   EXPECT_DEATH(f.a->accept_data(p), "off its flow's dst");
+}
+
+TEST(PortDeathTest, ZeroPropagationLinkIsRejectedAtConstruction) {
+  Network net{NetConfig{}};
+  Switch* sw = net.add_device<Switch>("sw");
+  PortConfig pc;
+  pc.propagation = Time{};
+  EXPECT_DEATH(sw->add_port(pc), "propagation must be positive");
 }
 
 TEST(TopologyTest, LeafSpineShapeAndMetrics) {

@@ -23,9 +23,8 @@ struct PhostFixture {
   explicit PhostFixture(net::LeafSpineParams p = small_topo())
       : net(std::make_unique<net::Network>(net::NetConfig{})) {
     topo = std::make_unique<net::Topology>(net::Topology::leaf_spine(
-        *net, p, proto::phost_host_factory(cfg)));
+        *net, p, proto::phost_host_factory()));
   }
-  proto::PhostConfig cfg;
   std::unique_ptr<net::Network> net;
   std::unique_ptr<net::Topology> topo;
   proto::PhostHost* host(int i) {

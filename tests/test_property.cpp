@@ -24,7 +24,7 @@ TEST_P(RxStateOrderTest, PermutedDeliveryWithDuplicates) {
   net::Flow flow;
   flow.id = 1;
   flow.size = Bytes{1460 * 37 + 123};  // 38 packets, short tail
-  net::FlowRxState st(&flow, Bytes{1460});
+  net::FlowRxState st(&flow);
   std::vector<std::uint32_t> seqs(st.total_packets());
   std::iota(seqs.begin(), seqs.end(), 0);
   // Shuffle and inject ~30% duplicates.

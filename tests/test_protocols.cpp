@@ -30,7 +30,6 @@ struct HomaFixture {
   explicit HomaFixture(bool aeolus, net::LeafSpineParams p = small_topo(),
                        net::NetConfig ncfg = net::NetConfig{})
       : net(std::make_unique<net::Network>(ncfg)) {
-    cfg.aeolus = aeolus;
     if (aeolus) {
       auto prev = p.port_customize;
       p.port_customize = [prev](net::PortConfig& pc) {
@@ -39,9 +38,8 @@ struct HomaFixture {
       };
     }
     topo = std::make_unique<net::Topology>(net::Topology::leaf_spine(
-        *net, p, homa_host_factory(cfg)));
+        *net, p, homa_host_factory(aeolus)));
   }
-  HomaConfig cfg;
   std::unique_ptr<net::Network> net;
   std::unique_ptr<net::Topology> topo;
   HomaHost* host(int i) { return static_cast<HomaHost*>(net->host(i)); }
@@ -167,16 +165,14 @@ TEST(AeolusTest, RecoversFasterThanPlainHomaUnderIncast) {
 struct NdpFixture {
   explicit NdpFixture(net::LeafSpineParams p = small_topo())
       : net(std::make_unique<net::Network>(net::NetConfig{})) {
-    const Bytes mtu_wire = net->config().mtu_wire();
     auto prev = p.port_customize;
-    p.port_customize = [prev, mtu_wire](net::PortConfig& pc) {
+    p.port_customize = [prev](net::PortConfig& pc) {
       if (prev) prev(pc);
-      ndp_port_customize(pc, mtu_wire);
+      ndp_port_customize(pc);
     };
     topo = std::make_unique<net::Topology>(
-        net::Topology::leaf_spine(*net, p, ndp_host_factory(cfg)));
+        net::Topology::leaf_spine(*net, p, ndp_host_factory()));
   }
-  NdpConfig cfg;
   std::unique_ptr<net::Network> net;
   std::unique_ptr<net::Topology> topo;
   NdpHost* host(int i) { return static_cast<NdpHost*>(net->host(i)); }
@@ -239,15 +235,14 @@ TEST(NdpTest, SurvivesRandomControlLoss) {
 
 // ===== window family (HPCC / DCTCP / TCP) ==================================
 
-template <typename ConfigT, typename FactoryFn>
 struct WinFixture {
-  WinFixture(FactoryFn factory_fn, net::PortCustomize customize,
+  WinFixture(net::Topology::HostFactory factory, net::PortCustomize customize,
              bool spraying = false)
       : net(std::make_unique<net::Network>(make_ncfg(spraying))) {
     net::LeafSpineParams p = small_topo();
     p.port_customize = std::move(customize);
     topo = std::make_unique<net::Topology>(
-        net::Topology::leaf_spine(*net, p, factory_fn(cfg)));
+        net::Topology::leaf_spine(*net, p, factory));
   }
   static net::NetConfig make_ncfg(bool spraying) {
     net::NetConfig ncfg;
@@ -255,14 +250,12 @@ struct WinFixture {
         spraying ? net::LbPolicy::kSpray : net::LbPolicy::kEcmpFlow;
     return ncfg;
   }
-  ConfigT cfg;
   std::unique_ptr<net::Network> net;
   std::unique_ptr<net::Topology> topo;
 };
 
 TEST(HpccTest, SingleFlowCompletesWithIntFeedback) {
-  WinFixture<HpccConfig, decltype(&hpcc_host_factory)> f(
-      &hpcc_host_factory, [](net::PortConfig& pc) { hpcc_port_customize(pc); });
+  WinFixture f(hpcc_host_factory(), hpcc_port_customize);
   net::Flow* flow = f.net->create_flow(0, 7, Bytes{500'000}, TimePoint{});
   f.net->sim().run(TimePoint(ms(10)));
   ASSERT_TRUE(flow->finished());
@@ -271,8 +264,7 @@ TEST(HpccTest, SingleFlowCompletesWithIntFeedback) {
 }
 
 TEST(HpccTest, CongestionShrinksWindowNoDrops) {
-  WinFixture<HpccConfig, decltype(&hpcc_host_factory)> f(
-      &hpcc_host_factory, [](net::PortConfig& pc) { hpcc_port_customize(pc); });
+  WinFixture f(hpcc_host_factory(), hpcc_port_customize);
   // 6:1 incast: PFC + INT should avoid drops entirely.
   std::vector<int> senders{1, 2, 3, 4, 5, 6};
   workload::schedule_incast(*f.net, 0, senders, Bytes{400'000}, TimePoint{});
@@ -282,12 +274,11 @@ TEST(HpccTest, CongestionShrinksWindowNoDrops) {
 }
 
 TEST(HpccTest, PfcPausesFireUnderIncast) {
-  WinFixture<HpccConfig, decltype(&hpcc_host_factory)> f(
-      &hpcc_host_factory, [](net::PortConfig& pc) {
-        hpcc_port_customize(pc);
-        pc.pfc_pause_threshold = kKB * 30;  // aggressive to force pauses
-        pc.pfc_resume_threshold = kKB * 15;
-      });
+  WinFixture f(hpcc_host_factory(), [](net::PortConfig& pc) {
+    hpcc_port_customize(pc);
+    pc.pfc_pause_threshold = kKB * 30;  // aggressive to force pauses
+    pc.pfc_resume_threshold = kKB * 15;
+  });
   std::vector<int> senders{1, 2, 3, 4, 5, 6, 7};
   workload::schedule_incast(*f.net, 0, senders, Bytes{400'000}, TimePoint{});
   f.net->sim().run(TimePoint(ms(20)));
@@ -302,9 +293,9 @@ TEST(HpccTest, PfcPausesFireUnderIncast) {
 }
 
 TEST(DctcpTest, EcnKeepsQueuesShortWithoutCollapse) {
-  WinFixture<DctcpConfig, decltype(&dctcp_host_factory)> f(
-      &dctcp_host_factory,
-      [](net::PortConfig& pc) { dctcp_port_customize(pc, kKB * 40); });
+  WinFixture f(dctcp_host_factory(), [](net::PortConfig& pc) {
+    dctcp_port_customize(pc, kKB * 40);
+  });
   std::vector<int> senders{1, 2, 3, 4};
   workload::schedule_incast(*f.net, 0, senders, Bytes{400'000}, TimePoint{});
   f.net->sim().run(TimePoint(ms(20)));
@@ -314,8 +305,7 @@ TEST(DctcpTest, EcnKeepsQueuesShortWithoutCollapse) {
 }
 
 TEST(TcpTest, CompetingFlowsCompleteAndLossesRecover) {
-  WinFixture<TcpConfig, decltype(&tcp_host_factory)> f(
-      &tcp_host_factory, net::PortCustomize{});
+  WinFixture f(tcp_host_factory(), net::PortCustomize{});
   std::vector<int> senders{1, 2, 3, 4, 5, 6};
   workload::schedule_incast(*f.net, 0, senders, Bytes{300'000}, TimePoint{});
   f.net->sim().run(TimePoint(ms(60)));
@@ -323,9 +313,8 @@ TEST(TcpTest, CompetingFlowsCompleteAndLossesRecover) {
 }
 
 TEST(TcpTest, SurvivesRandomLoss) {
-  WinFixture<TcpConfig, decltype(&tcp_host_factory)> f(
-      &tcp_host_factory,
-      [](net::PortConfig& pc) { pc.loss_rate = 0.01; });
+  WinFixture f(tcp_host_factory(),
+               [](net::PortConfig& pc) { pc.loss_rate = 0.01; });
   for (int i = 0; i < 4; ++i) {
     f.net->create_flow(i, 7 - i, Bytes{150'000}, TimePoint(us(i)));
   }
@@ -334,9 +323,8 @@ TEST(TcpTest, SurvivesRandomLoss) {
 }
 
 TEST(WindowTest, FastRetransmitTriggersOnGap) {
-  WinFixture<TcpConfig, decltype(&tcp_host_factory)> f(
-      &tcp_host_factory,
-      [](net::PortConfig& pc) { pc.loss_rate = 0.05; });
+  WinFixture f(tcp_host_factory(),
+               [](net::PortConfig& pc) { pc.loss_rate = 0.05; });
   f.net->create_flow(0, 7, Bytes{400'000}, TimePoint{});
   f.net->sim().run(TimePoint(ms(100)));
   EXPECT_EQ(f.net->completed_flows, 1u);

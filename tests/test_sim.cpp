@@ -221,6 +221,19 @@ TEST(SimulatorDeathTest, KeyIndexOverflowIsChecked) {
                "not registered|overflows 24 bits");
 }
 
+TEST(SimulatorDeathTest, SchedulingIntoThePastIsChecked) {
+  Simulator sim;
+  std::vector<std::string> log;
+  LogTarget x("x", log);
+  sim.register_target(x);
+  sim.schedule_at(TimePoint(us(10)), [] {});
+  sim.run();
+  EXPECT_DEATH(sim.schedule_at(TimePoint(us(5)), [] {}),
+               "cannot schedule into the past");
+  EXPECT_DEATH(sim.schedule_at(TimePoint(us(5)), x, 0),
+               "cannot schedule into the past");
+}
+
 TEST(SimulatorDeathTest, TargetRegistersOnce) {
   Simulator sim;
   std::vector<std::string> log;

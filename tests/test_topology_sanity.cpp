@@ -1,9 +1,9 @@
 // Link-seam guard over the campaign corpus (DESIGN.md §15): every topology
 // reachable from a committed campaign spec must give every inter-device
-// link a strictly positive propagation delay. schedule_remote() carries
-// that delay as its sim::Lookahead bound, which would reject a zero at
-// construction; this test catches the misconfiguration at spec level, with
-// the spec's name on it.
+// link a strictly positive propagation delay, the bound that keeps every
+// cross-link event (arrival, PFC pause) strictly in its sender's future.
+// The Port constructor DCPIM_CHECKs it per link, so a spec that reaches a
+// zero-delay link aborts here, at test time, instead of in a figure run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -122,7 +122,7 @@ void build_and_check(const TopoSignature& sig, const std::string& label) {
       ++links;
       EXPECT_GT(port->config().propagation, Time{})
           << label << ": zero-propagation link on device '" << dev->name()
-          << "' — Port::link_lookahead() would reject it";
+          << "' — the Port constructor would reject it";
     }
   }
   EXPECT_GT(links, 0u) << label;

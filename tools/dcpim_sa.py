@@ -151,7 +151,7 @@ ALLOC_CALLS = {
 # schedules).
 EVENT_ROOT_NAMES = {"on_packet", "on_flow_arrival", "receive", "run",
                     "random_fault_plan", "expand"}
-SCHEDULING_CALLS = {"schedule_at", "schedule_after", "schedule_remote"}
+SCHEDULING_CALLS = {"schedule_at", "schedule_after"}
 
 # Path prefixes (repo-relative, forward slashes) whose *Kind enums are
 # packet/control-kind enums subject to the exhaustiveness rule. FaultKind
