@@ -24,9 +24,8 @@ constexpr int kMaxControlRetx = 50;
 constexpr double kTokenPacingHeadroom = 0.04;
 }  // namespace
 
-DcpimHost::DcpimHost(net::Network& net, int host_id,
-                     const net::PortConfig& nic, DcpimConfig cfg)
-    : net::Host(net, host_id, nic), cfg_(cfg) {
+DcpimHost::DcpimHost(net::Network& net, int host_id, DcpimConfig cfg)
+    : net::Host(net, host_id), cfg_(cfg) {
   cfg_.validate();  // once: the host's copy never changes
   if (cfg_.clock_jitter > Time{}) {
     jitter_ = Time{static_cast<std::int64_t>(network().rng().uniform_int(
@@ -112,38 +111,33 @@ void DcpimHost::epoch_tick(std::uint64_t m) {
 // ===== sender side ===========================================================
 
 void DcpimHost::on_flow_arrival(net::Flow& flow) {
-  TxFlow tx;
-  tx.flow = &flow;
-  tx.packets = flow.seq_count();
-  tx.sent.assign(tx.packets, false);
-  tx.is_short = flow.size <= network().bdp();
-  auto [it, inserted] = tx_flows_.emplace(flow.id, std::move(tx));
-  DCPIM_CHECK(inserted, "duplicate flow arrival at sender");
-  TxFlow& ref = it->second;
+  TxFlow& tx = create_state<TxFlow>(flow, Role::kSender);
+  tx.sent.assign(flow.seq_count(), false);
+  ++tx_per_receiver_[flow.dst];
 
-  send_notification(ref, /*retransmit=*/false);
+  send_notification(flow, /*retransmit=*/false);
   schedule_notify_timer(flow.id);
 
-  if (ref.is_short) {
+  if (flow.size <= network().bdp()) {
     // Short latency-sensitive flows bypass matching entirely (§3.2): every
     // packet goes out immediately at the second-highest priority.
-    for (std::uint32_t seq = 0; seq < ref.packets; ++seq) {
+    for (std::uint32_t seq = 0; seq < flow.seq_count(); ++seq) {
       send(make_data_packet(flow, {.seq = seq,
                                   .priority = kShortFlowPriority,
                                   .unscheduled = true}));
-      ref.sent[seq] = true;
-      ++ref.sent_count;
+      tx.sent[seq] = true;
+      ++tx.sent_count;
       ++counters_.short_data_sent;
       ++counters_.data_sent;
     }
-    maybe_send_finish(ref);
+    maybe_send_finish(flow, tx);
   }
 }
 
-void DcpimHost::send_notification(TxFlow& tx, bool retransmit) {
-  auto note = make_control<NotificationPacket>(tx.flow->dst, kNotification);
-  note->flow_id = tx.flow->id;
-  note->flow_size = tx.flow->size;
+void DcpimHost::send_notification(const net::Flow& flow, bool retransmit) {
+  auto note = make_control<NotificationPacket>(flow.dst, kNotification);
+  note->flow_id = flow.id;
+  note->flow_size = flow.size;
   note->is_retransmit = retransmit;
   send(std::move(note));
   ++counters_.notifications_sent;
@@ -153,38 +147,40 @@ void DcpimHost::send_notification(TxFlow& tx, bool retransmit) {
 void DcpimHost::schedule_notify_timer(std::uint64_t flow_id) {
   network().sim().schedule_after(
       network().max_control_rtt(), [this, flow_id]() {
-        auto it = tx_flows_.find(flow_id);
-        if (it == tx_flows_.end()) return;
-        TxFlow& tx = it->second;
-        if (tx.notify_acked || tx.notify_retx >= kMaxControlRetx) return;
-        ++tx.notify_retx;
-        send_notification(tx, /*retransmit=*/true);
+        net::Flow* flow = network().flow(flow_id);
+        TxFlow* tx = find_state<TxFlow>(flow, Role::kSender);
+        if (tx == nullptr || tx->notify_acked ||
+            tx->notify_retx >= kMaxControlRetx) {
+          return;
+        }
+        ++tx->notify_retx;
+        send_notification(*flow, /*retransmit=*/true);
         schedule_notify_timer(flow_id);
       });
 }
 
-void DcpimHost::maybe_send_finish(TxFlow& tx) {
-  if (tx.finish_sent || tx.sent_count < tx.packets) return;
-  auto fin = make_control<FinishPacket>(tx.flow->dst, kFinish);
-  fin->flow_id = tx.flow->id;
-  fin->packets_sent = tx.packets;
+void DcpimHost::maybe_send_finish(const net::Flow& flow, TxFlow& tx) {
+  if (tx.finish_sent || tx.sent_count < flow.seq_count()) return;
+  auto fin = make_control<FinishPacket>(flow.dst, kFinish);
+  fin->flow_id = flow.id;
+  fin->packets_sent = flow.seq_count();
   send(std::move(fin));
   tx.finish_sent = true;
-  schedule_finish_timer(tx.flow->id);
+  schedule_finish_timer(flow.id);
 }
 
 void DcpimHost::schedule_finish_timer(std::uint64_t flow_id) {
   network().sim().schedule_after(
       network().max_control_rtt(), [this, flow_id]() {
-        auto it = tx_flows_.find(flow_id);
-        if (it == tx_flows_.end()) return;
-        TxFlow& tx = it->second;
-        if (tx.finish_acked || tx.finish_retx >= kMaxControlRetx) return;
-        ++tx.finish_retx;
+        net::Flow* flow = network().flow(flow_id);
+        TxFlow* tx = find_state<TxFlow>(flow, Role::kSender);
+        // Null once the finish ack has released the record.
+        if (tx == nullptr || tx->finish_retx >= kMaxControlRetx) return;
+        ++tx->finish_retx;
         ++counters_.finish_retx;
-        auto fin = make_control<FinishPacket>(tx.flow->dst, kFinish);
-        fin->flow_id = tx.flow->id;
-        fin->packets_sent = tx.packets;
+        auto fin = make_control<FinishPacket>(flow->dst, kFinish);
+        fin->flow_id = flow_id;
+        fin->packets_sent = flow->seq_count();
         send(std::move(fin));
         schedule_finish_timer(flow_id);
       });
@@ -192,14 +188,7 @@ void DcpimHost::schedule_finish_timer(std::uint64_t flow_id) {
 
 void DcpimHost::handle_request(const RequestPacket& req) {
   // Only grant when there really is an active flow toward that receiver.
-  bool has_flow = false;
-  for (const auto& [id, tx] : tx_flows_) {
-    if (tx.flow->dst == req.src && !tx.finish_acked) {
-      has_flow = true;
-      break;
-    }
-  }
-  if (!has_flow) return;
+  if (!tx_per_receiver_.contains(req.src)) return;
 
   SenderEpochState& st = sender_epoch(req.epoch);
   const Time S = stage_length();
@@ -325,18 +314,17 @@ void DcpimHost::sender_pacer_tick() {
 }
 
 void DcpimHost::transmit_for_token(const TokenPacket& tok) {
-  auto it = tx_flows_.find(tok.token_flow_id);
-  if (it == tx_flows_.end()) return;
-  TxFlow& tx = it->second;
-  if (tok.data_seq >= tx.packets) return;
+  net::Flow* flow = network().flow(tok.token_flow_id);
+  TxFlow* tx = find_state<TxFlow>(flow, Role::kSender);
+  if (tx == nullptr || tok.data_seq >= flow->seq_count()) return;
   send(make_data_packet(
-      *tx.flow, {.seq = tok.data_seq, .priority = tok.data_priority}));
+      *flow, {.seq = tok.data_seq, .priority = tok.data_priority}));
   ++counters_.data_sent;
-  if (!tx.sent[tok.data_seq]) {
-    tx.sent[tok.data_seq] = true;
-    ++tx.sent_count;
+  if (!tx->sent[tok.data_seq]) {
+    tx->sent[tok.data_seq] = true;
+    ++tx->sent_count;
   }
-  maybe_send_finish(tx);
+  maybe_send_finish(*flow, *tx);
 }
 
 // ===== receiver side =========================================================
@@ -347,19 +335,13 @@ void DcpimHost::handle_notification(const NotificationPacket& note) {
   ack->flow_id = note.flow_id;
   send(std::move(ack));
 
-  if (rx_flows_.count(note.flow_id) != 0) return;  // duplicate notification
   net::Flow* flow = network().flow(note.flow_id);
+  if (find_state<RxFlow>(flow, Role::kReceiver) != nullptr) {
+    return;  // duplicate notification
+  }
   if (flow == nullptr || flow->finished()) return;
 
-  RxFlow rx;
-  rx.flow = flow;
-  rx.packets = flow->seq_count();
-  rx.needs_matching = flow->size > network().bdp();
-  rx_flows_.emplace(note.flow_id, std::move(rx));
-
-  if (flow->size > network().bdp()) {
-    rx_by_sender_[note.src].push_back(note.flow_id);
-  } else {
+  if (!create_rx(*flow).needs_matching) {
     // Short flow: data is already en route unscheduled. If it does not
     // complete in time (drops under extreme incast), rescue it through the
     // matching phase (§3.2).
@@ -371,23 +353,33 @@ void DcpimHost::handle_notification(const NotificationPacket& note) {
   }
 }
 
+DcpimHost::RxFlow& DcpimHost::create_rx(net::Flow& flow) {
+  RxFlow& rx = create_state<RxFlow>(flow, Role::kReceiver);
+  // Flows arrive in id order, so this is almost always an append.
+  rx_ids_.insert(std::upper_bound(rx_ids_.begin(), rx_ids_.end(), flow.id),
+                 flow.id);
+  rx.needs_matching = flow.size > network().bdp();
+  if (rx.needs_matching) rx_by_sender_[flow.src].push_back(flow.id);
+  return rx;
+}
+
 void DcpimHost::check_short_flow(std::uint64_t flow_id) {
-  auto it = rx_flows_.find(flow_id);
-  if (it == rx_flows_.end()) return;  // completed and GC'd
-  RxFlow& rx = it->second;
-  if (rx.flow->finished()) return;
-  if (rx.needs_matching) return;  // already rescued
-  rx.needs_matching = true;
+  net::Flow* flow = network().flow(flow_id);
+  RxFlow* rx = find_state<RxFlow>(flow, Role::kReceiver);
+  if (rx == nullptr) return;  // completed and released
+  if (flow->finished()) return;
+  if (rx->needs_matching) return;  // already rescued
+  rx->needs_matching = true;
   ++counters_.short_flows_rescued;
   // Every packet was sent once unscheduled; admit the *missing* ones via
   // tokens after matching.
-  rx.next_new_seq = rx.packets;
-  rx.readmit.clear();
+  rx->next_new_seq = flow->seq_count();
+  rx->readmit.clear();
   const net::FlowRxState* st = find_rx_state(flow_id);
-  for (std::uint32_t seq = 0; seq < rx.packets; ++seq) {
-    if (st == nullptr || !st->has(seq)) rx.readmit.push_back(seq);
+  for (std::uint32_t seq = 0; seq < flow->seq_count(); ++seq) {
+    if (st == nullptr || !st->has(seq)) rx->readmit.push_back(seq);
   }
-  rx_by_sender_[rx.flow->src].push_back(flow_id);
+  rx_by_sender_[flow->src].push_back(flow_id);
 }
 
 void DcpimHost::rescue_overdue_short_flows() {
@@ -397,12 +389,12 @@ void DcpimHost::rescue_overdue_short_flows() {
   // The watch list is in packet-arrival order, which flow-id order would
   // not reproduce; lookups by id are fine.
   for (std::uint64_t id : rescue_watch_) {
-    auto it = rx_flows_.find(id);
-    if (it == rx_flows_.end() || it->second.needs_matching ||
-        it->second.flow->finished()) {
+    net::Flow* flow = network().flow(id);
+    const RxFlow* rx = find_state<RxFlow>(flow, Role::kReceiver);
+    if (rx == nullptr || rx->needs_matching || flow->finished()) {
       continue;  // drained, or already in the matching path
     }
-    if (now >= it->second.rescue_deadline) {
+    if (now >= rx->rescue_deadline) {
       check_short_flow(id);
     } else {
       keep.push_back(id);
@@ -435,20 +427,14 @@ void DcpimHost::handle_data(net::PacketPtr p) {
   }
   accept_data(*p);
 
-  auto it = rx_flows_.find(id);
-  if (it == rx_flows_.end()) {
+  net::Flow* flow = network().flow(id);
+  if (flow == nullptr) return;
+  RxFlow* rx = find_state<RxFlow>(flow, Role::kReceiver);
+  if (rx == nullptr) {
     // Data raced ahead of the notification (per-packet spraying can reorder
     // across paths); synthesize receiver state from the flow table.
-    net::Flow* flow = network().flow(id);
-    if (flow == nullptr) return;
-    RxFlow rx;
-    rx.flow = flow;
-    rx.packets = flow->seq_count();
-    rx.needs_matching = flow->size > network().bdp();
-    it = rx_flows_.emplace(id, std::move(rx)).first;
-    if (it->second.needs_matching) {
-      rx_by_sender_[flow->src].push_back(id);
-    } else {
+    rx = &create_rx(*flow);
+    if (!rx->needs_matching) {
       // Short flow whose data raced ahead of its notification. The
       // notification that eventually lands takes the duplicate early-return
       // above, so no check_short_flow timer is ever armed for it — a
@@ -458,23 +444,25 @@ void DcpimHost::handle_data(net::PacketPtr p) {
       // Stamp the deadline for the epoch_tick orphan sweep instead of
       // scheduling an event: the common completes-in-time case must leave
       // the clean-run event stream untouched.
-      it->second.rescue_deadline = network().sim().now() +
-                                   nic()->tx_time(flow->size) +
-                                   network().max_control_rtt() * 4;
+      rx->rescue_deadline = network().sim().now() +
+                            nic()->tx_time(flow->size) +
+                            network().max_control_rtt() * 4;
       rescue_watch_.push_back(id);
     }
   }
-  RxFlow& rx = it->second;
-  if (auto out_it = rx.outstanding.find(seq); out_it != rx.outstanding.end()) {
+  if (auto out_it = rx->outstanding.find(seq);
+      out_it != rx->outstanding.end()) {
     counters_.token_loop_time += network().sim().now() - out_it->second;
     ++counters_.token_loop_count;
-    rx.outstanding.erase(out_it);
+    rx->outstanding.erase(out_it);
     --outstanding_total_;
   }
-  const int sender = rx.flow->src;
-  if (rx.flow->finished()) {
-    forget_outstanding(rx);
-    rx_flows_.erase(it);  // rx_by_sender_ entries are pruned lazily
+  const int sender = flow->src;
+  if (flow->finished()) {
+    forget_outstanding(*rx);
+    // rx_by_sender_ entries are pruned lazily.
+    release_state(*flow, Role::kReceiver);
+    rx_ids_.erase(std::lower_bound(rx_ids_.begin(), rx_ids_.end(), id));
   }
   // Token clocking (§3.2): while the window was full the pacer skipped
   // ticks; a data arrival frees a window slot, so immediately send one new
@@ -491,24 +479,24 @@ void DcpimHost::handle_data(net::PacketPtr p) {
   }
 }
 
-Bytes DcpimHost::flow_remaining(const RxFlow& rx) const {
-  const net::FlowRxState* st = find_rx_state(rx.flow->id);
+Bytes DcpimHost::flow_remaining(const net::Flow& flow) const {
+  const net::FlowRxState* st = find_rx_state(flow.id);
   const Bytes received = st != nullptr ? st->received_bytes() : Bytes{};
-  return rx.flow->size - received;
+  return flow.size - received;
 }
 
 void DcpimHost::snapshot_demand(ReceiverEpochState& st) {
   for (auto& [sender, ids] : rx_by_sender_) {
     // Prune finished/rescued-away flows lazily.
     std::erase_if(ids, [this](std::uint64_t id) {
-      auto it = rx_flows_.find(id);
-      return it == rx_flows_.end() || it->second.flow->finished() ||
-             !it->second.needs_matching;
+      const RxFlow* rx = find_state<RxFlow>(id, Role::kReceiver);
+      return rx == nullptr || network().flow(id)->finished() ||
+             !rx->needs_matching;
     });
     Bytes pending{};
     Bytes min_rem = Bytes::max();
     for (std::uint64_t id : ids) {
-      const Bytes rem = flow_remaining(rx_flows_.at(id));
+      const Bytes rem = flow_remaining(*network().flow(id));
       if (rem <= Bytes{}) continue;
       if (cfg_.flow_size_aware) {
         pending += rem;
@@ -645,14 +633,13 @@ void DcpimHost::start_data_phase(std::uint64_t m) {
     auto ids_it = rx_by_sender_.find(sender);
     if (ids_it != rx_by_sender_.end()) {
       for (std::uint64_t id : ids_it->second) {
-        auto rx_it = rx_flows_.find(id);
-        if (rx_it == rx_flows_.end()) continue;
-        RxFlow& rx = rx_it->second;
+        RxFlow* rx = find_state<RxFlow>(id, Role::kReceiver);
+        if (rx == nullptr) continue;
         // readmit is a FIFO: timed-out seqs re-enter it in seq order.
-        std::erase_if(rx.outstanding, [&](const auto& entry) {
+        std::erase_if(rx->outstanding, [&](const auto& entry) {
           if (now - entry.second <= token_timeout) return false;
           --outstanding_total_;
-          rx.readmit.push_back(entry.first);
+          rx->readmit.push_back(entry.first);
           ++counters_.readmitted_seqs;
           return true;
         });
@@ -690,28 +677,30 @@ bool DcpimHost::issue_token(ActiveMatch& match) {
   }
 
   RxFlow* best = nullptr;
+  const net::Flow* best_flow = nullptr;
   Bytes best_rem = Bytes::max();
   const std::uint32_t window = window_packets(match.channels);
   bool saw_window_full = false;
   for (std::uint64_t id : ids_it->second) {
-    auto it = rx_flows_.find(id);
-    if (it == rx_flows_.end()) continue;
-    RxFlow& rx = it->second;
-    if (rx.flow->finished() || !rx.needs_matching) continue;
-    if (rx.outstanding.size() >= window) {
+    net::Flow* flow = network().flow(id);
+    RxFlow* rx = find_state<RxFlow>(flow, Role::kReceiver);
+    if (rx == nullptr) continue;
+    if (flow->finished() || !rx->needs_matching) continue;
+    if (rx->outstanding.size() >= window) {
       saw_window_full = true;
       continue;
     }
     const bool has_work =
-        !rx.readmit.empty() || rx.next_new_seq < rx.packets;
+        !rx->readmit.empty() || rx->next_new_seq < flow->seq_count();
     if (!has_work) continue;
     // SRPT among this sender's flows when sizes are known; first
     // eligible flow (FIFO by notification order) otherwise.
     const Bytes rem =
-        cfg_.flow_size_aware ? flow_remaining(rx) : best_rem - Bytes{1};
+        cfg_.flow_size_aware ? flow_remaining(*flow) : best_rem - Bytes{1};
     if (rem < best_rem) {
       best_rem = rem;
-      best = &rx;
+      best = rx;
+      best_flow = flow;
       if (!cfg_.flow_size_aware) break;
     }
   }
@@ -735,10 +724,10 @@ bool DcpimHost::issue_token(ActiveMatch& match) {
     ++outstanding_total_;
   }
 
-  const net::FlowRxState* st = find_rx_state(best->flow->id);
-  auto tok = make_control<TokenPacket>(best->flow->src, kToken);
-  tok->flow_id = best->flow->id;
-  tok->token_flow_id = best->flow->id;
+  const net::FlowRxState* st = find_rx_state(best_flow->id);
+  auto tok = make_control<TokenPacket>(best_flow->src, kToken);
+  tok->flow_id = best_flow->id;
+  tok->token_flow_id = best_flow->id;
   tok->data_seq = seq;
   tok->cumulative_ack = st != nullptr ? st->first_missing() : 0;
   tok->phase = active_phase_;
@@ -772,18 +761,20 @@ void DcpimHost::on_packet(net::PacketPtr p) {
       handle_notification(net::packet_cast<NotificationPacket>(*p));
       break;
     case kNotifyAck: {
-      auto it = tx_flows_.find(p->flow_id);
-      if (it != tx_flows_.end()) it->second.notify_acked = true;
+      TxFlow* tx = find_state<TxFlow>(p->flow_id, Role::kSender);
+      if (tx != nullptr) tx->notify_acked = true;
       break;
     }
     case kFinish:
       handle_finish(net::packet_cast<FinishPacket>(*p));
       break;
     case kFinishAck: {
-      auto it = tx_flows_.find(p->flow_id);
-      if (it != tx_flows_.end()) {
-        it->second.finish_acked = true;
-        tx_flows_.erase(it);
+      net::Flow* flow = network().flow(p->flow_id);
+      if (find_state<TxFlow>(flow, Role::kSender) != nullptr) {
+        release_state(*flow, Role::kSender);
+        if (--tx_per_receiver_[flow->dst] == 0) {
+          tx_per_receiver_.erase(flow->dst);
+        }
       }
       break;
     }
@@ -853,7 +844,8 @@ void DcpimHost::audit_token_accounting(std::vector<std::string>& out) const {
   // the sum of the per-flow maps it caches.
   std::size_t per_flow_outstanding = 0;
   const std::uint32_t window_cap = window_packets(cfg_.channels);
-  for (const auto& [id, rx] : rx_flows_) {
+  for (std::uint64_t id : rx_ids_) {
+    const RxFlow& rx = *find_state<RxFlow>(id, Role::kReceiver);
     per_flow_outstanding += rx.outstanding.size();
     if (rx.outstanding.size() > window_cap) {
       out.push_back(who() + " flow " + std::to_string(id) + " has " +
@@ -952,9 +944,8 @@ void DcpimHost::audit_channel_ledger(std::vector<std::string>& out) const {
 }
 
 net::Topology::HostFactory dcpim_host_factory(DcpimConfig cfg) {
-  return [cfg](net::Network& net, int host_id,
-               const net::PortConfig& nic) -> net::Host* {
-    return net.add_device<DcpimHost>(host_id, nic, cfg);
+  return [cfg](net::Network& net, int host_id) -> net::Host* {
+    return net.add_device<DcpimHost>(host_id, cfg);
   };
 }
 

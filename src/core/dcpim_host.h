@@ -26,8 +26,7 @@ namespace dcpim::core {
 
 class DcpimHost : public net::Host {
  public:
-  DcpimHost(net::Network& net, int host_id, const net::PortConfig& nic,
-            DcpimConfig cfg);
+  DcpimHost(net::Network& net, int host_id, DcpimConfig cfg);
 
   void on_flow_arrival(net::Flow& flow) override;
 
@@ -107,15 +106,12 @@ class DcpimHost : public net::Host {
   void epoch_tick(std::uint64_t m);
 
   // === sender-side state ====================================================
-  struct TxFlow {
-    net::Flow* flow = nullptr;
-    std::uint32_t packets = 0;
+  /// Held until the receiver acks the finish.
+  struct TxFlow : net::FlowState {
     std::vector<bool> sent;       ///< distinct seqs transmitted
     std::uint32_t sent_count = 0;
-    bool is_short = false;
     bool notify_acked = false;
     bool finish_sent = false;
-    bool finish_acked = false;
     int notify_retx = 0;
     int finish_retx = 0;
   };
@@ -135,8 +131,8 @@ class DcpimHost : public net::Host {
     std::map<int, int> accepted;  ///< receiver -> channels claimed
   };
 
-  void send_notification(TxFlow& tx, bool retransmit);
-  void maybe_send_finish(TxFlow& tx);
+  void send_notification(const net::Flow& flow, bool retransmit);
+  void maybe_send_finish(const net::Flow& flow, TxFlow& tx);
   void schedule_notify_timer(std::uint64_t flow_id);
   void schedule_finish_timer(std::uint64_t flow_id);
   void handle_request(const RequestPacket& req);
@@ -150,9 +146,7 @@ class DcpimHost : public net::Host {
   void transmit_for_token(const TokenPacket& tok);
 
   // === receiver-side state ===================================================
-  struct RxFlow {
-    net::Flow* flow = nullptr;
-    std::uint32_t packets = 0;
+  struct RxFlow : net::FlowState {
     std::uint32_t next_new_seq = 0;  ///< next never-admitted seq
     std::deque<std::uint32_t> readmit;  ///< lost-token seqs to re-admit
     std::map<std::uint32_t, TimePoint> outstanding;  ///< token->sent instant
@@ -190,6 +184,9 @@ class DcpimHost : public net::Host {
   void start_data_phase(std::uint64_t m);
   void token_tick(std::uint64_t phase, std::size_t match_idx);
   bool issue_token(ActiveMatch& match);
+  /// Creates the receiver record of `flow`; a long flow also joins
+  /// rx_by_sender_ for matching.
+  RxFlow& create_rx(net::Flow& flow);
   void check_short_flow(std::uint64_t flow_id);
   /// Epoch-boundary sweep over RxFlow::rescue_deadline (see there). Rides
   /// the existing epoch_tick event on purpose: the no-orphan common case
@@ -197,7 +194,7 @@ class DcpimHost : public net::Host {
   void rescue_overdue_short_flows();
   std::uint8_t data_priority_for(Bytes remaining) const;
 
-  Bytes flow_remaining(const RxFlow& rx) const;
+  Bytes flow_remaining(const net::Flow& flow) const;
 
   SenderEpochState& sender_epoch(std::uint64_t m);
   ReceiverEpochState& receiver_epoch(std::uint64_t m);
@@ -209,13 +206,16 @@ class DcpimHost : public net::Host {
   Counters counters_;
   EpochAuditHook epoch_audit_hook_;
 
-  std::map<std::uint64_t, TxFlow> tx_flows_;
+  /// Receiver -> live TxFlow records toward it (request admission).
+  std::map<int, int> tx_per_receiver_;
   /// Sender-side queue of unused tokens, drained at one packet per MTU
   /// transmission time; stale entries expire instead of standing in the
   /// NIC queue (the paper's "discard unused tokens" rule, §3.2).
   std::deque<TokenPacket> token_queue_;
   bool sender_pacer_running_ = false;
-  std::map<std::uint64_t, RxFlow> rx_flows_;
+  /// Ascending ids of the flows holding an RxFlow, the order
+  /// audit_token_accounting walks them in.
+  std::vector<std::uint64_t> rx_ids_;
   /// Receiver-side index: sender -> flow ids that (may) need matching.
   std::map<int, std::vector<std::uint64_t>> rx_by_sender_;
   /// Flow ids carrying a live RxFlow::rescue_deadline, in packet-arrival

@@ -120,9 +120,7 @@ net::PortCustomize make_port_customize(const Runtime& rt) {
     case Protocol::HomaAeolus:
       return [loss](net::PortConfig& pc) {
         pc.loss_rate = loss;
-        // Aeolus selective dropping: unscheduled packets yield once the
-        // queue holds more than a small headroom.
-        pc.aeolus_threshold = pc.buffer_bytes / 8;
+        proto::homa_port_customize(pc);
       };
     case Protocol::Ndp:
       return [loss](net::PortConfig& pc) {

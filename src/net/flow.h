@@ -2,10 +2,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "net/config.h"
+#include "util/check.h"
 #include "util/time.h"
 #include "util/units.h"
 
@@ -44,6 +47,29 @@ class FlowRxState {
   Bytes received_bytes_{};
 };
 
+/// A transport's per-flow record at one end of a flow. Each transport
+/// derives its sender and receiver records from it; the Flow owns them
+/// (Flow::sender_state / receiver_state) and Host's create_state,
+/// find_state and release_state reach them.
+struct FlowState {
+  FlowState() = default;
+  FlowState(const FlowState&) = delete;
+  FlowState& operator=(const FlowState&) = delete;
+  FlowState(FlowState&&) = delete;
+  FlowState& operator=(FlowState&&) = delete;
+  virtual ~FlowState() = default;
+};
+
+/// Downcast of a transport record to the transport's own type, the
+/// FlowState counterpart of packet_cast.
+template <typename T>
+T* state_cast(FlowState* state) {
+  static_assert(std::is_base_of_v<FlowState, T>);
+  DCPIM_DCHECK(state == nullptr || dynamic_cast<T*>(state) != nullptr,
+               "flow record read as another transport's type");
+  return static_cast<T*>(state);
+}
+
 /// One application flow (message) from src host to dst host.
 struct Flow {
   std::uint64_t id = 0;
@@ -55,6 +81,10 @@ struct Flow {
   /// Reassembly state at `dst`, the only host that receives the flow's
   /// data; created by Host::accept_data on the first data packet.
   std::optional<FlowRxState> rx{};
+  /// The transport's record at `src` and at `dst`, null until that end
+  /// creates it and again once it releases it.
+  std::unique_ptr<FlowState> sender_state{};
+  std::unique_ptr<FlowState> receiver_state{};
 
   bool finished() const { return finish_time != kTimeUnset; }
   Time fct() const { return finish_time - start_time; }

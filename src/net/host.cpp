@@ -4,7 +4,7 @@
 
 namespace dcpim::net {
 
-Host::Host(Network& net, int host_id, const PortConfig& /*nic_cfg*/)
+Host::Host(Network& net, int host_id)
     : Device(net, Kind::Host, "host" + std::to_string(host_id)),
       host_id_(host_id) {
   // The NIC port itself is created when the topology wires this host to its

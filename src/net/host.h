@@ -18,10 +18,8 @@ namespace dcpim::net {
 class Host : public Device {
  public:
   /// Registers the host; its NIC port is the first port wired up by the
-  /// topology builder (Network::connect). `nic_cfg` documents the intended
-  /// access-link configuration for protocol constructors that derive
-  /// parameters from it before the port exists.
-  Host(Network& net, int host_id, const PortConfig& nic_cfg);
+  /// topology builder (Network::connect).
+  Host(Network& net, int host_id);
 
   int host_id() const { return host_id_; }
   Port* nic() const {
@@ -105,7 +103,53 @@ class Host : public Device {
   /// MTU transmission time on this host's NIC (full data packet).
   Time mtu_tx_time() const;
 
+  // --- per-flow transport records ----------------------------------------------
+  /// The end of a flow a transport record belongs to: the sender is the
+  /// flow's src host, the receiver its dst host.
+  enum class Role { kSender, kReceiver };
+
+  /// Creates this host's `role` record for `flow`. The slot must be empty
+  /// (never created, or released) and this host must be that end.
+  template <typename T>
+  T& create_state(Flow& flow, Role role) {
+    std::unique_ptr<FlowState>* owned = slot(&flow, role);
+    DCPIM_CHECK(owned != nullptr, "flow record created off its flow's end");
+    DCPIM_CHECK(*owned == nullptr, "flow record created twice");
+    auto state = std::make_unique<T>();
+    T& ref = *state;
+    *owned = std::move(state);
+    return ref;
+  }
+
+  /// This host's `role` record for the flow, or null: for a null flow,
+  /// before the record is created, once it is released, and on every host
+  /// but that end.
+  template <typename T>
+  T* find_state(Flow* flow, Role role) const {
+    std::unique_ptr<FlowState>* owned = slot(flow, role);
+    return owned != nullptr ? state_cast<T>(owned->get()) : nullptr;
+  }
+  template <typename T>
+  T* find_state(std::uint64_t flow_id, Role role) const {
+    return find_state<T>(network().flow(flow_id), role);
+  }
+
+  /// Destroys this host's `role` record for `flow`, if it holds one.
+  void release_state(Flow& flow, Role role) {
+    if (std::unique_ptr<FlowState>* owned = slot(&flow, role)) owned->reset();
+  }
+
  private:
+  /// `flow`'s record slot for `role`; null for a null flow and when this
+  /// host is not that end.
+  std::unique_ptr<FlowState>* slot(Flow* flow, Role role) const {
+    if (flow == nullptr) return nullptr;
+    if (role == Role::kSender) {
+      return flow->src == host_id_ ? &flow->sender_state : nullptr;
+    }
+    return flow->dst == host_id_ ? &flow->receiver_state : nullptr;
+  }
+
   int host_id_;
   Bytes payload_delivered_{};
 };

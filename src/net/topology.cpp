@@ -208,7 +208,7 @@ Topology Topology::leaf_spine(Network& net, const LeafSpineParams& params,
   for (int r = 0; r < params.racks; ++r) {
     for (int h = 0; h < params.hosts_per_rack; ++h) {
       const int host_id = r * params.hosts_per_rack + h;
-      Host* host = make_host(net, host_id, host_link);
+      Host* host = make_host(net, host_id);
       Network::connect(*host, *leaves[static_cast<std::size_t>(r)], host_link);
     }
     for (Switch* spine : spines) {
@@ -255,7 +255,7 @@ Topology Topology::fat_tree(Network& net, const FatTreeParams& params,
     }
     for (int e = 0; e < half; ++e) {
       for (int h = 0; h < hosts_per_edge; ++h) {
-        Host* host = make_host(net, host_id++, link);
+        Host* host = make_host(net, host_id++);
         Network::connect(*host, *edges[static_cast<std::size_t>(e)], link);
       }
       for (int a = 0; a < half; ++a) {

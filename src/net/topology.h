@@ -48,10 +48,9 @@ struct FatTreeParams {
 
 class Topology {
  public:
-  /// Builds a host given its id and the NIC port configuration; must call
-  /// Network::add_device under the hood and return the created Host.
-  using HostFactory =
-      std::function<Host*(Network&, int host_id, const PortConfig& nic)>;
+  /// Builds a host given its id; must call Network::add_device under the
+  /// hood and return the created Host.
+  using HostFactory = std::function<Host*(Network&, int host_id)>;
 
   static Topology leaf_spine(Network& net, const LeafSpineParams& params,
                              const HostFactory& make_host);

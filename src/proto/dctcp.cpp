@@ -9,9 +9,8 @@ namespace {
 constexpr double kAlphaGain = 1.0 / 16.0;
 }  // namespace
 
-DctcpHost::DctcpHost(net::Network& net, int host_id,
-                     const net::PortConfig& nic)
-    : WindowHost(net, host_id, nic) {}
+DctcpHost::DctcpHost(net::Network& net, int host_id)
+    : WindowHost(net, host_id) {}
 
 void DctcpHost::on_ack_event(WFlow& f, const AckPacket& ack) {
   ++f.window_acks;
@@ -60,9 +59,8 @@ void DctcpHost::on_timeout(WFlow& f) {
 }
 
 net::Topology::HostFactory dctcp_host_factory() {
-  return [](net::Network& net, int host_id,
-            const net::PortConfig& nic) -> net::Host* {
-    return net.add_device<DctcpHost>(host_id, nic);
+  return [](net::Network& net, int host_id) -> net::Host* {
+    return net.add_device<DctcpHost>(host_id);
   };
 }
 

@@ -11,7 +11,7 @@ namespace dcpim::proto {
 
 class DctcpHost : public WindowHost {
  public:
-  DctcpHost(net::Network& net, int host_id, const net::PortConfig& nic);
+  DctcpHost(net::Network& net, int host_id);
 
  protected:
   void on_ack_event(WFlow& f, const AckPacket& ack) override;

@@ -92,23 +92,19 @@ void FastpassArbiter::tick() {
 // ===== host ==================================================================
 
 FastpassHost::FastpassHost(net::Network& net, int host_id,
-                           const net::PortConfig& nic,
                            FastpassArbiter& arbiter)
-    : net::Host(net, host_id, nic), arbiter_(arbiter) {
+    : net::Host(net, host_id), arbiter_(arbiter) {
   arbiter.register_host(host_id, this);
 }
 
 void FastpassHost::on_flow_arrival(net::Flow& flow) {
-  TxFlow tx;
-  tx.flow = &flow;
-  tx.packets = flow.seq_count();
-  tx_flows_.emplace(flow.id, tx);
+  create_state<TxFlow>(flow, Role::kSender);
   // Every packet — even a single-packet RPC — must be scheduled first: the
   // request reaches the arbiter half a control RTT from now.
   const int src = host_id();
   const int dst = flow.dst;
   const std::uint64_t id = flow.id;
-  const std::uint32_t packets = tx.packets;
+  const std::uint32_t packets = flow.seq_count();
   network().sim().schedule_after(
       network().max_control_rtt() / 2, [this, src, dst, id, packets]() {
         arbiter_.add_demand(src, dst, id, packets);
@@ -119,43 +115,44 @@ void FastpassHost::on_flow_arrival(net::Flow& flow) {
 
 void FastpassHost::on_allocation(std::uint64_t flow_id) {
   ++counters_.allocations_received;
-  auto it = tx_flows_.find(flow_id);
-  if (it == tx_flows_.end()) return;
-  TxFlow& tx = it->second;
+  net::Flow* flow = network().flow(flow_id);
+  TxFlow* tx = find_state<TxFlow>(flow, Role::kSender);
+  if (tx == nullptr) return;
   std::uint32_t seq;
-  if (!tx.retransmit.empty()) {
-    seq = tx.retransmit.front();
-    tx.retransmit.pop_front();
-  } else if (tx.next_seq < tx.packets) {
-    seq = tx.next_seq++;
+  if (!tx->retransmit.empty()) {
+    seq = tx->retransmit.front();
+    tx->retransmit.pop_front();
+  } else if (tx->next_seq < flow->seq_count()) {
+    seq = tx->next_seq++;
   } else {
     return;  // nothing left (e.g. re-requested slots raced a completion)
   }
-  send(make_data_packet(*tx.flow, {.seq = seq, .priority = kDataPriority}));
+  send(make_data_packet(*flow, {.seq = seq, .priority = kDataPriority}));
   ++counters_.data_sent;
 }
 
 void FastpassHost::arm_loss_timer(std::uint64_t flow_id) {
   network().sim().schedule_after(
       network().max_control_rtt() * 10, [this, flow_id]() {
-        auto it = tx_flows_.find(flow_id);
-        if (it == tx_flows_.end()) return;
-        TxFlow& tx = it->second;
-        if (tx.flow->finished()) {
-          tx_flows_.erase(it);
+        net::Flow* flow = network().flow(flow_id);
+        TxFlow* tx = find_state<TxFlow>(flow, Role::kSender);
+        if (tx == nullptr) return;
+        if (flow->finished()) {
+          release_state(*flow, Role::kSender);
           return;
         }
-        if (tx.next_seq >= tx.packets && tx.retransmit.empty()) {
+        const std::uint32_t packets = flow->seq_count();
+        if (tx->next_seq >= packets && tx->retransmit.empty()) {
           // Everything was transmitted yet the flow is incomplete: some
           // packets died in transit. Fastpass has no data acks (the arbiter
           // prevents contention, so this is rare); re-request allocations
           // for a full resend of the flow — the receiver dedupes whatever
           // did arrive.
-          for (std::uint32_t seq = 0; seq < tx.packets; ++seq) {
-            tx.retransmit.push_back(seq);
+          for (std::uint32_t seq = 0; seq < packets; ++seq) {
+            tx->retransmit.push_back(seq);
           }
           ++counters_.rerequests;
-          arbiter_.add_demand(host_id(), tx.flow->dst, flow_id, tx.packets);
+          arbiter_.add_demand(host_id(), flow->dst, flow_id, packets);
         }
         arm_loss_timer(flow_id);
       });
@@ -173,9 +170,8 @@ void FastpassHost::on_packet(net::PacketPtr p) {
 }
 
 net::Topology::HostFactory fastpass_host_factory(FastpassArbiter& arbiter) {
-  return [&arbiter](net::Network& net, int host_id,
-                    const net::PortConfig& nic) -> net::Host* {
-    return net.add_device<FastpassHost>(host_id, nic, arbiter);
+  return [&arbiter](net::Network& net, int host_id) -> net::Host* {
+    return net.add_device<FastpassHost>(host_id, arbiter);
   };
 }
 

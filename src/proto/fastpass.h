@@ -61,8 +61,7 @@ class FastpassArbiter {
 /// the host rate, and the sender-side loss timeout is 10 cRTTs.
 class FastpassHost : public net::Host {
  public:
-  FastpassHost(net::Network& net, int host_id, const net::PortConfig& nic,
-               FastpassArbiter& arbiter);
+  FastpassHost(net::Network& net, int host_id, FastpassArbiter& arbiter);
 
   void on_flow_arrival(net::Flow& flow) override;
 
@@ -86,9 +85,7 @@ class FastpassHost : public net::Host {
   void on_packet(net::PacketPtr p) override;
 
  private:
-  struct TxFlow {
-    net::Flow* flow = nullptr;
-    std::uint32_t packets = 0;
+  struct TxFlow : net::FlowState {
     std::uint32_t next_seq = 0;
     std::deque<std::uint32_t> retransmit;
   };
@@ -97,7 +94,6 @@ class FastpassHost : public net::Host {
 
   FastpassArbiter& arbiter_;
   Counters counters_;
-  std::map<std::uint64_t, TxFlow> tx_flows_;
 };
 
 /// Builds hosts bound to a shared arbiter. The arbiter must be created

@@ -26,9 +26,8 @@ constexpr std::uint8_t kScheduledPriority = 5;
 constexpr int kMaxResends = 100;
 }  // namespace
 
-HomaHost::HomaHost(net::Network& net, int host_id, const net::PortConfig& nic,
-                   bool aeolus)
-    : net::Host(net, host_id, nic), aeolus_(aeolus) {}
+HomaHost::HomaHost(net::Network& net, int host_id, bool aeolus)
+    : net::Host(net, host_id), aeolus_(aeolus) {}
 
 std::uint8_t HomaHost::unsched_priority_for(Bytes size) const {
   // Geometric cutoffs on the BDP scale (Homa computes these from the
@@ -45,14 +44,14 @@ std::uint32_t HomaHost::window_packets() const {
       1, network().bdp() / net::kMtuPayload));
 }
 
+std::uint32_t HomaHost::unsched_packets(const net::Flow& flow) const {
+  return std::min(flow.seq_count(), window_packets());
+}
+
 // ===== sender side ===========================================================
 
 void HomaHost::on_flow_arrival(net::Flow& flow) {
-  TxFlow tx;
-  tx.flow = &flow;
-  tx.packets = flow.seq_count();
-  tx.unsched_packets = std::min<std::uint32_t>(tx.packets, window_packets());
-  tx_flows_.emplace(flow.id, tx);
+  create_state<TxFlow>(flow, Role::kSender);
 
   auto note = make_control<SizedNotifyPacket>(flow.dst, kHomaNotify);
   note->flow_id = flow.id;
@@ -60,7 +59,7 @@ void HomaHost::on_flow_arrival(net::Flow& flow) {
   send(std::move(note));
 
   const std::uint8_t prio = unsched_priority_for(flow.size);
-  for (std::uint32_t seq = 0; seq < tx.unsched_packets; ++seq) {
+  for (std::uint32_t seq = 0; seq < unsched_packets(flow); ++seq) {
     send(make_data_packet(flow, {.seq = seq, .priority = prio, .unscheduled = true}));
     ++counters_.unsched_sent;
   }
@@ -90,16 +89,19 @@ void HomaHost::on_flow_arrival(net::Flow& flow) {
 }
 
 void HomaHost::notify_check(std::uint64_t flow_id) {
-  auto it = tx_flows_.find(flow_id);
-  if (it == tx_flows_.end()) return;
-  const TxFlow& tx = it->second;
+  net::Flow* flow = network().flow(flow_id);
+  const TxFlow* tx = find_state<TxFlow>(flow, Role::kSender);
+  if (tx == nullptr) return;
   // A grant proves the receiver knows the flow; from there its own resend
   // machinery owns recovery. (Pure-unscheduled flows never see grants, so
   // they keep re-announcing until the flow completes.)
-  if (tx.flow->finished() || tx.grant_seen) return;
-  auto note = make_control<SizedNotifyPacket>(tx.flow->dst, kHomaNotify);
+  if (flow->finished() || tx->grant_seen) {
+    release_state(*flow, Role::kSender);
+    return;
+  }
+  auto note = make_control<SizedNotifyPacket>(flow->dst, kHomaNotify);
   note->flow_id = flow_id;
-  note->flow_size = tx.flow->size;
+  note->flow_size = flow->size;
   send(std::move(note));
   ++counters_.notify_retx;
   network().sim().schedule_after(resend_period(),
@@ -108,11 +110,13 @@ void HomaHost::notify_check(std::uint64_t flow_id) {
 
 void HomaHost::handle_grant(const net::Packet& p) {
   const auto& grant = net::packet_cast<GrantTokenPacket>(p);
-  auto it = tx_flows_.find(p.flow_id);
-  if (it == tx_flows_.end()) return;
-  TxFlow& tx = it->second;
-  tx.grant_seen = true;
-  if (tx.flow->finished() || grant.data_seq >= tx.packets) return;
+  net::Flow* flow = network().flow(p.flow_id);
+  if (flow == nullptr || flow->src != host_id()) return;
+  // Null once notify_check has stopped, which makes grant_seen moot.
+  if (TxFlow* tx = find_state<TxFlow>(flow, Role::kSender)) {
+    tx->grant_seen = true;
+  }
+  if (flow->finished() || grant.data_seq >= flow->seq_count()) return;
   grant_queue_.push_back(
       PendingGrant{p.flow_id, grant.data_seq, grant.data_priority});
   if (!sender_pacer_running_) {
@@ -124,14 +128,10 @@ void HomaHost::handle_grant(const net::Packet& p) {
 void HomaHost::sender_pacer_tick() {
   while (!grant_queue_.empty()) {
     const PendingGrant g = grant_queue_.front();
-    auto it = tx_flows_.find(g.flow_id);
-    if (it == tx_flows_.end() || it->second.flow->finished()) {
-      grant_queue_.pop_front();
-      continue;
-    }
+    const net::Flow* flow = network().flow(g.flow_id);
     grant_queue_.pop_front();
-    send(make_data_packet(*it->second.flow,
-                          {.seq = g.seq, .priority = g.priority}));
+    if (flow->finished()) continue;
+    send(make_data_packet(*flow, {.seq = g.seq, .priority = g.priority}));
     ++counters_.sched_sent;
     network().sim().schedule_after(mtu_tx_time(),
                                    [this]() { sender_pacer_tick(); });
@@ -143,19 +143,13 @@ void HomaHost::sender_pacer_tick() {
 // ===== receiver side =========================================================
 
 HomaHost::RxFlow* HomaHost::ensure_rx_flow(std::uint64_t flow_id) {
-  auto it = rx_flows_.find(flow_id);
-  if (it != rx_flows_.end()) return &it->second;
   net::Flow* flow = network().flow(flow_id);
+  if (RxFlow* rx = find_state<RxFlow>(flow, Role::kReceiver)) return rx;
   if (flow == nullptr || flow->finished()) return nullptr;
 
-  RxFlow rx;
-  rx.flow = flow;
-  rx.packets = flow->seq_count();
-  rx.unsched_packets = std::min<std::uint32_t>(rx.packets, window_packets());
-  rx.next_new_seq = rx.unsched_packets;
-  it = rx_flows_.emplace(flow_id, std::move(rx)).first;
-
-  if (it->second.packets > it->second.unsched_packets) {
+  RxFlow& rx = create_state<RxFlow>(*flow, Role::kReceiver);
+  rx.next_new_seq = unsched_packets(*flow);
+  if (flow->seq_count() > rx.next_new_seq) {
     sched_candidates_.insert(flow_id);
     recompute_active();
   }
@@ -164,7 +158,7 @@ HomaHost::RxFlow* HomaHost::ensure_rx_flow(std::uint64_t flow_id) {
   network().sim().schedule_after(resend_period(), [this, flow_id]() {
     resend_check(flow_id);
   });
-  return &it->second;
+  return &rx;
 }
 
 void HomaHost::handle_data(net::PacketPtr p) {
@@ -172,33 +166,25 @@ void HomaHost::handle_data(net::PacketPtr p) {
   const std::uint32_t seq = p->seq;
   accept_data(*p);
   RxFlow* rx = ensure_rx_flow(id);
-  if (rx == nullptr) {
-    // Completed by this packet (or unknown): drop scheduling state.
-    auto it = rx_flows_.find(id);
-    if (it != rx_flows_.end() && it->second.flow->finished()) {
-      rx_flows_.erase(it);
-      sched_candidates_.erase(id);
-      if (active_.erase(id) > 0) recompute_active();
-    }
-    return;
-  }
+  if (rx == nullptr) return;  // completed before any record, or unknown
   rx->outstanding.erase(seq);
   rx->readmit.erase(seq);  // a straggler made a pending re-grant moot
-  if (rx->flow->finished()) {
-    rx_flows_.erase(id);
+  net::Flow& flow = *network().flow(id);
+  if (flow.finished()) {
+    release_state(flow, Role::kReceiver);
     sched_candidates_.erase(id);
     if (active_.erase(id) > 0) recompute_active();
   }
 }
 
 void HomaHost::handle_probe(const net::Packet& p) {
-  auto it = rx_flows_.find(p.flow_id);
-  RxFlow* rx = it != rx_flows_.end() ? &it->second : ensure_rx_flow(p.flow_id);
+  RxFlow* rx = ensure_rx_flow(p.flow_id);
   if (rx == nullptr) return;
   // Re-admit missing unscheduled packets through the scheduled path.
   const net::FlowRxState* st = find_rx_state(p.flow_id);
+  const std::uint32_t unsched = unsched_packets(*network().flow(p.flow_id));
   bool added = false;
-  for (std::uint32_t seq = 0; seq < rx->unsched_packets; ++seq) {
+  for (std::uint32_t seq = 0; seq < unsched; ++seq) {
     if ((st == nullptr || !st->has(seq)) &&
         rx->outstanding.count(seq) == 0) {
       added |= rx->readmit.insert(seq).second;
@@ -211,10 +197,10 @@ void HomaHost::handle_probe(const net::Packet& p) {
 }
 
 void HomaHost::resend_check(std::uint64_t flow_id) {
-  auto it = rx_flows_.find(flow_id);
-  if (it == rx_flows_.end()) return;
-  RxFlow& rx = it->second;
-  if (rx.flow->finished()) return;
+  net::Flow* flow = network().flow(flow_id);
+  RxFlow* state = find_state<RxFlow>(flow, Role::kReceiver);
+  if (state == nullptr || flow->finished()) return;
+  RxFlow& rx = *state;
 
   const net::FlowRxState* st = find_rx_state(flow_id);
   const Bytes received = st != nullptr ? st->received_bytes() : Bytes{};
@@ -230,7 +216,7 @@ void HomaHost::resend_check(std::uint64_t flow_id) {
       rx.readmit.insert(entry.first);
       return true;
     });
-    for (std::uint32_t seq = 0; seq < rx.unsched_packets; ++seq) {
+    for (std::uint32_t seq = 0; seq < unsched_packets(*flow); ++seq) {
       if ((st == nullptr || !st->has(seq)) && rx.outstanding.count(seq) == 0) {
         rx.readmit.insert(seq);
       }
@@ -259,11 +245,14 @@ void HomaHost::recompute_active() {
   };
   std::vector<std::tuple<Bytes, std::uint64_t, std::uint64_t>> order;
   for (std::uint64_t id : sched_candidates_) {
-    auto it = rx_flows_.find(id);
-    if (it == rx_flows_.end() || it->second.flow->finished()) continue;
+    net::Flow* flow = network().flow(id);
+    if (find_state<RxFlow>(flow, Role::kReceiver) == nullptr ||
+        flow->finished()) {
+      continue;
+    }
     const net::FlowRxState* st = find_rx_state(id);
     const Bytes received = st != nullptr ? st->received_bytes() : Bytes{};
-    order.emplace_back(it->second.flow->size - received, tie_break(id), id);
+    order.emplace_back(flow->size - received, tie_break(id), id);
   }
   std::sort(order.begin(), order.end());
   active_.clear();
@@ -272,7 +261,7 @@ void HomaHost::recompute_active() {
        ++i) {
     const std::uint64_t id = std::get<2>(order[i]);
     active_.insert(id);
-    RxFlow& rx = rx_flows_.at(id);
+    RxFlow& rx = *find_state<RxFlow>(id, Role::kReceiver);
     if (!rx.pacer_running) {
       rx.pacer_running = true;
       grant_tick(id);
@@ -281,41 +270,38 @@ void HomaHost::recompute_active() {
 }
 
 void HomaHost::grant_tick(std::uint64_t flow_id) {
-  auto it = rx_flows_.find(flow_id);
-  if (it == rx_flows_.end() || active_.count(flow_id) == 0) {
-    if (it != rx_flows_.end()) it->second.pacer_running = false;
+  net::Flow* flow = network().flow(flow_id);
+  RxFlow* rx = find_state<RxFlow>(flow, Role::kReceiver);
+  if (rx == nullptr) return;
+  if (active_.count(flow_id) == 0 || flow->finished()) {
+    rx->pacer_running = false;
     return;
   }
-  RxFlow& rx = it->second;
-  if (rx.flow->finished()) {
-    rx.pacer_running = false;
-    return;
-  }
-  issue_grant(rx);
+  issue_grant(*flow, *rx);
   network().sim().schedule_after(mtu_tx_time(),
                                  [this, flow_id]() { grant_tick(flow_id); });
 }
 
-bool HomaHost::issue_grant(RxFlow& rx) {
+bool HomaHost::issue_grant(const net::Flow& flow, RxFlow& rx) {
   if (rx.outstanding.size() >= window_packets()) return false;
-  const net::FlowRxState* st = find_rx_state(rx.flow->id);
+  const net::FlowRxState* st = find_rx_state(flow.id);
   std::uint32_t seq;
   if (!rx.readmit.empty()) {
     seq = *rx.readmit.begin();
     rx.readmit.erase(rx.readmit.begin());
   } else {
     // Skip scheduled seqs that already arrived (shouldn't happen, cheap).
-    while (rx.next_new_seq < rx.packets && st != nullptr &&
+    while (rx.next_new_seq < flow.seq_count() && st != nullptr &&
            st->has(rx.next_new_seq)) {
       ++rx.next_new_seq;
     }
-    if (rx.next_new_seq >= rx.packets) return false;
+    if (rx.next_new_seq >= flow.seq_count()) return false;
     seq = rx.next_new_seq++;
   }
   rx.outstanding.emplace(seq, network().sim().now());
 
-  auto grant = make_control<GrantTokenPacket>(rx.flow->src, kHomaGrant);
-  grant->flow_id = rx.flow->id;
+  auto grant = make_control<GrantTokenPacket>(flow.src, kHomaGrant);
+  grant->flow_id = flow.id;
   grant->data_seq = seq;
   grant->data_priority = kScheduledPriority;
   send(std::move(grant));
@@ -345,10 +331,13 @@ void HomaHost::on_packet(net::PacketPtr p) {
 }
 
 net::Topology::HostFactory homa_host_factory(bool aeolus) {
-  return [aeolus](net::Network& net, int host_id,
-                  const net::PortConfig& nic) -> net::Host* {
-    return net.add_device<HomaHost>(host_id, nic, aeolus);
+  return [aeolus](net::Network& net, int host_id) -> net::Host* {
+    return net.add_device<HomaHost>(host_id, aeolus);
   };
+}
+
+void homa_port_customize(net::PortConfig& cfg) {
+  cfg.aeolus_threshold = cfg.buffer_bytes / 8;
 }
 
 }  // namespace dcpim::proto

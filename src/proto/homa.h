@@ -32,8 +32,7 @@ namespace dcpim::proto {
 class HomaHost : public net::Host {
  public:
   /// `aeolus`: probe-based first-RTT loss recovery (Homa Aeolus).
-  HomaHost(net::Network& net, int host_id, const net::PortConfig& nic,
-           bool aeolus);
+  HomaHost(net::Network& net, int host_id, bool aeolus);
 
   void on_flow_arrival(net::Flow& flow) override;
 
@@ -55,18 +54,12 @@ class HomaHost : public net::Host {
   void on_packet(net::PacketPtr p) override;
 
  private:
-  struct TxFlow {
-    net::Flow* flow = nullptr;
-    std::uint32_t packets = 0;
-    std::uint32_t unsched_packets = 0;
-    bool done = false;
+  /// Held until notify_check stops re-announcing the flow.
+  struct TxFlow : net::FlowState {
     bool grant_seen = false;  ///< receiver engaged; notify retries stop
   };
 
-  struct RxFlow {
-    net::Flow* flow = nullptr;
-    std::uint32_t packets = 0;
-    std::uint32_t unsched_packets = 0;
+  struct RxFlow : net::FlowState {
     std::uint32_t next_new_seq = 0;  ///< next never-granted scheduled seq
     std::set<std::uint32_t> readmit;  ///< lost seqs to re-grant (ordered)
     std::map<std::uint32_t, TimePoint> outstanding;  ///< grant instant
@@ -78,6 +71,8 @@ class HomaHost : public net::Host {
   Time resend_period() const { return network().max_control_rtt() * 20; }
   std::uint8_t unsched_priority_for(Bytes size) const;
   std::uint32_t window_packets() const;
+  /// Leading packets of `flow` sent blind (the first RTT-bytes).
+  std::uint32_t unsched_packets(const net::Flow& flow) const;
   /// Sender-side pacer: granted packets go out one per MTU-time, so a
   /// sender granted by many receivers at once (dense TMs) queues grants
   /// instead of overflowing its own NIC — this is exactly the "sender can
@@ -91,14 +86,13 @@ class HomaHost : public net::Host {
   void handle_probe(const net::Packet& p);
   void recompute_active();
   void grant_tick(std::uint64_t flow_id);
-  bool issue_grant(RxFlow& rx);
+  bool issue_grant(const net::Flow& flow, RxFlow& rx);
   void resend_check(std::uint64_t flow_id);
   void notify_check(std::uint64_t flow_id);
 
   const bool aeolus_;
   Counters counters_;
 
-  std::map<std::uint64_t, TxFlow> tx_flows_;
   struct PendingGrant {
     std::uint64_t flow_id;
     std::uint32_t seq;
@@ -106,7 +100,6 @@ class HomaHost : public net::Host {
   };
   std::deque<PendingGrant> grant_queue_;
   bool sender_pacer_running_ = false;
-  std::map<std::uint64_t, RxFlow> rx_flows_;
   /// Receiver-side flows eligible for scheduling (incomplete, have work).
   std::set<std::uint64_t> sched_candidates_;
   /// Currently granted (top kOvercommit by remaining bytes).
@@ -114,5 +107,9 @@ class HomaHost : public net::Host {
 };
 
 net::Topology::HostFactory homa_host_factory(bool aeolus);
+
+/// Port customization enabling Aeolus's selective dropping on every link:
+/// unscheduled packets yield once a queue holds more than 1/8 of its buffer.
+void homa_port_customize(net::PortConfig& cfg);
 
 }  // namespace dcpim::proto

@@ -11,8 +11,8 @@ constexpr double kEta = 0.95;
 constexpr int kMaxStage = 5;
 }  // namespace
 
-HpccHost::HpccHost(net::Network& net, int host_id, const net::PortConfig& nic)
-    : WindowHost(net, host_id, nic, /*collect_int=*/true) {}
+HpccHost::HpccHost(net::Network& net, int host_id)
+    : WindowHost(net, host_id, /*collect_int=*/true) {}
 
 void HpccHost::on_flow_init(WFlow& f) {
   f.wc_bytes = f.cwnd_bytes;
@@ -97,9 +97,8 @@ void HpccHost::on_timeout(WFlow& f) {
 }
 
 net::Topology::HostFactory hpcc_host_factory() {
-  return [](net::Network& net, int host_id,
-            const net::PortConfig& nic) -> net::Host* {
-    return net.add_device<HpccHost>(host_id, nic);
+  return [](net::Network& net, int host_id) -> net::Host* {
+    return net.add_device<HpccHost>(host_id);
   };
 }
 

@@ -19,7 +19,7 @@ namespace dcpim::proto {
 /// MTU payload and the window is capped at 2 BDP.
 class HpccHost : public WindowHost {
  public:
-  HpccHost(net::Network& net, int host_id, const net::PortConfig& nic);
+  HpccHost(net::Network& net, int host_id);
 
  protected:
   void on_flow_init(WFlow& f) override;

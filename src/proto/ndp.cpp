@@ -21,85 +21,82 @@ constexpr std::uint8_t kDataPriority = 2;
 constexpr int kMaxRtoRetx = 100;
 }  // namespace
 
-NdpHost::NdpHost(net::Network& net, int host_id, const net::PortConfig& nic)
-    : net::Host(net, host_id, nic) {}
+NdpHost::NdpHost(net::Network& net, int host_id)
+    : net::Host(net, host_id) {}
 
 void NdpHost::on_flow_arrival(net::Flow& flow) {
-  TxFlow tx;
-  tx.flow = &flow;
-  tx.packets = flow.seq_count();
-  tx.acked.reset(tx.packets);
+  TxFlow& tx = create_state<TxFlow>(flow, Role::kSender);
+  tx.acked.reset(flow.seq_count());
   tx.last_progress = network().sim().now();
-  auto [it, _] = tx_flows_.emplace(flow.id, std::move(tx));
-  TxFlow& ref = it->second;
 
   const auto window = static_cast<std::uint32_t>(std::max<std::int64_t>(
       1, network().bdp() / net::kMtuPayload));
-  const std::uint32_t burst = std::min(ref.packets, window);
+  const std::uint32_t burst = std::min(flow.seq_count(), window);
   for (std::uint32_t seq = 0; seq < burst; ++seq) {
     send(make_data_packet(flow, {.seq = seq, .priority = kDataPriority}));
     ++counters_.initial_window_sent;
   }
-  ref.next_new_seq = burst;
+  tx.next_new_seq = burst;
   arm_rto(flow.id);
 }
 
-void NdpHost::send_one(TxFlow& tx) {
+void NdpHost::send_one(const net::Flow& flow, TxFlow& tx) {
   std::uint32_t seq;
   if (!tx.retx.empty()) {
     seq = *tx.retx.begin();
     tx.retx.erase(tx.retx.begin());
     ++counters_.retransmissions;
   } else {
-    while (tx.next_new_seq < tx.packets &&
+    while (tx.next_new_seq < flow.seq_count() &&
            tx.acked.contains(tx.next_new_seq)) {
       ++tx.next_new_seq;
     }
-    if (tx.next_new_seq >= tx.packets) return;  // nothing left to release
+    if (tx.next_new_seq >= flow.seq_count()) return;  // nothing left
     seq = tx.next_new_seq++;
   }
-  send(make_data_packet(*tx.flow, {.seq = seq, .priority = kDataPriority}));
+  send(make_data_packet(flow, {.seq = seq, .priority = kDataPriority}));
 }
 
 void NdpHost::handle_pull(const net::Packet& p) {
-  auto it = tx_flows_.find(p.flow_id);
-  if (it == tx_flows_.end()) return;
-  send_one(it->second);
+  net::Flow* flow = network().flow(p.flow_id);
+  TxFlow* tx = find_state<TxFlow>(flow, Role::kSender);
+  if (tx != nullptr) send_one(*flow, *tx);
 }
 
 void NdpHost::handle_nack(const net::Packet& p) {
   const auto& nack = net::packet_cast<GrantTokenPacket>(p);
-  auto it = tx_flows_.find(p.flow_id);
-  if (it == tx_flows_.end()) return;
-  TxFlow& tx = it->second;
-  if (!tx.acked.contains(nack.data_seq)) tx.retx.insert(nack.data_seq);
+  TxFlow* tx = find_state<TxFlow>(p.flow_id, Role::kSender);
+  if (tx != nullptr && !tx->acked.contains(nack.data_seq)) {
+    tx->retx.insert(nack.data_seq);
+  }
 }
 
 void NdpHost::handle_ack(const net::Packet& p) {
   const auto& ack = net::packet_cast<GrantTokenPacket>(p);
-  auto it = tx_flows_.find(p.flow_id);
-  if (it == tx_flows_.end()) return;
-  TxFlow& tx = it->second;
-  tx.acked.insert(ack.data_seq);
-  tx.retx.erase(ack.data_seq);
-  tx.last_progress = network().sim().now();
-  if (tx.acked.size() == tx.packets) tx_flows_.erase(it);
+  net::Flow* flow = network().flow(p.flow_id);
+  TxFlow* tx = find_state<TxFlow>(flow, Role::kSender);
+  if (tx == nullptr) return;
+  tx->acked.insert(ack.data_seq);
+  tx->retx.erase(ack.data_seq);
+  tx->last_progress = network().sim().now();
+  if (tx->acked.size() == flow->seq_count()) {
+    release_state(*flow, Role::kSender);
+  }
 }
 
 void NdpHost::arm_rto(std::uint64_t flow_id) {
   network().sim().schedule_after(fallback_timeout(), [this, flow_id]() {
-    auto it = tx_flows_.find(flow_id);
-    if (it == tx_flows_.end()) return;
-    TxFlow& tx = it->second;
-    if (tx.rto_count >= kMaxRtoRetx) return;
-    if (network().sim().now() - tx.last_progress >= fallback_timeout()) {
+    net::Flow* flow = network().flow(flow_id);
+    TxFlow* tx = find_state<TxFlow>(flow, Role::kSender);
+    if (tx == nullptr || tx->rto_count >= kMaxRtoRetx) return;
+    if (network().sim().now() - tx->last_progress >= fallback_timeout()) {
       // Total stall: blindly resend the first unacked packet to restart the
       // arrival->pull feedback loop.
-      ++tx.rto_count;
+      ++tx->rto_count;
       ++counters_.rto_fires;
-      for (std::uint32_t seq = 0; seq < tx.packets; ++seq) {
-        if (!tx.acked.contains(seq)) {
-          send(make_data_packet(*tx.flow,
+      for (std::uint32_t seq = 0; seq < flow->seq_count(); ++seq) {
+        if (!tx->acked.contains(seq)) {
+          send(make_data_packet(*flow,
                                 {.seq = seq, .priority = kDataPriority}));
           break;
         }
@@ -116,15 +113,8 @@ void NdpHost::handle_data_or_header(net::PacketPtr p) {
   const std::uint32_t seq = p->seq;
   const bool trimmed = p->trimmed;
 
-  net::Flow* flow = network().flow(id);
+  const net::Flow* flow = network().flow(id);
   if (flow == nullptr) return;
-  auto it = rx_flows_.find(id);
-  if (it == rx_flows_.end() && !flow->finished()) {
-    RxFlow rx;
-    rx.flow = flow;
-    rx.packets = flow->seq_count();
-    it = rx_flows_.emplace(id, rx).first;
-  }
 
   if (trimmed) {
     ++counters_.trimmed_seen;
@@ -143,11 +133,7 @@ void NdpHost::handle_data_or_header(net::PacketPtr p) {
   ack->data_seq = seq;
   send(std::move(ack));
 
-  if (flow->finished()) {
-    rx_flows_.erase(id);
-  } else {
-    enqueue_pull(id, /*urgent=*/false);
-  }
+  if (!flow->finished()) enqueue_pull(id, /*urgent=*/false);
 }
 
 void NdpHost::enqueue_pull(std::uint64_t flow_id, bool urgent) {
@@ -212,9 +198,8 @@ void NdpHost::on_packet(net::PacketPtr p) {
 }
 
 net::Topology::HostFactory ndp_host_factory() {
-  return [](net::Network& net, int host_id,
-            const net::PortConfig& nic) -> net::Host* {
-    return net.add_device<NdpHost>(host_id, nic);
+  return [](net::Network& net, int host_id) -> net::Host* {
+    return net.add_device<NdpHost>(host_id);
   };
 }
 

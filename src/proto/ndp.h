@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <set>
 
 #include "net/host.h"
@@ -27,7 +26,7 @@ namespace dcpim::proto {
 /// fallback timer is 20 cRTTs.
 class NdpHost : public net::Host {
  public:
-  NdpHost(net::Network& net, int host_id, const net::PortConfig& nic);
+  NdpHost(net::Network& net, int host_id);
 
   void on_flow_arrival(net::Flow& flow) override;
 
@@ -49,9 +48,7 @@ class NdpHost : public net::Host {
   void on_packet(net::PacketPtr p) override;
 
  private:
-  struct TxFlow {
-    net::Flow* flow = nullptr;
-    std::uint32_t packets = 0;
+  struct TxFlow : net::FlowState {
     std::uint32_t next_new_seq = 0;
     std::set<std::uint32_t> retx;  ///< NACKed seqs awaiting a pull (ordered)
     SeqBitmap acked;               ///< receiver-confirmed seqs (membership)
@@ -59,13 +56,9 @@ class NdpHost : public net::Host {
     TimePoint last_progress{};
   };
 
-  struct RxFlow {
-    net::Flow* flow = nullptr;
-    std::uint32_t packets = 0;
-  };
-
   Time fallback_timeout() const { return network().max_control_rtt() * 20; }
-  void send_one(TxFlow& tx);  ///< release one packet (retx first)
+  /// Releases one packet (retransmissions first).
+  void send_one(const net::Flow& flow, TxFlow& tx);
   void handle_pull(const net::Packet& p);
   void handle_nack(const net::Packet& p);
   void handle_ack(const net::Packet& p);
@@ -75,9 +68,6 @@ class NdpHost : public net::Host {
   void arm_rto(std::uint64_t flow_id);
 
   Counters counters_;
-
-  std::map<std::uint64_t, TxFlow> tx_flows_;
-  std::map<std::uint64_t, RxFlow> rx_flows_;
 
   std::deque<std::uint64_t> pull_queue_;  ///< flow ids awaiting pulls
   bool pull_pacer_running_ = false;

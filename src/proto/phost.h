@@ -20,6 +20,7 @@
 #include <deque>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "net/host.h"
 #include "net/topology.h"
@@ -30,7 +31,7 @@ namespace dcpim::proto {
 /// (Network::bdp()); the receiver expires unused tokens after 3 cRTTs.
 class PhostHost : public net::Host {
  public:
-  PhostHost(net::Network& net, int host_id, const net::PortConfig& nic);
+  PhostHost(net::Network& net, int host_id);
 
   void on_flow_arrival(net::Flow& flow) override;
 
@@ -54,14 +55,7 @@ class PhostHost : public net::Host {
   void on_packet(net::PacketPtr p) override;
 
  private:
-  struct TxFlow {
-    net::Flow* flow = nullptr;
-    std::uint32_t packets = 0;
-  };
-
-  struct RxFlow {
-    net::Flow* flow = nullptr;
-    std::uint32_t packets = 0;
+  struct RxFlow : net::FlowState {
     std::uint32_t free_packets = 0;   ///< sent unscheduled by the sender
     std::uint32_t next_new_seq = 0;
     std::set<std::uint32_t> readmit;  ///< timed-out grants to re-issue
@@ -81,12 +75,11 @@ class PhostHost : public net::Host {
   void handle_data(net::PacketPtr p);
   void handle_token(const net::Packet& p);
   void receiver_tick();
-  RxFlow* pick_flow();  ///< SRPT among grantable flows
-  void expire_stale(RxFlow& rx);
+  net::Flow* pick_flow();  ///< SRPT among grantable flows
+  void expire_stale(const net::Flow& flow, RxFlow& rx);
 
   Counters counters_;
 
-  std::map<std::uint64_t, TxFlow> tx_flows_;
   struct PendingToken {
     std::uint64_t flow_id;
     std::uint32_t seq;
@@ -94,7 +87,8 @@ class PhostHost : public net::Host {
   };
   std::deque<PendingToken> token_queue_;
   bool sender_pacer_running_ = false;
-  std::map<std::uint64_t, RxFlow> rx_flows_;
+  /// Ascending ids of the flows holding an RxFlow: pick_flow's walk order.
+  std::vector<std::uint64_t> rx_ids_;
   bool pacer_running_ = false;
 };
 

@@ -4,8 +4,8 @@
 
 namespace dcpim::proto {
 
-TcpHost::TcpHost(net::Network& net, int host_id, const net::PortConfig& nic)
-    : WindowHost(net, host_id, nic) {}
+TcpHost::TcpHost(net::Network& net, int host_id)
+    : WindowHost(net, host_id) {}
 
 void TcpHost::on_ack_event(WFlow& f, const AckPacket& /*ack*/) {
   // sa-ok(unit-raw): the congestion window evolves multiplicatively, in doubles
@@ -32,9 +32,8 @@ void TcpHost::on_timeout(WFlow& f) {
 }
 
 net::Topology::HostFactory tcp_host_factory() {
-  return [](net::Network& net, int host_id,
-            const net::PortConfig& nic) -> net::Host* {
-    return net.add_device<TcpHost>(host_id, nic);
+  return [](net::Network& net, int host_id) -> net::Host* {
+    return net.add_device<TcpHost>(host_id);
   };
 }
 

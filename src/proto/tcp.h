@@ -11,7 +11,7 @@ namespace dcpim::proto {
 
 class TcpHost : public WindowHost {
  public:
-  TcpHost(net::Network& net, int host_id, const net::PortConfig& nic);
+  TcpHost(net::Network& net, int host_id);
 
  protected:
   void on_ack_event(WFlow& f, const AckPacket& ack) override;

@@ -18,21 +18,17 @@ constexpr std::uint8_t kDataPriority = 2;
 constexpr int kDupackThreshold = 3;
 }  // namespace
 
-WindowHost::WindowHost(net::Network& net, int host_id,
-                       const net::PortConfig& nic, bool collect_int)
-    : net::Host(net, host_id, nic), collect_int_(collect_int) {}
+WindowHost::WindowHost(net::Network& net, int host_id, bool collect_int)
+    : net::Host(net, host_id), collect_int_(collect_int) {}
 
 void WindowHost::on_flow_arrival(net::Flow& flow) {
-  WFlow f;
-  f.flow = &flow;
-  f.packets = flow.seq_count();
-  f.acked.reset(f.packets);
+  WFlow& f = create_state<WFlow>(flow, Role::kSender);
+  f.acked.reset(flow.seq_count());
   // sa-ok(unit-raw): the congestion window evolves multiplicatively, in doubles
   f.cwnd_bytes = static_cast<double>(network().bdp().raw());
   f.window_start = network().sim().now();
-  auto [it, _] = flows_.emplace(flow.id, std::move(f));
-  on_flow_init(it->second);
-  try_send(it->second);
+  on_flow_init(f);
+  try_send(flow, f);
   arm_rto(flow.id);
 }
 
@@ -40,7 +36,7 @@ Time WindowHost::rto(const WFlow& f) const {
   return std::max(rto_floor(), f.srtt * 3);
 }
 
-void WindowHost::try_send(WFlow& f) {
+void WindowHost::try_send(const net::Flow& flow, WFlow& f) {
   const Bytes mtu = mss();
   while (true) {
     const Bytes inflight_bytes = mtu * f.inflight.size();
@@ -55,13 +51,14 @@ void WindowHost::try_send(WFlow& f) {
       f.retx.erase(f.retx.begin());
       ++counters_.retransmissions;
     } else {
-      while (f.next_new_seq < f.packets && f.acked.contains(f.next_new_seq)) {
+      while (f.next_new_seq < flow.seq_count() &&
+             f.acked.contains(f.next_new_seq)) {
         ++f.next_new_seq;
       }
-      if (f.next_new_seq >= f.packets) return;
+      if (f.next_new_seq >= flow.seq_count()) return;
       seq = f.next_new_seq++;
     }
-    auto p = make_data_packet(*f.flow, {.seq = seq, .priority = kDataPriority});
+    auto p = make_data_packet(flow, {.seq = seq, .priority = kDataPriority});
     p->collect_int = collect_int_;
     send(std::move(p));
     f.inflight[seq] = network().sim().now();
@@ -71,9 +68,10 @@ void WindowHost::try_send(WFlow& f) {
 
 void WindowHost::arm_rto(std::uint64_t flow_id) {
   network().sim().schedule_after(rto_floor(), [this, flow_id]() {
-    auto it = flows_.find(flow_id);
-    if (it == flows_.end()) return;
-    WFlow& f = it->second;
+    net::Flow* flow = network().flow(flow_id);
+    WFlow* state = find_state<WFlow>(flow, Role::kSender);
+    if (state == nullptr) return;
+    WFlow& f = *state;
     const TimePoint now = network().sim().now();
     TimePoint oldest = kTimePointInfinity;
     for (const auto& [seq, at] : f.inflight) oldest = std::min(oldest, at);
@@ -84,7 +82,7 @@ void WindowHost::arm_rto(std::uint64_t flow_id) {
       for (const auto& [seq, at] : f.inflight) f.retx.insert(seq);
       f.inflight.clear();
       on_timeout(f);
-      try_send(f);
+      try_send(*flow, f);
     }
     arm_rto(flow_id);
   });
@@ -107,9 +105,10 @@ void WindowHost::handle_data(net::PacketPtr p) {
 
 void WindowHost::handle_ack(net::PacketPtr p) {
   auto& ack = net::packet_cast<AckPacket>(*p);
-  auto it = flows_.find(ack.flow_id);
-  if (it == flows_.end()) return;
-  WFlow& f = it->second;
+  net::Flow* flow = network().flow(ack.flow_id);
+  WFlow* state = find_state<WFlow>(flow, Role::kSender);
+  if (state == nullptr) return;
+  WFlow& f = *state;
 
   if (ack.ecn_echo) ++counters_.ecn_echoes;
 
@@ -125,8 +124,8 @@ void WindowHost::handle_ack(net::PacketPtr p) {
   f.consecutive_timeouts = 0;
 
   // Completion: the receiver's cumulative ack reached the end.
-  if (ack.cumulative_ack >= f.packets) {
-    flows_.erase(it);
+  if (ack.cumulative_ack >= flow->seq_count()) {
+    release_state(*flow, Role::kSender);
     return;
   }
 
@@ -150,7 +149,7 @@ void WindowHost::handle_ack(net::PacketPtr p) {
   on_ack_event(f, ack);
   // sa-ok(unit-raw): the congestion window evolves multiplicatively, in doubles
   f.cwnd_bytes = std::max(f.cwnd_bytes, static_cast<double>(mss().raw()));
-  try_send(f);
+  try_send(*flow, f);
 }
 
 void WindowHost::on_packet(net::PacketPtr p) {

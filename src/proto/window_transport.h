@@ -24,8 +24,7 @@ namespace dcpim::proto {
 class WindowHost : public net::Host {
  public:
   /// `collect_int`: data packets gather per-hop telemetry (HPCC).
-  WindowHost(net::Network& net, int host_id, const net::PortConfig& nic,
-             bool collect_int = false);
+  WindowHost(net::Network& net, int host_id, bool collect_int = false);
 
   void on_flow_arrival(net::Flow& flow) override;
 
@@ -43,9 +42,8 @@ class WindowHost : public net::Host {
   }
 
  protected:
-  struct WFlow {
-    net::Flow* flow = nullptr;
-    std::uint32_t packets = 0;
+  /// Sender-side record, held until the cumulative ack covers the flow.
+  struct WFlow : net::FlowState {
     double cwnd_bytes = 0;
     double ssthresh = 1e18;
     std::uint32_t next_new_seq = 0;
@@ -81,7 +79,7 @@ class WindowHost : public net::Host {
   /// Subclass hook run when the flow's state is created.
   virtual void on_flow_init(WFlow& /*f*/) {}
 
-  void try_send(WFlow& f);
+  void try_send(const net::Flow& flow, WFlow& f);
   static Bytes mss() { return net::kMtuPayload; }
   Time rto(const WFlow& f) const;
   Time rto_floor() const { return network().max_data_rtt() * 20; }
@@ -95,7 +93,6 @@ class WindowHost : public net::Host {
 
   const bool collect_int_;
   Counters counters_;
-  std::map<std::uint64_t, WFlow> flows_;
 };
 
 }  // namespace dcpim::proto

@@ -135,9 +135,8 @@ TEST(AuditedExperimentTest, ChannelLedgerCatchesForgedAccept) {
   params.spines = 1;
   const net::Topology topo = net::Topology::leaf_spine(
       net, params,
-      [&cfg](net::Network& n, int id,
-             const net::PortConfig& nic) -> net::Host* {
-        return n.add_device<ForgeableDcpimHost>(id, nic, cfg);
+      [&cfg](net::Network& n, int id) -> net::Host* {
+        return n.add_device<ForgeableDcpimHost>(id, cfg);
       });
 
   // Host 1 claims two channels against host 0 in an epoch where host 0

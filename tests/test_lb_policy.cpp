@@ -37,8 +37,8 @@ class BlastHost : public Host {
 };
 
 Topology::HostFactory blast_factory() {
-  return [](Network& net, int id, const PortConfig& nic) -> Host* {
-    return net.add_device<BlastHost>(id, nic);
+  return [](Network& net, int id) -> Host* {
+    return net.add_device<BlastHost>(id);
   };
 }
 

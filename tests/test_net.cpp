@@ -60,8 +60,8 @@ class BlastHost : public Host {
 
 template <typename HostT>
 Topology::HostFactory factory_of() {
-  return [](Network& net, int id, const PortConfig& nic) -> Host* {
-    return net.add_device<HostT>(id, nic);
+  return [](Network& net, int id) -> Host* {
+    return net.add_device<HostT>(id);
   };
 }
 
@@ -69,8 +69,8 @@ Topology::HostFactory factory_of() {
 template <typename HostT = SinkHost>
 struct TwoHostFixture {
   explicit TwoHostFixture(PortConfig link, NetConfig ncfg = {}) : net(ncfg) {
-    a = net.add_device<HostT>(0, link);
-    b = net.add_device<HostT>(1, link);
+    a = net.add_device<HostT>(0);
+    b = net.add_device<HostT>(1);
     sw = net.add_device<Switch>("sw");
     Network::connect(*a, *sw, link);
     Network::connect(*b, *sw, link);
@@ -365,8 +365,8 @@ TEST(PfcTest, IngressOverflowPausesUpstreamAndResumes) {
   // Make the switch egress toward b slow so the switch buffers build up.
   NetConfig ncfg;
   Network net(ncfg);
-  auto* a = net.add_device<SinkHost>(0, link);
-  auto* b = net.add_device<SinkHost>(1, link);
+  auto* a = net.add_device<SinkHost>(0);
+  auto* b = net.add_device<SinkHost>(1);
   auto* sw = net.add_device<Switch>("sw");
   Network::connect(*a, *sw, link);
   PortConfig slow = link;

@@ -56,8 +56,8 @@ class BlastHost : public Host {
 
 template <typename HostT>
 Topology::HostFactory factory_of() {
-  return [](Network& net, int id, const PortConfig& nic) -> Host* {
-    return net.add_device<HostT>(id, nic);
+  return [](Network& net, int id) -> Host* {
+    return net.add_device<HostT>(id);
   };
 }
 
@@ -126,8 +126,8 @@ TEST(PfcTest, HysteresisAvoidsPauseFlapping) {
   link.pfc_resume_threshold = Bytes{3 * 1540};
   NetConfig ncfg;
   Network net(ncfg);
-  auto* a = net.add_device<SinkHost>(0, link);
-  auto* b = net.add_device<SinkHost>(1, link);
+  auto* a = net.add_device<SinkHost>(0);
+  auto* b = net.add_device<SinkHost>(1);
   auto* sw = net.add_device<Switch>("sw");
   Network::connect(*a, *sw, link);
   PortConfig slow = link;
@@ -150,8 +150,8 @@ TEST(TrimTest, ControlPacketsAreNeverTrimmed) {
   link.trim_queue_cap = Bytes{1540};  // trims almost everything
   NetConfig ncfg;
   Network net(ncfg);
-  auto* a = net.add_device<SinkHost>(0, link);
-  auto* b = net.add_device<SinkHost>(1, link);
+  auto* a = net.add_device<SinkHost>(0);
+  auto* b = net.add_device<SinkHost>(1);
   auto* sw = net.add_device<Switch>("sw");
   Network::connect(*a, *sw, link);
   Network::connect(*b, *sw, link);
@@ -173,8 +173,8 @@ TEST(EcnTest, BelowThresholdNoMarks) {
   link.ecn_threshold = Bytes{1'000'000};  // effectively never
   NetConfig ncfg;
   Network net(ncfg);
-  auto* a = net.add_device<SinkHost>(0, link);
-  auto* b = net.add_device<SinkHost>(1, link);
+  auto* a = net.add_device<SinkHost>(0);
+  auto* b = net.add_device<SinkHost>(1);
   auto* sw = net.add_device<Switch>("sw");
   Network::connect(*a, *sw, link);
   Network::connect(*b, *sw, link);
@@ -221,8 +221,8 @@ TEST(PfcTest, DroppedPacketsReleaseIngressAccounting) {
   link.pfc_resume_threshold = Bytes{3 * 1540};
   NetConfig ncfg;
   Network net(ncfg);
-  auto* a = net.add_device<SinkHost>(0, link);
-  auto* b = net.add_device<SinkHost>(1, link);
+  auto* a = net.add_device<SinkHost>(0);
+  auto* b = net.add_device<SinkHost>(1);
   auto* sw = net.add_device<Switch>("sw");
   PortConfig host_side = link;
   host_side.buffer_bytes = kKB * 500;  // host NICs never drop here

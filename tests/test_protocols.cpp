@@ -34,7 +34,7 @@ struct HomaFixture {
       auto prev = p.port_customize;
       p.port_customize = [prev](net::PortConfig& pc) {
         if (prev) prev(pc);
-        pc.aeolus_threshold = pc.buffer_bytes / 8;
+        homa_port_customize(pc);
       };
     }
     topo = std::make_unique<net::Topology>(net::Topology::leaf_spine(

@@ -29,8 +29,8 @@ struct Fixture {
     p.hosts_per_rack = 2;
     p.spines = 2;
     topo = net::Topology::leaf_spine(
-        net, p, [](net::Network& n, int id, const net::PortConfig& nic) {
-          return static_cast<net::Host*>(n.add_device<BlastHost>(id, nic));
+        net, p, [](net::Network& n, int id) {
+          return static_cast<net::Host*>(n.add_device<BlastHost>(id));
         });
   }
   net::Network net;

@@ -23,8 +23,8 @@ class NullHost : public net::Host {
 };
 
 net::Topology::HostFactory null_factory() {
-  return [](net::Network& net, int id, const net::PortConfig& nic) {
-    return static_cast<net::Host*>(net.add_device<NullHost>(id, nic));
+  return [](net::Network& net, int id) {
+    return static_cast<net::Host*>(net.add_device<NullHost>(id));
   };
 }
 
