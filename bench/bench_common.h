@@ -29,7 +29,6 @@
 #include "harness/report.h"
 #include "harness/sweep.h"
 #include "util/env.h"
-#include "util/thread_pool.h"
 
 #ifndef DCPIM_CAMPAIGN_SPEC_DIR
 #error "build must define DCPIM_CAMPAIGN_SPEC_DIR"
@@ -116,7 +115,7 @@ inline void parse_common_flags(int& argc, char** argv) {
   const auto set_jobs = [](const char* name, const char* text) {
     const int n = parse_or_exit<int>(name, text, kWholeNumber);
     if (n < 0) reject_value(name, text, kWholeNumber);
-    jobs_flag() = n == 0 ? util::ThreadPool::hardware_threads() : n;
+    jobs_flag() = n == 0 ? harness::hardware_threads() : n;
   };
   if (const char* text = std::getenv("DCPIM_JOBS")) {
     set_jobs("DCPIM_JOBS", text);
@@ -272,9 +271,8 @@ inline SpecRun run_spec(const std::string& name) {
   if (!csv_dir.empty()) {
     std::vector<harness::ReportRow> rows;
     for (std::size_t i = 0; i < run.cells.size(); ++i) {
-      const harness::ExperimentConfig& cfg = run.cells[i].config;
-      rows.push_back({run.spec.name, harness::to_string(cfg.protocol),
-                      cfg.workload, cfg.load, run.results[i]});
+      rows.push_back(harness::report_row(run.spec.name, run.cells[i].config,
+                                         run.results[i]));
     }
     harness::append_csv(csv_dir, rows);
   }

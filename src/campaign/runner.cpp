@@ -84,16 +84,11 @@ CampaignReport run_campaign(const CampaignSpec& spec,
                         const harness::ExperimentResult& result) {
     if (writer == nullptr) return;
     const Cell& cell = cells[to_run[run_index]];
-    harness::ReportRow row;
-    row.experiment = spec.name;
-    row.protocol = harness::to_string(cell.config.protocol);
-    row.workload = cell.config.workload;
-    row.load = cell.config.load;
-    row.result = result;
     JournalEntry entry;
     entry.cell_fp = cell.fingerprint;
     entry.result_fnv = fnv1a(harness::result_fingerprint(result));
-    entry.csv_row = harness::to_csv_row(row);
+    entry.csv_row = harness::to_csv_row(
+        harness::report_row(spec.name, cell.config, result));
     writer->append(entry);
   };
 
@@ -103,15 +98,10 @@ CampaignReport run_campaign(const CampaignSpec& spec,
   for (std::size_t r = 0; r < to_run.size(); ++r) {
     const Cell& cell = cells[to_run[r]];
     CellOutcome& out = report.outcomes[cell.index];
-    harness::ReportRow row;
-    row.experiment = spec.name;
-    row.protocol = harness::to_string(cell.config.protocol);
-    row.workload = cell.config.workload;
-    row.load = cell.config.load;
-    row.result = results[r];
     out.executed = true;
     out.result_fnv = fnv1a(harness::result_fingerprint(results[r]));
-    out.csv_row = harness::to_csv_row(row);
+    out.csv_row = harness::to_csv_row(
+        harness::report_row(spec.name, cell.config, results[r]));
     ++report.executed;
   }
   return report;

@@ -2,7 +2,7 @@
 //
 // The runner is where the three determinism contracts meet:
 //   * expansion order (grid.h) fixes cell indices, so the final report is
-//     assembled in submission order no matter how the pool interleaved;
+//     assembled in submission order however the sweep threads interleave;
 //   * the journal (journal.h) is written in completion order but read by
 //     cell fingerprint, so a resumed campaign slots cached rows back into
 //     their submission-order positions — stdout and the merged CSV are

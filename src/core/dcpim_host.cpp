@@ -62,11 +62,6 @@ Bytes DcpimHost::channel_bytes_per_phase() const {
   return bytes_in(epoch_length(), nic()->config().rate) / cfg_.channels;
 }
 
-std::size_t DcpimHost::total_window_packets() const {
-  return static_cast<std::size_t>(
-      std::max<std::int64_t>(1, network().bdp() / net::kMtuPayload));
-}
-
 void DcpimHost::forget_outstanding(RxFlow& rx) {
   DCPIM_CHECK_GE(outstanding_total_, rx.outstanding.size(),
                  "receiver outstanding-token accounting drifted");

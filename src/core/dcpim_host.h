@@ -233,7 +233,6 @@ class DcpimHost : public net::Host {
   /// (introspection/debugging; admission itself is bounded per flow by the
   /// channel-scaled window plus the sender-side stale-token expiry).
   std::size_t outstanding_total_ = 0;
-  std::size_t total_window_packets() const;
   void forget_outstanding(RxFlow& rx);
 };
 

@@ -115,31 +115,29 @@ net::Topology::HostFactory make_factory(Runtime& rt) {
 }
 
 net::PortCustomize make_port_customize(const Runtime& rt) {
-  const double loss = rt.exp.loss_rate;
+  void (*hook)(net::PortConfig&) = nullptr;
   switch (rt.exp.protocol) {
     case Protocol::HomaAeolus:
-      return [loss](net::PortConfig& pc) {
-        pc.loss_rate = loss;
-        proto::homa_port_customize(pc);
-      };
+      hook = proto::homa_port_customize;
+      break;
     case Protocol::Ndp:
-      return [loss](net::PortConfig& pc) {
-        pc.loss_rate = loss;
-        proto::ndp_port_customize(pc);
-      };
+      hook = proto::ndp_port_customize;
+      break;
     case Protocol::Hpcc:
-      return [loss](net::PortConfig& pc) {
-        pc.loss_rate = loss;
-        proto::hpcc_port_customize(pc);
-      };
+      hook = proto::hpcc_port_customize;
+      break;
     case Protocol::Dctcp:
-      return [loss](net::PortConfig& pc) {
-        pc.loss_rate = loss;
+      hook = [](net::PortConfig& pc) {
         proto::dctcp_port_customize(pc, Bytes{});
       };
+      break;
     default:
-      return [loss](net::PortConfig& pc) { pc.loss_rate = loss; };
+      break;
   }
+  return [loss = rt.exp.loss_rate, hook](net::PortConfig& pc) {
+    pc.loss_rate = loss;
+    if (hook != nullptr) hook(pc);
+  };
 }
 
 void build_topology(Runtime& rt, const net::Topology::HostFactory& factory,

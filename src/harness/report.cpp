@@ -68,6 +68,13 @@ std::string format_audit_summary(const sim::AuditSummary& audit) {
   return os.str();
 }
 
+ReportRow report_row(const std::string& experiment,
+                     const ExperimentConfig& config,
+                     const ExperimentResult& result) {
+  return {experiment, to_string(config.protocol), config.workload, config.load,
+          result};
+}
+
 std::string to_csv_row(const ReportRow& row) {
   const ExperimentResult& r = row.result;
   std::ostringstream os;

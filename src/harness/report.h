@@ -19,6 +19,11 @@ struct ReportRow {
   ExperimentResult result;
 };
 
+/// The row of one run of `config` in the sweep named `experiment`.
+ReportRow report_row(const std::string& experiment,
+                     const ExperimentConfig& config,
+                     const ExperimentResult& result);
+
 /// CSV header matching to_csv_row().
 std::string csv_header();
 

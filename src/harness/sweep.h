@@ -1,9 +1,9 @@
 // Parallel experiment sweeps.
 //
 // Every paper figure is a sweep of independent (protocol, load, ...) points;
-// run_sweep() executes a vector of ExperimentConfigs on a work-stealing
-// thread pool (util/thread_pool.h) and returns the results in submission
-// order.
+// run_sweep() executes a vector of ExperimentConfigs on up to `jobs` threads
+// that claim cells from one shared counter, and returns the results in
+// submission order.
 //
 // Determinism guarantee — the property the sweep test layer
 // (tests/test_sweep_determinism.cpp) enforces: a parallel sweep is
@@ -29,8 +29,9 @@
 namespace dcpim::harness {
 
 struct SweepOptions {
-  /// Worker threads. <= 1 runs the sweep inline on the calling thread
-  /// (no pool is created); experiments never span threads either way.
+  /// Worker threads, the calling thread included. <= 1 runs every cell on
+  /// the calling thread (no thread is spawned); experiments never span
+  /// threads either way.
   int jobs = 1;
   /// Invoked after each experiment completes with (done, total). Calls are
   /// serialized by run_sweep but may come from worker threads; keep it
@@ -47,9 +48,14 @@ struct SweepOptions {
 
 /// Runs every config (concurrently when jobs > 1) and returns results in
 /// submission order. If any experiment throws, the first exception in
-/// submission order is rethrown after the whole sweep settles.
+/// submission order is rethrown after the whole sweep settles. A callback
+/// that throws fails the cell it was called for in the same way.
 std::vector<ExperimentResult> run_sweep(
     const std::vector<ExperimentConfig>& configs,
     const SweepOptions& options = {});
+
+/// std::thread::hardware_concurrency() with a floor of 1 (the standard
+/// allows it to return 0 when undetectable); `--jobs 0` means this many.
+int hardware_threads();
 
 }  // namespace dcpim::harness

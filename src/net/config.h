@@ -53,7 +53,6 @@ struct PortConfig {
   /// forwarded at the control priority. Disabled unless trim_enable.
   bool trim_enable = false;
   Bytes trim_queue_cap{8 * 1500};
-  Bytes trim_header_size{64};
 
   /// Aeolus selective dropping: drop *unscheduled* packets arriving when
   /// the queue exceeds this threshold. <0 disables.

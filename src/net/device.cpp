@@ -142,7 +142,7 @@ void Port::enqueue(PacketPtr p) {
       // NDP packet trimming: cut the payload, forward the header at the
       // control priority so the receiver learns of the loss immediately.
       ++trims;
-      p->size = cfg_.trim_header_size;
+      p->size = kTrimHeaderSize;
       p->payload = Bytes{};
       p->trimmed = true;
       p->priority = 0;

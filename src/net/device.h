@@ -60,6 +60,10 @@ constexpr bool is_injected_drop(DropReason reason) {
 
 const char* to_string(DropReason reason);
 
+/// Wire size of a data packet that trimming cut down to its header
+/// (Port::enqueue, PortConfig::trim_enable).
+inline constexpr Bytes kTrimHeaderSize{64};
+
 class Port final : public sim::EventTarget {
  public:
   /// FIFO in a power-of-two ring. Allocates nothing until the first push,

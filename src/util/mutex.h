@@ -1,22 +1,10 @@
 // Annotated synchronization wrappers (DESIGN.md §12).
 //
-// Thin shims over std::mutex / std::condition_variable that carry clang
-// thread-safety capabilities, so -Wthread-safety can prove lock discipline
-// at compile time. Zero overhead: every method is an inline forward.
-//
-// CondVar::wait deliberately takes the Mutex (not a unique_lock): clang's
-// analysis cannot see through std::condition_variable's predicate-lambda
-// overloads, so waits are written as explicit while-loops —
-//
-//   MutexLock lk(mu_);
-//   while (!ready_) cv_.wait(mu_);
-//
-// — which the analysis checks exactly: ready_ is read with mu_ held, and
-// wait() REQUIRES(mu_) documents that the lock is released while blocked
-// and re-acquired before returning.
+// Thin shims over std::mutex that carry clang thread-safety capabilities, so
+// -Wthread-safety can prove lock discipline at compile time. Zero overhead:
+// every method is an inline forward.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 #include "util/thread_annotations.h"
@@ -33,7 +21,6 @@ class DCPIM_CAPABILITY("mutex") Mutex {
   void unlock() DCPIM_RELEASE() { mu_.unlock(); }
 
  private:
-  friend class CondVar;
   std::mutex mu_;
 };
 
@@ -49,27 +36,6 @@ class DCPIM_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  /// Atomically releases `mu` and blocks; re-acquires before returning.
-  /// Spurious wakeups are possible — always wait in a predicate loop.
-  void wait(Mutex& mu) DCPIM_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lk(mu.mu_, std::adopt_lock);
-    cv_.wait(lk);
-    lk.release();  // ownership stays with the caller's MutexLock
-  }
-
-  void notify_one() { cv_.notify_one(); }
-  void notify_all() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace dcpim::util

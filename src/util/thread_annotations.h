@@ -27,9 +27,6 @@
 /// Data member readable/writable only with the capability held.
 #define DCPIM_GUARDED_BY(x) DCPIM_THREAD_ANNOTATION_IMPL(guarded_by(x))
 
-/// Pointer member whose *pointee* is guarded by the capability.
-#define DCPIM_PT_GUARDED_BY(x) DCPIM_THREAD_ANNOTATION_IMPL(pt_guarded_by(x))
-
 /// Function acquires the capability (and does not release it).
 #define DCPIM_ACQUIRE(...) \
   DCPIM_THREAD_ANNOTATION_IMPL(acquire_capability(__VA_ARGS__))
@@ -37,15 +34,3 @@
 /// Function releases the capability.
 #define DCPIM_RELEASE(...) \
   DCPIM_THREAD_ANNOTATION_IMPL(release_capability(__VA_ARGS__))
-
-/// Caller must hold the capability across the call.
-#define DCPIM_REQUIRES(...) \
-  DCPIM_THREAD_ANNOTATION_IMPL(requires_capability(__VA_ARGS__))
-
-/// Caller must NOT hold the capability (deadlock guard).
-#define DCPIM_EXCLUDES(...) \
-  DCPIM_THREAD_ANNOTATION_IMPL(locks_excluded(__VA_ARGS__))
-
-/// Escape hatch for code the analysis cannot model; use with a comment.
-#define DCPIM_NO_THREAD_SAFETY_ANALYSIS \
-  DCPIM_THREAD_ANNOTATION_IMPL(no_thread_safety_analysis)

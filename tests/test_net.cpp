@@ -160,7 +160,7 @@ TEST(PortTest, TrimmingConvertsOverflowToHeaders) {
   for (const auto& p : f.b->received) {
     if (p->trimmed) {
       ++trimmed;
-      EXPECT_EQ(p->size, link.trim_header_size);
+      EXPECT_EQ(p->size, net::kTrimHeaderSize);
       EXPECT_EQ(p->payload, Bytes{});
       EXPECT_EQ(p->priority, 0);
     }

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -149,6 +150,77 @@ TEST(SweepDeterminismTest, ExperimentExceptionPropagatesToCaller) {
   harness::SweepOptions opts;
   opts.jobs = 4;
   EXPECT_THROW(harness::run_sweep(configs, opts), std::invalid_argument);
+}
+
+TEST(SweepDeterminismTest, ThrowingCellSkipsOnlyItsOwnOnResult) {
+  // sweep.h: on_result fires once per successful cell and never for one that
+  // threw, while progress still counts every cell before the rethrow.
+  std::vector<ExperimentConfig> configs = golden_sweep();
+  const std::size_t bad = 2;
+  configs[bad].workload = "no-such-workload";
+  harness::SweepOptions opts;
+  opts.jobs = 4;
+  std::vector<int> calls(configs.size(), 0);
+  std::size_t last_done = 0;
+  opts.on_result = [&](std::size_t index, const ExperimentResult&) {
+    ++calls.at(index);
+  };
+  opts.progress = [&](std::size_t done, std::size_t) { last_done = done; };
+  EXPECT_THROW(harness::run_sweep(configs, opts), std::invalid_argument);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    EXPECT_EQ(calls[i], i == bad ? 0 : 1) << "cell " << i;
+  }
+  EXPECT_EQ(last_done, configs.size());
+}
+
+TEST(SweepDeterminismTest, ThrowingCallbackFailsItsCell) {
+  // A callback that throws on a spawned thread must reach the caller as that
+  // cell's failure, not end the process. It throws for every cell, so it
+  // throws on whichever thread runs one.
+  const std::vector<ExperimentConfig> configs = {
+      small_config(Protocol::Dcpim, 0.3, 5),
+      small_config(Protocol::Phost, 0.3, 5)};
+  harness::SweepOptions opts;
+  opts.jobs = 2;
+  opts.on_result = [](std::size_t, const ExperimentResult&) {
+    throw std::runtime_error("journal write failed");
+  };
+  EXPECT_THROW(harness::run_sweep(configs, opts), std::runtime_error);
+}
+
+TEST(SweepDeterminismTest, EmptySweepCallsNoCallback) {
+  harness::SweepOptions opts;
+  opts.jobs = 4;
+  int calls = 0;
+  opts.on_result = [&](std::size_t, const ExperimentResult&) { ++calls; };
+  opts.progress = [&](std::size_t, std::size_t) { ++calls; };
+  EXPECT_TRUE(harness::run_sweep({}, opts).empty());
+  EXPECT_EQ(calls, 0);
+}
+
+TEST(SweepDeterminismTest, NonPositiveJobsRunEveryCell) {
+  // jobs <= 0 spawns no thread; the calling thread runs every cell.
+  const std::vector<ExperimentConfig> configs = {
+      small_config(Protocol::Dcpim, 0.3, 5),
+      small_config(Protocol::Phost, 0.3, 5)};
+  for (int jobs : {0, -3}) {
+    harness::SweepOptions opts;
+    opts.jobs = jobs;
+    std::size_t completed = 0;
+    opts.on_result = [&](std::size_t, const ExperimentResult&) {
+      ++completed;
+    };
+    const auto results = harness::run_sweep(configs, opts);
+    ASSERT_EQ(results.size(), configs.size()) << "jobs=" << jobs;
+    EXPECT_EQ(completed, configs.size()) << "jobs=" << jobs;
+    for (const ExperimentResult& r : results) {
+      EXPECT_GT(r.flows_total, 0u) << "jobs=" << jobs;
+    }
+  }
+}
+
+TEST(SweepDeterminismTest, HardwareThreadsIsPositive) {
+  EXPECT_GE(harness::hardware_threads(), 1);
 }
 
 // ---- fault injection under the determinism contract -------------------------
