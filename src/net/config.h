@@ -39,10 +39,11 @@ const char* to_string(LbPolicy policy);
 
 /// Per-egress-port behaviour knobs. Defaults model a commodity
 /// shared-buffer switch port as in Table 1; protocols flip individual
-/// features (ECN for DCTCP, trimming for NDP, ...).
+/// features (ECN for DCTCP, trimming for NDP, ...). The fields that
+/// Port::enqueue and Port::try_transmit read per packet come first and
+/// fill one 64-byte line.
 struct PortConfig {
   BitsPerSec rate = 100 * kGbps;
-  Time propagation = ns(200);
   Bytes buffer_bytes = 500 * kKB;  ///< shared across priorities; <0 = infinite
 
   /// ECN: mark CE on enqueue when queued bytes >= threshold. <0 disables.
@@ -51,18 +52,11 @@ struct PortConfig {
   /// NDP packet trimming: when the *data* queue for a packet's priority
   /// exceeds trim_queue_cap bytes, the payload is cut and the header is
   /// forwarded at the control priority. Disabled unless trim_enable.
-  bool trim_enable = false;
   Bytes trim_queue_cap{8 * 1500};
 
   /// Aeolus selective dropping: drop *unscheduled* packets arriving when
   /// the queue exceeds this threshold. <0 disables.
   Bytes aeolus_threshold{-1};
-
-  /// PFC (used by the HPCC substrate): pause the upstream egress port when
-  /// the bytes buffered from that ingress exceed pause_threshold.
-  bool pfc_enable = false;
-  Bytes pfc_pause_threshold = 100 * kKB;
-  Bytes pfc_resume_threshold = 60 * kKB;
 
   /// Random loss injection for failure tests (probability per packet).
   double loss_rate = 0.0;
@@ -71,6 +65,16 @@ struct PortConfig {
   /// raises no link-down signal and is attributed as DropReason::kGrayLoss
   /// rather than kInjectedLoss. Driven by FaultKind::GrayLoss windows.
   double gray_loss_rate = 0.0;
+
+  bool trim_enable = false;  ///< NDP trimming (trim_queue_cap above)
+
+  /// PFC (used by the HPCC substrate): pause the upstream egress port when
+  /// the bytes buffered from that ingress exceed pause_threshold.
+  bool pfc_enable = false;
+  Bytes pfc_pause_threshold = 100 * kKB;
+  Bytes pfc_resume_threshold = 60 * kKB;
+
+  Time propagation = ns(200);
 };
 
 /// Network-wide settings.

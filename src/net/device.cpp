@@ -28,8 +28,8 @@ std::uint64_t fault_stream_seed(std::uint64_t net_seed, int device_id,
 constexpr unsigned kSerialized = 0;
 constexpr unsigned kArrived = 1;
 
-// Device::ingress_latency() is zero or one of these, so an arrival is at
-// least the link's (positive) propagation delay after its serialization.
+// A port's arrival delay adds one of these to the link's (positive)
+// propagation, so an arrival never lands at its serialization end.
 static_assert(kSwitchLatency >= Time{} && kHostLatency >= Time{},
               "ingress latency cannot be negative");
 
@@ -48,40 +48,32 @@ const char* to_string(DropReason reason) {
 }
 
 Port::Port(Device& owner, int index, PortConfig cfg)
-    : owner_(owner),
-      net_(owner.network()),
-      index_(index),
+    : net_(owner.network()),
+      owner_(owner),
       cfg_(cfg),
+      index_(index),
       fault_rng_(fault_stream_seed(owner.network().config().seed,
                                    owner.device_id(), index)) {
   DCPIM_CHECK_GT(cfg_.propagation, Time{}, "link propagation must be positive");
   net_.sim().register_target(*this);
 }
 
-template <typename T>
-void Port::Ring<T>::grow() {
-  const std::uint32_t cap = cap_ == 0 ? 4 : 2 * cap_;
-  // sa-ok(hot-alloc): ring growth stops at the port's peak backlog — the
-  // ring doubles, never shrinks, and steady state reuses its slots.
-  auto slots = std::make_unique<T[]>(cap);
-  for (std::uint32_t i = 0; i < cap_; ++i) {
-    slots[i] = std::move(slots_[(head_ + i) & (cap_ - 1)]);
-  }
-  slots_ = std::move(slots);
-  head_ = 0;
-  tail_ = cap_;
-  cap_ = cap;
-}
-template class Port::Ring<PacketPtr>;
-template class Port::Ring<Port::InFlight>;
-
 void Port::connect(Device* peer, Port* reverse) {
   peer_ = peer;
   reverse_ = reverse;
+  arrival_delay_ = cfg_.propagation + (peer->kind() == Device::Kind::Switch
+                                           ? kSwitchLatency
+                                           : kHostLatency);
 }
 
 Time Port::tx_time(Bytes bytes) const {
-  return serialization_time(bytes, cfg_.rate);
+  // Degrade faults and tests rewrite the rate through mutable_config().
+  if (cfg_.rate != byte_time_rate_) {
+    byte_time_rate_ = cfg_.rate;
+    byte_time_ = exact_byte_time(cfg_.rate);
+  }
+  return byte_time_ > Time{} ? byte_time_ * (bytes / Bytes{1})
+                             : serialization_time(bytes, cfg_.rate);
 }
 
 void Port::drop_packet(PacketPtr p, DropReason reason) {
@@ -234,26 +226,18 @@ void Port::on_event(unsigned kind) {
     tx_bytes += tx_packet_->size;
     ++tx_packets;
     busy_ = false;
-    const TimePoint arrival =
-        net_.sim().now() + cfg_.propagation + peer_->ingress_latency();
-    // The in-flight FIFO is exact only while arrivals keep send order; a
-    // reordered arrival would be queued below now() once its turn came.
+    const TimePoint arrival = net_.sim().now() + arrival_delay_;
+    // The in-flight FIFO is exact only while arrivals keep send order: each
+    // arrival event delivers the FIFO front, whichever packet it was
+    // scheduled for.
     DCPIM_CHECK_GE(arrival, last_arrival_, "in-flight packets would reorder");
     last_arrival_ = arrival;
-    // The key is taken now, as if the arrival were queued now; only the
-    // front of the delay line is queued, so a busy link costs one entry.
-    const std::uint64_t key = net_.sim().reserve_key(*this, kArrived);
-    if (inflight_.empty()) net_.sim().schedule_keyed(arrival, key);
-    inflight_.push(InFlight{std::move(tx_packet_), arrival, key});
+    net_.sim().schedule_at(arrival, *this, kArrived);
+    inflight_.push(std::move(tx_packet_));
     try_transmit();
     return;
   }
-  InFlight head = inflight_.pop();
-  if (!inflight_.empty()) {
-    const InFlight& next = inflight_.front();
-    net_.sim().schedule_keyed(next.arrival, next.key);
-  }
-  peer_->receive(std::move(head.packet), reverse_);
+  peer_->receive(inflight_.pop(), reverse_);
 }
 
 Device::Device(Network& net, Kind kind, std::string name)

@@ -7,15 +7,13 @@
 // selective dropping, PFC pause, random loss injection for failure tests).
 //
 // A packet hop is two typed simulator events on the sending Port, neither
-// carrying a callback: kind 0 ends serialization and moves the packet into
-// the port's in-flight FIFO, kind 1 hands the FIFO front to the peer. The
-// FIFO is exact because serialization is sequential and a link's
-// propagation delay never changes mid-run (degrade faults change the rate).
-// It is also a delay line: each in-flight packet carries its arrival time
-// and the event key reserved when its serialization ended, and only the
-// front arrival sits in the simulator's heap; delivering it queues the next
-// one under its original key, so events pop in the same order as if every
-// arrival had been queued up front (DESIGN.md §13).
+// carrying a callback: kind 0 ends serialization, moves the packet into the
+// port's in-flight FIFO and schedules its arrival; kind 1 hands the FIFO
+// front to the peer. The FIFO is exact because serialization is sequential
+// and a link's arrival delay (propagation plus the peer's ingress latency)
+// never changes mid-run (degrade faults change the rate). Every arrival is
+// queued when its serialization ends; with one fixed delay per link, the
+// simulator's delay lanes hold them without a heap entry (DESIGN.md §13).
 #pragma once
 
 #include <array>
@@ -27,6 +25,7 @@
 
 #include "net/config.h"
 #include "net/packet.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -66,34 +65,7 @@ inline constexpr Bytes kTrimHeaderSize{64};
 
 class Port final : public sim::EventTarget {
  public:
-  /// FIFO in a power-of-two ring. Allocates nothing until the first push,
-  /// then doubles when full; steady state never allocates.
-  template <typename T>
-  class Ring {
-   public:
-    bool empty() const { return head_ == tail_; }
-    std::uint32_t size() const { return tail_ - head_; }
-    void push(T v) {
-      if (size() == cap_) grow();
-      slots_[tail_++ & (cap_ - 1)] = std::move(v);
-    }
-    T pop() {
-      DCPIM_DCHECK(!empty(), "pop from an empty packet ring");
-      return std::move(slots_[head_++ & (cap_ - 1)]);
-    }
-    const T& front() const {
-      DCPIM_DCHECK(!empty(), "front of an empty packet ring");
-      return slots_[head_ & (cap_ - 1)];
-    }
-
-   private:
-    void grow();
-    std::unique_ptr<T[]> slots_;
-    std::uint32_t head_ = 0;  ///< free-running; masked on access
-    std::uint32_t tail_ = 0;
-    std::uint32_t cap_ = 0;  ///< 0 or a power of two
-  };
-  using PacketRing = Ring<PacketPtr>;
+  using PacketRing = sim::Ring<PacketPtr>;
 
   /// DCPIM_CHECKs that `cfg.propagation` is positive: an arrival then
   /// never lands at its sender's own instant. Nothing changes the
@@ -105,7 +77,8 @@ class Port final : public sim::EventTarget {
   void on_event(unsigned kind) override;
 
   /// Wires this port to its peer device; `reverse` is the peer's port that
-  /// sends back over the same link (used for PFC pause signalling).
+  /// sends back over the same link (used for PFC pause signalling). Fixes
+  /// arrival_delay().
   void connect(Device* peer, Port* reverse);
 
   /// Admits a packet to the egress queue, applying drop/trim/mark features,
@@ -148,14 +121,14 @@ class Port final : public sim::EventTarget {
   /// Serialization time of `bytes` on this link.
   Time tx_time(Bytes bytes) const;
 
-  // --- statistics ---------------------------------------------------------
-  std::uint64_t drops = 0;           ///< all drops, any reason
-  std::uint64_t injected_drops = 0;  ///< the is_injected_drop() subset
-  std::uint64_t trims = 0;
-  std::uint64_t ecn_marks = 0;
-  Bytes tx_bytes{};            ///< cumulative bytes fully transmitted
-  PacketCount tx_packets{};
-  Time busy_time{};            ///< cumulative time spent serializing
+  /// From serialization end to the packet's arrival at the peer: the
+  /// propagation delay plus the peer's ingress latency (kSwitchLatency or
+  /// kHostLatency). Set by connect().
+  Time arrival_delay() const { return arrival_delay_; }
+
+  // --- statistics (public, after the per-packet state below) -------------
+  // drops, injected_drops, trims, ecn_marks, tx_bytes, tx_packets and
+  // busy_time are declared at the end of the class.
 
  private:
   void try_transmit();
@@ -165,31 +138,43 @@ class Port final : public sim::EventTarget {
   /// True if some queue with a transmittable packet is non-empty.
   int next_priority_to_send() const;
 
-  /// A serialized packet on the link: when it reaches the peer, and the
-  /// simulator key reserved for that arrival at serialization end.
-  struct InFlight {
-    PacketPtr packet;
-    TimePoint arrival{};
-    std::uint64_t key = 0;
-  };
-
-  Device& owner_;
-  Network& net_;
-  int index_;
-  PortConfig cfg_;
-  Device* peer_ = nullptr;
-  Port* reverse_ = nullptr;
-
-  std::array<PacketRing, kNumPriorities> queues_;
-  PacketPtr tx_packet_;  ///< being serialized while busy_
-  Ring<InFlight> inflight_;  ///< serialized, propagating; front is queued
-  TimePoint last_arrival_{};  ///< arrival time of the newest in-flight packet
-  std::array<Bytes, kNumPriorities> qbytes_{};
-  Bytes total_qbytes_{};
+  // Layout: enqueue, try_transmit and on_event touch the members from here
+  // to busy_time on every packet, so they come first and sit together: the
+  // flags (in EventTarget's tail) and pointers, the per-priority byte
+  // counts, cfg_ (its per-packet fields lead), the scalars, then the eight
+  // queue rings.
   bool busy_ = false;
   bool paused_ = false;
   bool link_up_ = true;
   bool stalled_ = false;
+  Network& net_;
+  Device& owner_;
+  Device* peer_ = nullptr;
+  Port* reverse_ = nullptr;
+  PacketPtr tx_packet_;  ///< being serialized while busy_
+  std::array<Bytes, kNumPriorities> qbytes_{};
+  PortConfig cfg_;
+  Time arrival_delay_{};
+  Bytes total_qbytes_{};
+  /// tx_time()'s cache: the whole picoseconds per byte (exact_byte_time;
+  /// Time{} when not whole) of byte_time_rate_, the rate it last saw.
+  mutable Time byte_time_{};
+  mutable BitsPerSec byte_time_rate_{};
+  TimePoint last_arrival_{};  ///< arrival time of the newest in-flight packet
+  std::array<PacketRing, kNumPriorities> queues_;
+  PacketRing inflight_;  ///< serialized and propagating, oldest first
+
+ public:
+  Bytes tx_bytes{};            ///< cumulative bytes fully transmitted
+  PacketCount tx_packets{};
+  Time busy_time{};            ///< cumulative time spent serializing
+  std::uint64_t drops = 0;           ///< all drops, any reason
+  std::uint64_t injected_drops = 0;  ///< the is_injected_drop() subset
+  std::uint64_t trims = 0;
+  std::uint64_t ecn_marks = 0;
+
+ private:
+  int index_;
   Rng fault_rng_;
 };
 
@@ -210,9 +195,6 @@ class Device {
   /// Hook invoked by a Port when a buffered packet starts transmission
   /// (i.e. leaves this device's buffer). Used for PFC accounting.
   virtual void on_packet_departed(const Packet& /*p*/) {}
-
-  /// Fixed processing latency applied to packets entering this device.
-  virtual Time ingress_latency() const { return Time{}; }
 
   /// Called after add_port() attaches a new port — topology-build time, so
   /// subclasses size per-port state here instead of lazily on the hot path.

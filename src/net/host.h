@@ -30,8 +30,6 @@ class Host : public Device {
   /// Device interface: unwraps the packet and forwards to the protocol.
   void receive(PacketPtr p, Port* in) final;
 
-  Time ingress_latency() const override { return kHostLatency; }
-
   /// New locally-originated flow to transmit.
   virtual void on_flow_arrival(Flow& flow) = 0;
 

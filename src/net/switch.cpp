@@ -35,14 +35,30 @@ const char* to_string(LbPolicy policy) {
 Switch::Switch(Network& net, std::string name)
     : Device(net, Kind::Switch, std::move(name)) {}
 
+void Switch::set_next_hops(
+    const std::vector<std::vector<std::uint16_t>>& next_hops) {
+  std::size_t total = 0;
+  for (const auto& cands : next_hops) total += cands.size();
+  hop_begin_.assign(1, 0);
+  hop_begin_.reserve(next_hops.size() + 1);
+  hop_ports_.clear();
+  hop_ports_.reserve(total);
+  for (const auto& cands : next_hops) {
+    for (const std::uint16_t c : cands) {
+      DCPIM_CHECK(c < ports.size(), "next hop names a port that is not wired");
+      hop_ports_.push_back(ports[c].get());
+    }
+    hop_begin_.push_back(static_cast<std::uint32_t>(hop_ports_.size()));
+  }
+}
+
 /// Rate-weighted ECMP: the draw probability of each candidate follows its
 /// *current* egress rate, so degraded links attract proportionally less
 /// traffic and downed links none — modelling a telemetry-informed LB.
-std::size_t Switch::weighted_pick(const std::vector<std::uint16_t>& cands) {
+std::size_t Switch::weighted_pick(std::span<Port* const> cands) {
   double total = 0;
-  for (const std::uint16_t c : cands) {
-    const Port& port = *ports[c];
-    if (port.link_up()) total += fratio(port.config().rate, kGbps);
+  for (const Port* port : cands) {
+    if (port->link_up()) total += fratio(port->config().rate, kGbps);
   }
   if (total <= 0.0) {
     // Everything down or rate-less: uniform, the packet drops at the port.
@@ -50,18 +66,19 @@ std::size_t Switch::weighted_pick(const std::vector<std::uint16_t>& cands) {
   }
   double draw = lb_rng_.uniform() * total;
   for (std::size_t i = 0; i < cands.size(); ++i) {
-    const Port& port = *ports[cands[i]];
-    if (!port.link_up()) continue;
-    draw -= fratio(port.config().rate, kGbps);
+    if (!cands[i]->link_up()) continue;
+    draw -= fratio(cands[i]->config().rate, kGbps);
     if (draw < 0.0) return i;
   }
   return cands.size() - 1;  // fp rounding spill-over
 }
 
 Port* Switch::select_egress(const Packet& p) {
-  DCPIM_CHECK(p.dst >= 0 && static_cast<std::size_t>(p.dst) < next_hops_.size(),
+  const auto dst = static_cast<std::size_t>(p.dst);
+  DCPIM_CHECK(p.dst >= 0 && dst + 1 < hop_begin_.size(),
               "packet destination outside routing table");
-  const auto& cands = next_hops_[static_cast<std::size_t>(p.dst)];
+  const std::span<Port* const> cands(hop_ports_.data() + hop_begin_[dst],
+                                     hop_ports_.data() + hop_begin_[dst + 1]);
   DCPIM_CHECK(!cands.empty(), "no route to destination");
   std::size_t pick = 0;
   if (cands.size() > 1) {
@@ -98,7 +115,7 @@ Port* Switch::select_egress(const Packet& p) {
         break;
     }
   }
-  return ports[cands[pick]].get();
+  return cands[pick];
 }
 
 void Switch::on_port_added(Port& /*port*/) {

@@ -1,7 +1,8 @@
 // Output-queued switch with shortest-path ECMP routing and optional PFC.
 //
 // Routing tables are next-hop candidate lists per destination host,
-// computed by the topology builder (BFS over the device graph). Among
+// computed by the topology builder (BFS over the device graph) and kept as
+// one flat table of egress Port pointers per switch. Among
 // multiple candidates, NetConfig::lb_policy picks the egress: per-packet
 // spray (workload RNG, the paper default), a stable per-flow hash, flowlet
 // re-hashing after an idle gap, or a rate-weighted draw that follows
@@ -12,6 +13,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,15 +33,10 @@ class Switch : public Device {
   /// Sizes the per-ingress PFC ledgers eagerly at topology-build time, so
   /// the per-packet accounting path never grows a vector.
   void on_port_added(Port& port) override;
-  Time ingress_latency() const override { return kSwitchLatency; }
 
-  /// next_hops[dst_host] = candidate local egress port indices.
-  void set_next_hops(std::vector<std::vector<std::uint16_t>> table) {
-    next_hops_ = std::move(table);
-  }
-  const std::vector<std::uint16_t>& candidates(int dst_host) const {
-    return next_hops_[static_cast<std::size_t>(dst_host)];
-  }
+  /// next_hops[dst_host] = candidate local egress port indices. Call once
+  /// the ports exist; the table is flattened into candidate Port pointers.
+  void set_next_hops(const std::vector<std::vector<std::uint16_t>>& next_hops);
 
   Bytes ingress_buffered(int port_index) const {
     return port_index < static_cast<int>(ingress_bytes_.size())
@@ -66,11 +63,14 @@ class Switch : public Device {
   };
 
   Port* select_egress(const Packet& p);
-  std::size_t weighted_pick(const std::vector<std::uint16_t>& cands);
+  std::size_t weighted_pick(std::span<Port* const> cands);
   void pfc_account_arrival(Packet& p, Port* in);
   void pfc_update(int ingress_index);
 
-  std::vector<std::vector<std::uint16_t>> next_hops_;
+  /// Routing table in CSR form: the egress candidates for destination host
+  /// h are hop_ports_[hop_begin_[h] .. hop_begin_[h + 1]).
+  std::vector<std::uint32_t> hop_begin_;
+  std::vector<Port*> hop_ports_;
   std::vector<Bytes> ingress_bytes_;
   std::vector<bool> ingress_paused_;
   /// LB RNG stream, disjoint from the workload RNG and the per-port fault

@@ -1,6 +1,7 @@
 #include "net/topology.h"
 
 #include <algorithm>
+#include <array>
 #include "util/check.h"
 #include <deque>
 #include <limits>
@@ -68,13 +69,16 @@ void Topology::finalize(Network& net) {
       }
       DCPIM_CHECK(my_dist < 0 || !cands.empty(), "unroutable destination");
     }
-    sw->set_next_hops(std::move(table));
+    sw->set_next_hops(table);
   }
 
   // Per-pair hop-count classes plus a canonical path profile per class.
   pair_class_.assign(
       static_cast<std::size_t>(num_hosts_) * static_cast<std::size_t>(num_hosts_),
       0);
+  // Which hop counts have a profile: a flag per class (hops < 256) instead
+  // of a map lookup per host pair keeps this loop off the set-up time.
+  std::array<bool, 256> profiled{};
   for (int s = 0; s < num_hosts_; ++s) {
     for (int d = 0; d < num_hosts_; ++d) {
       if (s == d) continue;
@@ -86,7 +90,8 @@ void Topology::finalize(Network& net) {
                       static_cast<std::size_t>(num_hosts_) +
                   static_cast<std::size_t>(d)] =
           static_cast<std::uint8_t>(hops);
-      if (class_profiles_.count(hops) != 0) continue;
+      if (profiled[static_cast<std::size_t>(hops)]) continue;
+      profiled[static_cast<std::size_t>(hops)] = true;
 
       // Walk one canonical shortest path, accumulating fixed latency and
       // per-link rates.
@@ -106,8 +111,7 @@ void Topology::finalize(Network& net) {
         }
         DCPIM_CHECK(chosen != nullptr, "shortest-path walk lost the gradient");
         prof.link_rates.push_back(chosen->config().rate);
-        prof.fixed_latency += chosen->config().propagation;
-        prof.fixed_latency += chosen->peer()->ingress_latency();
+        prof.fixed_latency += chosen->arrival_delay();
         cur = chosen->peer();
       }
       prof.bottleneck =

@@ -5,38 +5,40 @@
 // absolute or relative times; ties are broken by scheduling order so runs
 // are fully deterministic.
 //
-// Implementation: a hand-rolled 4-ary min-heap of 16-byte {time, key}
-// entries. The key packs the scheduling sequence number above a 2-bit tag
-// and a 24-bit index (event_key below), so ordering entries by (time, key)
-// is ordering them by (time, seq). Tag 0 marks a callback and the index is
-// its slot in a callback slab; keeping the callbacks out of the heap keeps
-// every sift move trivially cheap, while the CallbackSlab gives each
-// callback a stable home. UniqueFunction stores small callables inline
-// (SBO), a scheduled callback moves into a recycled slab slot, and the run
-// loop threads the slot back onto the slab's intrusive free list the moment
-// the event fires (eager retire, so captured resources such as pooled
-// packets release at end-of-event). Tags 1 and 2 mark typed events of kind
-// 0 and 1, and the index is the target's id: the per-hop port events
-// (serialization done, arrival) take this path, so they never touch the
-// slab and run as one virtual call. After the first few simulated RTTs the
-// per-event path allocates nothing at all. There is no cancellation:
-// transports that retire a timer let it fire and discard it with a
-// staleness check, so every pop is live and the per-event path is exactly
-// one O(log n) sift each way.
+// Implementation: every queued event is a 16-byte {time, key} entry. The
+// key packs the scheduling sequence number above a 2-bit tag and a 24-bit
+// index (event_key below), so ordering entries by (time, key) is ordering
+// them by (time, seq). Tag 0 marks a callback and the index is its slot in
+// a callback slab; keeping the callbacks out of the queue keeps every move
+// trivially cheap, while the CallbackSlab gives each callback a stable
+// home. UniqueFunction stores small callables inline (SBO), a scheduled
+// callback moves into a recycled slab slot, and the run loop threads the
+// slot back onto the slab's intrusive free list the moment the event fires
+// (eager retire, so captured resources such as pooled packets release at
+// end-of-event). Tags 1 and 2 mark typed events of kind 0 and 1, and the
+// index is the target's id: the per-hop port events (serialization done,
+// arrival) take this path, so they never touch the slab and run as one
+// virtual call. There is no cancellation: transports that retire a timer
+// let it fire and discard it with a staleness check, so every pop is live.
 //
-// Delay lines: a target whose events fire in the order they were scheduled
-// (a link's in-flight FIFO) may take its key early with reserve_key() and
-// queue it later with schedule_keyed(), keeping only its oldest pending
-// event in the heap. The pop order is the one the eager schedule would have
-// given, provided each reserved event is queued before anything that
-// orders after it pops — Port queues the next arrival as the previous one
-// fires (DESIGN.md §13).
+// Delay lanes: nearly every event lands a fixed delay after now() — a
+// link's propagation plus its receiver's latency, or a packet size's
+// serialization time at a link rate. kDelayLanes FIFO lanes each hold the
+// entries pushed with one delay. Pushes happen at non-decreasing now() and
+// take increasing keys, so each lane is already sorted by (time, key): a
+// lane is a ring, not a heap. Everything else goes to a 4-ary min-heap. A
+// pop takes the least of the lane heads and the heap top, which is exactly
+// the (time, seq) order one heap would give (DESIGN.md §13). After the
+// first few simulated RTTs the per-event path allocates nothing at all.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "sim/ring.h"
 #include "util/check.h"
 #include "util/time.h"
 #include "util/unique_function.h"
@@ -90,6 +92,11 @@ class CallbackSlab {
   std::uint32_t free_head_ = kNoSlot;
 };
 
+/// Delay lanes per Simulator: enough for the fabric's fixed delays (two
+/// propagation-plus-latency sums, the MTU and control-packet serialization
+/// times at two link rates) with room to spare.
+inline constexpr std::size_t kDelayLanes = 8;
+
 inline constexpr int kEventIndexBits = 24;
 inline constexpr int kEventSeqShift = kEventIndexBits + 2;
 
@@ -131,7 +138,10 @@ class Simulator {
  public:
   using Callback = UniqueFunction<void()>;
 
-  Simulator() = default;
+  Simulator() {
+    lane_head_.fill(kNoEntry);
+    lane_delay_.fill(Time{-1});  // no event has a negative delay
+  }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -153,15 +163,6 @@ class Simulator {
     schedule_at(now_ + delay, std::move(cb));
   }
 
-  /// Takes the next scheduling sequence number for a later
-  /// `target.on_event(kind)`: the returned key breaks time ties as if the
-  /// event had been scheduled now. Queue it with schedule_keyed().
-  std::uint64_t reserve_key(EventTarget& target, unsigned kind);
-
-  /// Queues the event of a key from reserve_key() at absolute time `t`
-  /// (DCPIM_CHECKed >= now()). Queue each reserved key once.
-  void schedule_keyed(TimePoint t, std::uint64_t key);
-
   /// Runs events until the queue drains, `until` is passed, or stop().
   /// Events scheduled exactly at `until` still execute.
   void run(TimePoint until = kTimePointInfinity);
@@ -172,9 +173,8 @@ class Simulator {
   /// Number of events executed since construction.
   std::uint64_t events_executed() const { return executed_; }
 
-  /// Number of events currently queued. A delay line keeps only its oldest
-  /// event queued, so this is zero exactly when nothing is pending.
-  std::size_t pending() const { return heap_.size(); }
+  /// Number of events currently queued, in the lanes and the heap.
+  std::size_t pending() const { return queued_; }
 
   /// Most events queued at once since construction.
   std::size_t peak_pending() const { return peak_pending_; }
@@ -184,11 +184,21 @@ class Simulator {
     TimePoint t{};
     std::uint64_t key = 0;  ///< event_key(seq, tag, index): seq is the tie-break
     bool before(const Entry& o) const {
-      return t != o.t ? t < o.t : key < o.key;
+      // Bitwise, not short-circuit: the comparison itself takes no branch.
+      return (t < o.t) | ((t == o.t) & (key < o.key));
     }
   };
-  static_assert(sizeof(Entry) == 16, "heap entries are {time, key}");
+  static_assert(sizeof(Entry) == 16, "queue entries are {time, key}");
+  /// Head of an empty lane: after every real entry, since no event_key is
+  /// all ones (the tag never reaches 3).
+  static constexpr Entry kNoEntry{kTimePointInfinity, UINT64_MAX};
 
+  /// Queues `e` on the lane of its delay, else — if `typed` — on an empty
+  /// lane it claims, else on the heap.
+  void push(Entry e, bool typed);
+  /// The lane whose head comes first (a sentinel head when all are empty).
+  std::size_t first_lane() const;
+  Entry lane_pop(std::size_t lane);
   void heap_push(Entry e);
   Entry heap_pop();
 
@@ -196,9 +206,16 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   bool stopped_ = false;
-  std::vector<Entry> heap_;
+  std::size_t queued_ = 0;  ///< entries in the lanes and the heap
   std::size_t peak_pending_ = 0;
-  CallbackSlab slab_;  ///< callback storage; tag-0 heap_ entries index it
+  /// Lane i holds entries pushed exactly lane_delay_[i] after their now():
+  /// its head in lane_head_[i] (kNoEntry when empty), the rest in order in
+  /// lane_rest_[i]. No two lanes share a delay.
+  std::array<Entry, kDelayLanes> lane_head_;
+  std::array<Time, kDelayLanes> lane_delay_;
+  std::array<Ring<Entry>, kDelayLanes> lane_rest_;
+  std::vector<Entry> heap_;  ///< every event no lane took
+  CallbackSlab slab_;  ///< callback storage; tag-0 entries index it
   std::vector<EventTarget*> targets_;  ///< by id; tag-1/2 entries index it
 };
 

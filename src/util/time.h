@@ -98,6 +98,16 @@ constexpr Time serialization_time(Bytes bytes, BitsPerSec rate) {
       (static_cast<__int128>(bytes.raw()) * 8 * kSecond.raw()) / rate.raw())};
 }
 
+/// Serialization time of one byte at `rate` when serialization_time(b,
+/// rate) is exactly `b` times it for every `b`: when `rate` divides the
+/// 8e12 bps at which a byte takes one picosecond. Time{} otherwise.
+constexpr Time exact_byte_time(BitsPerSec rate) {
+  constexpr BitsPerSec kBytePerPs{8 * (kSecond / kPicosecond)};
+  return rate > BitsPerSec{} && kBytePerPs % rate == BitsPerSec{}
+             ? serialization_time(Bytes{1}, rate)
+             : Time{};
+}
+
 /// Bytes transmittable in `t` at `rate` (floor).
 constexpr Bytes bytes_in(Time t, BitsPerSec rate) {
   // sa-ok(unit-raw): mixed-unit kernel; the strong signature above is the checked
@@ -122,5 +132,7 @@ static_assert(serialization_time(Bytes{1}, gbps(10)) == ps(800));
 static_assert(serialization_time(Bytes{1}, gbps(100)) == ps(80));
 static_assert(serialization_time(Bytes{1}, gbps(400)) == ps(20));
 static_assert(bytes_in(us(1), gbps(100)) == Bytes{12'500});
+static_assert(exact_byte_time(gbps(400)) == ps(20));
+static_assert(exact_byte_time(gbps(100) * 0.3) == Time{});
 
 }  // namespace dcpim

@@ -275,18 +275,18 @@ TEST(PortTest, BackToBackPacketsArriveAtDequeuePlusSerPropIngress) {
               TimePoint(ns(120 * i + (120 + 20000 + 450) +
                            (120 + 20000 + 500))));
   }
-  // Delay lines: the simulator only ever holds each busy port's
-  // serialization end and its front arrival, never one entry per packet
-  // in flight (~64 here).
-  EXPECT_LE(f.net.sim().peak_pending(), 3u);
+  // Each arrival is queued when its serialization ends, so all 64 are
+  // queued at once when the last one leaves the NIC (its port is idle by
+  // then, and the first has not reached the switch).
+  EXPECT_EQ(f.net.sim().peak_pending(), static_cast<std::size_t>(kPackets));
 }
 
 /// Two back-to-back packets a -> switch -> b over 2 us links. The second
-/// one's switch-to-b arrival (at `second`) has its key reserved when the
-/// switch finishes serializing it (2810 ns), but while the first packet is
-/// still on that link (until 5190 ns) it is not queued. Returns how many
-/// packets b had received when a callback scheduled at simulated time
-/// `scheduled_at` for the same picosecond as that arrival ran.
+/// one's switch-to-b arrival (at `second`) is scheduled when the switch
+/// finishes serializing it (2810 ns), while the first packet is still on
+/// that link (until 5190 ns). Returns how many packets b had received when
+/// a callback scheduled at simulated time `scheduled_at` for the same
+/// picosecond as that arrival ran.
 std::size_t received_at_second_arrival(TimePoint scheduled_at) {
   PortConfig link = fast_link();
   link.propagation = us(2);
@@ -312,6 +312,22 @@ TEST(PortTest, ArrivalReservedBeforeASameInstantCallbackFiresFirst) {
 TEST(PortTest, CallbackScheduledBeforeAnArrivalsReservationFiresFirst) {
   EXPECT_EQ(received_at_second_arrival(TimePoint{}), 1u);
   EXPECT_EQ(received_at_second_arrival(TimePoint(ns(2800))), 1u);
+}
+
+TEST(PortTest, TxTimeFollowsRateRewrites) {
+  // tx_time caches whole picoseconds per byte for its rate; a rate written
+  // through mutable_config() (as degrade faults do) must take effect, also
+  // one whose byte time is fractional.
+  TwoHostFixture f(fast_link());
+  Port& nic = *f.a->nic();
+  const Bytes sizes[] = {Bytes{1}, Bytes{64}, Bytes{1500}, 4 * kMB};
+  for (const BitsPerSec rate : {gbps(100), gbps(30), gbps(400), gbps(7)}) {
+    nic.mutable_config().rate = rate;
+    for (const Bytes b : sizes) {
+      EXPECT_EQ(nic.tx_time(b), serialization_time(b, rate))
+          << b << " at " << rate;
+    }
+  }
 }
 
 TEST(PortTest, TxCountersChangeAtSerializationEnd) {

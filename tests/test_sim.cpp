@@ -1,12 +1,16 @@
 // Unit tests: discrete-event simulator ordering, stop/resume, counters,
-// typed events and the heap-key bounds.
+// typed events, the delay lanes and the event-key bounds.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace dcpim::sim {
 namespace {
@@ -144,51 +148,159 @@ TEST(SimulatorTest, CallbackAndTypedEventsTieInScheduleOrder) {
   EXPECT_EQ(sim.events_executed(), 6u);
 }
 
-TEST(SimulatorTest, KeyedEventsFireAtTheirTime) {
-  Simulator sim;
-  std::vector<std::string> log;
-  LogTarget x("x", log);
-  sim.register_target(x);
-  TimePoint seen = kTimeUnset;
-  sim.schedule_at(TimePoint(us(1)), [&]() {
-    sim.schedule_keyed(TimePoint(us(1)) + ns(250), sim.reserve_key(x, 1));
-    sim.schedule_at(TimePoint(us(1)) + ns(250), [&]() { seen = sim.now(); });
-  });
-  sim.run(TimePoint(us(1)));
-  EXPECT_EQ(sim.pending(), 2u);  // typed and callback events both count
-  sim.run();
-  EXPECT_EQ(log, (std::vector<std::string>{"x1"}));
-  EXPECT_EQ(seen, TimePoint(us(1)) + ns(250));
+/// Differential check of the event queue: every event the simulator runs
+/// must be the least pending (time, schedule order) pair of a reference
+/// ordered set, whichever lane or heap the simulator queued it on.
+class ReferenceQueue {
+ public:
+  using Key = std::tuple<TimePoint, std::uint64_t, int>;  ///< (t, seq, who)
+
+  /// Records that the event `who` was just scheduled at `t`.
+  void scheduled(TimePoint t, int who) { pending_.emplace(t, seq_++, who); }
+
+  /// Checks that `who` firing at `now` is the least pending event.
+  void fired(TimePoint now, int who) {
+    ASSERT_FALSE(pending_.empty());
+    const auto [t, seq, expected] = *pending_.begin();
+    EXPECT_EQ(now, t);
+    EXPECT_EQ(who, expected) << "seq " << seq;
+    pending_.erase(pending_.begin());
+  }
+
+  std::size_t size() const { return pending_.size(); }
+
+ private:
+  std::set<Key> pending_;
+  std::uint64_t seq_ = 0;
+};
+
+/// Typed target that reports each firing to the test as `base + kind`.
+class ForwardTarget final : public EventTarget {
+ public:
+  ForwardTarget(int base, std::function<void(int)> fire)
+      : base_(base), fire_(std::move(fire)) {}
+  void on_event(unsigned kind) override {
+    fire_(base_ + static_cast<int>(kind));
+  }
+
+ private:
+  int base_;
+  std::function<void(int)> fire_;
+};
+
+TEST(SimulatorTest, LanesAndHeapPopInTimeThenScheduleOrder) {
+  // 13 distinct delays, 0 among them, against 8 lanes: typed events claim
+  // lanes, callbacks join a lane only when one has their delay, and the
+  // rest go to the heap. Events spawn events, run(until) pauses and stop()
+  // interrupts; the pop order must stay exactly (time, schedule order).
+  const std::vector<Time> delays = {
+      Time{},  ps(1),    ps(999),  ns(1.28), ns(5.12), ns(30),  ns(120),
+      ns(650), ns(700),  us(2),    us(13),   us(31),   us(106)};
+  static_assert(kDelayLanes < 13, "some delays must fall back to the heap");
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Simulator sim;
+    ReferenceQueue ref;
+    Rng rng(seed);
+    int scheduled = 0;
+    std::vector<std::unique_ptr<ForwardTarget>> targets;
+    // Events are numbered: 2 * target + kind for typed ones, and from
+    // kFirstCallback up for callbacks.
+    constexpr int kTargets = 6;
+    constexpr int kFirstCallback = 2 * kTargets;
+    std::function<void()> schedule_one;
+    auto fire = [&](int who) {
+      ref.fired(sim.now(), who);
+      if (rng.uniform_int(100) == 0) sim.stop();
+      const std::uint64_t spawn = rng.uniform_int(3);  // mean 1: steady load
+      for (std::uint64_t i = 0; i < spawn && scheduled < 20000; ++i) {
+        schedule_one();
+      }
+    };
+    for (int i = 0; i < kTargets; ++i) {
+      targets.push_back(std::make_unique<ForwardTarget>(2 * i, fire));
+      sim.register_target(*targets.back());
+    }
+    schedule_one = [&]() {
+      const TimePoint t = sim.now() + delays[rng.uniform_int(delays.size())];
+      if (rng.uniform_int(2) == 0) {
+        const auto target = rng.uniform_int(kTargets);
+        const auto kind = static_cast<unsigned>(rng.uniform_int(2));
+        sim.schedule_at(t, *targets[target], kind);
+        ref.scheduled(t, static_cast<int>(2 * target + kind));
+      } else {
+        const int who = kFirstCallback + scheduled;
+        sim.schedule_at(t, [&fire, who]() { fire(who); });
+        ref.scheduled(t, who);
+      }
+      ++scheduled;
+    };
+    for (int i = 0; i < 64; ++i) schedule_one();
+    TimePoint until{};
+    while (sim.pending() != 0) {
+      EXPECT_EQ(sim.pending(), ref.size());
+      until += ns(500);
+      sim.run(until);
+      // After a pause (not a stop) the clock sits at the boundary; either
+      // way, events scheduled from outside the loop join the same order.
+      if (rng.uniform_int(4) == 0 && scheduled < 20000) schedule_one();
+    }
+    EXPECT_EQ(ref.size(), 0u);
+    EXPECT_EQ(sim.events_executed(), static_cast<std::uint64_t>(scheduled));
+    EXPECT_GT(scheduled, 10000);
+  }
 }
 
-TEST(SimulatorTest, ReservedKeyBreaksTiesAsOfItsReservation) {
-  // A key reserved before a same-instant callback was scheduled fires
-  // first even when it is queued after that callback — the delay-line
-  // case, where an arrival's key is taken at serialization end and queued
-  // only when the arrival ahead of it fires.
+TEST(SimulatorTest, TypedEventsBeyondTheLanesFallBackToTheHeap) {
+  // Twelve typed events, each with its own delay, all queued at once: the
+  // first eight delays claim the lanes and the last four find none free.
+  // Each has a callback at its instant, scheduled right after it (so it
+  // joins the typed event's lane or the heap). Scheduled longest delay
+  // first, so the time order is the reverse.
   Simulator sim;
   std::vector<std::string> log;
   LogTarget x("x", log);
   sim.register_target(x);
-  const TimePoint t(us(5));
-  const std::uint64_t early = sim.reserve_key(x, 1);
-  sim.schedule_at(t, [&]() { log.push_back("cb"); });
-  sim.schedule_at(TimePoint(us(3)), [&]() { sim.schedule_keyed(t, early); });
+  std::vector<TimePoint> fired;
+  constexpr int kDelays = 12;
+  static_assert(kDelays > static_cast<int>(kDelayLanes));
+  for (int i = kDelays; i >= 1; --i) {
+    sim.schedule_at(TimePoint(ns(10 * i)), x, 0);
+    sim.schedule_at(TimePoint(ns(10 * i)), [&]() {
+      log.push_back("cb");
+      fired.push_back(sim.now());
+    });
+  }
+  EXPECT_EQ(sim.pending(), 2u * kDelays);
   sim.run();
-  EXPECT_EQ(log, (std::vector<std::string>{"x1", "cb"}));
+  ASSERT_EQ(fired.size(), static_cast<std::size_t>(kDelays));
+  std::vector<std::string> expected;
+  for (int i = 0; i < kDelays; ++i) {
+    EXPECT_EQ(fired[static_cast<std::size_t>(i)], TimePoint(ns(10 * (i + 1))));
+    expected.insert(expected.end(), {"x0", "cb"});
+  }
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(sim.events_executed(), 2u * kDelays);
 }
 
-TEST(SimulatorTest, KeyReservedAfterACallbackFiresAfterIt) {
+TEST(SimulatorTest, PendingCountsLaneAndHeapEntries) {
   Simulator sim;
   std::vector<std::string> log;
   LogTarget x("x", log);
   sim.register_target(x);
-  const TimePoint t(us(5));
-  sim.schedule_at(t, [&]() { log.push_back("cb"); });
-  const std::uint64_t late = sim.reserve_key(x, 1);
-  sim.schedule_at(TimePoint(us(3)), [&]() { sim.schedule_keyed(t, late); });
+  // Two typed events share a lane; a callback with that delay joins it.
+  sim.schedule_at(TimePoint(ns(120)), x, 0);
+  sim.schedule_at(TimePoint(ns(120)), x, 1);
+  sim.schedule_at(TimePoint(ns(120)), [] {});
+  // A callback with a delay no lane has goes to the heap.
+  sim.schedule_at(TimePoint(us(106)), [] {});
+  EXPECT_EQ(sim.pending(), 4u);
+  EXPECT_EQ(sim.peak_pending(), 4u);
+  sim.run(TimePoint(ns(120)));
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_EQ(log, (std::vector<std::string>{"x0", "x1"}));
   sim.run();
-  EXPECT_EQ(log, (std::vector<std::string>{"cb", "x1"}));
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.events_executed(), 4u);
 }
 
 TEST(SimulatorTest, PeakPendingIsTheMostEverQueued) {
