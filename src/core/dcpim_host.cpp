@@ -8,6 +8,34 @@
 
 namespace dcpim::core {
 
+// ===== TokenLedger ===========================================================
+
+std::vector<TokenLedger::Entry>::iterator TokenLedger::find_slot(
+    std::uint32_t seq) {
+  return std::lower_bound(
+      entries_.begin(), entries_.end(), seq,
+      [](const Entry& e, std::uint32_t s) { return e.first < s; });
+}
+
+bool TokenLedger::add(std::uint32_t seq, TimePoint now) {
+  if (entries_.empty() || entries_.back().first < seq) {
+    entries_.emplace_back(seq, now);
+    return true;
+  }
+  const auto it = find_slot(seq);
+  if (it->first == seq) return false;
+  entries_.emplace(it, seq, now);
+  return true;
+}
+
+TimePoint TokenLedger::take(std::uint32_t seq) {
+  const auto it = find_slot(seq);
+  if (it == entries_.end() || it->first != seq) return kTimeUnset;
+  const TimePoint issued = it->second;
+  entries_.erase(it);
+  return issued;
+}
+
 namespace {
 constexpr std::uint8_t kShortFlowPriority = 1;
 constexpr std::uint8_t kLongFlowBasePriority = 2;
@@ -39,11 +67,17 @@ DcpimHost::DcpimHost(net::Network& net, int host_id, DcpimConfig cfg)
 // ===== clock ================================================================
 
 Time DcpimHost::stage_length() const {
-  return cfg_.stage_length(network().max_control_rtt());
+  if (stage_length_ == Time{}) {
+    stage_length_ = cfg_.stage_length(network().max_control_rtt());
+  }
+  return stage_length_;
 }
 
 Time DcpimHost::epoch_length() const {
-  return cfg_.epoch_length(network().max_control_rtt());
+  if (epoch_length_ == Time{}) {
+    epoch_length_ = cfg_.epoch_length(network().max_control_rtt());
+  }
+  return epoch_length_;
 }
 
 Time DcpimHost::period() const {
@@ -265,16 +299,16 @@ void DcpimHost::handle_accept(const AcceptPacket& acc) {
   st.accepted[acc.src] += acc.channels_accepted;
 }
 
-bool DcpimHost::token_expired(const TokenPacket& tok) const {
+bool DcpimHost::token_expired(std::uint64_t phase) const {
   // Stale-token discard (§3.2): tokens die at the end of their data phase
   // plus a cRTT/2 grace period.
-  const TimePoint phase_end = data_phase_start(tok.phase) + epoch_length();
+  const TimePoint phase_end = data_phase_start(phase) + epoch_length();
   return network().sim().now() > phase_end + network().max_control_rtt() / 2;
 }
 
 void DcpimHost::handle_token(const TokenPacket& tok) {
   ++counters_.tokens_received;
-  if (token_expired(tok)) {
+  if (token_expired(tok.phase)) {
     ++counters_.tokens_expired;
     return;
   }
@@ -282,7 +316,10 @@ void DcpimHost::handle_token(const TokenPacket& tok) {
     counters_.token_oneway_time += network().sim().now() - tok.created_at;
     ++counters_.token_oneway_count;
   }
-  token_queue_.push_back(tok);
+  token_queue_.push(QueuedToken{.flow_id = tok.token_flow_id,
+                                .phase = tok.phase,
+                                .seq = tok.data_seq,
+                                .priority = tok.data_priority});
   if (!sender_pacer_running_) {
     sender_pacer_running_ = true;
     sender_pacer_tick();
@@ -293,30 +330,27 @@ void DcpimHost::sender_pacer_tick() {
   // Pop the next still-valid token; expired ones are dropped here rather
   // than standing in the NIC queue — their packets will be re-admitted when
   // the receiver matches this sender again (§3.2).
-  while (!token_queue_.empty() && token_expired(token_queue_.front())) {
+  while (!token_queue_.empty() && token_expired(token_queue_.front().phase)) {
     ++counters_.tokens_expired;
-    token_queue_.pop_front();
+    token_queue_.pop();
   }
   if (token_queue_.empty()) {
     sender_pacer_running_ = false;
     return;
   }
-  const TokenPacket tok = token_queue_.front();
-  token_queue_.pop_front();
-  transmit_for_token(tok);
+  transmit_for_token(token_queue_.pop());
   network().sim().schedule_after(mtu_tx_time(),
                                  [this]() { sender_pacer_tick(); });
 }
 
-void DcpimHost::transmit_for_token(const TokenPacket& tok) {
-  net::Flow* flow = network().flow(tok.token_flow_id);
+void DcpimHost::transmit_for_token(const QueuedToken& tok) {
+  net::Flow* flow = network().flow(tok.flow_id);
   TxFlow* tx = find_state<TxFlow>(flow, Role::kSender);
-  if (tx == nullptr || tok.data_seq >= flow->seq_count()) return;
-  send(make_data_packet(
-      *flow, {.seq = tok.data_seq, .priority = tok.data_priority}));
+  if (tx == nullptr || tok.seq >= flow->seq_count()) return;
+  send(make_data_packet(*flow, {.seq = tok.seq, .priority = tok.priority}));
   ++counters_.data_sent;
-  if (!tx->sent[tok.data_seq]) {
-    tx->sent[tok.data_seq] = true;
+  if (!tx->sent[tok.seq]) {
+    tx->sent[tok.seq] = true;
     ++tx->sent_count;
   }
   maybe_send_finish(*flow, *tx);
@@ -354,8 +388,15 @@ DcpimHost::RxFlow& DcpimHost::create_rx(net::Flow& flow) {
   rx_ids_.insert(std::upper_bound(rx_ids_.begin(), rx_ids_.end(), flow.id),
                  flow.id);
   rx.needs_matching = flow.size > network().bdp();
-  if (rx.needs_matching) rx_by_sender_[flow.src].push_back(flow.id);
+  if (rx.needs_matching) rx_flows_from(flow.src).push_back(flow.id);
   return rx;
+}
+
+std::vector<std::uint64_t>& DcpimHost::rx_flows_from(int sender) {
+  if (rx_by_sender_.empty()) {
+    rx_by_sender_.resize(static_cast<std::size_t>(network().num_hosts()));
+  }
+  return rx_by_sender_[static_cast<std::size_t>(sender)];
 }
 
 void DcpimHost::check_short_flow(std::uint64_t flow_id) {
@@ -372,9 +413,9 @@ void DcpimHost::check_short_flow(std::uint64_t flow_id) {
   rx->readmit.clear();
   const net::FlowRxState* st = find_rx_state(flow_id);
   for (std::uint32_t seq = 0; seq < flow->seq_count(); ++seq) {
-    if (st == nullptr || !st->has(seq)) rx->readmit.push_back(seq);
+    if (st == nullptr || !st->has(seq)) rx->readmit.push(seq);
   }
-  rx_by_sender_[flow->src].push_back(flow_id);
+  rx_flows_from(flow->src).push_back(flow_id);
 }
 
 void DcpimHost::rescue_overdue_short_flows() {
@@ -445,11 +486,10 @@ void DcpimHost::handle_data(net::PacketPtr p) {
       rescue_watch_.push_back(id);
     }
   }
-  if (auto out_it = rx->outstanding.find(seq);
-      out_it != rx->outstanding.end()) {
-    counters_.token_loop_time += network().sim().now() - out_it->second;
+  if (const TimePoint issued = rx->outstanding.take(seq);
+      issued != kTimeUnset) {
+    counters_.token_loop_time += network().sim().now() - issued;
     ++counters_.token_loop_count;
-    rx->outstanding.erase(out_it);
     --outstanding_total_;
   }
   const int sender = flow->src;
@@ -481,7 +521,9 @@ Bytes DcpimHost::flow_remaining(const net::Flow& flow) const {
 }
 
 void DcpimHost::snapshot_demand(ReceiverEpochState& st) {
-  for (auto& [sender, ids] : rx_by_sender_) {
+  for (std::size_t i = 0; i < rx_by_sender_.size(); ++i) {
+    const int sender = static_cast<int>(i);
+    std::vector<std::uint64_t>& ids = rx_by_sender_[i];
     // Prune finished/rescued-away flows lazily.
     std::erase_if(ids, [this](std::uint64_t id) {
       const RxFlow* rx = find_state<RxFlow>(id, Role::kReceiver);
@@ -625,20 +667,17 @@ void DcpimHost::start_data_phase(std::uint64_t m) {
   for (const auto& [sender, channels] : it->second.matches) {
     // Requeue timed-out tokens for this sender's flows: their data was
     // lost (or the phase expired), so they must be re-admitted (§3.2).
-    auto ids_it = rx_by_sender_.find(sender);
-    if (ids_it != rx_by_sender_.end()) {
-      for (std::uint64_t id : ids_it->second) {
-        RxFlow* rx = find_state<RxFlow>(id, Role::kReceiver);
-        if (rx == nullptr) continue;
-        // readmit is a FIFO: timed-out seqs re-enter it in seq order.
-        std::erase_if(rx->outstanding, [&](const auto& entry) {
-          if (now - entry.second <= token_timeout) return false;
-          --outstanding_total_;
-          rx->readmit.push_back(entry.first);
-          ++counters_.readmitted_seqs;
-          return true;
-        });
-      }
+    for (std::uint64_t id : rx_flows_from(sender)) {
+      RxFlow* rx = find_state<RxFlow>(id, Role::kReceiver);
+      if (rx == nullptr) continue;
+      // readmit is a FIFO: timed-out seqs re-enter it in seq order.
+      rx->outstanding.remove_if([&](const TokenLedger::Entry& entry) {
+        if (now - entry.second <= token_timeout) return false;
+        --outstanding_total_;
+        rx->readmit.push(entry.first);
+        ++counters_.readmitted_seqs;
+        return true;
+      });
     }
     active_matches_.push_back(ActiveMatch{sender, channels, 0});
   }
@@ -665,18 +704,12 @@ void DcpimHost::token_tick(std::uint64_t phase, std::size_t match_idx) {
 }
 
 bool DcpimHost::issue_token(ActiveMatch& match) {
-  auto ids_it = rx_by_sender_.find(match.sender);
-  if (ids_it == rx_by_sender_.end()) {
-    ++counters_.pacer_skips_no_work;
-    return false;
-  }
-
   RxFlow* best = nullptr;
   const net::Flow* best_flow = nullptr;
   Bytes best_rem = Bytes::max();
   const std::uint32_t window = window_packets(match.channels);
   bool saw_window_full = false;
-  for (std::uint64_t id : ids_it->second) {
+  for (std::uint64_t id : rx_flows_from(match.sender)) {
     net::Flow* flow = network().flow(id);
     RxFlow* rx = find_state<RxFlow>(flow, Role::kReceiver);
     if (rx == nullptr) continue;
@@ -708,16 +741,9 @@ bool DcpimHost::issue_token(ActiveMatch& match) {
     return false;
   }
 
-  std::uint32_t seq;
-  if (!best->readmit.empty()) {
-    seq = best->readmit.front();
-    best->readmit.pop_front();
-  } else {
-    seq = best->next_new_seq++;
-  }
-  if (best->outstanding.emplace(seq, network().sim().now()).second) {
-    ++outstanding_total_;
-  }
+  const std::uint32_t seq =
+      best->readmit.empty() ? best->next_new_seq++ : best->readmit.pop();
+  if (best->outstanding.add(seq, network().sim().now())) ++outstanding_total_;
 
   const net::FlowRxState* st = find_rx_state(best_flow->id);
   auto tok = make_control<TokenPacket>(best_flow->src, kToken);
@@ -836,7 +862,7 @@ void DcpimHost::audit_token_accounting(std::vector<std::string>& out) const {
                   std::to_string(counters_.tokens_received) + " tokens");
   }
   // Receiver-side ledger: the aggregate outstanding-token count must equal
-  // the sum of the per-flow maps it caches.
+  // the sum of the per-flow ledgers it caches.
   std::size_t per_flow_outstanding = 0;
   const std::uint32_t window_cap = window_packets(cfg_.channels);
   for (std::uint64_t id : rx_ids_) {

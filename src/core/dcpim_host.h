@@ -11,18 +11,48 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dcpim_config.h"
 #include "core/dcpim_packets.h"
 #include "net/host.h"
 #include "net/topology.h"
+#include "sim/ring.h"
 
 namespace dcpim::core {
+
+/// A receiver flow's outstanding tokens (§3.2): the seqs issued and not yet
+/// answered by data, each with the instant it was issued, sorted by seq
+/// with no seq twice. New seqs ascend, so an issue nearly always appends;
+/// only a readmitted seq goes in mid-way. A flat vector, because a flow
+/// holds at most one window of tokens (DcpimHost::window_packets).
+class TokenLedger {
+ public:
+  using Entry = std::pair<std::uint32_t, TimePoint>;  ///< (seq, issued at)
+
+  /// Records `seq` as issued at `now`. A seq already recorded keeps its
+  /// entry and instant, and add() returns false.
+  bool add(std::uint32_t seq, TimePoint now);
+  /// Removes `seq` and returns its issue instant; kTimeUnset if absent.
+  TimePoint take(std::uint32_t seq);
+  /// Removes the entries `pred` selects, visiting all in seq order.
+  template <typename Pred>
+  void remove_if(Pred pred) {
+    std::erase_if(entries_, pred);
+  }
+  void clear() { entries_.clear(); }
+
+  std::size_t size() const { return entries_.size(); }
+  const std::vector<Entry>& entries() const { return entries_; }
+
+ private:
+  std::vector<Entry>::iterator find_slot(std::uint32_t seq);
+  std::vector<Entry> entries_;
+};
 
 class DcpimHost : public net::Host {
  public:
@@ -95,6 +125,8 @@ class DcpimHost : public net::Host {
 
  private:
   // === clock =================================================================
+  // S and E are computed on first use and kept: the fabric's cRTT is set
+  // by Topology::finalize after the hosts are built.
   Time stage_length() const;  ///< S = beta * cRTT / 2 (§3.3)
   Time epoch_length() const;  ///< E = (2r + 1) S
   Time period() const;  ///< epoch period P (E pipelined, 2E sequential)
@@ -138,18 +170,27 @@ class DcpimHost : public net::Host {
   void handle_request(const RequestPacket& req);
   void run_grant_stage(std::uint64_t m, int round);
   void handle_accept(const AcceptPacket& acc);
+  /// What the sender's pacer keeps of a received token.
+  struct QueuedToken {
+    std::uint64_t flow_id = 0;  ///< flow whose packet is admitted
+    std::uint64_t phase = 0;    ///< data phase the token belongs to
+    std::uint32_t seq = 0;      ///< admitted data packet index
+    std::uint8_t priority = 0;  ///< priority the data should use
+  };
+
   void handle_token(const TokenPacket& tok);
   /// Sender-side data pacer (§3.2): one admitted packet per MTU time, with
   /// stale tokens discarded at pop time (phase end + cRTT/2 grace).
   void sender_pacer_tick();
-  bool token_expired(const TokenPacket& tok) const;
-  void transmit_for_token(const TokenPacket& tok);
+  /// Whether a token of data phase `phase` is stale now.
+  bool token_expired(std::uint64_t phase) const;
+  void transmit_for_token(const QueuedToken& tok);
 
   // === receiver-side state ===================================================
   struct RxFlow : net::FlowState {
     std::uint32_t next_new_seq = 0;  ///< next never-admitted seq
-    std::deque<std::uint32_t> readmit;  ///< lost-token seqs to re-admit
-    std::map<std::uint32_t, TimePoint> outstanding;  ///< token->sent instant
+    sim::Ring<std::uint32_t> readmit;  ///< lost-token seqs to re-admit
+    TokenLedger outstanding;  ///< issued tokens not yet answered by data
     bool needs_matching = false;  ///< long flow, or rescued short flow
     /// Orphan-rescue deadline for a short flow whose data raced ahead of
     /// its notification: no check_short_flow timer was armed (the
@@ -187,6 +228,8 @@ class DcpimHost : public net::Host {
   /// Creates the receiver record of `flow`; a long flow also joins
   /// rx_by_sender_ for matching.
   RxFlow& create_rx(net::Flow& flow);
+  /// rx_by_sender_[sender], sizing the index on first use.
+  std::vector<std::uint64_t>& rx_flows_from(int sender);
   void check_short_flow(std::uint64_t flow_id);
   /// Epoch-boundary sweep over RxFlow::rescue_deadline (see there). Rides
   /// the existing epoch_tick event on purpose: the no-orphan common case
@@ -202,6 +245,8 @@ class DcpimHost : public net::Host {
 
   // === members ================================================================
   const DcpimConfig cfg_;
+  mutable Time stage_length_{};  ///< stage_length() once known, else 0
+  mutable Time epoch_length_{};  ///< epoch_length() once known, else 0
   Time jitter_{};
   Counters counters_;
   EpochAuditHook epoch_audit_hook_;
@@ -211,13 +256,14 @@ class DcpimHost : public net::Host {
   /// Sender-side queue of unused tokens, drained at one packet per MTU
   /// transmission time; stale entries expire instead of standing in the
   /// NIC queue (the paper's "discard unused tokens" rule, §3.2).
-  std::deque<TokenPacket> token_queue_;
+  sim::Ring<QueuedToken> token_queue_;
   bool sender_pacer_running_ = false;
   /// Ascending ids of the flows holding an RxFlow, the order
   /// audit_token_accounting walks them in.
   std::vector<std::uint64_t> rx_ids_;
-  /// Receiver-side index: sender -> flow ids that (may) need matching.
-  std::map<int, std::vector<std::uint64_t>> rx_by_sender_;
+  /// Receiver-side index by sender host id: the flow ids from that sender
+  /// that (may) need matching. Sized to the host count on first use.
+  std::vector<std::vector<std::uint64_t>> rx_by_sender_;
   /// Flow ids carrying a live RxFlow::rescue_deadline, in packet-arrival
   /// order — the sweep rescues in this order, not in flow-id order.
   std::vector<std::uint64_t> rescue_watch_;

@@ -126,11 +126,11 @@ void FaultInjector::install_loss(const fault::FaultEvent& ev) {
     // own the knob until then, and restoring a stale value would undo it.
     auto saved = std::make_shared<double>(0.0);
     net_.sim().schedule_at(ev.start, [port, rate, saved] {
-      *saved = port->mutable_config().loss_rate;
-      port->mutable_config().loss_rate = rate;
+      *saved = port->config().loss_rate;
+      port->set_loss_rate(rate);
     });
     net_.sim().schedule_at(ev.end(), [port, saved] {
-      port->mutable_config().loss_rate = *saved;
+      port->set_loss_rate(*saved);
     });
   }
 }
@@ -173,11 +173,11 @@ void FaultInjector::install_gray(const fault::FaultEvent& ev) {
     // rate (attributed as DropReason::kGrayLoss).
     auto saved = std::make_shared<double>(0.0);
     net_.sim().schedule_at(ev.start, [port, rate, saved] {
-      *saved = port->mutable_config().gray_loss_rate;
-      port->mutable_config().gray_loss_rate = rate;
+      *saved = port->config().gray_loss_rate;
+      port->set_gray_loss_rate(rate);
     });
     net_.sim().schedule_at(ev.end(), [port, saved] {
-      port->mutable_config().gray_loss_rate = *saved;
+      port->set_gray_loss_rate(*saved);
     });
   }
 }
@@ -193,11 +193,11 @@ void FaultInjector::install_degrade(const fault::FaultEvent& ev) {
       if (side == nullptr) continue;
       auto saved = std::make_shared<BitsPerSec>();
       net_.sim().schedule_at(ev.start, [side, fraction, saved] {
-        *saved = side->mutable_config().rate;
-        side->mutable_config().rate = *saved * fraction;
+        *saved = side->config().rate;
+        side->set_rate(*saved * fraction);
       });
       net_.sim().schedule_at(ev.end(), [side, saved] {
-        side->mutable_config().rate = *saved;
+        side->set_rate(*saved);
       });
     }
   }

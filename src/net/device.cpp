@@ -1,5 +1,6 @@
 #include "net/device.h"
 
+#include <bit>
 #include <utility>
 
 #include "net/network.h"
@@ -51,6 +52,7 @@ Port::Port(Device& owner, int index, PortConfig cfg)
     : net_(owner.network()),
       owner_(owner),
       cfg_(cfg),
+      byte_time_(exact_byte_time(cfg.rate)),
       index_(index),
       fault_rng_(fault_stream_seed(owner.network().config().seed,
                                    owner.device_id(), index)) {
@@ -61,17 +63,18 @@ Port::Port(Device& owner, int index, PortConfig cfg)
 void Port::connect(Device* peer, Port* reverse) {
   peer_ = peer;
   reverse_ = reverse;
+  reverse_pfc_ = reverse != nullptr && reverse->config().pfc_enable;
   arrival_delay_ = cfg_.propagation + (peer->kind() == Device::Kind::Switch
                                            ? kSwitchLatency
                                            : kHostLatency);
 }
 
+void Port::set_rate(BitsPerSec rate) {
+  cfg_.rate = rate;
+  byte_time_ = exact_byte_time(rate);
+}
+
 Time Port::tx_time(Bytes bytes) const {
-  // Degrade faults and tests rewrite the rate through mutable_config().
-  if (cfg_.rate != byte_time_rate_) {
-    byte_time_rate_ = cfg_.rate;
-    byte_time_ = exact_byte_time(cfg_.rate);
-  }
   return byte_time_ > Time{} ? byte_time_ * (bytes / Bytes{1})
                              : serialization_time(bytes, cfg_.rate);
 }
@@ -159,6 +162,7 @@ void Port::enqueue(PacketPtr p) {
   qbytes_[prio] += p->size;
   total_qbytes_ += p->size;
   queues_[prio].push(std::move(p));
+  nonempty_ = static_cast<std::uint8_t>(nonempty_ | 1u << prio);
   try_transmit();
 }
 
@@ -181,13 +185,11 @@ void Port::set_stalled(bool stalled) {
 }
 
 int Port::next_priority_to_send() const {
+  static_assert(kNumPriorities == 8, "nonempty_ has one bit per priority");
   if (!link_up_ || stalled_) return -1;
-  for (int prio = 0; prio < kNumPriorities; ++prio) {
-    if (queues_[prio].empty()) continue;
-    if (paused_ && prio != 0) return -1;  // PFC pauses all but control
-    return prio;
-  }
-  return -1;
+  // PFC pauses all but control: a paused port sees only priority 0.
+  const unsigned ready = paused_ ? nonempty_ & 1u : nonempty_;
+  return ready == 0 ? -1 : std::countr_zero(ready);
 }
 
 // sa-hot: per-packet dequeue/serialization path.
@@ -197,15 +199,20 @@ void Port::try_transmit() {
   if (prio < 0) return;
 
   PacketPtr p = queues_[prio].pop();
+  if (queues_[prio].empty()) {
+    nonempty_ = static_cast<std::uint8_t>(nonempty_ & ~(1u << prio));
+  }
   qbytes_[prio] -= p->size;
   total_qbytes_ -= p->size;
-  owner_.on_packet_departed(*p);
+  // Only a packet a switch buffered against a PFC ingress has a departure
+  // to account (Switch::on_packet_departed).
+  if (p->pfc_ingress >= 0) owner_.on_packet_departed(*p);
 
   if (p->collect_int) {
     // HPCC INT: stamp egress state at dequeue time.
     // sa-ok(hot-alloc): HPCC telemetry only (collect_int), and the vector
     // is bounded by the path hop count (<= 5 in a fat-tree).
-    p->int_hops.push_back(IntHopRecord{
+    packet_cast<IntPacket>(*p).int_hops.push_back(IntHopRecord{
         .qlen = total_qbytes_,
         .tx_bytes = tx_bytes,
         .rate = cfg_.rate,
@@ -237,13 +244,15 @@ void Port::on_event(unsigned kind) {
     try_transmit();
     return;
   }
-  peer_->receive(inflight_.pop(), reverse_);
+  peer_->receive(inflight_.pop(), reverse_pfc_ ? reverse_ : nullptr);
 }
 
 Device::Device(Network& net, Kind kind, std::string name)
     : net_(net), kind_(kind), name_(std::move(name)) {}
 
 Port* Device::add_port(const PortConfig& cfg) {
+  DCPIM_CHECK_LT(ports.size(), std::size_t{1} << 15,
+                 "a device's port indices must fit Packet::pfc_ingress");
   ports.push_back(
       std::make_unique<Port>(*this, static_cast<int>(ports.size()), cfg));
   on_port_added(*ports.back());

@@ -78,7 +78,8 @@ class Port final : public sim::EventTarget {
 
   /// Wires this port to its peer device; `reverse` is the peer's port that
   /// sends back over the same link (used for PFC pause signalling). Fixes
-  /// arrival_delay().
+  /// arrival_delay(), and whether arrivals name `reverse` as their ingress
+  /// (only when it runs PFC; see Device::receive).
   void connect(Device* peer, Port* reverse);
 
   /// Admits a packet to the egress queue, applying drop/trim/mark features,
@@ -112,7 +113,12 @@ class Port final : public sim::EventTarget {
   Port* reverse() const { return reverse_; }
   int index() const { return index_; }
   const PortConfig& config() const { return cfg_; }
-  PortConfig& mutable_config() { return cfg_; }
+
+  /// Runtime rewrites of the link (degrade and loss faults, tests); the
+  /// rest of the config is fixed at construction.
+  void set_rate(BitsPerSec rate);
+  void set_loss_rate(double rate) { cfg_.loss_rate = rate; }
+  void set_gray_loss_rate(double rate) { cfg_.gray_loss_rate = rate; }
 
   Bytes queued_bytes() const { return total_qbytes_; }
   Bytes queued_bytes(int priority) const { return qbytes_[priority]; }
@@ -135,7 +141,7 @@ class Port final : public sim::EventTarget {
   /// Drops `p`, releasing switch-side (PFC) accounting and firing the
   /// network drop observers with the attributed reason.
   void drop_packet(PacketPtr p, DropReason reason);
-  /// True if some queue with a transmittable packet is non-empty.
+  /// The highest priority with a transmittable packet queued, or -1.
   int next_priority_to_send() const;
 
   // Layout: enqueue, try_transmit and on_event touch the members from here
@@ -147,6 +153,10 @@ class Port final : public sim::EventTarget {
   bool paused_ = false;
   bool link_up_ = true;
   bool stalled_ = false;
+  /// Bit p set while queues_[p] holds a packet.
+  std::uint8_t nonempty_ = 0;
+  /// reverse_ runs PFC, so arrivals name it as their ingress (connect()).
+  bool reverse_pfc_ = false;
   Network& net_;
   Device& owner_;
   Device* peer_ = nullptr;
@@ -156,10 +166,9 @@ class Port final : public sim::EventTarget {
   PortConfig cfg_;
   Time arrival_delay_{};
   Bytes total_qbytes_{};
-  /// tx_time()'s cache: the whole picoseconds per byte (exact_byte_time;
-  /// Time{} when not whole) of byte_time_rate_, the rate it last saw.
-  mutable Time byte_time_{};
-  mutable BitsPerSec byte_time_rate_{};
+  /// The whole picoseconds per byte at cfg_.rate (exact_byte_time; Time{}
+  /// when not whole), kept by the constructor and set_rate().
+  Time byte_time_{};
   TimePoint last_arrival_{};  ///< arrival time of the newest in-flight packet
   std::array<PacketRing, kNumPriorities> queues_;
   PacketRing inflight_;  ///< serialized and propagating, oldest first
@@ -187,19 +196,24 @@ class Device {
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
 
-  /// Called when a packet finishes arriving on the link whose local ingress
-  /// identity is `in` (the device's own port facing the sender); `in` is
-  /// nullptr for host-injected packets.
+  /// Called when a packet finishes arriving over a link. `in` is the
+  /// device's own port facing the sender when that port runs PFC (the only
+  /// use a receiver has for it), and nullptr otherwise — on links without
+  /// PFC and for host-injected packets.
   virtual void receive(PacketPtr p, Port* in) = 0;
 
   /// Hook invoked by a Port when a buffered packet starts transmission
-  /// (i.e. leaves this device's buffer). Used for PFC accounting.
+  /// (i.e. leaves this device's buffer) or is dropped. Used for PFC
+  /// accounting, so a transmitted packet reports only if it carries a PFC
+  /// ingress tag (Packet::pfc_ingress).
   virtual void on_packet_departed(const Packet& /*p*/) {}
 
   /// Called after add_port() attaches a new port — topology-build time, so
   /// subclasses size per-port state here instead of lazily on the hot path.
   virtual void on_port_added(Port& /*port*/) {}
 
+  /// DCPIM_CHECKs that the device stays below 2^15 ports, the range of
+  /// Packet::pfc_ingress.
   Port* add_port(const PortConfig& cfg);
 
   Network& network() const { return net_; }

@@ -25,7 +25,8 @@ void Host::send(PacketPtr p) {
 // the network's PacketPool: acquire() here, release at whichever drop or
 // delivery site destroys the PacketPtr (PacketDeleter funnels them back).
 PacketPtr Host::make_data_packet(const Flow& flow, DataPacketSpec spec) const {
-  PacketPtr p = network().packet_pool().acquire();
+  PacketPool& pool = network().packet_pool();
+  PacketPtr p = spec.collect_int ? pool.acquire_int() : pool.acquire();
   p->src = flow.src;
   p->dst = flow.dst;
   p->flow_id = flow.id;

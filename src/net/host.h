@@ -58,6 +58,7 @@ class Host : public Device {
     std::uint32_t seq = 0;      ///< data packet index within the flow
     std::uint8_t priority = 0;  ///< strict-priority queue at every port
     bool unscheduled = false;   ///< sent without receiver admission
+    bool collect_int = false;   ///< an IntPacket that gathers HPCC telemetry
   };
 
   /// Builds a data packet for `flow` packet index `spec.seq`.

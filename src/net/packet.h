@@ -4,7 +4,7 @@
 // types from it and dispatch on `kind`. The base carries everything the
 // network layer (ports, switches) needs — wire size, priority, and the
 // per-feature flags used by ECN marking, NDP trimming, Aeolus selective
-// dropping, and HPCC INT telemetry.
+// dropping, and HPCC INT telemetry (whose records ride in IntPacket).
 #pragma once
 
 #include <cstdint>
@@ -26,6 +26,10 @@ struct IntHopRecord {
   TimePoint timestamp{};  ///< dequeue timestamp
 };
 
+/// A data packet is touched at every hop, so the base packet is one 64-byte
+/// line: the vtable pointer, the 8-byte fields, the 4-byte fields, then the
+/// one-byte flags and the 2-byte PFC tag. HPCC's telemetry lives in
+/// IntPacket, not here.
 struct Packet {
   // --- addressing ------------------------------------------------------
   int src = -1;  ///< source host id
@@ -35,69 +39,67 @@ struct Packet {
   // --- wire properties ---------------------------------------------------
   Bytes size{};          ///< bytes on the wire, headers included
   Bytes payload{};       ///< application payload bytes (0 for control)
-  std::uint8_t priority = 0;  ///< 0 = highest; strict priority at every port
-  bool control = false;  ///< control-plane packet (notifications, tokens, ...)
-
-  // --- data packet identity ---------------------------------------------
-  std::uint32_t seq = 0;  ///< data packet index within the flow
-
-  // --- per-feature flags (network layer) ---------------------------------
-  bool unscheduled = false;  ///< sent without receiver admission (Aeolus drop)
-  bool ecn_ce = false;       ///< ECN congestion-experienced mark
-  bool trimmed = false;      ///< NDP: payload removed in-network
-  std::vector<IntHopRecord> int_hops;  ///< HPCC telemetry (empty otherwise)
-  bool collect_int = false;            ///< switches append INT records if set
-
-  // --- transient network-layer tags ---------------------------------------
-  /// While buffered in a switch: local ingress port index (PFC accounting).
-  int pfc_ingress = -1;
 
   /// Simulation time the packet was created (set by Host factories;
   /// kTimeUnset if hand-built). Used for latency accounting and debugging.
   TimePoint created_at = kTimeUnset;
 
+  // --- data packet identity ---------------------------------------------
+  std::uint32_t seq = 0;  ///< data packet index within the flow
+
   // --- protocol dispatch --------------------------------------------------
   /// Protocol-defined discriminator; each protocol defines its own enum.
   int kind = 0;
+
+  std::uint8_t priority = 0;  ///< 0 = highest; strict priority at every port
+  bool control = false;  ///< control-plane packet (notifications, tokens, ...)
+
+  // --- per-feature flags (network layer) ---------------------------------
+  bool unscheduled = false;  ///< sent without receiver admission (Aeolus drop)
+  bool ecn_ce = false;       ///< ECN congestion-experienced mark
+  bool trimmed = false;      ///< NDP: payload removed in-network
+  /// Set exactly on IntPackets: ports append an INT record to int_hops.
+  bool collect_int = false;
+
+  // --- transient network-layer tags ---------------------------------------
+  /// While buffered in a switch: local ingress port index (PFC accounting).
+  /// Device::add_port keeps every port index below 2^15.
+  std::int16_t pfc_ingress = -1;
 
   Packet() = default;
   virtual ~Packet() = default;
   Packet(const Packet&) = default;
   Packet& operator=(const Packet&) = default;
 
-  /// Returns every field to its freshly-constructed value so a recycled
-  /// packet is indistinguishable from `Packet{}`. `int_hops` is cleared but
-  /// keeps its capacity — that retained buffer is the point of pooling for
-  /// INT-heavy runs. Must cover every field; `is_pristine()` is the audit
-  /// counterpart and the two must stay in lockstep.
-  void reset_transient() {
-    src = -1;
-    dst = -1;
-    flow_id = UINT64_MAX;
-    size = Bytes{};
-    payload = Bytes{};
-    priority = 0;
-    control = false;
-    seq = 0;
-    unscheduled = false;
-    ecn_ce = false;
-    trimmed = false;
-    int_hops.clear();
-    collect_int = false;
-    pfc_ingress = -1;
-    created_at = kTimeUnset;
-    kind = 0;
-  }
+  /// Field-wise equality of the Packet part (derived fields are ignored).
+  bool operator==(const Packet&) const = default;
+
+  /// Returns every field to its freshly-constructed value, so a recycled
+  /// packet is indistinguishable from `Packet{}`.
+  void reset_transient() { *this = Packet{}; }
 
   /// True when every field holds its default — what reset_transient()
   /// guarantees and the packet-pool-hygiene audit probe asserts for every
   /// parked packet.
+  bool is_pristine() const { return *this == Packet{}; }
+};
+
+static_assert(sizeof(Packet) == 64, "a Packet is one cache line");
+
+/// A data packet that gathers HPCC in-band telemetry: each egress port
+/// appends one record at dequeue. Only PacketPool::acquire_int() makes one
+/// (through Host::make_data_packet), and it sets `collect_int`.
+struct IntPacket final : Packet {
+  std::vector<IntHopRecord> int_hops;
+
+  /// Packet's reset, plus the records cleared; the vector keeps its
+  /// capacity, which is the point of pooling INT-heavy runs.
+  void reset_transient() {
+    Packet::reset_transient();
+    int_hops.clear();
+  }
   bool is_pristine() const {
-    return src == -1 && dst == -1 && flow_id == UINT64_MAX &&
-           size == Bytes{} && payload == Bytes{} && priority == 0 &&
-           !control && seq == 0 && !unscheduled && !ecn_ce && !trimmed &&
-           int_hops.empty() && !collect_int && pfc_ingress == -1 &&
-           created_at == kTimeUnset && kind == 0;
+    return Packet::is_pristine() && int_hops.empty();
   }
 };
 

@@ -1,19 +1,23 @@
 // Free-list recycler for data packets (DESIGN.md §13).
 //
-// Every data packet in a run has the same shape — the exact type `Packet`,
-// built by Host::make_data_packet and destroyed a handful of events later at
-// a drop or delivery site. Heap-allocating each one makes the allocator the
+// Every data packet in a run has one of two shapes — the exact type
+// `Packet`, or `IntPacket` when the sender is HPCC — built by
+// Host::make_data_packet and destroyed a handful of events later at a drop
+// or delivery site. Heap-allocating each one makes the allocator the
 // hottest call in the simulator; this pool replaces that churn with a
-// push/pop on a vector of parked packets.
+// push/pop on a vector of parked packets, one vector per shape.
 //
 // Contract (enforced by the sa-lifetime analyzer, the packet-pool-hygiene
 // audit probe, and the fingerprint-identity regression test):
 //
-//   * Only acquire() creates pool-owned packets, and it only ever creates
-//     exact-type `Packet` — derived control packets never enter the free
-//     list, so no parked object is ever re-issued as the wrong type.
-//   * release() runs Packet::reset_transient() before parking, so an
-//     acquired packet is bit-for-bit a fresh `Packet{}` (minus the retained
+//   * Only acquire() and acquire_int() create pool-owned packets, and they
+//     only ever create exact-type `Packet` and `IntPacket` respectively —
+//     derived control packets never enter a free list, and release() parks
+//     a packet on its own type's list (an IntPacket is the packet with
+//     `collect_int` set), so no parked object is re-issued as the wrong
+//     type.
+//   * release() resets a packet before parking it, so an acquired packet
+//     is bit-for-bit a fresh `Packet{}` (an IntPacket keeps only its
 //     int_hops capacity). Pooling is therefore behaviour-invariant:
 //     test_packet_pool checks result fingerprints pool-on vs pool-off.
 //   * Recycling is automatic: PacketDeleter routes dying PacketPtrs here,
@@ -25,6 +29,7 @@
 //     before the pool itself dies.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -47,9 +52,12 @@ class PacketPool {
   /// plain allocation whose deleter bypasses the pool entirely (the A/B arm
   /// of the fingerprint-identity test).
   PacketPtr acquire();
+  /// The same for an IntPacket, handed out with `collect_int` set.
+  PacketPtr acquire_int();
 
-  /// Parks `p` for reuse after wiping it back to its default-constructed
-  /// state. Called by PacketDeleter only — sites never release directly.
+  /// Parks `p` on its type's free list after wiping it back to its
+  /// default-constructed state. Called by PacketDeleter only — sites never
+  /// release directly.
   void release(Packet* p);
 
   bool enabled() const { return enabled_; }
@@ -61,21 +69,25 @@ class PacketPool {
   /// Pool-owned packets currently out in the network: in flight through
   /// port queues, scheduled events, or protocol hands.
   std::uint64_t outstanding() const { return acquired_ - released_; }
-  std::size_t parked() const { return free_.size(); }
+  std::size_t parked() const { return free_[0].size() + free_[1].size(); }
 
   /// Audit hook: every parked packet must look freshly constructed. Returns
-  /// the number of parked packets violating Packet::is_pristine().
+  /// the number of parked packets violating is_pristine().
   std::size_t parked_dirty_count() const;
 
  private:
+  template <typename T>
+  PacketPtr acquire_as();
+
   bool enabled_ = true;
   std::uint64_t acquired_ = 0;
   std::uint64_t released_ = 0;
   std::uint64_t recycled_ = 0;
   // sa-ok(lifetime): the pool IS the owner the escape analysis protects —
-  // parked packets are reachable only from this free list until acquire()
-  // re-issues them, and ~PacketPool deletes whatever remains.
-  std::vector<Packet*> free_;  ///< parked packets, owned by the pool
+  // parked packets are reachable only from these free lists until an
+  // acquire re-issues them, and ~PacketPool deletes whatever remains.
+  // Indexed by `collect_int`: Packets in free_[0], IntPackets in free_[1].
+  std::array<std::vector<Packet*>, 2> free_;
 };
 
 }  // namespace dcpim::net

@@ -128,9 +128,12 @@ void Switch::on_port_added(Port& /*port*/) {
 }
 
 void Switch::pfc_account_arrival(Packet& p, Port* in) {
-  if (in == nullptr || !in->config().pfc_enable) return;
+  // A port names its reverse as the ingress only when that runs PFC
+  // (Device::receive), so a hop without PFC never touches the ingress.
+  if (in == nullptr) return;
+  DCPIM_DCHECK(in->config().pfc_enable, "ingress named without PFC");
   const auto idx = static_cast<std::size_t>(in->index());
-  p.pfc_ingress = in->index();
+  p.pfc_ingress = static_cast<std::int16_t>(in->index());
   ingress_bytes_[idx] += p.size;
   pfc_update(in->index());
 }

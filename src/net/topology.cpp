@@ -2,31 +2,54 @@
 
 #include <algorithm>
 #include <array>
-#include "util/check.h"
-#include <deque>
 #include <limits>
+#include <span>
 #include <string>
 
+#include "util/check.h"
 #include "util/logging.h"
 
 namespace dcpim::net {
 
 namespace {
 
-/// BFS distances (in device-graph hops) from `start` over connected ports.
-std::vector<int> bfs_distances(const Network& net, const Device* start) {
-  std::vector<int> dist(net.devices().size(), -1);
-  std::deque<const Device*> frontier;
-  dist[static_cast<std::size_t>(start->device_id())] = 0;
-  frontier.push_back(start);
-  while (!frontier.empty()) {
-    const Device* dev = frontier.front();
-    frontier.pop_front();
-    const int d = dist[static_cast<std::size_t>(dev->device_id())];
-    for (const auto& port : dev->ports) {
-      const Device* peer = port->peer();
-      if (peer == nullptr) continue;
-      auto& pd = dist[static_cast<std::size_t>(peer->device_id())];
+/// The device graph as one flat adjacency list (CSR): the peer device id of
+/// port i of device d is peer[begin[d] + i], or -1 when the port is not
+/// wired. Built once per finalize, so the per-host BFS touches no Port.
+struct Adjacency {
+  std::vector<std::uint32_t> begin;  ///< one per device, plus the end
+  std::vector<int> peer;
+
+  explicit Adjacency(const Network& net) {
+    begin.reserve(net.devices().size() + 1);
+    begin.push_back(0);
+    for (const auto& dev : net.devices()) {
+      for (const auto& port : dev->ports) {
+        peer.push_back(port->peer() != nullptr ? port->peer()->device_id()
+                                               : -1);
+      }
+      begin.push_back(static_cast<std::uint32_t>(peer.size()));
+    }
+  }
+  std::span<const int> peers(int dev) const {
+    const auto d = static_cast<std::size_t>(dev);
+    return {peer.data() + begin[d], peer.data() + begin[d + 1]};
+  }
+};
+
+/// BFS distances (in device-graph hops) from device `start`. The caller
+/// passes `frontier` in so its buffer is reused across calls.
+std::vector<int> bfs_distances(const Adjacency& adj, int start,
+                               std::vector<int>& frontier) {
+  std::vector<int> dist(adj.begin.size() - 1, -1);
+  dist[static_cast<std::size_t>(start)] = 0;
+  frontier.assign(1, start);
+  for (std::size_t next = 0; next < frontier.size(); ++next) {
+    const int dev = frontier[next];
+    const int d = dist[static_cast<std::size_t>(dev)];
+    for (const int peer : adj.peers(dev)) {
+      if (peer < 0) continue;
+      int& pd = dist[static_cast<std::size_t>(peer)];
       if (pd < 0) {
         pd = d + 1;
         frontier.push_back(peer);
@@ -41,30 +64,33 @@ std::vector<int> bfs_distances(const Network& net, const Device* start) {
 void Topology::finalize(Network& net) {
   num_hosts_ = net.num_hosts();
   const auto& devices = net.devices();
+  const Adjacency adj(net);
 
   // dist_to_host[h][dev] = hops from dev to host h.
   std::vector<std::vector<int>> dist_to_host(
       static_cast<std::size_t>(num_hosts_));
+  std::vector<int> frontier;
   for (int h = 0; h < num_hosts_; ++h) {
     dist_to_host[static_cast<std::size_t>(h)] =
-        bfs_distances(net, net.host(h));
+        bfs_distances(adj, net.host(h)->device_id(), frontier);
   }
 
-  // Next-hop candidate tables for every switch.
+  // Next-hop candidate tables for every switch: the ports whose peer is
+  // one hop closer to the destination, in port order.
   for (const auto& dev : devices) {
     if (dev->kind() != Device::Kind::Switch) continue;
     auto* sw = static_cast<Switch*>(dev.get());
+    const std::span<const int> peers = adj.peers(sw->device_id());
     std::vector<std::vector<std::uint16_t>> table(
         static_cast<std::size_t>(num_hosts_));
     for (int h = 0; h < num_hosts_; ++h) {
       const auto& dist = dist_to_host[static_cast<std::size_t>(h)];
       const int my_dist = dist[static_cast<std::size_t>(sw->device_id())];
       auto& cands = table[static_cast<std::size_t>(h)];
-      for (const auto& port : sw->ports) {
-        const Device* peer = port->peer();
-        if (peer == nullptr) continue;
-        if (dist[static_cast<std::size_t>(peer->device_id())] == my_dist - 1) {
-          cands.push_back(static_cast<std::uint16_t>(port->index()));
+      for (std::size_t i = 0; i < peers.size(); ++i) {
+        if (peers[i] >= 0 &&
+            dist[static_cast<std::size_t>(peers[i])] == my_dist - 1) {
+          cands.push_back(static_cast<std::uint16_t>(i));
         }
       }
       DCPIM_CHECK(my_dist < 0 || !cands.empty(), "unroutable destination");
@@ -72,32 +98,40 @@ void Topology::finalize(Network& net) {
     sw->set_next_hops(table);
   }
 
-  // Per-pair hop-count classes plus a canonical path profile per class.
-  pair_class_.assign(
-      static_cast<std::size_t>(num_hosts_) * static_cast<std::size_t>(num_hosts_),
-      0);
-  // Which hop counts have a profile: a flag per class (hops < 256) instead
-  // of a map lookup per host pair keeps this loop off the set-up time.
-  std::array<bool, 256> profiled{};
-  for (int s = 0; s < num_hosts_; ++s) {
-    for (int d = 0; d < num_hosts_; ++d) {
+  // Per-pair hop-count classes, filled one destination at a time so each
+  // pass reads a single distance vector.
+  const auto n = static_cast<std::size_t>(num_hosts_);
+  std::vector<std::size_t> host_dev(n);
+  for (std::size_t h = 0; h < n; ++h) {
+    host_dev[h] =
+        static_cast<std::size_t>(net.host(static_cast<int>(h))->device_id());
+  }
+  pair_class_.assign(n * n, 0);
+  for (std::size_t d = 0; d < n; ++d) {
+    const auto& dist = dist_to_host[d];
+    for (std::size_t s = 0; s < n; ++s) {
       if (s == d) continue;
-      const auto& dist = dist_to_host[static_cast<std::size_t>(d)];
-      const Device* src_host = net.host(s);
-      const int hops = dist[static_cast<std::size_t>(src_host->device_id())];
+      const int hops = dist[host_dev[s]];
       DCPIM_CHECK(hops > 0 && hops < 256, "host pair has no path");
-      pair_class_[static_cast<std::size_t>(s) *
-                      static_cast<std::size_t>(num_hosts_) +
-                  static_cast<std::size_t>(d)] =
-          static_cast<std::uint8_t>(hops);
-      if (profiled[static_cast<std::size_t>(hops)]) continue;
-      profiled[static_cast<std::size_t>(hops)] = true;
+      pair_class_[s * n + d] = static_cast<std::uint8_t>(hops);
+    }
+  }
+  // A canonical path profile per class, walked for the first pair in
+  // source-then-destination order that has it. A flag per class (hops <
+  // 256) instead of a map lookup per host pair keeps this loop cheap.
+  std::array<bool, 256> profiled{};
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t d = 0; d < n; ++d) {
+      const std::uint8_t hops = pair_class_[s * n + d];
+      if (s == d || profiled[hops]) continue;
+      profiled[hops] = true;
+      const auto& dist = dist_to_host[d];
 
       // Walk one canonical shortest path, accumulating fixed latency and
       // per-link rates.
       PathProfile prof;
-      const Device* cur = src_host;
-      while (cur->device_id() != net.host(d)->device_id()) {
+      const Device* cur = net.host(static_cast<int>(s));
+      while (static_cast<std::size_t>(cur->device_id()) != host_dev[d]) {
         const Port* chosen = nullptr;
         const int cur_dist = dist[static_cast<std::size_t>(cur->device_id())];
         for (const auto& port : cur->ports) {

@@ -58,9 +58,9 @@ void WindowHost::try_send(const net::Flow& flow, WFlow& f) {
       if (f.next_new_seq >= flow.seq_count()) return;
       seq = f.next_new_seq++;
     }
-    auto p = make_data_packet(flow, {.seq = seq, .priority = kDataPriority});
-    p->collect_int = collect_int_;
-    send(std::move(p));
+    send(make_data_packet(flow, {.seq = seq,
+                                 .priority = kDataPriority,
+                                 .collect_int = collect_int_}));
     f.inflight[seq] = network().sim().now();
     ++counters_.data_sent;
   }
@@ -99,7 +99,9 @@ void WindowHost::handle_data(net::PacketPtr p) {
   const net::FlowRxState* st = find_rx_state(id);
   ack->cumulative_ack = st != nullptr ? st->first_missing() : 0;
   ack->ecn_echo = p->ecn_ce;
-  ack->int_echo = std::move(p->int_hops);
+  if (p->collect_int) {
+    ack->int_echo = std::move(net::packet_cast<net::IntPacket>(*p).int_hops);
+  }
   send(std::move(ack));
 }
 

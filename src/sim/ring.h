@@ -32,6 +32,9 @@ class Ring {
     DCPIM_DCHECK(!empty(), "front of an empty ring");
     return slots_[head_ & (cap_ - 1)];
   }
+  void clear() {
+    while (!empty()) pop();
+  }
 
  private:
   void grow();

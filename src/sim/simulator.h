@@ -114,6 +114,15 @@ inline std::uint64_t event_key(std::uint64_t seq, std::uint32_t tag,
   return seq << kEventSeqShift | std::uint64_t{tag} << kEventIndexBits | index;
 }
 
+/// The queue's order key of an event at `t` with key `key`: the time in
+/// the high 64 bits above the key, so one unsigned compare orders events by
+/// (time, seq). Queued times are never negative (nothing is scheduled
+/// before now(), which starts at 0), so the unsigned time keeps its order.
+inline unsigned __int128 event_order(TimePoint t, std::uint64_t key) {
+  const auto ps = static_cast<std::uint64_t>(t.since_start() / kPicosecond);
+  return static_cast<unsigned __int128>(ps) << 64 | key;
+}
+
 /// Receiver of typed events: a Simulator-registered object whose events
 /// carry no callback, only a kind (0 or 1) that on_event() dispatches on.
 /// Registration assigns the id the heap key stores; a target must outlive
@@ -184,8 +193,7 @@ class Simulator {
     TimePoint t{};
     std::uint64_t key = 0;  ///< event_key(seq, tag, index): seq is the tie-break
     bool before(const Entry& o) const {
-      // Bitwise, not short-circuit: the comparison itself takes no branch.
-      return (t < o.t) | ((t == o.t) & (key < o.key));
+      return event_order(t, key) < event_order(o.t, o.key);
     }
   };
   static_assert(sizeof(Entry) == 16, "queue entries are {time, key}");

@@ -2,9 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <tuple>
+#include <vector>
 
+#include "campaign/spec.h"
 #include "core/dcpim_host.h"
+#include "harness/experiment.h"
+#include "harness/report.h"
 #include "net/topology.h"
 #include "workload/generator.h"
 
@@ -220,6 +225,88 @@ TEST_P(DcpimBetaTest, LongFlowCompletes) {
 
 INSTANTIATE_TEST_SUITE_P(Slack, DcpimBetaTest,
                          ::testing::Values(1.0, 1.1, 1.3, 2.0, 3.0));
+
+// ---- the receiver's token ledger ----------------------------------------------
+
+std::vector<std::uint32_t> ledger_seqs(const TokenLedger& ledger) {
+  std::vector<std::uint32_t> seqs;
+  for (const auto& [seq, issued] : ledger.entries()) seqs.push_back(seq);
+  return seqs;
+}
+
+TEST(TokenLedgerTest, ReadmittedSeqBelowTheTailGoesInInOrder) {
+  TokenLedger ledger;
+  for (std::uint32_t seq = 10; seq < 14; ++seq) {
+    EXPECT_TRUE(ledger.add(seq, TimePoint(ns(seq))));
+  }
+  // Seq 11's data arrives; then a timed-out seq 3 and seq 11 come back.
+  EXPECT_EQ(ledger.take(11), TimePoint(ns(11)));
+  EXPECT_TRUE(ledger.add(3, TimePoint(us(1))));
+  EXPECT_TRUE(ledger.add(11, TimePoint(us(2))));
+  EXPECT_EQ(ledger_seqs(ledger),
+            (std::vector<std::uint32_t>{3, 10, 11, 12, 13}));
+  EXPECT_EQ(ledger.take(11), TimePoint(us(2)));
+  EXPECT_EQ(ledger.take(11), kTimeUnset) << "a seq is answered once";
+  EXPECT_EQ(ledger.take(99), kTimeUnset);
+}
+
+TEST(TokenLedgerTest, DuplicateSeqIsNotCountedTwice) {
+  // DcpimHost counts outstanding_total_ by add()'s result, so a seq issued
+  // while still outstanding must neither add an entry nor report one.
+  TokenLedger ledger;
+  std::size_t total = 0;
+  for (const std::uint32_t seq : {5u, 6u, 7u, 6u, 5u, 7u}) {
+    if (ledger.add(seq, TimePoint(us(seq)))) ++total;
+  }
+  EXPECT_EQ(total, 3u);
+  EXPECT_EQ(ledger.size(), total);
+  // The first issue instant stands, as with std::map::emplace.
+  EXPECT_EQ(ledger.entries().front().second, TimePoint(us(5)));
+}
+
+TEST(TokenLedgerTest, RemoveIfVisitsInSeqOrder) {
+  TokenLedger ledger;
+  for (const std::uint32_t seq : {4u, 8u, 2u, 6u}) {
+    ledger.add(seq, TimePoint(us(seq)));
+  }
+  std::vector<std::uint32_t> removed;
+  ledger.remove_if([&removed](const TokenLedger::Entry& e) {
+    if (e.first % 4 != 0) return false;
+    removed.push_back(e.first);
+    return true;
+  });
+  EXPECT_EQ(removed, (std::vector<std::uint32_t>{4, 8}));
+  EXPECT_EQ(ledger_seqs(ledger), (std::vector<std::uint32_t>{2, 6}));
+}
+
+/// Lossy dcPIM golden: random loss on every port plus a token-kill window,
+/// with the auditor on. Receivers time out hundreds of tokens here
+/// (readmitted_seqs is ~900 summed over the hosts) and re-admit them in
+/// seq order, so the pinned digest moves if the token ledger changes that
+/// order or its accounting. A change that only speeds up the token path
+/// must leave it as it is.
+TEST(DcpimGoldenTest, LossyCellWithReadmissionsIsPinned) {
+  harness::ExperimentConfig cfg;
+  cfg.protocol = harness::Protocol::Dcpim;
+  cfg.racks = 2;
+  cfg.hosts_per_rack = 4;
+  cfg.spines = 2;
+  cfg.workload = "imc10";
+  cfg.load = 0.6;
+  cfg.gen_stop = TimePoint(us(200));
+  cfg.measure_start = TimePoint(us(20));
+  cfg.measure_end = TimePoint(us(200));
+  cfg.horizon = TimePoint(ms(5));
+  cfg.audit = true;
+  cfg.loss_rate = 0.01;
+  cfg.faults = "drop:token:0.2@30us:60us";
+  const harness::ExperimentResult res = harness::run_experiment(cfg);
+  EXPECT_TRUE(res.audit.clean()) << harness::format_audit_summary(res.audit);
+  EXPECT_EQ(res.flows_done, res.flows_total);
+  EXPECT_GT(res.recovery.recovery_actions, 0u);
+  EXPECT_EQ(campaign::fnv1a(harness::result_fingerprint(res)),
+            0x805bca64feb78062ull);
+}
 
 }  // namespace
 }  // namespace dcpim::core

@@ -135,7 +135,7 @@ TEST(LbPolicyTest, EcmpWeightedFollowsDegradedRate) {
   (void)topo;
   Port* slow = uplink_to(net, "leaf0", "spine0");
   ASSERT_NE(slow, nullptr);
-  slow->mutable_config().rate = slow->config().rate / 100;
+  slow->set_rate(slow->config().rate / 100);
   net.create_flow(0, 1, Bytes{600'000}, TimePoint{});
   net.sim().run();
   // Weights follow the current rate: the brownout link receives ~1/301 of

@@ -210,6 +210,41 @@ TEST(PortTest, PausedPortSendsOnlyControl) {
   EXPECT_EQ(f.b->received.size(), 2u);
 }
 
+TEST(PortTest, PausedPortStillSendsPriorityZero) {
+  // PFC pauses every priority but 0, whatever the packet is: a priority-0
+  // data packet goes out alongside control, and the rest wait.
+  TwoHostFixture f(fast_link());
+  f.a->nic()->set_paused(true);
+  PacketPtr data0 = f.a->make_raw(1, Bytes{1500}, 0, false);
+  data0->seq = 7;
+  f.a->inject(f.a->make_raw(1, Bytes{1500}, 3, false));
+  f.a->inject(std::move(data0));
+  f.a->inject(f.a->make_raw(1, Bytes{64}, 0, true));
+  f.net.sim().run(TimePoint(us(100)));
+  ASSERT_EQ(f.b->received.size(), 2u);
+  EXPECT_FALSE(f.b->received[0]->control);
+  EXPECT_EQ(f.b->received[0]->seq, 7u);
+  EXPECT_TRUE(f.b->received[1]->control);
+  EXPECT_EQ(f.a->nic()->queued_bytes(3), Bytes{1500});
+}
+
+TEST(PortTest, PauseEndResumesHighestPriorityFirst) {
+  TwoHostFixture f(fast_link());
+  f.a->nic()->set_paused(true);
+  for (const std::uint8_t prio : {5, 3, 7, 1, 3}) {
+    f.a->inject(f.a->make_raw(1, Bytes{1500}, prio, false));
+  }
+  f.net.sim().run(TimePoint(us(50)));
+  EXPECT_TRUE(f.b->received.empty());
+  EXPECT_FALSE(f.a->nic()->busy());
+  f.a->nic()->set_paused(false);
+  f.net.sim().run();
+  std::vector<int> order;
+  for (const auto& p : f.b->received) order.push_back(p->priority);
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 3, 5, 7}));
+  EXPECT_EQ(f.a->nic()->queued_bytes(), Bytes{});
+}
+
 PacketPtr seq_packet(std::uint32_t seq) {
   PacketPtr p = std::make_unique<Packet>();
   p->seq = seq;
@@ -315,14 +350,14 @@ TEST(PortTest, CallbackScheduledBeforeAnArrivalsReservationFiresFirst) {
 }
 
 TEST(PortTest, TxTimeFollowsRateRewrites) {
-  // tx_time caches whole picoseconds per byte for its rate; a rate written
-  // through mutable_config() (as degrade faults do) must take effect, also
-  // one whose byte time is fractional.
+  // tx_time uses whole picoseconds per byte for its rate; a rate written
+  // through set_rate() (as degrade faults do) must take effect, also one
+  // whose byte time is fractional.
   TwoHostFixture f(fast_link());
   Port& nic = *f.a->nic();
   const Bytes sizes[] = {Bytes{1}, Bytes{64}, Bytes{1500}, 4 * kMB};
   for (const BitsPerSec rate : {gbps(100), gbps(30), gbps(400), gbps(7)}) {
-    nic.mutable_config().rate = rate;
+    nic.set_rate(rate);
     for (const Bytes b : sizes) {
       EXPECT_EQ(nic.tx_time(b), serialization_time(b, rate))
           << b << " at " << rate;
@@ -397,6 +432,31 @@ TEST(PfcTest, IngressOverflowPausesUpstreamAndResumes) {
   EXPECT_EQ(b->received.size(), 60u);
   EXPECT_EQ(net.total_drops(), 0u);
   EXPECT_FALSE(a->nic()->paused());
+}
+
+TEST(PfcTest, SwitchIngressWithoutPfcKeepsItsLedgerAtZero) {
+  // The same congested switch as above with PFC off: packets queue at the
+  // slow egress, but no ingress is named, so the ledger never moves.
+  NetConfig ncfg;
+  Network net(ncfg);
+  auto* a = net.add_device<SinkHost>(0);
+  auto* b = net.add_device<SinkHost>(1);
+  auto* sw = net.add_device<Switch>("sw");
+  Network::connect(*a, *sw, fast_link());
+  PortConfig slow = fast_link();
+  slow.rate = 1 * kGbps;
+  Network::connect(*b, *sw, fast_link(), slow);  // switch->b at 1G
+  sw->set_next_hops({{0}, {1}});
+  for (int i = 0; i < 20; ++i) a->inject(a->make_raw(1, Bytes{1540}, 2, false));
+  net.sim().run(TimePoint(us(3)));
+  EXPECT_GT(sw->ports[1]->queued_bytes(), Bytes{});
+  EXPECT_EQ(sw->ingress_buffered(0), Bytes{});
+  EXPECT_FALSE(sw->ingress_paused(0));
+  net.sim().run();
+  EXPECT_EQ(b->received.size(), 20u);
+  EXPECT_EQ(sw->ingress_buffered(0), Bytes{});
+  EXPECT_EQ(sw->pfc_pauses_sent, 0u);
+  for (const auto& p : b->received) EXPECT_EQ(p->pfc_ingress, -1);
 }
 
 TEST(FlowRxStateTest, DedupesAndCompletes) {

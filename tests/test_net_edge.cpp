@@ -195,14 +195,22 @@ TEST(IntTest, CollectIntStampsEveryHop) {
   (void)topo;
   auto* a = static_cast<SinkHost*>(net.host(0));
   auto* b = static_cast<SinkHost*>(net.host(1));
-  auto pkt = a->make_raw(1, Bytes{1540}, 2, false);
-  pkt->collect_int = true;
+  // INT records ride only in an IntPacket, which the pool hands out with
+  // collect_int set.
+  PacketPtr pkt = net.packet_pool().acquire_int();
+  pkt->src = 0;
+  pkt->dst = 1;
+  pkt->size = Bytes{1540};
+  pkt->payload = Bytes{1500};
+  pkt->priority = 2;
   a->inject(std::move(pkt));
   net.sim().run();
   ASSERT_EQ(b->received.size(), 1u);
+  ASSERT_TRUE(b->received[0]->collect_int);
+  const auto& hops = packet_cast<IntPacket>(*b->received[0]).int_hops;
   // host NIC + leaf0 + spine + leaf1 = 4 egress stamps.
-  EXPECT_EQ(b->received[0]->int_hops.size(), 4u);
-  for (const auto& hop : b->received[0]->int_hops) {
+  EXPECT_EQ(hops.size(), 4u);
+  for (const auto& hop : hops) {
     EXPECT_GT(hop.rate, BitsPerSec{});
     EXPECT_GE(hop.timestamp, TimePoint{});
   }

@@ -2,7 +2,8 @@
 //
 // Three layers:
 //   * unit: acquire/release mechanics — recycling re-issues the parked
-//     object, reset_transient() wipes every field (pristine on re-acquire),
+//     object from its own type's free list, reset_transient() wipes every
+//     field (pristine on re-acquire; an IntPacket keeps its record capacity),
 //     control packets built via make_unique convert into PacketPtr with a
 //     null-pool deleter, and the disabled pool does no accounting.
 //   * integration: the pool actually recycles under a real experiment and
@@ -59,8 +60,6 @@ TEST(PacketPoolTest, ReleaseResetsEveryTransientField) {
   p->unscheduled = true;
   p->ecn_ce = true;
   p->trimmed = true;
-  p->int_hops.push_back(net::IntHopRecord{});
-  p->collect_int = true;
   p->pfc_ingress = 2;
   p->created_at = TimePoint(us(5));
   p->kind = 11;
@@ -71,7 +70,62 @@ TEST(PacketPoolTest, ReleaseResetsEveryTransientField) {
   net::PacketPtr q = pool.acquire();
   EXPECT_TRUE(q->is_pristine())
       << "a recycled packet must be indistinguishable from Packet{}";
-  EXPECT_TRUE(q->int_hops.empty());
+}
+
+TEST(PacketPoolTest, EachFreeListHandsBackOnlyItsOwnType) {
+  net::PacketPool pool;
+  net::PacketPtr plain = pool.acquire();
+  net::PacketPtr with_int = pool.acquire_int();
+  EXPECT_FALSE(plain->collect_int);
+  EXPECT_TRUE(with_int->collect_int);
+  EXPECT_NE(dynamic_cast<net::IntPacket*>(with_int.get()), nullptr);
+  EXPECT_EQ(dynamic_cast<net::IntPacket*>(plain.get()), nullptr);
+  net::Packet* plain_raw = plain.get();
+  net::Packet* int_raw = with_int.get();
+  // Park the IntPacket last: a single free list would re-issue it first.
+  plain.reset();
+  with_int.reset();
+  EXPECT_EQ(pool.parked(), 2u);
+
+  net::PacketPtr p = pool.acquire();
+  EXPECT_EQ(p.get(), plain_raw);
+  EXPECT_FALSE(p->collect_int);
+  net::PacketPtr q = pool.acquire_int();
+  EXPECT_EQ(q.get(), int_raw);
+  EXPECT_TRUE(q->collect_int);
+  EXPECT_EQ(pool.recycled(), 2u);
+
+  // With only a parked Packet, an IntPacket request allocates afresh.
+  p.reset();
+  net::PacketPtr fresh = pool.acquire_int();
+  EXPECT_NE(fresh.get(), plain_raw);
+  EXPECT_NE(dynamic_cast<net::IntPacket*>(fresh.get()), nullptr);
+  EXPECT_EQ(pool.recycled(), 2u);
+  EXPECT_EQ(pool.parked(), 1u);
+}
+
+TEST(PacketPoolTest, IntPacketReuseKeepsHopCapacity) {
+  net::PacketPool pool;
+  net::PacketPtr p = pool.acquire_int();
+  auto& hops = net::packet_cast<net::IntPacket>(*p).int_hops;
+  for (int i = 0; i < 5; ++i) hops.push_back(net::IntHopRecord{});
+  const std::size_t capacity = hops.capacity();
+  p->flow_id = 42;
+  p->seq = 9;
+  p->ecn_ce = true;
+  net::Packet* raw = p.get();
+  p.reset();
+  EXPECT_EQ(pool.parked_dirty_count(), 0u);
+
+  net::PacketPtr q = pool.acquire_int();
+  ASSERT_EQ(q.get(), raw);
+  const auto& reused = net::packet_cast<net::IntPacket>(*q);
+  EXPECT_TRUE(reused.int_hops.empty());
+  EXPECT_EQ(reused.int_hops.capacity(), capacity);
+  net::Packet expected;
+  expected.collect_int = true;
+  EXPECT_TRUE(static_cast<const net::Packet&>(*q) == expected)
+      << "apart from collect_int, a reused IntPacket is a fresh Packet{}";
 }
 
 TEST(PacketPoolTest, MakeUniqueConvertsToPacketPtrWithNullPool) {
@@ -111,6 +165,15 @@ TEST(PacketPoolTest, DirtyParkedPacketIsDetected) {
   raw->ecn_ce = true;  // parked packets are pool-owned; tests may peek
   EXPECT_EQ(pool.parked_dirty_count(), 1u);
   raw->ecn_ce = false;
+
+  // The IntPacket list is audited too, telemetry records included.
+  net::PacketPtr q = pool.acquire_int();
+  auto* int_raw = static_cast<net::IntPacket*>(q.get());
+  q.reset();
+  EXPECT_EQ(pool.parked_dirty_count(), 0u);
+  int_raw->int_hops.push_back(net::IntHopRecord{});
+  EXPECT_EQ(pool.parked_dirty_count(), 1u);
+  int_raw->int_hops.clear();
 }
 
 ExperimentConfig small_config(Protocol p, bool pool_on) {

@@ -322,6 +322,45 @@ TEST(SimulatorTest, EventKeysOrderBySeq) {
   EXPECT_EQ(event_key(1, 2, 5) >> kEventSeqShift, 1u);
 }
 
+TEST(SimulatorTest, OrderKeyTiesBreakOnTheWholeEventKey) {
+  const TimePoint t(us(3));
+  // Equal times: the event key decides, seq first, then tag, then index.
+  EXPECT_LT(event_order(t, event_key(4, 2, 9)), event_order(t, event_key(5, 0, 0)));
+  EXPECT_LT(event_order(t, event_key(4, 0, 9)), event_order(t, event_key(4, 1, 0)));
+  EXPECT_LT(event_order(t, event_key(4, 1, 2)), event_order(t, event_key(4, 1, 3)));
+  EXPECT_EQ(event_order(t, event_key(4, 1, 3)), event_order(t, event_key(4, 1, 3)));
+  // An earlier time wins over any key, by a picosecond too.
+  const std::uint64_t top = event_key((std::uint64_t{1} << 38) - 1, 2,
+                                      (1u << 24) - 1);
+  EXPECT_LT(event_order(t, top), event_order(t + ps(1), event_key(0, 0, 0)));
+}
+
+TEST(SimulatorTest, OrderKeyAtTheEdgesOfTime) {
+  // t = 0 with key 0 is the least order there is.
+  EXPECT_EQ(event_order(TimePoint{}, 0), 0u);
+  EXPECT_LT(event_order(TimePoint{}, 0), event_order(TimePoint{}, 1));
+  EXPECT_LT(event_order(TimePoint{}, UINT64_MAX), event_order(TimePoint(ps(1)), 0));
+  // An empty lane's head ({kTimePointInfinity, all-ones key}) sorts after
+  // every real entry, also one at kTimePointInfinity: no event key is all
+  // ones, because the tag never reaches 3.
+  const auto sentinel = event_order(kTimePointInfinity, UINT64_MAX);
+  const std::uint64_t top = event_key((std::uint64_t{1} << 38) - 1, 2,
+                                      (1u << 24) - 1);
+  EXPECT_LT(event_order(kTimePointInfinity, top), sentinel);
+  EXPECT_LT(event_order(kTimePointInfinity - ps(1), UINT64_MAX), sentinel);
+}
+
+TEST(SimulatorTest, EventsAtTimeZeroAndAtTheHorizonRunInOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(kTimePointInfinity, [&order] { order.push_back(3); });
+  sim.schedule_at(TimePoint{}, [&order] { order.push_back(1); });
+  sim.schedule_at(TimePoint{}, [&order] { order.push_back(2); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sim.now(), kTimePointInfinity);
+}
+
 TEST(SimulatorDeathTest, KeyIndexOverflowIsChecked) {
   EXPECT_DEATH(event_key(0, 0, 1u << 24), "overflows 24 bits");
   EXPECT_DEATH(event_key(std::uint64_t{1} << 38, 1, 0), "overflows 38 bits");

@@ -41,7 +41,8 @@ see .github/workflows/ci.yml):
                     `*Packet` type outside the sanctioned factories
                     (net/host.{h,cpp} and net/packet_pool.{h,cpp}) without
                     an `// sa-ok(lifetime):` justification — data packets
-                    must come from PacketPool::acquire() via the Host
+                    (Packet, and HPCC's IntPacket) must come from
+                    PacketPool::acquire()/acquire_int() via the Host
                     factories so recycling stays type-safe. This is the
                     fast regex pre-filter of the dcpim-sa `lifetime`
                     rule's factory-discipline class (tools/dcpim_sa.py
