@@ -176,29 +176,22 @@ void check_pfc_pause_ledger(net::Network& net, sim::Auditor::Context& ctx) {
   }
 }
 
-void check_packet_pool_hygiene(net::Network& net,
-                               sim::Auditor::Context& ctx) {
-  const net::PacketPool& pool = net.packet_pool();
-  if (!pool.enabled()) return;
-  if (const std::size_t dirty = pool.parked_dirty_count(); dirty > 0) {
-    ctx.fail("packet pool holds " + std::to_string(dirty) +
-             " parked packet(s) that are not pristine — reset_transient() "
-             "missed a field");
+void check_data_packet_ledger(net::Network& net, sim::Auditor::Context& ctx) {
+  const std::uint64_t made = net.data_packets_made();
+  const std::uint64_t freed = net.data_packets_freed();
+  if (freed > made) {
+    ctx.fail("freed " + std::to_string(freed) +
+             " data packets but made only " + std::to_string(made));
   }
-  if (pool.released() > pool.acquired()) {
-    ctx.fail("packet pool released " + std::to_string(pool.released()) +
-             " packets but acquired only " + std::to_string(pool.acquired()));
-  }
-  if (net.sim().pending() > 0 || pool.outstanding() == 0) return;
+  if (net.sim().pending() > 0 || freed >= made) return;
   for (const auto& dev : net.devices()) {
     for (const auto& port : dev->ports) {
       if (port->queued_bytes() > Bytes{}) return;  // still draining
     }
   }
-  ctx.fail("run drained with " + std::to_string(pool.outstanding()) +
-           " pool packet(s) unaccounted for (acquired " +
-           std::to_string(pool.acquired()) + ", released " +
-           std::to_string(pool.released()) + ")");
+  ctx.fail("run drained with " + std::to_string(made - freed) +
+           " data packet(s) never freed (made " + std::to_string(made) +
+           ", freed " + std::to_string(freed) + ")");
 }
 
 template <typename Fn>
@@ -283,17 +276,15 @@ void install_standard_probes(sim::Auditor& auditor, net::Network& net) {
   auditor.add_probe("pfc-pause-ledger", [&net](sim::Auditor::Context& ctx) {
     check_pfc_pause_ledger(net, ctx);
   });
-  // Packet-pool hygiene: every parked packet must be indistinguishable from
-  // a fresh `Packet{}` (a stale ECN/trim/INT flag leaking into a recycled
-  // packet would silently change protocol behaviour — the exact bug class
-  // the pool's fingerprint-identity contract forbids), the release counter
-  // can never outrun the acquire counter, and once the run has fully
-  // drained (no pending events, no buffered packets anywhere) every
-  // acquired packet must be back in the pool. Mid-run sweeps skip the
-  // balance check: outstanding packets are then legitimately in flight.
+  // Data-packet ledger (the probe keeps its historical name): the freed
+  // counter can never outrun the made counter, and once the run has fully
+  // drained (no pending events, no buffered packets anywhere) every data
+  // packet must have been freed — one still held means protocol code kept
+  // it forever. Mid-run sweeps skip the balance check: data packets are
+  // then legitimately in flight.
   auditor.add_probe("packet-pool-hygiene",
                     [&net](sim::Auditor::Context& ctx) {
-                      check_packet_pool_hygiene(net, ctx);
+                      check_data_packet_ledger(net, ctx);
                     });
 
   // Event-driven lane (add_event_probe: no sweep fn): every DcpimHost

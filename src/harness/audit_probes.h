@@ -12,10 +12,10 @@
 //   pfc-pause-ledger         per-ingress PFC byte ledgers are non-negative,
 //                            consistent with the pause/resume hysteresis
 //                            band, and covered by the egress queues
-//   packet-pool-hygiene      every parked PacketPool packet is pristine
-//                            (reset_transient() wiped all fields), releases
-//                            never outrun acquires, and a fully drained run
-//                            returns every acquired packet to the pool
+//   packet-pool-hygiene      the data-packet ledger: frees never outrun
+//                            makes, and a fully drained run has freed
+//                            every data packet it made (the name predates
+//                            the removal of packet recycling)
 //   dcpim-epoch-rollover     event-driven (Auditor::add_event_probe): each
 //                            DcpimHost re-runs the token/matching checks at
 //                            its own epoch boundary, between sweeps

@@ -264,7 +264,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   ncfg.seed = cfg.seed;
   ncfg.lb_policy = cfg.lb_policy.value_or(default_lb_policy(cfg.protocol));
   ncfg.flowlet_gap = cfg.flowlet_gap;
-  ncfg.packet_pool = cfg.packet_pool;
   rt.net = std::make_unique<net::Network>(ncfg);
 
   auto factory = make_factory(rt);
@@ -300,8 +299,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   ExperimentResult res;
   res.events_executed = rt.net->sim().events_executed();
   res.sim_end = rt.net->sim().now();
-  res.pool_acquired = rt.net->packet_pool().acquired();
-  res.pool_recycled = rt.net->packet_pool().recycled();
+  res.pool_acquired = rt.net->data_packets_made();
   res.peak_pending = rt.net->sim().peak_pending();
   res.bdp = rt.net->bdp();
   res.data_rtt = rt.net->max_data_rtt();

@@ -101,11 +101,6 @@ struct ExperimentConfig {
   /// lands in ExperimentResult::audit.
   bool audit = false;
 
-  /// Recycle data packets through net::PacketPool (NetConfig::packet_pool).
-  /// Behaviour-invariant by contract: tests/test_packet_pool.cpp asserts
-  /// result_fingerprint() equality on/off for every protocol.
-  bool packet_pool = true;
-
   /// dcPIM's parameters; the baselines have none.
   core::DcpimConfig dcpim;
 };
@@ -135,10 +130,12 @@ struct ExperimentResult {
   /// the same event count to the same simulated instant.
   std::uint64_t events_executed = 0;
   TimePoint sim_end{};
-  /// PacketPool traffic (zeros when cfg.packet_pool was off). Deliberately
-  /// NOT part of result_fingerprint(): recycling must change allocator
-  /// traffic only, never results.
+  /// Data packets made over the run (Network::data_packets_made). The
+  /// name predates the removal of packet recycling; perfbench reads it.
+  /// Not part of result_fingerprint().
   std::uint64_t pool_acquired = 0;
+  /// Always 0: data packets are no longer recycled. Kept because perfbench
+  /// prints it.
   std::uint64_t pool_recycled = 0;
   /// Most simulator events queued at once (Simulator::peak_pending). Not
   /// part of result_fingerprint(): the event queue's shape is not an

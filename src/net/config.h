@@ -83,11 +83,6 @@ struct NetConfig {
   LbPolicy lb_policy = LbPolicy::kSpray;
   /// Flowlet policy only: idle gap after which a flow's next hop re-draws.
   Time flowlet_gap = us(5);
-  /// Recycle data packets through the Network's PacketPool instead of
-  /// heap-allocating each one. Behaviour-invariant by contract (results must
-  /// fingerprint identically either way); off exists for that A/B check and
-  /// for allocator-level debugging (e.g. ASan use-after-free pinpointing).
-  bool packet_pool = true;
   std::uint64_t seed = 1;
 };
 

@@ -209,10 +209,9 @@ void Port::try_transmit() {
   if (p->pfc_ingress >= 0) owner_.on_packet_departed(*p);
 
   if (p->collect_int) {
-    // HPCC INT: stamp egress state at dequeue time.
-    // sa-ok(hot-alloc): HPCC telemetry only (collect_int), and the vector
-    // is bounded by the path hop count (<= 5 in a fat-tree).
-    packet_cast<IntPacket>(*p).int_hops.push_back(IntHopRecord{
+    // HPCC INT: stamp egress state at dequeue time, into the packet's
+    // inline record array (no allocation).
+    packet_cast<IntPacket>(*p).int_hops.add(IntHopRecord{
         .qlen = total_qbytes_,
         .tx_bytes = tx_bytes,
         .rate = cfg_.rate,

@@ -21,12 +21,13 @@ void Host::send(PacketPtr p) {
   nic()->enqueue(std::move(p));
 }
 
-// sa-hot: one call per data packet on the wire. Data packets cycle through
-// the network's PacketPool: acquire() here, release at whichever drop or
-// delivery site destroys the PacketPtr (PacketDeleter funnels them back).
+// One call per data packet on the wire, and one allocation by design
+// (DESIGN.md §13: glibc's per-thread cache recycles packets as cheaply as a
+// free list did). The deleter counts the free wherever the PacketPtr dies
+// (delivery, drop, fault kill), so the Network's made/freed ledger balances.
 PacketPtr Host::make_data_packet(const Flow& flow, DataPacketSpec spec) const {
-  PacketPool& pool = network().packet_pool();
-  PacketPtr p = spec.collect_int ? pool.acquire_int() : pool.acquire();
+  PacketPtr p = network().count_data_packet(
+      spec.collect_int ? new IntPacket() : new Packet());
   p->src = flow.src;
   p->dst = flow.dst;
   p->flow_id = flow.id;

@@ -9,7 +9,7 @@
 namespace dcpim::net {
 
 Network::Network(NetConfig cfg)
-    : cfg_(cfg), pool_(cfg.packet_pool), rng_(cfg.seed) {}
+    : cfg_(cfg), rng_(cfg.seed) {}
 
 Network::~Network() = default;
 

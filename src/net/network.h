@@ -15,7 +15,7 @@
 #include "net/config.h"
 #include "net/device.h"
 #include "net/flow.h"
-#include "net/packet_pool.h"
+#include "net/packet.h"
 #include "sim/simulator.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -34,8 +34,19 @@ class Network {
   sim::Simulator& sim() { return sim_; }
   Rng& rng() { return rng_; }
   const NetConfig& config() const { return cfg_; }
-  PacketPool& packet_pool() { return pool_; }
-  const PacketPool& packet_pool() const { return pool_; }
+
+  // --- data-packet ledger (DESIGN.md §13) ----------------------------------
+  /// Internal: hands `p`, a data packet Host::make_data_packet has just
+  /// allocated, to a PacketPtr whose deleter counts its free.
+  PacketPtr count_data_packet(Packet* p) {
+    ++data_packets_made_;
+    return PacketPtr(p, PacketDeleter(&data_packets_freed_));
+  }
+  /// Data packets made so far, and how many of them have been freed (at
+  /// delivery, drop, fault kill or teardown). The difference is the number
+  /// in port queues, events or protocol hands.
+  std::uint64_t data_packets_made() const { return data_packets_made_; }
+  std::uint64_t data_packets_freed() const { return data_packets_freed_; }
 
   // --- fabric constants (written once by Topology::finalize) ---------------
   /// Bandwidth-delay product at the access link for the longest pair: the
@@ -173,10 +184,11 @@ class Network {
 
   NetConfig cfg_;
   /// Declared before sim_ and devices_ on purpose: members destroy in
-  /// reverse order, so pending callbacks and port rings (queued, in
-  /// serialization and in flight — all PacketPtrs whose deleters point at
-  /// this pool) drain into the pool before it frees its parked packets.
-  PacketPool pool_;
+  /// reverse order, so the data packets that pending callbacks and port
+  /// rings (queued, in serialization and in flight) still hold are freed
+  /// while the counter their deleters point at is alive.
+  std::uint64_t data_packets_made_ = 0;
+  std::uint64_t data_packets_freed_ = 0;
   sim::Simulator sim_;
   Rng rng_;
   std::vector<std::unique_ptr<Device>> devices_;

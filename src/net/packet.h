@@ -7,10 +7,12 @@
 // dropping, and HPCC INT telemetry (whose records ride in IntPacket).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
+#include "util/check.h"
 #include "util/time.h"
 #include "util/units.h"
 
@@ -70,60 +72,63 @@ struct Packet {
   virtual ~Packet() = default;
   Packet(const Packet&) = default;
   Packet& operator=(const Packet&) = default;
-
-  /// Field-wise equality of the Packet part (derived fields are ignored).
-  bool operator==(const Packet&) const = default;
-
-  /// Returns every field to its freshly-constructed value, so a recycled
-  /// packet is indistinguishable from `Packet{}`.
-  void reset_transient() { *this = Packet{}; }
-
-  /// True when every field holds its default — what reset_transient()
-  /// guarantees and the packet-pool-hygiene audit probe asserts for every
-  /// parked packet.
-  bool is_pristine() const { return *this == Packet{}; }
 };
 
 static_assert(sizeof(Packet) == 64, "a Packet is one cache line");
 
-/// A data packet that gathers HPCC in-band telemetry: each egress port
-/// appends one record at dequeue. Only PacketPool::acquire_int() makes one
-/// (through Host::make_data_packet), and it sets `collect_int`.
-struct IntPacket final : Packet {
-  std::vector<IntHopRecord> int_hops;
+/// Most INT records a packet can carry: one per egress port on its path.
+/// The longest path in any topology here, a fat-tree's host NIC, edge,
+/// aggregation, core, aggregation and edge ports, has six.
+inline constexpr std::size_t kMaxIntHops = 8;
 
-  /// Packet's reset, plus the records cleared; the vector keeps its
-  /// capacity, which is the point of pooling INT-heavy runs.
-  void reset_transient() {
-    Packet::reset_transient();
-    int_hops.clear();
+/// The INT records of one path, stored inline so that appending a hop
+/// never allocates. Appending past kMaxIntHops is a DCPIM_CHECK failure.
+class IntHops {
+ public:
+  void add(const IntHopRecord& rec) {
+    DCPIM_CHECK(size_ < kMaxIntHops, "INT records overflow kMaxIntHops");
+    records_[size_++] = rec;
   }
-  bool is_pristine() const {
-    return Packet::is_pristine() && int_hops.empty();
-  }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const IntHopRecord& operator[](std::size_t i) const { return records_[i]; }
+  const IntHopRecord* begin() const { return records_.data(); }
+  const IntHopRecord* end() const { return records_.data() + size_; }
+
+ private:
+  std::array<IntHopRecord, kMaxIntHops> records_{};
+  std::size_t size_ = 0;
 };
 
-class PacketPool;
+/// A data packet that gathers HPCC in-band telemetry: each egress port
+/// appends one record at dequeue. Only Host::make_data_packet makes one.
+struct IntPacket final : Packet {
+  IntPacket() { collect_int = true; }
+  IntHops int_hops;
+};
 
-/// Deleter carried by every PacketPtr. Pool-acquired data packets carry a
-/// pointer back to their PacketPool and are parked (not destroyed) when the
-/// PacketPtr dies — drop, deliver, and fault-kill paths all recycle through
-/// this one funnel. Everything else (control packets, hand-built test
-/// packets) carries a null pool and is deleted normally.
+/// Deleter carried by every PacketPtr. A data packet from
+/// Host::make_data_packet carries its Network's freed-data-packet counter,
+/// which the deleter bumps before deleting, so drop, delivery, fault-kill
+/// and teardown paths are all counted in this one place. Everything else
+/// (control packets, hand-built test packets) carries a null counter.
 ///
 /// The converting constructor from std::default_delete<T> keeps the
 /// ubiquitous `std::make_unique<SomeControlPacket>()` factory idiom working:
 /// unique_ptr's converting constructor requires the source deleter to be
 /// convertible to this one.
 struct PacketDeleter {
-  PacketPool* pool = nullptr;
+  std::uint64_t* freed = nullptr;
 
   PacketDeleter() = default;
-  explicit PacketDeleter(PacketPool* p) : pool(p) {}
+  explicit PacketDeleter(std::uint64_t* counter) : freed(counter) {}
   template <typename T>
   PacketDeleter(std::default_delete<T>) noexcept {}  // NOLINT(google-explicit-constructor)
 
-  void operator()(Packet* p) const;  // defined in packet_pool.cpp
+  void operator()(Packet* p) const {
+    if (freed != nullptr) ++*freed;
+    delete p;
+  }
 };
 
 using PacketPtr = std::unique_ptr<Packet, PacketDeleter>;

@@ -35,21 +35,24 @@ const char* to_string(LbPolicy policy) {
 Switch::Switch(Network& net, std::string name)
     : Device(net, Kind::Switch, std::move(name)) {}
 
-void Switch::set_next_hops(
-    const std::vector<std::vector<std::uint16_t>>& next_hops) {
-  std::size_t total = 0;
-  for (const auto& cands : next_hops) total += cands.size();
-  hop_begin_.assign(1, 0);
-  hop_begin_.reserve(next_hops.size() + 1);
-  hop_ports_.clear();
-  hop_ports_.reserve(total);
-  for (const auto& cands : next_hops) {
-    for (const std::uint16_t c : cands) {
-      DCPIM_CHECK(c < ports.size(), "next hop names a port that is not wired");
-      hop_ports_.push_back(ports[c].get());
-    }
-    hop_begin_.push_back(static_cast<std::uint32_t>(hop_ports_.size()));
-  }
+void Switch::add_route(int dst, std::uint16_t port_index) {
+  const auto row = static_cast<std::size_t>(dst);
+  DCPIM_CHECK(dst >= 0 && row + 2 >= hop_begin_.size(),
+              "routes are added in destination order");
+  DCPIM_CHECK(port_index < ports.size(),
+              "next hop names a port that is not wired");
+  const std::uint32_t end = hop_begin_.back();
+  hop_begin_.resize(row + 2, end);
+  hop_ports_.push_back(ports[port_index].get());
+  ++hop_begin_.back();
+}
+
+std::span<Port* const> Switch::next_hops(int dst) const {
+  const auto row = static_cast<std::size_t>(dst);
+  DCPIM_CHECK(dst >= 0 && row + 1 < hop_begin_.size(),
+              "packet destination outside routing table");
+  return {hop_ports_.data() + hop_begin_[row],
+          hop_ports_.data() + hop_begin_[row + 1]};
 }
 
 /// Rate-weighted ECMP: the draw probability of each candidate follows its
@@ -74,11 +77,7 @@ std::size_t Switch::weighted_pick(std::span<Port* const> cands) {
 }
 
 Port* Switch::select_egress(const Packet& p) {
-  const auto dst = static_cast<std::size_t>(p.dst);
-  DCPIM_CHECK(p.dst >= 0 && dst + 1 < hop_begin_.size(),
-              "packet destination outside routing table");
-  const std::span<Port* const> cands(hop_ports_.data() + hop_begin_[dst],
-                                     hop_ports_.data() + hop_begin_[dst + 1]);
+  const std::span<Port* const> cands = next_hops(p.dst);
   DCPIM_CHECK(!cands.empty(), "no route to destination");
   std::size_t pick = 0;
   if (cands.size() > 1) {

@@ -34,9 +34,14 @@ class Switch : public Device {
   /// the per-packet accounting path never grows a vector.
   void on_port_added(Port& port) override;
 
-  /// next_hops[dst_host] = candidate local egress port indices. Call once
-  /// the ports exist; the table is flattened into candidate Port pointers.
-  void set_next_hops(const std::vector<std::vector<std::uint16_t>>& next_hops);
+  /// Adds local port `port_index` as an egress candidate toward host
+  /// `dst`. Call once the ports exist, in destination order (candidates of
+  /// one destination in port order); a destination skipped over gets no
+  /// candidates.
+  void add_route(int dst, std::uint16_t port_index);
+
+  /// The egress candidates toward host `dst`, in the order they were added.
+  std::span<Port* const> next_hops(int dst) const;
 
   Bytes ingress_buffered(int port_index) const {
     return port_index < static_cast<int>(ingress_bytes_.size())
@@ -69,7 +74,7 @@ class Switch : public Device {
 
   /// Routing table in CSR form: the egress candidates for destination host
   /// h are hop_ports_[hop_begin_[h] .. hop_begin_[h + 1]).
-  std::vector<std::uint32_t> hop_begin_;
+  std::vector<std::uint32_t> hop_begin_{0};
   std::vector<Port*> hop_ports_;
   std::vector<Bytes> ingress_bytes_;
   std::vector<bool> ingress_paused_;

@@ -75,27 +75,26 @@ void Topology::finalize(Network& net) {
         bfs_distances(adj, net.host(h)->device_id(), frontier);
   }
 
-  // Next-hop candidate tables for every switch: the ports whose peer is
-  // one hop closer to the destination, in port order.
+  // Next-hop candidates for every switch, written straight into its
+  // routing table: the ports whose peer is one hop closer to the
+  // destination, in port order.
   for (const auto& dev : devices) {
     if (dev->kind() != Device::Kind::Switch) continue;
     auto* sw = static_cast<Switch*>(dev.get());
     const std::span<const int> peers = adj.peers(sw->device_id());
-    std::vector<std::vector<std::uint16_t>> table(
-        static_cast<std::size_t>(num_hosts_));
     for (int h = 0; h < num_hosts_; ++h) {
       const auto& dist = dist_to_host[static_cast<std::size_t>(h)];
       const int my_dist = dist[static_cast<std::size_t>(sw->device_id())];
-      auto& cands = table[static_cast<std::size_t>(h)];
+      bool routed = false;
       for (std::size_t i = 0; i < peers.size(); ++i) {
         if (peers[i] >= 0 &&
             dist[static_cast<std::size_t>(peers[i])] == my_dist - 1) {
-          cands.push_back(static_cast<std::uint16_t>(i));
+          sw->add_route(h, static_cast<std::uint16_t>(i));
+          routed = true;
         }
       }
-      DCPIM_CHECK(my_dist < 0 || !cands.empty(), "unroutable destination");
+      DCPIM_CHECK(my_dist < 0 || routed, "unroutable destination");
     }
-    sw->set_next_hops(table);
   }
 
   // Per-pair hop-count classes, filled one destination at a time so each

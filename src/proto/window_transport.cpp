@@ -100,7 +100,8 @@ void WindowHost::handle_data(net::PacketPtr p) {
   ack->cumulative_ack = st != nullptr ? st->first_missing() : 0;
   ack->ecn_echo = p->ecn_ce;
   if (p->collect_int) {
-    ack->int_echo = std::move(net::packet_cast<net::IntPacket>(*p).int_hops);
+    const net::IntHops& hops = net::packet_cast<net::IntPacket>(*p).int_hops;
+    ack->int_echo.assign(hops.begin(), hops.end());
   }
   send(std::move(ack));
 }

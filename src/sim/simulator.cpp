@@ -168,8 +168,8 @@ void Simulator::run(TimePoint until) {
     // slab_.take() recycles the slab slot *before* invoking, so an event
     // that schedules follow-ups re-uses the very slot it just vacated.
     // `cb` is destroyed at the end of this iteration — captured resources,
-    // above all pooled PacketPtrs, return to their owners at end-of-event,
-    // never lingering until the next pop.
+    // above all PacketPtrs, are freed at end-of-event, never lingering
+    // until the next pop.
     Callback cb = slab_.take(index);
     cb();
   }

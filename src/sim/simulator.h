@@ -14,7 +14,7 @@
 // home. UniqueFunction stores small callables inline (SBO), a scheduled
 // callback moves into a recycled slab slot, and the run loop threads the
 // slot back onto the slab's intrusive free list the moment the event fires
-// (eager retire, so captured resources such as pooled packets release at
+// (eager retire, so captured resources such as data packets are freed at
 // end-of-event). Tags 1 and 2 mark typed events of kind 0 and 1, and the
 // index is the target's id: the per-hop port events (serialization done,
 // arrival) take this path, so they never touch the slab and run as one

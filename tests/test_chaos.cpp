@@ -72,14 +72,11 @@ void expect_recovered(const ExperimentConfig& cfg,
   EXPECT_EQ(res.flows_done, res.flows_total);
   EXPECT_EQ(res.recovery.flows_stalled, 0u);
   // Byte conservation (and every other standing invariant): auditor clean.
-  // The standard set includes packet-pool-hygiene, so every chaos case also
-  // proves fault-killed packets recycle into a pristine pool.
+  // The standard set includes packet-pool-hygiene (the data-packet ledger),
+  // so every chaos case also proves fault-killed packets are freed.
   ASSERT_TRUE(res.audit.enabled);
   EXPECT_TRUE(res.audit.clean()) << harness::format_audit_summary(res.audit);
-  // Recycling actually happened: faults force drops and retransmissions, so
-  // a pool that never re-issues a parked packet means the wiring broke.
   EXPECT_GT(res.pool_acquired, 0u);
-  EXPECT_GT(res.pool_recycled, 0u);
 }
 
 // ---- fixed-seed smoke (the CI sanitizer/TSan target) ------------------------

@@ -117,31 +117,33 @@ class PacketFactoryRuleTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
         self.assertEqual(len(self.flagged(proc)), 3, proc.stdout)
 
-    def test_int_packet_only_from_the_pool(self):
-        # HPCC's IntPacket is a data packet: only PacketPool::acquire_int()
-        # (behind Host::make_data_packet) may build one.
+    def test_int_packet_only_from_the_host_factory(self):
+        # HPCC's IntPacket is a data packet: only Host::make_data_packet
+        # may build one, so the Network's data-packet ledger counts it.
         proc = lint_tree({
             "src/proto/hpcc.cpp":
                 "void f() {\n"
                 "  auto* a = new net::IntPacket();\n"
                 "  auto b = std::make_unique<IntPacket>();\n"
                 "}\n",
-            "src/net/packet_pool.cpp":
+            "src/net/network.h":
                 "void g() { auto* p = new IntPacket(); }\n",
+            "src/net/host.cpp":
+                "void h() { auto* p = new IntPacket(); }\n",
         })
         self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
         flagged = self.flagged(proc)
-        self.assertEqual(len(flagged), 2, proc.stdout)
-        self.assertTrue(all("src/proto/hpcc.cpp" in ln for ln in flagged))
+        self.assertEqual(len(flagged), 3, proc.stdout)
+        self.assertFalse(any("src/net/host.cpp" in ln for ln in flagged))
 
     def test_sanctioned_factories_and_justified_sites_clean(self):
         proc = lint_tree({
             "src/net/host.cpp": "void f() { auto* p = new Packet(); }\n",
-            "src/net/packet_pool.cpp":
-                "void g() { auto* p = new Packet(); }\n",
+            "src/net/host.h":
+                "void g() { auto p = std::make_unique<Packet>(); }\n",
             "src/proto/justified.cpp":
                 "void h() {\n"
-                "  // sa-ok(lifetime): hand-built probe packet, never pooled.\n"
+                "  // sa-ok(lifetime): hand-built probe packet, outside the ledger.\n"
                 "  auto p = std::make_unique<ProbePacket>();\n"
                 "}\n",
         })

@@ -5,6 +5,8 @@
 
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "net/host.h"
@@ -74,7 +76,8 @@ struct TwoHostFixture {
     sw = net.add_device<Switch>("sw");
     Network::connect(*a, *sw, link);
     Network::connect(*b, *sw, link);
-    sw->set_next_hops({{0}, {1}});
+    sw->add_route(0, 0);
+    sw->add_route(1, 1);
   }
   Network net;
   HostT* a;
@@ -385,13 +388,13 @@ TEST(PortTest, TxCountersChangeAtSerializationEnd) {
 }
 
 TEST(PortTest, TeardownDrainsPortRingsIntoLivePool) {
-  // Network declares its pool before the simulator and the devices, so the
-  // packets a stopped run leaves queued, serializing and in flight return
-  // to a live pool when the fixture dies (the sanitizer lane checks it).
+  // Network declares its data-packet counters before the simulator and the
+  // devices, so the packets a stopped run leaves queued, serializing and in
+  // flight are counted into a live ledger when the fixture dies (the
+  // sanitizer lane checks it).
   TwoHostFixture f(fast_link());
-  PacketPool& pool = f.net.packet_pool();
   for (int i = 0; i < 6; ++i) {
-    PacketPtr p = pool.acquire();
+    PacketPtr p = f.net.count_data_packet(new Packet());
     p->src = 0;
     p->dst = 1;
     p->size = Bytes{1500};
@@ -405,7 +408,8 @@ TEST(PortTest, TeardownDrainsPortRingsIntoLivePool) {
   EXPECT_TRUE(nic.busy());                 // serializing
   EXPECT_EQ(nic.tx_packets, PacketCount{2});  // in flight, not yet arrived
   EXPECT_TRUE(f.b->received.empty());
-  EXPECT_EQ(pool.outstanding(), 6u);
+  EXPECT_EQ(f.net.data_packets_made(), 6u);
+  EXPECT_EQ(f.net.data_packets_freed(), 0u);
 }
 
 TEST(PfcTest, IngressOverflowPausesUpstreamAndResumes) {
@@ -423,7 +427,8 @@ TEST(PfcTest, IngressOverflowPausesUpstreamAndResumes) {
   PortConfig slow = link;
   slow.rate = 1 * kGbps;
   Network::connect(*b, *sw, link, slow);  // switch->b at 1G
-  sw->set_next_hops({{0}, {1}});
+  sw->add_route(0, 0);
+  sw->add_route(1, 1);
   for (int i = 0; i < 60; ++i) a->inject(a->make_raw(1, Bytes{1540}, 2, false));
   net.sim().run(TimePoint(us(5)));
   EXPECT_GT(sw->pfc_pauses_sent, 0u);
@@ -446,7 +451,8 @@ TEST(PfcTest, SwitchIngressWithoutPfcKeepsItsLedgerAtZero) {
   PortConfig slow = fast_link();
   slow.rate = 1 * kGbps;
   Network::connect(*b, *sw, fast_link(), slow);  // switch->b at 1G
-  sw->set_next_hops({{0}, {1}});
+  sw->add_route(0, 0);
+  sw->add_route(1, 1);
   for (int i = 0; i < 20; ++i) a->inject(a->make_raw(1, Bytes{1540}, 2, false));
   net.sim().run(TimePoint(us(3)));
   EXPECT_GT(sw->ports[1]->queued_bytes(), Bytes{});
@@ -660,6 +666,92 @@ TEST(TopologyTest, OversubscriptionReducesBisection) {
   auto t2 = Topology::leaf_spine(net2, p, factory_of<SinkHost>());
   // Same reachability, slower core: inter-rack data one-way grows.
   EXPECT_GE(t2.one_way_data(0, 143), t1.one_way_data(0, 143));
+}
+
+/// Every switch's routing table as text, one "name dst: ports" line per
+/// (switch, destination host), the candidates as local port indices.
+std::string route_table_text(const Network& net) {
+  std::string out;
+  for (const auto& dev : net.devices()) {
+    if (dev->kind() != Device::Kind::Switch) continue;
+    const auto& sw = static_cast<const Switch&>(*dev);
+    for (int h = 0; h < net.num_hosts(); ++h) {
+      out += dev->name() + " " + std::to_string(h) + ":";
+      for (const Port* hop : sw.next_hops(h)) {
+        for (std::size_t i = 0; i < dev->ports.size(); ++i) {
+          if (dev->ports[i].get() == hop) out += " " + std::to_string(i);
+        }
+      }
+      out += "\n";
+    }
+  }
+  return out;
+}
+
+std::uint64_t fnv1a_64(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(TopologyTest, RoutingTablesMatchThePinnedCandidates) {
+  // The digests were taken from the routing tables of the earlier
+  // nested-vector build (Switch::set_next_hops): writing the candidates
+  // straight into the switch tables must not move a single entry.
+  NetConfig ncfg;
+  {
+    Network net(ncfg);
+    Topology::leaf_spine(net, LeafSpineParams{}, factory_of<SinkHost>());
+    const std::string text = route_table_text(net);
+    EXPECT_EQ(fnv1a_64(text), 0x1c4fa4e9bdc899b7ull);
+    const auto& leaf0 = static_cast<const Switch&>(*net.devices()[0]);
+    ASSERT_EQ(leaf0.name(), "leaf0");
+    ASSERT_EQ(leaf0.next_hops(0).size(), 1u);
+    EXPECT_EQ(leaf0.next_hops(0)[0], leaf0.ports[0].get());
+    // Off-rack destinations spray over the four spine uplinks, ports 16-19.
+    const auto up = leaf0.next_hops(16);
+    ASSERT_EQ(up.size(), 4u);
+    for (std::size_t i = 0; i < up.size(); ++i) {
+      EXPECT_EQ(up[i], leaf0.ports[16 + i].get());
+    }
+  }
+  {
+    Network net(ncfg);
+    LeafSpineParams p;  // Oversubscribed: spine links halved, same routes.
+    p.spine_rate = p.spine_rate / 2;
+    Topology::leaf_spine(net, p, factory_of<SinkHost>());
+    EXPECT_EQ(fnv1a_64(route_table_text(net)), 0x1c4fa4e9bdc899b7ull);
+  }
+  for (const auto& [k, digest] :
+       {std::pair{4, 0x2a66021737aac973ull}, std::pair{8, 0x4ee1836a6df86745ull}}) {
+    SCOPED_TRACE("fat-tree k=" + std::to_string(k));
+    Network net(ncfg);
+    FatTreeParams p;
+    p.k = k;
+    Topology::fat_tree(net, p, factory_of<SinkHost>());
+    EXPECT_EQ(fnv1a_64(route_table_text(net)), digest);
+  }
+  {
+    Network net(ncfg);
+    LeafSpineParams p;  // The Figure 7 testbed.
+    p.racks = 2;
+    p.hosts_per_rack = 16;
+    p.spines = 2;
+    p.host_rate = 10 * kGbps;
+    p.spine_rate = 40 * kGbps;
+    Topology::leaf_spine(net, p, factory_of<SinkHost>());
+    EXPECT_EQ(fnv1a_64(route_table_text(net)), 0x3f8d4273b90be2c1ull);
+  }
+}
+
+TEST(SwitchTest, RoutesMustBeAddedInDestinationOrder) {
+  TwoHostFixture f(fast_link());
+  EXPECT_DEATH(f.sw->add_route(0, 1), "destination order");
+  EXPECT_DEATH(f.sw->add_route(1, 7), "not wired");
+  EXPECT_DEATH((void)f.sw->next_hops(2), "outside routing table");
 }
 
 TEST(NetworkTest, FlowLifecycleAndObservers) {

@@ -133,7 +133,8 @@ TEST(PfcTest, HysteresisAvoidsPauseFlapping) {
   PortConfig slow = link;
   slow.rate = 10 * kGbps;
   Network::connect(*b, *sw, link, slow);
-  sw->set_next_hops({{0}, {1}});
+  sw->add_route(0, 0);
+  sw->add_route(1, 1);
   for (int i = 0; i < 100; ++i) a->inject(a->make_raw(1, Bytes{1540}, 2, false));
   net.sim().run();
   EXPECT_EQ(b->received.size(), 100u);
@@ -155,7 +156,8 @@ TEST(TrimTest, ControlPacketsAreNeverTrimmed) {
   auto* sw = net.add_device<Switch>("sw");
   Network::connect(*a, *sw, link);
   Network::connect(*b, *sw, link);
-  sw->set_next_hops({{0}, {1}});
+  sw->add_route(0, 0);
+  sw->add_route(1, 1);
   for (int i = 0; i < 10; ++i) a->inject(a->make_raw(1, Bytes{1540}, 2, false));
   for (int i = 0; i < 10; ++i) a->inject(a->make_raw(1, Bytes{64}, 0, true));
   net.sim().run();
@@ -178,7 +180,8 @@ TEST(EcnTest, BelowThresholdNoMarks) {
   auto* sw = net.add_device<Switch>("sw");
   Network::connect(*a, *sw, link);
   Network::connect(*b, *sw, link);
-  sw->set_next_hops({{0}, {1}});
+  sw->add_route(0, 0);
+  sw->add_route(1, 1);
   for (int i = 0; i < 50; ++i) a->inject(a->make_raw(1, Bytes{1540}, 2, false));
   net.sim().run();
   for (const auto& pkt : b->received) EXPECT_FALSE(pkt->ecn_ce);
@@ -195,9 +198,8 @@ TEST(IntTest, CollectIntStampsEveryHop) {
   (void)topo;
   auto* a = static_cast<SinkHost*>(net.host(0));
   auto* b = static_cast<SinkHost*>(net.host(1));
-  // INT records ride only in an IntPacket, which the pool hands out with
-  // collect_int set.
-  PacketPtr pkt = net.packet_pool().acquire_int();
+  // INT records ride only in an IntPacket, which sets collect_int itself.
+  PacketPtr pkt = std::make_unique<IntPacket>();
   pkt->src = 0;
   pkt->dst = 1;
   pkt->size = Bytes{1540};
@@ -238,7 +240,8 @@ TEST(PfcTest, DroppedPacketsReleaseIngressAccounting) {
   PortConfig slow = link;
   slow.rate = 5 * kGbps;  // switch->b is the bottleneck
   Network::connect(*b, *sw, host_side, slow);
-  sw->set_next_hops({{0}, {1}});
+  sw->add_route(0, 0);
+  sw->add_route(1, 1);
   // Burst far beyond the egress buffer: drops + pauses happen.
   for (int i = 0; i < 200; ++i) a->inject(a->make_raw(1, Bytes{1540}, 2, false));
   net.sim().run(TimePoint(ms(5)));

@@ -43,11 +43,10 @@ semantic properties the ROADMAP's correctness story rests on:
                   regex rule; flags every .raw()/->raw() call).
 
   lifetime        flow-insensitive escape analysis for packet and event
-                  lifetimes — the proof obligation behind the PacketPool
-                  free-list (DESIGN.md §13). Three escape classes:
+                  lifetimes (DESIGN.md §13). Three escape classes:
                   (a) field-escape: a class field typed as raw `Packet*`/
                   `Packet&` (or a container of raw packet pointers) outlives
-                  the delivery call chain, so a recycled packet would leave
+                  the delivery call chain, so a freed packet would leave
                   it dangling; (b) callback-capture-escape: a lambda handed
                   to `schedule_at`/`schedule_after` captures by reference
                   (`[&]` or `[&x]`) or captures a raw packet parameter by
@@ -55,10 +54,10 @@ semantic properties the ROADMAP's correctness story rests on:
                   captured frame (or the delivered packet) is gone;
                   (c) factory-discipline: `new`/`make_unique`/`make_shared`
                   of a packet type outside the sanctioned factory files
-                  (`src/net/host.{h,cpp}`, `src/net/packet_pool.{h,cpp}`)
-                  bypasses the pool and its reset_transient() hygiene.
+                  (`src/net/host.{h,cpp}`) bypasses the Network's
+                  made/freed data-packet ledger.
                   Every site — suppressed or not — also lands in the
-                  --lifetime-json report, the pool's standing audit ledger.
+                  --lifetime-json report, the standing lifetime ledger.
 
 Suppression grammar (checked by the built-in `sa-suppression` meta-rule):
 
@@ -162,16 +161,13 @@ KIND_ENUM_RE = re.compile(r"Kind$")
 
 # --- lifetime rule tables ----------------------------------------------------
 # The only files that may manufacture packet objects: the Host factories
-# (make_data_packet / make_control) and the pool they draw from. Everything
-# else must go through them — that is what makes recycling provably safe.
+# (make_data_packet / make_control). Everything else must go through them —
+# that is what keeps the data-packet ledger whole.
 # Empty in --files fixture mode, where every packet allocation is flagged.
-SANCTIONED_FACTORY_FILES = (
-    "src/net/host.h", "src/net/host.cpp",
-    "src/net/packet_pool.h", "src/net/packet_pool.cpp",
-)
+SANCTIONED_FACTORY_FILES = ("src/net/host.h", "src/net/host.cpp")
 
 # Owning wrappers whose presence in a field's type makes a packet member
-# safe: the wrapper's destructor runs, so recycling cannot dangle it.
+# safe: the wrapper's destructor runs, so a freed packet cannot dangle it.
 OWNING_WRAPPERS = {"unique_ptr", "shared_ptr", "PacketPtr"}
 
 # hot-alloc traversal only descends into functions defined under these
@@ -982,7 +978,7 @@ class Analyzer:
             for cd in m.classes:
                 self.classes.setdefault(cd.name, cd)
         ##< lifetime escape sites for sa_lifetime.json — same contract:
-        ##< every site, suppressed or not; the pool's standing audit ledger
+        ##< every site, suppressed or not; the standing lifetime ledger
         self.lifetime_sites: list = []
         self._packet_type_memo: dict[str, bool] = {}
 
@@ -1180,13 +1176,13 @@ class Analyzer:
 
     def rule_lifetime(self):
         """Flow-insensitive escape analysis for packets and event
-        callbacks (DESIGN.md §13). The pool contract: a packet's lifetime
+        callbacks (DESIGN.md §13). The contract: a packet's lifetime
         ends when its PacketPtr is destroyed (delivery, drop, or fault
-        kill), at which point it may be recycled — so nothing may hold a
+        kill), at which point it is freed — so nothing may hold a
         raw pointer/reference past that instant. Three escape classes:
         raw packet fields, by-reference (or raw-packet-by-value) captures
         in scheduled lambdas, and packet allocation outside the factory
-        files that guarantee pool hygiene."""
+        files that keep the data-packet ledger."""
         reported = set()
         # (a) field-escape: declaration-based — *having* a raw packet
         # field is the hazard; flow-insensitivity means we never have to
@@ -1208,7 +1204,7 @@ class Analyzer:
                     "field-escape", cd.file, fline,
                     f"field {cd.name}::{fname} holds a raw packet "
                     f"pointer/reference ({ftype.strip()}) that survives "
-                    f"the delivery call chain — a recycled packet leaves "
+                    f"the delivery call chain — a freed packet leaves "
                     f"it dangling; own it via PacketPtr or copy what you "
                     f"need")
         for m in self.models:
@@ -1252,11 +1248,11 @@ class Analyzer:
                                 f"lambda scheduled from {fn.name}() "
                                 f"captures raw packet parameter "
                                 f"'{p[0]}' by value — the packet is "
-                                f"recycled when its owner releases it, "
+                                f"freed when its owner releases it, "
                                 f"before the event fires; move the "
                                 f"PacketPtr in or copy the fields")
                 # (c) factory-discipline: packet allocation outside the
-                # sanctioned factory files bypasses pool hygiene.
+                # sanctioned factory files bypasses the data-packet ledger.
                 for what, tname, line in fn.typed_allocs:
                     if not self.is_packet_type(tname):
                         continue
@@ -1270,10 +1266,9 @@ class Analyzer:
                         "factory", fn.file, line,
                         f"{what} allocates packet type {tname} in "
                         f"{fn.name}() outside the sanctioned factory "
-                        f"(src/net/host.{{h,cpp}}, "
-                        f"src/net/packet_pool.{{h,cpp}}) — pooled "
-                        f"recycling and reset_transient() hygiene are "
-                        f"bypassed; go through the Host factories")
+                        f"(src/net/host.{{h,cpp}}) — the data-packet "
+                        f"ledger is bypassed; go through the Host "
+                        f"factories")
 
     def rule_unused_suppressions(self):
         for s in self.suppressions:

@@ -39,11 +39,11 @@ see .github/workflows/ci.yml):
 
   packet-factory    no bare `new`/`make_unique`/`make_shared` of a
                     `*Packet` type outside the sanctioned factories
-                    (net/host.{h,cpp} and net/packet_pool.{h,cpp}) without
-                    an `// sa-ok(lifetime):` justification — data packets
-                    (Packet, and HPCC's IntPacket) must come from
-                    PacketPool::acquire()/acquire_int() via the Host
-                    factories so recycling stays type-safe. This is the
+                    (net/host.{h,cpp}) without an `// sa-ok(lifetime):`
+                    justification — data packets (Packet, and HPCC's
+                    IntPacket) must come from Host::make_data_packet, so
+                    the Network's made/freed ledger counts every one
+                    (DESIGN.md §13). This is the
                     fast regex pre-filter of the dcpim-sa `lifetime`
                     rule's factory-discipline class (tools/dcpim_sa.py
                     checks the same thing semantically, through typedefs).
@@ -87,8 +87,6 @@ EXEMPT = {
     # packet types bare (mirrors SANCTIONED_FACTORY_FILES in dcpim_sa.py).
     ("packet-factory", "src/net/host.h"),
     ("packet-factory", "src/net/host.cpp"),
-    ("packet-factory", "src/net/packet_pool.h"),
-    ("packet-factory", "src/net/packet_pool.cpp"),
 }
 
 NAKED_ASSERT = re.compile(r"(?<![_A-Za-z0-9])assert\s*\(")
@@ -240,7 +238,7 @@ def lint_file(path: Path, rel: str) -> list[str]:
                 and idx not in lifetime_ok):
             violations.append(
                 f"{where}: [packet-factory] packet types are allocated by "
-                f"the Host factories / PacketPool::acquire() only; route "
+                f"the Host factories only; route "
                 f"through them or justify with `// {SA_OK_LIFETIME_TAG}`")
 
     return violations
