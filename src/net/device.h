@@ -123,6 +123,10 @@ class Port final : public sim::EventTarget {
   Bytes queued_bytes() const { return total_qbytes_; }
   Bytes queued_bytes(int priority) const { return qbytes_[priority]; }
   bool busy() const { return busy_; }
+  /// No packet queued, being serialized or propagating on this link.
+  bool idle() const {
+    return total_qbytes_ == Bytes{} && !busy_ && inflight_.empty();
+  }
 
   /// Serialization time of `bytes` on this link.
   Time tx_time(Bytes bytes) const;

@@ -6,7 +6,7 @@
 namespace dcpim::check_detail {
 
 SimTimeSource& sim_time_source() {
-  // shared-ok: thread_local — each thread registers the simulator it is
+  // sa-ok(static-local): thread_local — each thread registers the simulator it is
   // currently driving; parallel sweeps never share a Simulator across
   // threads, so the slots are independent by construction. Under the
   // -Wthread-safety contract (DESIGN.md §12) thread_local is its own

@@ -9,7 +9,7 @@
 namespace dcpim {
 namespace {
 
-// shared-ok: atomic — worker threads of a parallel sweep (harness/sweep.h)
+// Atomic: worker threads of a parallel sweep (harness/sweep.h)
 // read the level on every LOG_* macro while the main thread may still be
 // applying a command-line override. Relaxed ordering suffices — the level
 // gates diagnostics only and never synchronizes data. Under the

@@ -38,4 +38,18 @@ class DetHost {
   int last_jitter_ = 0;
 };
 
+// Sites outside any function body: only the per-line scan sees them.
+using WallClock = std::chrono::steady_clock;  // planted: clock alias
+
+struct Seeder {
+  std::random_device entropy;  // planted: random_device member
+};
+
+// determinism takes no suppression: the comment is itself a finding and
+// the site below it is still reported.
+struct JustifiedSeeder {
+  // sa-ok(determinism): planted: an escape the rule must refuse
+  std::random_device entropy;
+};
+
 }  // namespace fixture

@@ -65,6 +65,13 @@ class LifeEngine {
   std::unique_ptr<LifePacket> owned_;   // owning field: clean
   std::vector<LifePacket> copies_;      // by-value storage: clean
   int last_seq_ = 0;
+  std::unique_ptr<LifePacket> spare_ = std::make_unique<LifePacket>();  // planted
 };
+
+// The body scan reads `fixture` as the allocated type here; the per-line
+// scan still sees the packet type.
+std::unique_ptr<LifePacket> make_qualified() {
+  return std::make_unique<fixture::LifePacket>();  // planted: qualified type
+}
 
 }  // namespace fixture

@@ -38,4 +38,9 @@ void retired_rules() {
   // sa-ok(hot-cost): the hot-cost rule family is retired
 }
 
+// Rules whose sites have no sound escape take no suppression either.
+void unsuppressible() {
+  // sa-ok(unordered-container): hashed containers have no escape
+}
+
 }  // namespace fixture

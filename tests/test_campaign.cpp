@@ -153,6 +153,17 @@ TEST(CampaignGolden, FigureSpecsExpandToLegacyGrids) {
          EXPECT_EQ(c.topo, harness::TopoKind::Oversubscribed);
          EXPECT_DOUBLE_EQ(c.load, 0.5);
        }},
+      {"related_fastpass", 3,
+       {{0, "protocol=dcpim"}, {1, "protocol=fastpass"}, {2, "protocol=phost"}},
+       us(400), ms(10), Time{}, us(400),
+       [](const ExperimentConfig& c) {
+         EXPECT_EQ(c.racks, 4);
+         EXPECT_EQ(c.hosts_per_rack, 8);
+         EXPECT_EQ(c.spines, 2);
+         EXPECT_EQ(c.seed, 11u);
+         EXPECT_EQ(c.workload, "imc10");
+         EXPECT_DOUBLE_EQ(c.load, 0.5);
+       }},
       {"fig5cd", 12,
        {{0, "protocol=dcpim workload=imc10"},
         {11, "protocol=hpcc workload=datamining"}},

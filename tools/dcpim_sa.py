@@ -1,85 +1,69 @@
 #!/usr/bin/env python3
-"""dcpim-sa: semantic analyzer for the dcPIM simulator (sixth CI lane).
+"""dcpim-sa: the project checker for the dcPIM simulator (sixth CI lane).
 
-Where tools/lint_dcpim.py enforces line-local textual rules, dcpim-sa builds
-a per-translation-unit model (function definitions, call sites, switch
-statements, declarations) plus a whole-program call graph, and checks the
-semantic properties the ROADMAP's correctness story rests on:
+It enforces the repo rules clang-tidy cannot express, over a per-file model
+(function definitions, call sites, switch statements, declarations), a
+whole-program call graph, and the source lines (DESIGN.md §8, §10, §13):
 
-  determinism     no code in src/ may reach banned nondeterminism sources:
-                  std::rand/srand/random_device, wall clocks (std::chrono
-                  system/steady/high_resolution, gettimeofday, ::time(),
-                  clock()). Findings in event-handler-reachable functions
-                  carry the call path from an event root. The fault-plan
-                  constructors (random_fault_plan, expand) count as roots:
-                  their draws seed wildcard resolution and per-port loss
-                  streams, so a leak there desynchronizes sweeps just the
-                  same. Iteration order needs no rule here: lint_dcpim's
-                  `unordered-container` rule keeps hashed containers out of
-                  src/, so every container walks in a defined order.
-
-  packet-switch   every `switch` over a packet/control-kind enum (enums
-                  named *Kind in src/proto/, src/core/, and src/sim/fault/
-                  — FaultKind included) must cover all enumerators, or
-                  carry an explicitly audited default via an
-                  sa-ok(packet-switch) justification. A bare `default:` does
-                  NOT count as coverage — a default silently swallowing a
-                  newly added control packet is exactly the bug this rule
-                  exists to catch.
-
-  hot-alloc       functions annotated `// sa-hot` (the per-packet fabric:
-                  Port::enqueue/try_transmit, Switch::receive, the
-                  Simulator event loop, Host::accept_data) must not
-                  transitively reach allocation or container growth
-                  (new/make_unique/make_shared/push_back/emplace/insert/
-                  resize/reserve/...). Traversal follows the call graph but
-                  only descends into functions defined under --hot-scope
-                  (default src/net/ and src/sim/): the virtual dispatch into
-                  protocol handlers is the contract boundary — protocols
-                  manufacture control packets by design.
-
-  unit-raw        every `.raw()` escape from a strong unit type needs an
-                  sa-ok(unit-raw) justification (successor of lint_dcpim's
-                  regex rule; flags every .raw()/->raw() call).
-
-  lifetime        flow-insensitive escape analysis for packet and event
-                  lifetimes (DESIGN.md §13). Three escape classes:
-                  (a) field-escape: a class field typed as raw `Packet*`/
-                  `Packet&` (or a container of raw packet pointers) outlives
-                  the delivery call chain, so a freed packet would leave
-                  it dangling; (b) callback-capture-escape: a lambda handed
-                  to `schedule_at`/`schedule_after` captures by reference
-                  (`[&]` or `[&x]`) or captures a raw packet parameter by
-                  value — the callback runs at event time, after the
-                  captured frame (or the delivered packet) is gone;
-                  (c) factory-discipline: `new`/`make_unique`/`make_shared`
-                  of a packet type outside the sanctioned factory files
-                  (`src/net/host.{h,cpp}`) bypasses the Network's
-                  made/freed data-packet ledger.
-                  Every site — suppressed or not — also lands in the
-                  --lifetime-json report, the standing lifetime ledger.
+  determinism     no code in src/ may reach std::rand/srand/random_device or
+                  a wall clock (std::chrono system/steady/high_resolution,
+                  gettimeofday, ::time(), clock()). Findings reachable from
+                  an event root (handlers, schedulers, and the fault-plan
+                  constructors random_fault_plan/expand) carry the call
+                  path. A per-line scan adds sites no function body holds
+                  (a random_device member, a namespace-scope clock alias).
+  packet-switch   every `switch` over a *Kind enum of src/proto/, src/core/
+                  or src/sim/fault/ covers all enumerators; a bare
+                  `default:` is not coverage.
+  hot-alloc       functions marked `// sa-hot` must not transitively reach
+                  allocation or container growth within src/net/ and
+                  src/sim/ (protocol dispatch is the boundary).
+  unit-raw        every `.raw()`/`->raw()` strong-type escape is justified.
+  lifetime        packet/event escapes: (a) a class field holding a raw
+                  packet pointer/reference; (b) a lambda handed to
+                  schedule_at/schedule_after capturing by reference or
+                  capturing a raw packet parameter; (c) new/make_unique/
+                  make_shared of a packet type (through typedefs and base
+                  classes, and per line for any `*Packet` name) outside
+                  src/net/host.{h,cpp}, bypassing the data-packet ledger.
+                  Every site, suppressed or not, lands in --lifetime-json.
+  naked-assert    no C `assert(...)` outside src/util/check.h.
+  double-sim-time no `double` declaration of sim-time state (a `per_` rate
+                  or a to_ns/to_us/... conversion is fine).
+  static-local    no mutable `static` (or `static thread_local`) local state
+                  without a justification: it leaks between experiments.
+  unordered-container
+                  no `unordered_*` token: hashed containers walk in
+                  library-dependent order.
+  inline-scenario no bench/*.cpp builds a scenario (`ExperimentConfig`,
+                  `net::Network`, `Topology::`, `run_experiment`), and every
+                  `bench::run_spec("x")` has a tests/campaign_specs/x.campaign.
 
 Suppression grammar (checked by the built-in `sa-suppression` meta-rule):
 
     // sa-ok(<rule>): <justification>
 
 The justification is mandatory; the comment covers its own line and the
-lines below it up to the first blank line (max 12 — same reach as the
-historical `unit-raw:` comments). Suppressions are counted per rule and
-ratcheted against tools/sa_baseline.json: a count above the baseline fails
-the run, a count below it prints a reminder to tighten. Unused and
-malformed suppressions are violations themselves, and so are ones naming
-an unknown rule (retired families included), so the suppression set can
-only shrink or be re-justified, never silently rot.
+lines below it up to the first blank line (max 12). determinism,
+naked-assert, double-sim-time, unordered-container and inline-scenario
+take none.
+Suppressions are counted per rule and ratcheted against
+tools/sa_baseline.json: a count above the baseline fails the run, a count
+below it prints a reminder to tighten. Unused and malformed suppressions
+are findings, and so are ones naming an unknown or unsuppressible rule.
 
-The frontend is a built-in tokenizer/parser that produces the TU model
-from the source text, so the analyzer needs nothing beyond python3 (this
-repo's CI containers are gcc-only); the fixture corpus regression-tests it.
+The frontend is a built-in tokenizer/parser, so the checker needs nothing
+beyond python3; the fixture corpus regression-tests it.
 
 Usage:
-    tools/dcpim_sa.py --compdb build/compile_commands.json \
-        --json build/sa_report.json
+    tools/dcpim_sa.py [--root DIR]     # check a checkout (default: this one)
+    tools/dcpim_sa.py --json build/sa_report.json \
+        --lifetime-json build/sa_lifetime.json
     tools/dcpim_sa.py --files tests/sa_fixtures/*.cpp --no-ratchet
+
+Without --files, the checker reads every .h/.cpp under <root>/src, plus
+<root>/bench/*.cpp for inline-scenario. With --files, every rule runs on
+every listed file and no file is a sanctioned packet factory.
 
 Exit status: 0 clean, 1 findings (or ratchet regression), 2 usage error.
 """
@@ -87,10 +71,7 @@ Exit status: 0 clean, 1 findings (or ratchet regression), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
-import pickle
 import re
 import sys
 from dataclasses import dataclass, field
@@ -101,7 +82,11 @@ from pathlib import Path
 # =============================================================================
 
 RULES = ("determinism", "packet-switch", "hot-alloc", "unit-raw",
-         "lifetime", "sa-suppression")
+         "lifetime", "naked-assert", "double-sim-time", "static-local",
+         "unordered-container", "inline-scenario", "sa-suppression")
+# Rules an sa-ok comment may not name: their sites have no sound escape.
+UNSUPPRESSIBLE = {"determinism", "naked-assert", "double-sim-time",
+                  "unordered-container", "inline-scenario", "sa-suppression"}
 
 # Qualified token chains whose *call* is banned anywhere in src/.
 BANNED_QUALIFIED = {
@@ -172,7 +157,7 @@ OWNING_WRAPPERS = {"unique_ptr", "shared_ptr", "PacketPtr"}
 
 # hot-alloc traversal only descends into functions defined under these
 # prefixes; a call out of scope is the accepted protocol-dispatch boundary.
-DEFAULT_HOT_SCOPE = ("src/net/", "src/sim/")
+HOT_SCOPE = ("src/net/", "src/sim/")
 
 # The colon is part of the grammar: prose that *mentions* sa-ok(rule)
 # without one (docs, this file) is not a suppression.
@@ -188,6 +173,67 @@ CPP_KEYWORDS = {
     "co_yield", "requires", "constexpr", "consteval", "constinit",
 }
 
+# --- per-line rule tables ----------------------------------------------------
+# Files exempt from a per-line rule: (rule, repo-relative path).
+LINE_EXEMPT = {("naked-assert", "src/util/check.h")}  # defines the macros
+
+NAKED_ASSERT = re.compile(r"(?<![_A-Za-z0-9])assert\s*\(")
+STATIC_ASSERT = re.compile(r"static_assert\s*\(")
+
+# A `double` declaration whose name smells like simulation time. The
+# ps/ns/us/ms factories take `double v` parameters and the to_* helpers
+# return double — those lines declare no time-named double variable, so the
+# name filter keeps them clean without an exemption list. Rate names like
+# `bytes_per_sec` are dimensionally per-time, not time, so `per_` names are
+# excluded; a double *initialized* from a sanctioned to_* conversion is the
+# reporting boundary itself and is likewise allowed.
+DOUBLE_SIM_TIME = re.compile(
+    r"\bdouble\s+(?!\w*per_)\w*(?:time|rtt|deadline|timestamp|horizon|epoch"
+    r"|_ps|_ns|_us|_ms|_sec)\w*\s*[;={]",
+    re.IGNORECASE,
+)
+SANCTIONED_TIME_CONVERSION = re.compile(r"=\s*to_(?:ns|us|ms|sec)\s*\(")
+
+# Line-level twins of the determinism rule's banned calls: they also catch
+# members, aliases and initialisers that no function body holds.
+NONDETERMINISM = [
+    (re.compile(r"\bstd::rand\b|\bsrand\s*\("), "std::rand/srand"),
+    (re.compile(r"\bstd::random_device\b|\brandom_device\s+\w"),
+     "std::random_device"),
+    (re.compile(r"\bstd::chrono::(system|steady|high_resolution)_clock\b"),
+     "wall-clock read"),
+    (re.compile(r"\bgettimeofday\s*\("), "gettimeofday"),
+    (re.compile(r"(?<![_A-Za-z0-9:])time\s*\(\s*(NULL|nullptr|0)?\s*\)"),
+     "::time()"),
+]
+
+# An indented (function/class scope — namespace scope is unindented in this
+# codebase) `static` or `static thread_local` declaration of a non-const
+# object. The trailing alternation requires the declarator to reach `=`,
+# `{`, `;` or end-of-line without crossing a `(`, which excludes static
+# member/free function declarations; `static_assert` fails the `\s+` after
+# `static`.
+STATIC_LOCAL = re.compile(
+    r"^\s+static\s+(?:thread_local\s+)?(?!const\b|constexpr\b)"
+    r"[\w:<>,*&\s]+?[\w_]+\s*(?:[={;]|$)")
+
+UNORDERED_CONTAINER = re.compile(r"\bunordered_\w+")
+
+# Line-level twin of the lifetime factory class: allocation of a type whose
+# name ends in `Packet` (qualified or not). `\w*Packet\b` cannot land
+# inside identifiers like PacketPool (no word boundary there).
+PACKET_FACTORY = re.compile(
+    r"\bnew\s+(?:[\w:]+::)?\w*Packet\b"
+    r"|\bmake_(?:unique|shared)\s*<\s*(?:[\w:]+::)?\w*Packet\s*[>,]")
+
+# A hand-built scenario in a bench binary. Matching names (rather than
+# construction syntax) catches every variant: direct construction, copies
+# being mutated, helper functions.
+INLINE_SCENARIO = re.compile(
+    r"\bExperimentConfig\b|\bnet::Network\b|\bTopology::|\brun_experiment\b")
+# The call that makes a bench binary spec-driven; group 1 is the spec name.
+RUN_SPEC_CALL = re.compile(r'\bbench::run_spec\(\s*"([^"]+)"')
+
 
 # =============================================================================
 # Findings / report model
@@ -200,9 +246,6 @@ class Finding:
     line: int
     message: str
     path: list[str] = field(default_factory=list)  ##< call path, if any
-
-    def key(self):
-        return (self.rule, self.file, self.line, self.message)
 
     def to_json(self):
         d = {"rule": self.rule, "file": self.file, "line": self.line,
@@ -501,7 +544,6 @@ def scan_class_members(toks, start, end, cd: ClassDef, file, out):
                 (i == 0 or toks[i - 1].text != "enum"):
             # nested class definition (or forward decl): recurse via
             # parse_classes, then skip to where it ended
-            probe = i
             parse_classes(toks, file, out, i, end)
             # advance past the nested body if one was parsed
             k = i + 1
@@ -511,7 +553,6 @@ def scan_class_members(toks, start, end, cd: ClassDef, file, out):
                 else k
             stmt = []
             i += 1
-            del probe
             continue
         if t.text == "{":
             prev = stmt[-1].text if stmt else ""
@@ -877,8 +918,7 @@ def find_function_defs(toks, file, model: TUModel):
         i += 1
 
 
-def text_parse_file(path: Path, rel: str) -> TUModel:
-    source = path.read_text(encoding="utf-8")
+def text_parse_file(source: str, rel: str) -> TUModel:
     toks, comments = tokenize(source)
     model = TUModel(file=rel, comments=comments)
     parse_enums(toks, model.enums)
@@ -899,6 +939,32 @@ def text_parse_file(path: Path, rel: str) -> TUModel:
     return model
 
 
+def strip_comments_and_strings(line: str) -> str:
+    """Removes // comments and string/char literal contents (approximate,
+    line-local: good enough for the per-line patterns, which never span
+    lines in this codebase)."""
+    out = []
+    i = 0
+    n = len(line)
+    while i < n:
+        c = line[i]
+        if c == "/" and i + 1 < n and line[i + 1] == "/":
+            break
+        if c in "\"'":
+            quote = c
+            out.append(quote)
+            i += 1
+            while i < n and line[i] != quote:
+                i += 2 if line[i] == "\\" else 1
+            if i < n:
+                out.append(quote)
+                i += 1
+            continue
+        out.append(c)
+        i += 1
+    return "".join(out)
+
+
 # =============================================================================
 # Suppressions
 # =============================================================================
@@ -913,11 +979,12 @@ def collect_suppressions(model: TUModel):
     for line, text in sorted(model.comments.items()):
         for m in SA_OK_RE.finditer(text):
             rule, just = m.group(1), m.group(2).strip()
-            if rule not in RULES or rule == "sa-suppression":
+            if rule not in RULES or rule in UNSUPPRESSIBLE:
+                valid = [r for r in RULES if r not in UNSUPPRESSIBLE]
                 findings.append(Finding(
                     "sa-suppression", model.file, line,
-                    f"sa-ok names unknown rule '{rule}' "
-                    f"(valid: {', '.join(RULES[:-1])})"))
+                    f"sa-ok names unknown or unsuppressible rule '{rule}' "
+                    f"(valid: {', '.join(valid)})"))
                 continue
             if not just:
                 findings.append(Finding(
@@ -955,9 +1022,16 @@ def suppression_cover(sups, source_lines):
 
 class Analyzer:
     def __init__(self, models, files_text, hot_scope, kind_enum_paths,
-                 factory_files=()):
+                 factory_files, bench_text, spec_dir):
         self.models = models
         self.files_text = files_text  ##< rel -> list of source lines
+        ##< rel -> source lines with comments and literals stripped: the
+        ##< input of the per-line rules
+        self.code = {rel: [strip_comments_and_strings(ln) for ln in lines]
+                     for rel, lines in files_text.items()}
+        ##< rel -> source lines the inline-scenario rule checks
+        self.bench_text = bench_text
+        self.spec_dir = spec_dir  ##< where run_spec("x") finds x.campaign
         self.hot_scope = hot_scope
         self.kind_enum_paths = kind_enum_paths
         self.factory_files = set(factory_files)
@@ -1063,6 +1137,8 @@ class Analyzer:
         self.rule_hot_alloc()
         self.rule_unit_raw()
         self.rule_lifetime()
+        self.rule_lines()
+        self.rule_inline_scenario()
         self.rule_unused_suppressions()
         self.findings.sort(key=lambda f: (f.file, f.line, f.rule))
         return self.findings
@@ -1071,11 +1147,13 @@ class Analyzer:
         roots = [fn for m in self.models for fn in m.functions
                  if fn.simple in EVENT_ROOT_NAMES or fn.schedules]
         reachable = self.reachable_from(roots)
+        seen = set()  ##< (file, line) of every function-body finding
         for m in self.models:
             for fn in m.functions:
                 key = (fn.file, fn.name, fn.line)
                 in_event = key in reachable
                 for what, line in fn.banned:
+                    seen.add((fn.file, line))
                     path = []
                     if in_event:
                         for r in roots:
@@ -1089,6 +1167,17 @@ class Analyzer:
                         + (f" [event-reachable via "
                            f"{' -> '.join(path)}]" if path else ""),
                         path))
+        # Sites outside any function body: members, aliases, initialisers.
+        for rel, code in self.code.items():
+            for line, text in enumerate(code, 1):
+                if (rel, line) in seen:
+                    continue
+                for pattern, what in NONDETERMINISM:
+                    if pattern.search(text):
+                        self.emit(Finding(
+                            "determinism", rel, line,
+                            f"{what} breaks bit-reproducible runs; use "
+                            f"util/rng.h / the Simulator clock"))
 
     def rule_packet_switch(self):
         kind_enums = {
@@ -1269,6 +1358,74 @@ class Analyzer:
                         f"(src/net/host.{{h,cpp}}) — the data-packet "
                         f"ledger is bypassed; go through the Host "
                         f"factories")
+        # The same class per line, for allocations no function body holds
+        # (member initialisers) or whose type the body scan does not name.
+        for rel, code in self.code.items():
+            if rel in self.factory_files:
+                continue
+            for line, text in enumerate(code, 1):
+                if PACKET_FACTORY.search(text) and \
+                        (rel, line, "factory") not in reported:
+                    reported.add((rel, line, "factory"))
+                    self._lifetime_site(
+                        "factory", rel, line,
+                        "allocates a packet type outside the sanctioned "
+                        "factory (src/net/host.{h,cpp}) — the data-packet "
+                        "ledger is bypassed; go through the Host factories")
+
+    def rule_lines(self):
+        """naked-assert, double-sim-time, static-local and
+        unordered-container over the stripped source lines."""
+        for rel, code in self.code.items():
+            for line, text in enumerate(code, 1):
+                if (NAKED_ASSERT.search(text)
+                        and not STATIC_ASSERT.search(text)
+                        and ("naked-assert", rel) not in LINE_EXEMPT):
+                    self.emit(Finding(
+                        "naked-assert", rel, line,
+                        "use DCPIM_CHECK/DCPIM_DCHECK from util/check.h "
+                        "instead of assert()"))
+                if (DOUBLE_SIM_TIME.search(text)
+                        and not SANCTIONED_TIME_CONVERSION.search(text)):
+                    self.emit(Finding(
+                        "double-sim-time", rel, line,
+                        "sim-time state must be the integer Time/TimePoint "
+                        "types, not double"))
+                if STATIC_LOCAL.search(text):
+                    self.emit(Finding(
+                        "static-local", rel, line,
+                        "static non-const local state breaks "
+                        "per-experiment isolation (harness/sweep.h); make "
+                        "it per-experiment or justify with "
+                        "sa-ok(static-local)"))
+                if UNORDERED_CONTAINER.search(text):
+                    self.emit(Finding(
+                        "unordered-container", rel, line,
+                        "hashed containers iterate in library-dependent "
+                        "order; use std::map/std::set, or a std::vector "
+                        "indexed by a dense id"))
+
+    def rule_inline_scenario(self):
+        """Bench binaries run committed specs: no hand-built scenario, and
+        every run_spec("x") names an existing x.campaign."""
+        for rel, lines in self.bench_text.items():
+            for line, text in enumerate(lines, 1):
+                m = INLINE_SCENARIO.search(strip_comments_and_strings(text))
+                if m:
+                    self.emit(Finding(
+                        "inline-scenario", rel, line,
+                        f"hand-built scenario ({m.group(0)}); put it in "
+                        f"tests/campaign_specs/ and run it with "
+                        f"bench::run_spec (bench_common.h)"))
+                if text.lstrip().startswith("//"):
+                    continue
+                for call in RUN_SPEC_CALL.finditer(text):
+                    spec = f"{call.group(1)}.campaign"
+                    if not (self.spec_dir / spec).is_file():
+                        self.emit(Finding(
+                            "inline-scenario", rel, line,
+                            f"tests/campaign_specs/{spec} does not exist; "
+                            f"run_spec() would exit 2 at start-up"))
 
     def rule_unused_suppressions(self):
         for s in self.suppressions:
@@ -1283,146 +1440,67 @@ class Analyzer:
 # Driver
 # =============================================================================
 
-def _tool_hash() -> str:
-    return hashlib.sha256(Path(__file__).read_bytes()).hexdigest()
-
-
-def _parse_one(payload):
-    """Worker for the parallel text-frontend parse. Returns (model, hit).
-    The cache key is sha256(tool-source || file-source): editing either the
-    analyzer or the file invalidates the entry, so stale models are
-    structurally impossible. Cache writes are atomic (tmp + rename) so
-    concurrent workers never observe torn pickles."""
-    path_str, rel, cache_dir, tool_hash, flag_salt = payload
-    path = Path(path_str)
-    source = path.read_bytes()
-    key = None
-    if cache_dir:
-        # The flag salt folds the CLI analysis configuration (rule
-        # selection, hot scope) into the key: the parsed model is
-        # flag-independent today, but a cached entry must never be able to
-        # outlive a flag change that could alter what gets extracted.
-        digest = hashlib.sha256(
-            tool_hash.encode("ascii") + b"\x00" +
-            flag_salt.encode("utf-8") + b"\x00" + source).hexdigest()
-        key = Path(cache_dir) / f"{digest}.pkl"
-        try:
-            with open(key, "rb") as fh:
-                return pickle.load(fh), True
-        except Exception:
-            pass
-    model = text_parse_file(path, rel)
-    if key is not None:
-        try:
-            key.parent.mkdir(parents=True, exist_ok=True)
-            tmp = key.with_name(f"{key.name}.tmp.{os.getpid()}")
-            with open(tmp, "wb") as fh:
-                pickle.dump(model, fh)
-            os.replace(tmp, key)
-        except Exception:
-            pass
-    return model, False
-
-
-def parse_files_text(files, root, jobs, cache_dir, flag_salt=""):
-    """Parses `files` with the text frontend, fanning out across processes
-    when jobs > 1 and reusing cached TU models keyed by content hash (plus
-    the CLI flag salt — see _parse_one). Returns (models, rels,
-    cache_hits) with models in input order."""
-    tool_hash = _tool_hash() if cache_dir else ""
-    payloads = []
-    rels = []
-    for f in files:
-        rel = f.relative_to(root).as_posix() if f.is_relative_to(root) \
-            else f.as_posix()
-        rels.append(rel)
-        payloads.append((str(f), rel, str(cache_dir) if cache_dir else "",
-                         tool_hash, flag_salt))
-    if jobs > 1 and len(payloads) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_parse_one, payloads, chunksize=4))
-    else:
-        results = [_parse_one(p) for p in payloads]
-    models = [m for m, _ in results]
-    hits = sum(1 for _, hit in results if hit)
-    return models, rels, hits
-
-
-def load_compdb(path: Path):
-    db = json.loads(path.read_text(encoding="utf-8"))
-    files = []
-    for entry in db:
-        f = Path(entry["file"])
-        if not f.is_absolute():
-            f = Path(entry["directory"]) / f
-        files.append(f)
-    return files
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.splitlines()[0],
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--compdb", type=Path,
-                        help="compile_commands.json exported by CMake")
     parser.add_argument("--files", nargs="*", type=Path,
                         help="explicit file list (fixture/test mode)")
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parent.parent,
                         help="repository root (default: this script's repo)")
     parser.add_argument("--json", type=Path, help="write JSON report here")
-    parser.add_argument("--hot-scope", default=",".join(DEFAULT_HOT_SCOPE),
-                        help="comma-separated path prefixes hot-alloc "
-                             "traversal may descend into ('*' = everywhere)")
     parser.add_argument("--no-ratchet", action="store_true",
                         help="skip the suppression-count baseline check")
     parser.add_argument("--write-baseline", action="store_true",
                         help="rewrite tools/sa_baseline.json from this run")
     parser.add_argument("--rules", default=",".join(RULES),
                         help="comma-separated rules to enable")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel parse workers; 0 = one per core")
-    parser.add_argument("--cache-dir", type=Path,
-                        help="cache parsed TU models here, keyed by "
-                             "tool+file content hash")
     parser.add_argument("--lifetime-json", type=Path,
                         help="write the lifetime escape ledger here "
                              "(every site, suppressed or not)")
     args = parser.parse_args()
 
+    # Resolve the root before computing repo-relative paths: a relative,
+    # symlinked, or `..`-laden --root must produce the same keys as running
+    # from the checkout itself, or path exemptions silently stop applying.
     root = args.root.resolve()
     if args.files:
         files = [f.resolve() for f in args.files]
         kind_paths: tuple = ()
         factory_files: tuple = ()  # fixtures: every packet alloc flagged
-        hot_scope = None if args.hot_scope == "*" else tuple(
-            p for p in args.hot_scope.split(",") if p)
-        if args.hot_scope == ",".join(DEFAULT_HOT_SCOPE):
-            hot_scope = None  # fixture mode: traverse everywhere
-    elif args.compdb:
-        cpps = load_compdb(args.compdb)
+        hot_scope = None  # fixtures: hot-alloc traverses everywhere
+    else:
         src = root / "src"
-        files = sorted({f for f in cpps
-                        if f.is_relative_to(src)} |
-                       set(src.rglob("*.h")))
+        if not src.is_dir():
+            print(f"dcpim_sa: no src/ under {root}", file=sys.stderr)
+            return 2
+        files = sorted(p.resolve() for p in src.rglob("*")
+                       if p.suffix in (".h", ".cpp"))
         kind_paths = KIND_ENUM_PATHS
         factory_files = SANCTIONED_FACTORY_FILES
-        hot_scope = tuple(p for p in args.hot_scope.split(",") if p)
-    else:
-        print("dcpim_sa: pass --compdb or --files", file=sys.stderr)
-        return 2
+        hot_scope = HOT_SCOPE
 
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    flag_salt = f"rules={args.rules};hot_scope={args.hot_scope}"
-    models, rels, cache_hits = parse_files_text(
-        files, root, jobs, args.cache_dir, flag_salt)
-    files_text = {rel: f.read_text(encoding="utf-8").splitlines()
-                  for f, rel in zip(files, rels)}
+    def read(paths):
+        out = {}
+        for f in paths:
+            rel = f.relative_to(root).as_posix() if f.is_relative_to(root) \
+                else f.as_posix()
+            out[rel] = f.read_text(encoding="utf-8")
+        return out
+
+    sources = read(files)
+    models = [text_parse_file(text, rel) for rel, text in sources.items()]
+    files_text = {rel: text.splitlines() for rel, text in sources.items()}
+    # inline-scenario checks the bench binaries; in --files mode, every file.
+    bench_text = files_text if args.files else {
+        rel: text.splitlines()
+        for rel, text in read(sorted((root / "bench").glob("*.cpp"))).items()}
 
     enabled = set(args.rules.split(","))
     analyzer = Analyzer(models, files_text, hot_scope, kind_paths,
-                        factory_files)
+                        factory_files, bench_text,
+                        root / "tests" / "campaign_specs")
     findings = [f for f in analyzer.run() if f.rule in enabled]
 
     sup_counts: dict[str, int] = {}
@@ -1467,7 +1545,6 @@ def main() -> int:
     report = {
         "files": len(files),
         "functions": sum(len(m.functions) for m in models),
-        "cache_hits": cache_hits,
         "rules": sorted(enabled & set(RULES)),
         "findings": [f.to_json() for f in findings],
         "suppressions": sup_counts,
