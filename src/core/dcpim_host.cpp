@@ -1,9 +1,9 @@
 #include "core/dcpim_host.h"
 
 #include <algorithm>
-#include "util/check.h"
-#include <limits>
+#include <utility>
 
+#include "util/check.h"
 #include "util/logging.h"
 
 namespace dcpim::core {
@@ -117,16 +117,14 @@ void DcpimHost::epoch_tick(std::uint64_t m) {
   if (epoch_audit_hook_) epoch_audit_hook_(m);
 
   rescue_overdue_short_flows();
-  ReceiverEpochState& st = receiver_epoch(m);
-  snapshot_demand(st);
+  snapshot_demand(epochs_[m]);
 
-  // Request stages for rounds 1..r at offsets 0, 2S, 4S, ... (§3.3: accept
-  // of round i shares the stage slot with request of round i+1).
-  const Time S = stage_length();
+  // Request stages for rounds 1..r in slots 0, 2, 4, ... (§3.3: accept of
+  // round i shares the stage slot with request of round i+1).
   run_request_stage(m, 1);
   for (int round = 2; round <= cfg_.rounds; ++round) {
     network().sim().schedule_at(
-        matching_start(m) + S * (2 * (round - 1)),
+        matching_start(m) + stage_length() * (2 * (round - 1)),
         [this, m, round]() { run_request_stage(m, round); });
   }
 
@@ -141,8 +139,8 @@ void DcpimHost::epoch_tick(std::uint64_t m) {
 
 void DcpimHost::on_flow_arrival(net::Flow& flow) {
   TxFlow& tx = create_state<TxFlow>(flow, Role::kSender);
-  tx.sent.assign(flow.seq_count(), false);
-  ++tx_per_receiver_[flow.dst];
+  tx.sent.reset(flow.seq_count());
+  ++by_host(tx_per_receiver_, flow.dst);
 
   send_notification(flow, /*retransmit=*/false);
   schedule_notify_timer(flow.id);
@@ -154,8 +152,7 @@ void DcpimHost::on_flow_arrival(net::Flow& flow) {
       send(make_data_packet(flow, {.seq = seq,
                                   .priority = kShortFlowPriority,
                                   .unscheduled = true}));
-      tx.sent[seq] = true;
-      ++tx.sent_count;
+      tx.sent.insert(seq);
       ++counters_.short_data_sent;
       ++counters_.data_sent;
     }
@@ -189,7 +186,7 @@ void DcpimHost::schedule_notify_timer(std::uint64_t flow_id) {
 }
 
 void DcpimHost::maybe_send_finish(const net::Flow& flow, TxFlow& tx) {
-  if (tx.finish_sent || tx.sent_count < flow.seq_count()) return;
+  if (tx.finish_sent || tx.sent.size() < flow.seq_count()) return;
   auto fin = make_control<FinishPacket>(flow.dst, kFinish);
   fin->flow_id = flow.id;
   fin->packets_sent = flow.seq_count();
@@ -217,86 +214,15 @@ void DcpimHost::schedule_finish_timer(std::uint64_t flow_id) {
 
 void DcpimHost::handle_request(const RequestPacket& req) {
   // Only grant when there really is an active flow toward that receiver.
-  if (!tx_per_receiver_.contains(req.src)) return;
-
-  SenderEpochState& st = sender_epoch(req.epoch);
-  const Time S = stage_length();
-  // Stragglers (delayed control packets or skewed host clocks, §3.3/§3.5)
-  // roll forward to the next round whose grant stage has not passed yet;
-  // past the last round they are dropped and the receiver retries next
-  // epoch.
-  int round = req.round;
-  auto grant_time = [&](int r) {
-    return matching_start(req.epoch) + S * (2 * (r - 1) + 1);
-  };
-  while (round <= cfg_.rounds && network().sim().now() > grant_time(round)) {
-    ++round;
-  }
-  if (round > cfg_.rounds) return;
-  RequestPacket buffered = req;
-  buffered.round = round;
-  st.requests[round].push_back(buffered);
-  if (!st.grant_stage_scheduled[round]) {
-    st.grant_stage_scheduled[round] = true;
-    const std::uint64_t m = req.epoch;
-    network().sim().schedule_at(grant_time(round), [this, m, round]() {
-      run_grant_stage(m, round);
-    });
-  }
-}
-
-void DcpimHost::run_grant_stage(std::uint64_t m, int round) {
-  SenderEpochState& st = sender_epoch(m);
-  std::vector<RequestPacket> reqs = std::move(st.requests[round]);
-  st.requests[round].clear();
-  int spare = cfg_.channels - st.matched_channels;
-  if (spare <= 0 || reqs.empty()) return;
-
-  const bool fct_round =
-      round == 1 && cfg_.fct_optimizing_first_round && cfg_.flow_size_aware;
-  if (fct_round) {
-    // The FCT-optimizing round exists to let small/medium flows finish
-    // early (§3.5). Flows larger than one data phase's worth of bytes gain
-    // nothing from SRPT ordering here, but a strict order makes every
-    // sender herd onto the same receiver and the grants collide. So: sort
-    // by remaining size clamped at one phase of line-rate bytes, shuffling
-    // first so ties (including all bulk flows) break randomly.
-    const Bytes cap = bytes_in(epoch_length(), nic()->config().rate);
-    for (std::size_t i = reqs.size(); i > 1; --i) {
-      std::swap(reqs[i - 1], reqs[network().rng().uniform_int(i)]);
-    }
-    std::stable_sort(reqs.begin(), reqs.end(),
-                     [cap](const RequestPacket& a, const RequestPacket& b) {
-                       return std::min(a.min_remaining_bytes, cap) <
-                              std::min(b.min_remaining_bytes, cap);
-                     });
-  }
-  while (spare > 0 && !reqs.empty()) {
-    std::size_t pick = 0;
-    if (!fct_round) {
-      pick = network().rng().uniform_int(reqs.size());
-    }
-    const RequestPacket req = reqs[pick];
-    reqs[pick] = reqs.back();
-    reqs.pop_back();
-    const int give = std::min(spare, req.channels_wanted);
-    if (give <= 0) continue;
-    auto grant = make_control<GrantPacket>(req.src, kGrant);
-    grant->epoch = m;
-    grant->round = round;
-    grant->channels_granted = give;
-    grant->min_remaining_bytes = req.min_remaining_bytes;
-    send(std::move(grant));
-    ++counters_.grants_sent;
-    st.granted[req.src] += give;
-    spare -= give;
-  }
+  if (by_host(tx_per_receiver_, req.src) == 0) return;
+  buffer_offer(req.epoch, 2 * req.round - 1,
+               {req.src, req.channels_wanted, req.min_remaining_bytes});
 }
 
 void DcpimHost::handle_accept(const AcceptPacket& acc) {
-  SenderEpochState& st = sender_epoch(acc.epoch);
-  st.matched_channels += acc.channels_accepted;
-  st.accepted[acc.src] += acc.channels_accepted;
+  Epoch& ep = epochs_[acc.epoch];
+  ep.sender_matched += acc.channels_accepted;
+  ep.ledger[acc.src].accepted += acc.channels_accepted;
 }
 
 bool DcpimHost::token_expired(std::uint64_t phase) const {
@@ -349,10 +275,7 @@ void DcpimHost::transmit_for_token(const QueuedToken& tok) {
   if (tx == nullptr || tok.seq >= flow->seq_count()) return;
   send(make_data_packet(*flow, {.seq = tok.seq, .priority = tok.priority}));
   ++counters_.data_sent;
-  if (!tx->sent[tok.seq]) {
-    tx->sent[tok.seq] = true;
-    ++tx->sent_count;
-  }
+  tx->sent.insert(tok.seq);
   maybe_send_finish(*flow, *tx);
 }
 
@@ -388,15 +311,16 @@ DcpimHost::RxFlow& DcpimHost::create_rx(net::Flow& flow) {
   rx_ids_.insert(std::upper_bound(rx_ids_.begin(), rx_ids_.end(), flow.id),
                  flow.id);
   rx.needs_matching = flow.size > network().bdp();
-  if (rx.needs_matching) rx_flows_from(flow.src).push_back(flow.id);
+  if (rx.needs_matching) by_host(rx_by_sender_, flow.src).push_back(flow.id);
   return rx;
 }
 
-std::vector<std::uint64_t>& DcpimHost::rx_flows_from(int sender) {
-  if (rx_by_sender_.empty()) {
-    rx_by_sender_.resize(static_cast<std::size_t>(network().num_hosts()));
+template <typename T>
+T& DcpimHost::by_host(std::vector<T>& index, int host) {
+  if (index.empty()) {
+    index.resize(static_cast<std::size_t>(network().num_hosts()));
   }
-  return rx_by_sender_[static_cast<std::size_t>(sender)];
+  return index[static_cast<std::size_t>(host)];
 }
 
 void DcpimHost::check_short_flow(std::uint64_t flow_id) {
@@ -415,7 +339,7 @@ void DcpimHost::check_short_flow(std::uint64_t flow_id) {
   for (std::uint32_t seq = 0; seq < flow->seq_count(); ++seq) {
     if (st == nullptr || !st->has(seq)) rx->readmit.push(seq);
   }
-  rx_flows_from(flow->src).push_back(flow_id);
+  by_host(rx_by_sender_, flow->src).push_back(flow_id);
 }
 
 void DcpimHost::rescue_overdue_short_flows() {
@@ -520,7 +444,7 @@ Bytes DcpimHost::flow_remaining(const net::Flow& flow) const {
   return flow.size - received;
 }
 
-void DcpimHost::snapshot_demand(ReceiverEpochState& st) {
+void DcpimHost::snapshot_demand(Epoch& ep) {
   for (std::size_t i = 0; i < rx_by_sender_.size(); ++i) {
     const int sender = static_cast<int>(i);
     std::vector<std::uint64_t>& ids = rx_by_sender_[i];
@@ -544,122 +468,151 @@ void DcpimHost::snapshot_demand(ReceiverEpochState& st) {
         pending += channel_bytes_per_phase();
       }
     }
-    if (pending > Bytes{}) {
-      st.demand[sender] = pending;
-      st.min_remaining[sender] = min_rem;
-    }
+    if (pending > Bytes{}) ep.demand[sender] = {pending, min_rem};
   }
 }
 
 void DcpimHost::run_request_stage(std::uint64_t m, int round) {
-  ReceiverEpochState& st = receiver_epoch(m);
-  const int spare = cfg_.channels - st.matched_channels;
+  Epoch& ep = epochs_[m];
+  const int spare = cfg_.channels - ep.receiver_matched;
   if (spare <= 0) return;
-  const Bytes per_channel = channel_bytes_per_phase();
   // Requests leave this host in sender-id order.
-  for (const auto& [sender, pending] : st.demand) {
-    if (pending <= Bytes{}) continue;
-    const int wanted = static_cast<int>(std::min<std::int64_t>(
-        spare, (pending + per_channel - Bytes{1}) / per_channel));
+  for (const auto& [sender, demand] : ep.demand) {
+    const int wanted = channels_for(demand.pending, spare);
     if (wanted <= 0) continue;
     auto req = make_control<RequestPacket>(sender, kRequest);
     req->epoch = m;
     req->round = round;
     req->channels_wanted = wanted;
-    req->min_remaining_bytes = st.min_remaining[sender];
+    req->min_remaining_bytes = demand.min_remaining;
     send(std::move(req));
     ++counters_.requests_sent;
   }
 }
 
 void DcpimHost::handle_grant(const GrantPacket& grant) {
-  ReceiverEpochState& st = receiver_epoch(grant.epoch);
-  const Time S = stage_length();
-  // Same straggler roll-forward as for requests: a late grant competes in
-  // the next accept stage of the epoch instead of being lost.
-  int round = grant.round;
-  auto accept_time = [&](int r) {
-    return matching_start(grant.epoch) + S * (2 * r);
+  buffer_offer(grant.epoch, 2 * grant.round,
+               {grant.src, grant.channels_granted, grant.min_remaining_bytes});
+}
+
+void DcpimHost::buffer_offer(std::uint64_t m, int slot, const Offer& offer) {
+  Epoch& ep = epochs_[m];
+  // Stragglers (delayed control packets or skewed host clocks, §3.3/§3.5)
+  // roll forward, two slots at a time, to the role's next stage that has
+  // not started; past slot 2r they are dropped and the receiver retries
+  // next epoch.
+  const auto start = [&](int s) {
+    return matching_start(m) + stage_length() * s;
   };
-  while (round <= cfg_.rounds && network().sim().now() > accept_time(round)) {
-    ++round;
+  while (slot <= 2 * cfg_.rounds && network().sim().now() > start(slot)) {
+    slot += 2;
   }
-  if (round > cfg_.rounds) return;
-  GrantPacket buffered = grant;
-  buffered.round = round;
-  st.grants[round].push_back(buffered);
-  if (!st.accept_stage_scheduled[round]) {
-    st.accept_stage_scheduled[round] = true;
-    const std::uint64_t m = grant.epoch;
-    network().sim().schedule_at(accept_time(round), [this, m, round]() {
-      run_accept_stage(m, round);
-    });
+  if (slot > 2 * cfg_.rounds) return;
+  ep.stages.resize(static_cast<std::size_t>(2 * cfg_.rounds + 1));
+  Stage& stage = ep.stages[static_cast<std::size_t>(slot)];
+  // An offer arriving at exactly start(slot), after that stage ran, waits
+  // here undrained: `scheduled` stays set. Fixing it moves outcome pins.
+  stage.offers.push_back(offer);
+  if (!stage.scheduled) {
+    stage.scheduled = true;
+    network().sim().schedule_at(start(slot),
+                                [this, m, slot]() { run_stage(m, slot); });
   }
 }
 
-void DcpimHost::run_accept_stage(std::uint64_t m, int round) {
-  ReceiverEpochState& st = receiver_epoch(m);
-  std::vector<GrantPacket> grants = std::move(st.grants[round]);
-  st.grants[round].clear();
-  int spare = cfg_.channels - st.matched_channels;
-  if (spare <= 0 || grants.empty()) return;
+void DcpimHost::run_stage(std::uint64_t m, int slot) {
+  Epoch& ep = epochs_[m];
+  std::vector<Offer> offers =
+      std::exchange(ep.stages[static_cast<std::size_t>(slot)].offers, {});
+  const bool granting = slot % 2 == 1;
+  int spare =
+      cfg_.channels - (granting ? ep.sender_matched : ep.receiver_matched);
+  if (spare <= 0 || offers.empty()) return;
 
+  const int round = (slot + 1) / 2;
   const bool fct_round =
       round == 1 && cfg_.fct_optimizing_first_round && cfg_.flow_size_aware;
   if (fct_round) {
-    // Clamped SRPT order with random tie-break, as in run_grant_stage.
+    // The FCT-optimizing round exists to let small/medium flows finish
+    // early (§3.5). Flows larger than one data phase's worth of bytes gain
+    // nothing from SRPT ordering here, but a strict order makes every
+    // sender herd onto the same receiver and the grants collide. So: sort
+    // by remaining size clamped at one phase of line-rate bytes, shuffling
+    // first so ties (including all bulk flows) break randomly.
     const Bytes cap = bytes_in(epoch_length(), nic()->config().rate);
-    for (std::size_t i = grants.size(); i > 1; --i) {
-      std::swap(grants[i - 1], grants[network().rng().uniform_int(i)]);
+    for (std::size_t i = offers.size(); i > 1; --i) {
+      std::swap(offers[i - 1], offers[network().rng().uniform_int(i)]);
     }
-    std::stable_sort(grants.begin(), grants.end(),
-                     [cap](const GrantPacket& a, const GrantPacket& b) {
-                       return std::min(a.min_remaining_bytes, cap) <
-                              std::min(b.min_remaining_bytes, cap);
+    std::stable_sort(offers.begin(), offers.end(),
+                     [cap](const Offer& a, const Offer& b) {
+                       return std::min(a.min_remaining, cap) <
+                              std::min(b.min_remaining, cap);
                      });
   }
-  const Bytes per_channel = channel_bytes_per_phase();
-  while (spare > 0 && !grants.empty()) {
-    std::size_t pick = 0;
-    if (!fct_round) {
-      pick = network().rng().uniform_int(grants.size());
-    }
-    const GrantPacket grant = grants[pick];
-    grants[pick] = grants.back();
-    grants.pop_back();
-
-    auto demand_it = st.demand.find(grant.src);
-    if (demand_it == st.demand.end() || demand_it->second <= Bytes{}) continue;
-    const int demand_channels = static_cast<int>(std::min<std::int64_t>(
-        cfg_.channels,
-        (demand_it->second + per_channel - Bytes{1}) / per_channel));
-    const int take =
-        std::min({spare, grant.channels_granted, demand_channels});
-    if (take <= 0) continue;
-
-    auto acc = make_control<AcceptPacket>(grant.src, kAccept);
-    acc->epoch = m;
-    acc->round = round;
-    acc->channels_accepted = take;
-    send(std::move(acc));
-    ++counters_.accepts_sent;
-
-    st.matches[grant.src] += take;
-    st.matched_channels += take;
-    spare -= take;
-    // §3.4: account for the bytes the accepted channels will carry.
-    demand_it->second =
-        std::max(Bytes{}, demand_it->second - per_channel * take);
+  // Other rounds draw each pick uniformly at random.
+  while (spare > 0 && !offers.empty()) {
+    const std::size_t pick =
+        fct_round ? 0 : network().rng().uniform_int(offers.size());
+    const Offer offer = offers[pick];
+    offers[pick] = offers.back();
+    offers.pop_back();
+    spare -= granting ? send_grant(ep, m, round, offer, spare)
+                      : send_accept(ep, m, round, offer, spare);
   }
+}
+
+int DcpimHost::send_grant(Epoch& ep, std::uint64_t m, int round,
+                          const Offer& req, int spare) {
+  const int give = std::min(spare, req.channels);
+  if (give <= 0) return 0;
+  auto grant = make_control<GrantPacket>(req.peer, kGrant);
+  grant->epoch = m;
+  grant->round = round;
+  grant->channels_granted = give;
+  grant->min_remaining_bytes = req.min_remaining;
+  send(std::move(grant));
+  ++counters_.grants_sent;
+  ep.ledger[req.peer].granted += give;
+  return give;
+}
+
+int DcpimHost::send_accept(Epoch& ep, std::uint64_t m, int round,
+                           const Offer& offer, int spare) {
+  auto demand = ep.demand.find(offer.peer);
+  if (demand == ep.demand.end()) return 0;
+  const int take = std::min(
+      {spare, offer.channels, channels_for(demand->second.pending,
+                                           cfg_.channels)});
+  if (take <= 0) return 0;
+
+  auto acc = make_control<AcceptPacket>(offer.peer, kAccept);
+  acc->epoch = m;
+  acc->round = round;
+  acc->channels_accepted = take;
+  send(std::move(acc));
+  ++counters_.accepts_sent;
+
+  ep.matches[offer.peer] += take;
+  ep.receiver_matched += take;
+  // §3.4: account for the bytes the accepted channels will carry.
+  Bytes& pending = demand->second.pending;
+  pending = std::max(Bytes{}, pending - channel_bytes_per_phase() * take);
+  return take;
+}
+
+int DcpimHost::channels_for(Bytes pending, int cap) const {
+  const Bytes per_channel = channel_bytes_per_phase();
+  return static_cast<int>(std::min<std::int64_t>(
+      cap, (pending + per_channel - Bytes{1}) / per_channel));
 }
 
 // ===== data phase (receiver) ================================================
 
 void DcpimHost::start_data_phase(std::uint64_t m) {
-  auto it = recv_epochs_.find(m);
+  auto it = epochs_.find(m);
   active_matches_.clear();
   active_phase_ = m;
-  if (it == recv_epochs_.end() || it->second.matches.empty()) return;
+  if (it == epochs_.end() || it->second.matches.empty()) return;
 
   const Time token_timeout = epoch_length() + network().max_control_rtt();
   const TimePoint now = network().sim().now();
@@ -667,7 +620,7 @@ void DcpimHost::start_data_phase(std::uint64_t m) {
   for (const auto& [sender, channels] : it->second.matches) {
     // Requeue timed-out tokens for this sender's flows: their data was
     // lost (or the phase expired), so they must be re-admitted (§3.2).
-    for (std::uint64_t id : rx_flows_from(sender)) {
+    for (std::uint64_t id : by_host(rx_by_sender_, sender)) {
       RxFlow* rx = find_state<RxFlow>(id, Role::kReceiver);
       if (rx == nullptr) continue;
       // readmit is a FIFO: timed-out seqs re-enter it in seq order.
@@ -709,7 +662,7 @@ bool DcpimHost::issue_token(ActiveMatch& match) {
   Bytes best_rem = Bytes::max();
   const std::uint32_t window = window_packets(match.channels);
   bool saw_window_full = false;
-  for (std::uint64_t id : rx_flows_from(match.sender)) {
+  for (std::uint64_t id : by_host(rx_by_sender_, match.sender)) {
     net::Flow* flow = network().flow(id);
     RxFlow* rx = find_state<RxFlow>(flow, Role::kReceiver);
     if (rx == nullptr) continue;
@@ -793,9 +746,7 @@ void DcpimHost::on_packet(net::PacketPtr p) {
       net::Flow* flow = network().flow(p->flow_id);
       if (find_state<TxFlow>(flow, Role::kSender) != nullptr) {
         release_state(*flow, Role::kSender);
-        if (--tx_per_receiver_[flow->dst] == 0) {
-          tx_per_receiver_.erase(flow->dst);
-        }
+        --by_host(tx_per_receiver_, flow->dst);
       }
       break;
     }
@@ -818,33 +769,20 @@ void DcpimHost::on_packet(net::PacketPtr p) {
 
 // ===== epoch state management ===============================================
 
-DcpimHost::SenderEpochState& DcpimHost::sender_epoch(std::uint64_t m) {
-  return send_epochs_[m];
-}
-
-DcpimHost::ReceiverEpochState& DcpimHost::receiver_epoch(std::uint64_t m) {
-  return recv_epochs_[m];
-}
-
 void DcpimHost::gc_epochs(std::uint64_t current) {
-  std::erase_if(send_epochs_, [current](const auto& kv) {
-    return kv.first + 2 <= current;
-  });
-  std::erase_if(recv_epochs_, [current](const auto& kv) {
-    return kv.first + 2 <= current;
-  });
+  std::erase_if(epochs_,
+                [current](const auto& kv) { return kv.first + 2 <= current; });
 }
 
 int DcpimHost::receiver_matched_channels(std::uint64_t epoch) const {
-  auto it = recv_epochs_.find(epoch);
-  return it == recv_epochs_.end() ? 0 : it->second.matched_channels;
+  auto it = epochs_.find(epoch);
+  return it == epochs_.end() ? 0 : it->second.receiver_matched;
 }
 
 int DcpimHost::receiver_matched_peers(std::uint64_t epoch) const {
-  auto it = recv_epochs_.find(epoch);
-  return it == recv_epochs_.end()
-             ? 0
-             : static_cast<int>(it->second.matches.size());
+  auto it = epochs_.find(epoch);
+  return it == epochs_.end() ? 0
+                             : static_cast<int>(it->second.matches.size());
 }
 
 // ===== invariant audit hooks ================================================
@@ -885,23 +823,23 @@ void DcpimHost::audit_token_accounting(std::vector<std::string>& out) const {
 
 void DcpimHost::audit_matching(std::vector<std::string>& out) const {
   const auto who = [this] { return "host " + std::to_string(host_id()); };
-  for (const auto& [epoch, st] : send_epochs_) {
-    if (st.matched_channels < 0 || st.matched_channels > cfg_.channels) {
+  for (const auto& [epoch, ep] : epochs_) {
+    if (ep.sender_matched < 0 || ep.sender_matched > cfg_.channels) {
       out.push_back(who() + " (sender) epoch " + std::to_string(epoch) +
-                    " matched " + std::to_string(st.matched_channels) +
+                    " matched " + std::to_string(ep.sender_matched) +
                     " channels, outside [0, " +
                     std::to_string(cfg_.channels) + "]");
     }
   }
-  for (const auto& [epoch, st] : recv_epochs_) {
-    if (st.matched_channels < 0 || st.matched_channels > cfg_.channels) {
+  for (const auto& [epoch, ep] : epochs_) {
+    if (ep.receiver_matched < 0 || ep.receiver_matched > cfg_.channels) {
       out.push_back(who() + " (receiver) epoch " + std::to_string(epoch) +
-                    " matched " + std::to_string(st.matched_channels) +
+                    " matched " + std::to_string(ep.receiver_matched) +
                     " channels, outside [0, " +
                     std::to_string(cfg_.channels) + "]");
     }
     int accepted_sum = 0;
-    for (const auto& [sender, channels] : st.matches) {
+    for (const auto& [sender, channels] : ep.matches) {
       if (channels < 1 || channels > cfg_.channels) {
         out.push_back(who() + " (receiver) epoch " + std::to_string(epoch) +
                       " matched sender " + std::to_string(sender) + " on " +
@@ -909,11 +847,11 @@ void DcpimHost::audit_matching(std::vector<std::string>& out) const {
       }
       accepted_sum += channels;
     }
-    if (accepted_sum != st.matched_channels) {
+    if (accepted_sum != ep.receiver_matched) {
       out.push_back(who() + " (receiver) epoch " + std::to_string(epoch) +
                     " per-sender matches sum to " +
                     std::to_string(accepted_sum) + " but total says " +
-                    std::to_string(st.matched_channels));
+                    std::to_string(ep.receiver_matched));
     }
   }
 }
@@ -926,12 +864,13 @@ void DcpimHost::audit_channel_ledger(std::vector<std::string>& out) const {
   // double-counted Accept. Unclaimed offers are fine (grants race at the
   // receiver), so only the per-receiver upper bound is asserted, plus the
   // closed-ledger identity matched == Σ accepted.
-  for (const auto& [epoch, st] : send_epochs_) {
+  for (const auto& [epoch, ep] : epochs_) {
     const auto tag = [&who, epoch] {
       return who() + " (sender) epoch " + std::to_string(epoch);
     };
     int accepted_sum = 0;
-    for (const auto& [receiver, taken] : st.accepted) {
+    for (const auto& [receiver, ledger] : ep.ledger) {
+      const int taken = ledger.accepted;
       accepted_sum += taken;
       if (taken < 0) {
         out.push_back(tag() + " recorded " + std::to_string(taken) +
@@ -939,21 +878,21 @@ void DcpimHost::audit_channel_ledger(std::vector<std::string>& out) const {
                       std::to_string(receiver));
         continue;
       }
-      auto it = st.granted.find(receiver);
-      const int offered = it == st.granted.end() ? 0 : it->second;
-      if (taken > offered) {
+      if (taken > ledger.granted) {
         out.push_back(tag() + " receiver " + std::to_string(receiver) +
                       " accepted " + std::to_string(taken) +
-                      " channels against only " + std::to_string(offered) +
+                      " channels against only " +
+                      std::to_string(ledger.granted) +
                       " granted (double-spend)");
       }
     }
-    if (accepted_sum != st.matched_channels) {
+    if (accepted_sum != ep.sender_matched) {
       out.push_back(tag() + " per-receiver accepts sum to " +
                     std::to_string(accepted_sum) + " but matched total says " +
-                    std::to_string(st.matched_channels));
+                    std::to_string(ep.sender_matched));
     }
-    for (const auto& [receiver, offered] : st.granted) {
+    for (const auto& [receiver, ledger] : ep.ledger) {
+      const int offered = ledger.granted;
       if (offered < 0 || offered > cfg_.channels * cfg_.rounds) {
         out.push_back(tag() + " offered receiver " +
                       std::to_string(receiver) + " " +

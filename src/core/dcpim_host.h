@@ -137,30 +137,64 @@ class DcpimHost : public net::Host {
 
   void epoch_tick(std::uint64_t m);
 
-  // === sender-side state ====================================================
+  // === matching phase (§3.3) ================================================
+  /// A buffered request (at the sender) or grant (at the receiver).
+  struct Offer {
+    int peer = -1;     ///< the host that sent it
+    int channels = 0;  ///< channels wanted (request) or granted (grant)
+    Bytes min_remaining{};  ///< the receiver's smallest flow: FCT-opt key
+  };
+  struct Stage {
+    std::vector<Offer> offers;  ///< drained when the stage runs
+    bool scheduled = false;     ///< the stage's event is in the queue
+  };
+  struct Demand {
+    Bytes pending{};  ///< bytes not yet covered by accepted channels
+    Bytes min_remaining{};
+  };
+  /// A sender's channels offered to one receiver across the epoch's grant
+  /// stages, and those the receiver claimed (audit_channel_ledger).
+  struct ChannelLedger {
+    int granted = 0;
+    int accepted = 0;
+  };
+  /// Both roles' matching state for one epoch. Its 2r+1 stage slots start
+  /// at matching_start + s*S: the receiver requests in slot 0, the sender
+  /// grants round j in odd slot 2j-1, and the receiver accepts round j in
+  /// even slot 2j, where it also requests round j+1.
+  struct Epoch {
+    std::vector<Stage> stages;  ///< sized when the first offer is buffered
+    int sender_matched = 0;    ///< channels receivers accepted from us
+    int receiver_matched = 0;  ///< channels we accepted
+    std::map<int, Demand> demand;  ///< sender -> what we want from it
+    std::map<int, ChannelLedger> ledger;  ///< receiver -> our offers
+    std::map<int, int> matches;  ///< sender -> accepted channels
+  };
+
+  void gc_epochs(std::uint64_t current);
+  void snapshot_demand(Epoch& ep);
+  void run_request_stage(std::uint64_t m, int round);
+  /// Buffers `offer` for the stage in `slot` of epoch m, or the same role's
+  /// first later stage that has not started, and schedules that stage once.
+  void buffer_offer(std::uint64_t m, int slot, const Offer& offer);
+  /// Runs a grant (odd slot) or accept (even slot) stage over its offers.
+  void run_stage(std::uint64_t m, int slot);
+  /// Each returns the channels it granted or accepted, at most `spare`.
+  int send_grant(Epoch& ep, std::uint64_t m, int round, const Offer& req,
+                 int spare);
+  int send_accept(Epoch& ep, std::uint64_t m, int round, const Offer& offer,
+                  int spare);
+  /// Channels that carry `pending` bytes in one data phase, at most `cap`.
+  int channels_for(Bytes pending, int cap) const;
+
+  // === sender side ===========================================================
   /// Held until the receiver acks the finish.
   struct TxFlow : net::FlowState {
-    std::vector<bool> sent;       ///< distinct seqs transmitted
-    std::uint32_t sent_count = 0;
+    net::SeqBitmap sent;  ///< distinct seqs transmitted
     bool notify_acked = false;
     bool finish_sent = false;
     int notify_retx = 0;
     int finish_retx = 0;
-  };
-
-  struct SenderEpochState {
-    int matched_channels = 0;
-    /// Requests buffered per round, drained by the grant-stage event.
-    std::map<int, std::vector<RequestPacket>> requests;
-    std::map<int, bool> grant_stage_scheduled;
-    /// Per-receiver channel ledger for the double-spend audit: `granted`
-    /// counts offers extended across all grant stages of this epoch,
-    /// `accepted` counts the channels each receiver claimed back. Offers
-    /// that lose the accept race go unclaimed, so Σ granted may exceed
-    /// Σ accepted — but no receiver may ever claim more than it was
-    /// offered (audit_channel_ledger).
-    std::map<int, int> granted;   ///< receiver -> channels offered
-    std::map<int, int> accepted;  ///< receiver -> channels claimed
   };
 
   void send_notification(const net::Flow& flow, bool retransmit);
@@ -168,7 +202,6 @@ class DcpimHost : public net::Host {
   void schedule_notify_timer(std::uint64_t flow_id);
   void schedule_finish_timer(std::uint64_t flow_id);
   void handle_request(const RequestPacket& req);
-  void run_grant_stage(std::uint64_t m, int round);
   void handle_accept(const AcceptPacket& acc);
   /// What the sender's pacer keeps of a received token.
   struct QueuedToken {
@@ -186,7 +219,7 @@ class DcpimHost : public net::Host {
   bool token_expired(std::uint64_t phase) const;
   void transmit_for_token(const QueuedToken& tok);
 
-  // === receiver-side state ===================================================
+  // === receiver side =========================================================
   struct RxFlow : net::FlowState {
     std::uint32_t next_new_seq = 0;  ///< next never-admitted seq
     sim::Ring<std::uint32_t> readmit;  ///< lost-token seqs to re-admit
@@ -200,15 +233,6 @@ class DcpimHost : public net::Host {
     TimePoint rescue_deadline = kTimeUnset;
   };
 
-  struct ReceiverEpochState {
-    int matched_channels = 0;
-    std::map<int, Bytes> demand;  ///< sender -> pending bytes
-    std::map<int, Bytes> min_remaining;  ///< FCT-opt sort key
-    std::map<int, std::vector<GrantPacket>> grants;
-    std::map<int, bool> accept_stage_scheduled;
-    std::map<int, int> matches;  ///< sender -> accepted channels
-  };
-
   struct ActiveMatch {
     int sender = -1;
     int channels = 0;
@@ -218,18 +242,16 @@ class DcpimHost : public net::Host {
   void handle_notification(const NotificationPacket& note);
   void handle_finish(const FinishPacket& fin);
   void handle_data(net::PacketPtr p);
-  void snapshot_demand(ReceiverEpochState& st);
-  void run_request_stage(std::uint64_t m, int round);
   void handle_grant(const GrantPacket& grant);
-  void run_accept_stage(std::uint64_t m, int round);
   void start_data_phase(std::uint64_t m);
   void token_tick(std::uint64_t phase, std::size_t match_idx);
   bool issue_token(ActiveMatch& match);
   /// Creates the receiver record of `flow`; a long flow also joins
   /// rx_by_sender_ for matching.
   RxFlow& create_rx(net::Flow& flow);
-  /// rx_by_sender_[sender], sizing the index on first use.
-  std::vector<std::uint64_t>& rx_flows_from(int sender);
+  /// index[host], sizing `index` to the host count on first use.
+  template <typename T>
+  T& by_host(std::vector<T>& index, int host);
   void check_short_flow(std::uint64_t flow_id);
   /// Epoch-boundary sweep over RxFlow::rescue_deadline (see there). Rides
   /// the existing epoch_tick event on purpose: the no-orphan common case
@@ -239,10 +261,6 @@ class DcpimHost : public net::Host {
 
   Bytes flow_remaining(const net::Flow& flow) const;
 
-  SenderEpochState& sender_epoch(std::uint64_t m);
-  ReceiverEpochState& receiver_epoch(std::uint64_t m);
-  void gc_epochs(std::uint64_t current);
-
   // === members ================================================================
   const DcpimConfig cfg_;
   mutable Time stage_length_{};  ///< stage_length() once known, else 0
@@ -251,8 +269,9 @@ class DcpimHost : public net::Host {
   Counters counters_;
   EpochAuditHook epoch_audit_hook_;
 
-  /// Receiver -> live TxFlow records toward it (request admission).
-  std::map<int, int> tx_per_receiver_;
+  /// Live TxFlow records per receiver host id (request admission). Sized
+  /// to the host count on first use.
+  std::vector<int> tx_per_receiver_;
   /// Sender-side queue of unused tokens, drained at one packet per MTU
   /// transmission time; stale entries expire instead of standing in the
   /// NIC queue (the paper's "discard unused tokens" rule, §3.2).
@@ -268,8 +287,8 @@ class DcpimHost : public net::Host {
   /// order — the sweep rescues in this order, not in flow-id order.
   std::vector<std::uint64_t> rescue_watch_;
 
-  std::map<std::uint64_t, SenderEpochState> send_epochs_;
-  std::map<std::uint64_t, ReceiverEpochState> recv_epochs_;
+  /// Live epochs' matching state; gc_epochs drops those two epochs old.
+  std::map<std::uint64_t, Epoch> epochs_;
 
   /// Token-pacing state for the currently active data phase.
   std::uint64_t active_phase_ = UINT64_MAX;

@@ -47,6 +47,32 @@ class FlowRxState {
   Bytes received_bytes_{};
 };
 
+/// Membership bitmap over a flow's data-packet sequence space, with a
+/// count of its members: which seqs a sender has sent (dcPIM) or seen
+/// acked (NDP, the window family). Out-of-range seqs are treated as absent
+/// and ignored on insert.
+class SeqBitmap {
+ public:
+  void reset(std::uint32_t universe) {
+    bits_.assign(universe, false);
+    count_ = 0;
+  }
+  void insert(std::uint32_t seq) {
+    if (seq < bits_.size() && !bits_[seq]) {
+      bits_[seq] = true;
+      ++count_;
+    }
+  }
+  bool contains(std::uint32_t seq) const {
+    return seq < bits_.size() && bits_[seq];
+  }
+  std::uint32_t size() const { return count_; }
+
+ private:
+  std::vector<bool> bits_;
+  std::uint32_t count_ = 0;
+};
+
 /// A transport's per-flow record at one end of a flow. Each transport
 /// derives its sender and receiver records from it; the Flow owns them
 /// (Flow::sender_state / receiver_state) and Host's create_state,

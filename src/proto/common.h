@@ -9,37 +9,6 @@
 
 namespace dcpim::proto {
 
-/// Membership bitmap over a flow's data-packet sequence space. Replaces the
-/// `std::set<uint32_t> acked` the sender-side baselines used to keep: the
-/// only operations those paths ever need are insert / contains / size, and
-/// a per-ack red-black-tree insert showed up in the event-loop profile.
-/// Out-of-range seqs are treated as absent (and ignored on insert), which
-/// matches how a set bounded by the flow's packet count behaved.
-class SeqBitmap {
- public:
-  SeqBitmap() = default;
-  explicit SeqBitmap(std::uint32_t universe) : bits_(universe, false) {}
-
-  void reset(std::uint32_t universe) {
-    bits_.assign(universe, false);
-    count_ = 0;
-  }
-  void insert(std::uint32_t seq) {
-    if (seq < bits_.size() && !bits_[seq]) {
-      bits_[seq] = true;
-      ++count_;
-    }
-  }
-  bool contains(std::uint32_t seq) const {
-    return seq < bits_.size() && bits_[seq];
-  }
-  std::uint32_t size() const { return count_; }
-
- private:
-  std::vector<bool> bits_;
-  std::uint32_t count_ = 0;
-};
-
 /// Flow announcement (RTS) carrying the flow size.
 struct SizedNotifyPacket : net::Packet {
   Bytes flow_size{};

@@ -51,7 +51,7 @@ class NdpHost : public net::Host {
   struct TxFlow : net::FlowState {
     std::uint32_t next_new_seq = 0;
     std::set<std::uint32_t> retx;  ///< NACKed seqs awaiting a pull (ordered)
-    SeqBitmap acked;               ///< receiver-confirmed seqs (membership)
+    net::SeqBitmap acked;          ///< receiver-confirmed seqs (membership)
     int rto_count = 0;
     TimePoint last_progress{};
   };

@@ -49,7 +49,7 @@ class WindowHost : public net::Host {
     std::uint32_t next_new_seq = 0;
     std::set<std::uint32_t> retx;  ///< ordered: lowest lost seq resent first
     std::map<std::uint32_t, TimePoint> inflight;
-    SeqBitmap acked;  ///< selectively-acked seqs (membership only)
+    net::SeqBitmap acked;  ///< selectively-acked seqs (membership only)
     std::uint32_t cum_ack = 0;
     int dupacks = 0;
     std::uint32_t fast_retx_seq = UINT32_MAX;  ///< once per loss episode

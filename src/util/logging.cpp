@@ -9,9 +9,10 @@
 namespace dcpim {
 namespace {
 
-// Atomic: worker threads of a parallel sweep (harness/sweep.h)
-// read the level on every LOG_* macro while the main thread may still be
-// applying a command-line override. Relaxed ordering suffices — the level
+// sa-ok(namespace-state): one log level per process, by design. Atomic:
+// worker threads of a parallel sweep (harness/sweep.h) read the level on
+// every LOG_* macro while the main thread may still be applying a
+// command-line override. Relaxed ordering suffices — the level
 // gates diagnostics only and never synchronizes data. Under the
 // -Wthread-safety contract (DESIGN.md §12) the std::atomic IS the
 // capability: there is no lock to annotate, and every access goes through

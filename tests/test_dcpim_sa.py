@@ -65,6 +65,7 @@ GOLDEN = {
     ("naked-assert", "fixture_lines.cpp", 20),
     ("double-sim-time", "fixture_lines.cpp", 25),
     ("static-local", "fixture_lines.cpp", 35),
+    ("namespace-state", "fixture_switch.cpp", 17),  # the mutable `sink`
     ("unordered-container", "fixture_lines.cpp", 51),  # member
     ("inline-scenario", "fixture_lines.cpp", 55),  # ExperimentConfig
     ("inline-scenario", "fixture_lines.cpp", 56),  # net::Network
@@ -118,8 +119,8 @@ class FixtureCorpusTest(unittest.TestCase):
         self.assertEqual(
             fired, {"determinism", "packet-switch", "hot-alloc", "unit-raw",
                     "lifetime", "naked-assert", "double-sim-time",
-                    "static-local", "unordered-container", "inline-scenario",
-                    "sa-suppression"})
+                    "static-local", "namespace-state", "unordered-container",
+                    "inline-scenario", "sa-suppression"})
 
     def test_rule_selection(self):
         proc, report = self.run_on_fixtures("--rules", "packet-switch")
@@ -187,8 +188,9 @@ class SourceTreeTest(unittest.TestCase):
         self.assertEqual(
             sorted(report["rules"]),
             ["determinism", "double-sim-time", "hot-alloc", "inline-scenario",
-             "lifetime", "naked-assert", "packet-switch", "sa-suppression",
-             "static-local", "unit-raw", "unordered-container"])
+             "lifetime", "naked-assert", "namespace-state", "packet-switch",
+             "sa-suppression", "static-local", "unit-raw",
+             "unordered-container"])
         # The checker really walked the tree, not an empty file list.
         self.assertGreater(report["files"], 50)
         self.assertGreater(report["functions"], 300)

@@ -2,11 +2,11 @@
 """Tests for the per-line rules of tools/dcpim_sa.py (run by ctest).
 
 These rules read each line of a checkout, not parsed function bodies:
-naked-assert, unordered-container and inline-scenario, plus the per-line
-half of lifetime (bare packet allocation off the factories). Throwaway
-checkouts pin the --root contract (path exemptions keep applying however
-the root is named) and each rule's scope: which files it reads, what it
-flags, and which escapes it accepts.
+naked-assert, unordered-container, namespace-state and inline-scenario,
+plus the per-line half of lifetime (bare packet allocation off the
+factories). Throwaway checkouts pin the --root contract (path exemptions
+keep applying however the root is named) and each rule's scope: which
+files it reads, what it flags, and which escapes it accepts.
 """
 
 from __future__ import annotations
@@ -284,6 +284,64 @@ class UnorderedContainerTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
         self.assertEqual(len(flagged(proc, "unordered-container")), 1)
         self.assertEqual(len(flagged(proc, "sa-suppression")), 1)
+
+
+class NamespaceStateTest(unittest.TestCase):
+    """No mutable namespace-scope variable in src/ without a justification:
+    sweep threads share it. Only column-0 object definitions count, and
+    const or constexpr ones are fine."""
+
+    def test_immutable_and_non_object_lines_clean(self):
+        proc = check_tree({
+            "src/util/consts.h":
+                "#pragma once\n"
+                "#include <cstdint>\n"
+                "namespace dcpim {\n"
+                "const int kRetries = 50;\n"
+                "constexpr std::uint8_t kPriority = 1;\n"
+                "inline constexpr double kHeadroom = 0.04;\n"
+                "static const char* const kName = \"x\";\n"
+                "using Id = std::uint64_t;\n"
+                "int retries(int base);\n"
+                "int retries(int base) { return base + kRetries; }\n"
+                "struct Counter;\n"
+                "struct Counter {\n"
+                "  int hits = 0;\n"
+                "};\n"
+                "Counter& operator+=(Counter& c, int n);\n"
+                "}  // namespace dcpim\n",
+        })
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+
+    def test_static_global_and_atomic_flagged(self):
+        proc = check_tree({
+            "src/util/state.cpp":
+                "#include <atomic>\n"
+                "namespace dcpim {\n"
+                "static int g_count = 0;\n"
+                "std::atomic<int> g_level{0};\n"
+                "int g_plain;\n"
+                "}  // namespace dcpim\n",
+        })
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        lines = flagged(proc, "namespace-state")
+        self.assertEqual(
+            [ln.split(": ", 1)[0] for ln in lines],
+            ["src/util/state.cpp:3", "src/util/state.cpp:4",
+             "src/util/state.cpp:5"], proc.stdout)
+
+    def test_justified_global_clean(self):
+        proc = check_tree({
+            "src/util/state.cpp":
+                "#include <atomic>\n"
+                "// sa-ok(namespace-state): one level per process\n"
+                "std::atomic<int> g_level{0};\n",
+        })
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+
+    def test_tests_tree_not_checked(self):
+        proc = check_tree({"tests/test_state.cpp": "int g_count = 0;\n"})
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
 
 
 if __name__ == "__main__":

@@ -32,6 +32,9 @@ whole-program call graph, and the source lines (DESIGN.md §8, §10, §13):
                   or a to_ns/to_us/... conversion is fine).
   static-local    no mutable `static` (or `static thread_local`) local state
                   without a justification: it leaks between experiments.
+  namespace-state no mutable namespace-scope variable (a column-0
+                  definition that is neither `const` nor `constexpr`)
+                  without a justification: sweep threads share it.
   unordered-container
                   no `unordered_*` token: hashed containers walk in
                   library-dependent order.
@@ -83,7 +86,8 @@ from pathlib import Path
 
 RULES = ("determinism", "packet-switch", "hot-alloc", "unit-raw",
          "lifetime", "naked-assert", "double-sim-time", "static-local",
-         "unordered-container", "inline-scenario", "sa-suppression")
+         "namespace-state", "unordered-container", "inline-scenario",
+         "sa-suppression")
 # Rules an sa-ok comment may not name: their sites have no sound escape.
 UNSUPPRESSIBLE = {"determinism", "naked-assert", "double-sim-time",
                   "unordered-container", "inline-scenario", "sa-suppression"}
@@ -216,6 +220,18 @@ NONDETERMINISM = [
 STATIC_LOCAL = re.compile(
     r"^\s+static\s+(?:thread_local\s+)?(?!const\b|constexpr\b)"
     r"[\w:<>,*&\s]+?[\w_]+\s*(?:[={;]|$)")
+
+# A namespace-scope variable definition: an unindented line (namespace
+# scope is unindented in this codebase) whose declarator reaches `=`, `{`
+# or `;` without crossing a `(`, which leaves out function declarations
+# and definitions. NOT_NAMESPACE_STATE drops what is not mutable state:
+# `const`/`constexpr` objects after any `static`/`inline`/`thread_local`,
+# declarations that define no object, and operator definitions.
+NAMESPACE_DEF = re.compile(r"^[A-Za-z_][\w:<>,*&\s]*?\b\w+\s*[={;]")
+NOT_NAMESPACE_STATE = re.compile(
+    r"^(?:(?:static|inline|thread_local)\s+)*"
+    r"(?:const|constexpr|extern|using|typedef|template|namespace|class"
+    r"|struct|union|enum|concept)\b|\boperator\b")
 
 UNORDERED_CONTAINER = re.compile(r"\bunordered_\w+")
 
@@ -1374,8 +1390,8 @@ class Analyzer:
                         "ledger is bypassed; go through the Host factories")
 
     def rule_lines(self):
-        """naked-assert, double-sim-time, static-local and
-        unordered-container over the stripped source lines."""
+        """naked-assert, double-sim-time, static-local, namespace-state
+        and unordered-container over the stripped source lines."""
         for rel, code in self.code.items():
             for line, text in enumerate(code, 1):
                 if (NAKED_ASSERT.search(text)
@@ -1398,6 +1414,14 @@ class Analyzer:
                         "per-experiment isolation (harness/sweep.h); make "
                         "it per-experiment or justify with "
                         "sa-ok(static-local)"))
+                if (NAMESPACE_DEF.search(text)
+                        and not NOT_NAMESPACE_STATE.search(text)):
+                    self.emit(Finding(
+                        "namespace-state", rel, line,
+                        "mutable namespace-scope state is shared by every "
+                        "sweep thread (harness/sweep.h); make it "
+                        "per-experiment or const, or justify with "
+                        "sa-ok(namespace-state)"))
                 if UNORDERED_CONTAINER.search(text):
                     self.emit(Finding(
                         "unordered-container", rel, line,
