@@ -88,8 +88,8 @@ T parse_or_exit(const char* name, const char* text, const char* want) {
 inline constexpr const char* kWholeNumber = "a whole number";
 
 /// Parses the flags every figure binary shares and REMOVES them from argv
-/// (compacting; argc is updated) so binaries with their own flag parsers —
-/// micro_core hands the remainder to google-benchmark — never see them.
+/// (compacting; argc is updated) so a binary's own flag parser never sees
+/// them.
 ///   --audit     attach the invariant auditor (sim/audit.h) to every
 ///               experiment the binary runs and print its summary.
 ///   --jobs N    run experiment sweeps on N worker threads (also

@@ -1,6 +1,7 @@
 #include "core/dcpim_host.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "util/check.h"
@@ -525,40 +526,23 @@ void DcpimHost::run_stage(std::uint64_t m, int slot) {
   std::vector<Offer> offers =
       std::exchange(ep.stages[static_cast<std::size_t>(slot)].offers, {});
   const bool granting = slot % 2 == 1;
-  int spare =
-      cfg_.channels - (granting ? ep.sender_matched : ep.receiver_matched);
-  if (spare <= 0 || offers.empty()) return;
-
   const int round = (slot + 1) / 2;
-  const bool fct_round =
-      round == 1 && cfg_.fct_optimizing_first_round && cfg_.flow_size_aware;
-  if (fct_round) {
-    // The FCT-optimizing round exists to let small/medium flows finish
-    // early (§3.5). Flows larger than one data phase's worth of bytes gain
-    // nothing from SRPT ordering here, but a strict order makes every
-    // sender herd onto the same receiver and the grants collide. So: sort
-    // by remaining size clamped at one phase of line-rate bytes, shuffling
-    // first so ties (including all bulk flows) break randomly.
-    const Bytes cap = bytes_in(epoch_length(), nic()->config().rate);
-    for (std::size_t i = offers.size(); i > 1; --i) {
-      std::swap(offers[i - 1], offers[network().rng().uniform_int(i)]);
-    }
-    std::stable_sort(offers.begin(), offers.end(),
-                     [cap](const Offer& a, const Offer& b) {
-                       return std::min(a.min_remaining, cap) <
-                              std::min(b.min_remaining, cap);
-                     });
+  // The FCT-optimizing round exists to let small/medium flows finish early
+  // (§3.5). Flows larger than one data phase's worth of bytes gain nothing
+  // from SRPT ordering here, but a strict order makes every sender herd onto
+  // the same receiver and the grants collide. So the order's key is the
+  // remaining size clamped at one phase of line-rate bytes.
+  std::optional<Bytes> fct_cap;
+  if (round == 1 && cfg_.fct_optimizing_first_round && cfg_.flow_size_aware) {
+    fct_cap = bytes_in(epoch_length(), nic()->config().rate);
   }
-  // Other rounds draw each pick uniformly at random.
-  while (spare > 0 && !offers.empty()) {
-    const std::size_t pick =
-        fct_round ? 0 : network().rng().uniform_int(offers.size());
-    const Offer offer = offers[pick];
-    offers[pick] = offers.back();
-    offers.pop_back();
-    spare -= granting ? send_grant(ep, m, round, offer, spare)
-                      : send_accept(ep, m, round, offer, spare);
-  }
+  matching::take_offers(
+      offers,
+      cfg_.channels - (granting ? ep.sender_matched : ep.receiver_matched),
+      network().rng(), fct_cap, [&](const Offer& offer, int spare) {
+        return granting ? send_grant(ep, m, round, offer, spare)
+                        : send_accept(ep, m, round, offer, spare);
+      });
 }
 
 int DcpimHost::send_grant(Epoch& ep, std::uint64_t m, int round,

@@ -19,6 +19,7 @@
 
 #include "core/dcpim_config.h"
 #include "core/dcpim_packets.h"
+#include "matching/pim.h"
 #include "net/host.h"
 #include "net/topology.h"
 #include "sim/ring.h"
@@ -139,11 +140,7 @@ class DcpimHost : public net::Host {
 
   // === matching phase (§3.3) ================================================
   /// A buffered request (at the sender) or grant (at the receiver).
-  struct Offer {
-    int peer = -1;     ///< the host that sent it
-    int channels = 0;  ///< channels wanted (request) or granted (grant)
-    Bytes min_remaining{};  ///< the receiver's smallest flow: FCT-opt key
-  };
+  using Offer = matching::Offer;
   struct Stage {
     std::vector<Offer> offers;  ///< drained when the stage runs
     bool scheduled = false;     ///< the stage's event is in the queue

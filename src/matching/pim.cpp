@@ -1,11 +1,12 @@
 #include "matching/pim.h"
 
 #include <algorithm>
-#include "util/check.h"
 #include <cmath>
 #include <deque>
 #include <functional>
 #include <limits>
+
+#include "util/check.h"
 
 namespace dcpim::matching {
 
@@ -143,44 +144,16 @@ bool MatchResult::is_maximal(const BipartiteGraph& g) const {
 }
 
 MatchResult run_pim(const BipartiteGraph& g, int rounds, Rng& rng) {
-  const int n = g.n();
+  const auto n = static_cast<std::size_t>(g.n());
+  // One channel of demand per pair; run_channel_pim reads only g's edges.
+  const std::vector<std::vector<int>> unit(n, std::vector<int>(n, 1));
+  ChannelMatchResult channels = run_channel_pim(g, unit, 1, rounds, rng);
   MatchResult result;
-  result.match_of_sender.assign(static_cast<std::size_t>(n), -1);
-  std::vector<int> match_of_receiver(static_cast<std::size_t>(n), -1);
-
-  std::vector<std::vector<int>> requests(static_cast<std::size_t>(n));
-  std::vector<std::vector<int>> grants(static_cast<std::size_t>(n));
-
-  for (int round = 0; round < rounds; ++round) {
-    // Request stage: unmatched receivers request every unmatched neighbour
-    // sender (dcPIM role convention, §3.1).
-    for (auto& v : requests) v.clear();
-    for (int r = 0; r < n; ++r) {
-      if (match_of_receiver[static_cast<std::size_t>(r)] >= 0) continue;
-      for (int s : g.senders_of(r)) {
-        if (result.match_of_sender[static_cast<std::size_t>(s)] < 0) {
-          requests[static_cast<std::size_t>(s)].push_back(r);
-        }
-      }
-    }
-    // Grant stage: each unmatched sender grants one request at random.
-    for (auto& v : grants) v.clear();
-    for (int s = 0; s < n; ++s) {
-      auto& reqs = requests[static_cast<std::size_t>(s)];
-      if (reqs.empty()) continue;
-      const int r = reqs[rng.uniform_int(reqs.size())];
-      grants[static_cast<std::size_t>(r)].push_back(s);
-    }
-    // Accept stage: each receiver accepts one grant at random.
-    for (int r = 0; r < n; ++r) {
-      auto& grs = grants[static_cast<std::size_t>(r)];
-      if (grs.empty()) continue;
-      const int s = grs[static_cast<std::size_t>(rng.uniform_int(grs.size()))];
-      result.match_of_sender[static_cast<std::size_t>(s)] = r;
-      match_of_receiver[static_cast<std::size_t>(r)] = s;
-    }
-    result.size_after_round.push_back(result.size());
+  result.match_of_sender.assign(n, -1);
+  for (const auto& e : channels.matches) {
+    result.match_of_sender[static_cast<std::size_t>(e.sender)] = e.receiver;
   }
+  result.size_after_round = std::move(channels.channels_after_round);
   return result;
 }
 
@@ -251,83 +224,70 @@ int ChannelMatchResult::total_channels() const {
 ChannelMatchResult run_channel_pim(
     const BipartiteGraph& g, const std::vector<std::vector<int>>& demand,
     int k, int rounds, Rng& rng) {
-  const int n = g.n();
+  const auto n = static_cast<std::size_t>(g.n());
   ChannelMatchResult result;
-  result.sender_channels.assign(static_cast<std::size_t>(n), 0);
-  result.receiver_channels.assign(static_cast<std::size_t>(n), 0);
+  result.sender_channels.assign(n, 0);
+  result.receiver_channels.assign(n, 0);
   // Outstanding demand shrinks as channels are accepted (§3.4: the receiver
   // updates outstanding bytes for accepted channels).
   std::vector<std::vector<int>> remaining = demand;
-  std::vector<std::vector<std::pair<int, int>>> accepted(
-      static_cast<std::size_t>(n));  // per sender: (receiver, channels)
+  int total = 0;
 
-  struct Req {
-    int receiver;
-    int channels;
-  };
-  std::vector<std::vector<Req>> requests(static_cast<std::size_t>(n));
-  struct Grant {
-    int sender;
-    int channels;
-  };
-  std::vector<std::vector<Grant>> grants(static_cast<std::size_t>(n));
+  std::vector<std::vector<Offer>> requests(n);  // per sender
+  std::vector<std::vector<Offer>> grants(n);    // per receiver
 
   for (int round = 0; round < rounds; ++round) {
     // Request: receivers with spare channels request from every sender they
     // still have demand for, asking for min(demand, spare capacity).
     for (auto& v : requests) v.clear();
-    for (int r = 0; r < n; ++r) {
-      const int spare = k - result.receiver_channels[static_cast<std::size_t>(r)];
+    for (std::size_t r = 0; r < n; ++r) {
+      const int spare = k - result.receiver_channels[r];
       if (spare <= 0) continue;
-      for (int s : g.senders_of(r)) {
-        const int want = std::min(
-            spare,
-            remaining[static_cast<std::size_t>(s)][static_cast<std::size_t>(r)]);
+      for (int s : g.senders_of(static_cast<int>(r))) {
+        const int want =
+            std::min(spare, remaining[static_cast<std::size_t>(s)][r]);
         if (want > 0) {
-          requests[static_cast<std::size_t>(s)].push_back(Req{r, want});
+          requests[static_cast<std::size_t>(s)].push_back(
+              Offer{static_cast<int>(r), want});
         }
       }
     }
     // Grant: each sender grants random requests until its k channels fill.
     for (auto& v : grants) v.clear();
-    for (int s = 0; s < n; ++s) {
-      auto& reqs = requests[static_cast<std::size_t>(s)];
-      int spare = k - result.sender_channels[static_cast<std::size_t>(s)];
-      while (spare > 0 && !reqs.empty()) {
-        const std::size_t pick = rng.uniform_int(reqs.size());
-        const Req req = reqs[pick];
-        reqs[pick] = reqs.back();
-        reqs.pop_back();
-        const int give = std::min(spare, req.channels);
-        grants[static_cast<std::size_t>(req.receiver)].push_back(
-            Grant{s, give});
-        spare -= give;
-      }
+    for (std::size_t s = 0; s < n; ++s) {
+      take_offers(requests[s], k - result.sender_channels[s], rng,
+                  std::nullopt, [&](const Offer& req, int spare) {
+                    const int give = std::min(spare, req.channels);
+                    grants[static_cast<std::size_t>(req.peer)].push_back(
+                        Offer{static_cast<int>(s), give});
+                    return give;
+                  });
     }
     // Accept: each receiver accepts random grants until its channels fill.
-    for (int r = 0; r < n; ++r) {
-      auto& grs = grants[static_cast<std::size_t>(r)];
-      while (!grs.empty()) {
-        int& rcap = result.receiver_channels[static_cast<std::size_t>(r)];
-        if (rcap >= k) break;
-        const std::size_t pick = rng.uniform_int(grs.size());
-        const Grant gr = grs[pick];
-        grs[pick] = grs.back();
-        grs.pop_back();
-        const int take = std::min(k - rcap, gr.channels);
-        rcap += take;
-        result.sender_channels[static_cast<std::size_t>(gr.sender)] += take;
-        accepted[static_cast<std::size_t>(gr.sender)].push_back({r, take});
-        auto& rem = remaining[static_cast<std::size_t>(gr.sender)]
-                             [static_cast<std::size_t>(r)];
-        rem = std::max(0, rem - take);
-      }
+    for (std::size_t r = 0; r < n; ++r) {
+      take_offers(grants[r], k - result.receiver_channels[r], rng,
+                  std::nullopt, [&](const Offer& grant, int spare) {
+                    const auto s = static_cast<std::size_t>(grant.peer);
+                    const int take = std::min(spare, grant.channels);
+                    result.receiver_channels[r] += take;
+                    result.sender_channels[s] += take;
+                    remaining[s][r] -= take;  // take <= this round's want
+                    total += take;
+                    return take;
+                  });
     }
+    result.channels_after_round.push_back(total);
   }
 
-  for (int s = 0; s < n; ++s) {
-    for (const auto& [r, c] : accepted[static_cast<std::size_t>(s)]) {
-      result.matches.push_back(ChannelMatchResult::Edge{s, r, c});
+  // One entry per pair, however many rounds it matched in: a sender regains
+  // the spare other receivers declined and may grant the same receiver again.
+  for (std::size_t s = 0; s < n; ++s) {
+    for (int r : g.receivers_of(static_cast<int>(s))) {
+      const auto ri = static_cast<std::size_t>(r);
+      const int channels = demand[s][ri] - remaining[s][ri];
+      if (channels > 0) {
+        result.matches.push_back({static_cast<int>(s), r, channels});
+      }
     }
   }
   return result;

@@ -85,46 +85,6 @@ TEST(PimPropertyTest, BoundDecreasesWithDegreeIncreasesWithRounds) {
             matching::theorem1_bound(128, 8.0, m_star, 3));
 }
 
-// ---- channel matching: never exceeds demand sums ---------------------------
-
-class ChannelPimSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(ChannelPimSweep, CapacityAndDemandRespected) {
-  const int k = GetParam();
-  Rng rng(static_cast<std::uint64_t>(k) * 101);
-  const int n = 40;
-  auto g = matching::BipartiteGraph::random(n, 5.0, rng);
-  std::vector<std::vector<int>> demand(
-      static_cast<std::size_t>(n),
-      std::vector<int>(static_cast<std::size_t>(n), 0));
-  for (int s = 0; s < n; ++s) {
-    for (int r : g.receivers_of(s)) {
-      demand[static_cast<std::size_t>(s)][static_cast<std::size_t>(r)] =
-          static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(k) + 2));
-    }
-  }
-  auto result = matching::run_channel_pim(g, demand, k, 4, rng);
-  std::vector<int> per_sender(static_cast<std::size_t>(n), 0);
-  std::vector<int> per_receiver(static_cast<std::size_t>(n), 0);
-  for (const auto& e : result.matches) {
-    per_sender[static_cast<std::size_t>(e.sender)] += e.channels;
-    per_receiver[static_cast<std::size_t>(e.receiver)] += e.channels;
-    EXPECT_LE(e.channels,
-              demand[static_cast<std::size_t>(e.sender)]
-                    [static_cast<std::size_t>(e.receiver)]);
-  }
-  for (int s = 0; s < n; ++s) {
-    EXPECT_LE(per_sender[static_cast<std::size_t>(s)], k);
-    EXPECT_EQ(per_sender[static_cast<std::size_t>(s)],
-              result.sender_channels[static_cast<std::size_t>(s)]);
-  }
-  for (int r = 0; r < n; ++r) {
-    EXPECT_LE(per_receiver[static_cast<std::size_t>(r)], k);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Ks, ChannelPimSweep, ::testing::Values(1, 2, 4, 8));
-
 // ---- percentile properties ---------------------------------------------------
 
 TEST(PercentileProperty, BoundedAndMonotone) {
