@@ -5,25 +5,46 @@
 //            [--list-cells] [--print-spec] [--audit] [--faults S]
 //
 // The spec (grammar: src/campaign/spec.h) expands into a Cartesian grid of
-// ExperimentConfigs that run on harness::run_sweep. Completed cells land
-// in a journal keyed by cell fingerprint (src/campaign/journal.h), so an
-// interrupted campaign resumes without recomputation and an edited spec
-// re-executes only the cells whose canonical text changed. stdout is one
-// deterministic block — header plus `cell NNN <label> result=<fnv>` lines
-// in submission order, byte-identical across --jobs values and across
-// kill/resume splits; progress and summaries go to stderr.
+// cells that run on harness::run_sweep. Completed cells land in a journal
+// keyed by cell fingerprint (src/campaign/journal.h), so an interrupted
+// campaign resumes without recomputation and an edited spec re-executes
+// only the cells whose canonical text changed. stdout is one deterministic
+// block — header plus `cell NNN <label> result=<fnv>` lines in submission
+// order, then the spec's [report] tables when it has one — byte-identical
+// across --jobs values and across kill/resume splits; progress and
+// summaries go to stderr. Every paper figure is a spec under
+// tests/campaign_specs/ that this driver runs and prints.
 //
 // Exit codes: 0 campaign complete, 2 spec/usage error, 3 incomplete (some
 // cells skipped by --max-cells — rerun to continue from the journal).
+#include <chrono>  // wall-clock ETA only; sim code never reads real time
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "bench_common.h"
+#include "campaign/grid.h"
+#include "campaign/runner.h"
+#include "campaign/spec.h"
 
 using namespace dcpim;
 
 namespace {
+
+/// Reads a campaign spec file whole. An unreadable file prints one line and
+/// exits 2 (the spec/usage-error code).
+std::string read_spec_file(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "cannot read spec '%s'\n", path.c_str());
+    std::exit(2);
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
 
 void usage(const char* argv0) {
   std::fprintf(
@@ -37,11 +58,11 @@ void usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_common_flags(argc, argv);
+  const bench::CommonFlags flags = bench::parse_common_flags(argc, argv);
 
   std::string spec_path;
   std::string journal_arg;  // empty = default (<spec>.journal), "none" = off
-  std::string csv_dir = harness::csv_dir_from_env();
+  std::string csv_dir;
   std::size_t max_cells = 0;
   bool list_cells = false;
   bool print_spec = false;
@@ -90,13 +111,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::string text = bench::read_spec_file(spec_path);
+  const std::string text = read_spec_file(spec_path);
 
   try {
     campaign::CampaignSpec spec =
         campaign::parse_campaign_spec(text, spec_path);
-    campaign::apply_overrides(spec, bench::audit_flag(),
-                              bench::faults_flag(), bench::fault_seed_flag());
+    campaign::apply_overrides(spec, flags.audit, flags.faults,
+                              flags.fault_seed);
 
     if (print_spec) {
       std::fputs(campaign::to_spec(spec).c_str(), stdout);
@@ -113,16 +134,29 @@ int main(int argc, char** argv) {
     }
 
     campaign::CampaignOptions options;
-    options.jobs = bench::jobs_flag();
+    options.jobs = flags.jobs;
     options.max_cells = max_cells;
     if (journal_arg.empty()) {
       options.journal_path = spec_path + ".journal";
     } else if (journal_arg != "none") {
       options.journal_path = journal_arg;
     }
-    auto progress = std::make_shared<bench::SweepProgress>("campaign");
-    options.progress = [progress](std::size_t done, std::size_t total) {
-      (*progress)(done, total);
+    // Progress/ETA on stderr only: stdout stays byte-identical across
+    // --jobs values.
+    const auto start = std::chrono::steady_clock::now();
+    options.progress = [start, &flags](std::size_t done, std::size_t total) {
+      const double elapsed = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count();
+      const double eta =
+          done > 0 ? elapsed * static_cast<double>(total - done) /
+                         static_cast<double>(done)
+                   : 0.0;
+      std::fprintf(stderr,
+                   "\r  [%zu/%zu] campaign  jobs=%d  %.1fs elapsed, eta %.1fs ",
+                   done, total, flags.jobs, elapsed, eta);
+      if (done == total) std::fputc('\n', stderr);
+      std::fflush(stderr);
     };
 
     const campaign::CampaignReport report =
@@ -137,6 +171,7 @@ int main(int argc, char** argv) {
                                              out.result_fnv)
                       .c_str());
     }
+    std::fputs(campaign::render_report(spec, report).c_str(), stdout);
     std::fflush(stdout);
 
     std::fprintf(stderr,

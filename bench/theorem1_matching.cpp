@@ -5,11 +5,13 @@
 // measured r-round matching, the bound, and the measured/converged ratio —
 // demonstrating the headline claim that a constant number of rounds
 // suffices independent of n.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
 #include "bench_common.h"
 #include "matching/pim.h"
+#include "util/env.h"
 #include "util/rng.h"
 
 using namespace dcpim;
@@ -19,10 +21,12 @@ int main(int argc, char** argv) {
   // Accepts the shared flags for sweep-driver uniformity; the matching
   // microbenchmark itself is a single RNG stream, so --jobs has no effect.
   bench::parse_common_flags(argc, argv);
-  bench::print_header(
-      "Theorem 1: constant-round near-optimal matching",
-      "e.g. n=10^6, avg degree 5, 80% matched by PIM => r=4 keeps >78% "
-      "(paper §3.1); dense TM n=144 bound 32.9% (§4.1)");
+  std::printf(
+      "\n=== Theorem 1: constant-round near-optimal matching ===\n"
+      "paper: e.g. n=10^6, avg degree 5, 80%% matched by PIM => r=4 keeps "
+      ">78%% (paper §3.1); dense TM n=144 bound 32.9%% (§4.1)\n"
+      "(DCPIM_BENCH_SCALE=%.2f; see EXPERIMENTS.md for method)\n\n",
+      bench_scale());
 
   const int trials = std::max(1, static_cast<int>(20 * bench_scale()));
   std::printf("  %6s %6s %3s | %8s %8s %8s | %9s %7s\n", "n", "deg", "r",

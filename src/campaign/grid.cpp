@@ -347,8 +347,8 @@ std::vector<Cell> expand(const CampaignSpec& spec) {
         apply_key(cell.config, key, value);
       }
       if (spec.scaled_timing) {
-        // Mirrors bench_common.h `scaled()`: horizons stretch with
-        // DCPIM_BENCH_SCALE; util_bin and protocol timers stay put.
+        // Horizons stretch with DCPIM_BENCH_SCALE; util_bin and protocol
+        // timers stay put.
         auto& c = cell.config;
         c.gen_stop = TimePoint(c.gen_stop.since_start() * scale);
         c.horizon = TimePoint(c.horizon.since_start() * scale);

@@ -60,9 +60,9 @@ std::string cell_spec_text(
 /// spec that parsed cleanly always expands cleanly.
 void validate_constraints(const CampaignSpec& spec);
 
-/// "cell 007 protocol=dcpim load=0.5 result=0123456789abcdef" — the shared
-/// per-cell stdout line of bench/campaign and the spec-driven figure
-/// binaries, so their outputs diff cleanly against each other.
+/// "cell 007 protocol=dcpim load=0.5 result=0123456789abcdef" — the
+/// per-cell stdout line of bench/campaign, which the `.expected` anchors
+/// pin.
 std::string format_cell_line(std::size_t index, const std::string& label,
                              std::uint64_t result_fnv);
 

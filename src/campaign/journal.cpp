@@ -4,11 +4,13 @@
 #include <fstream>
 #include <sstream>
 
+#include "campaign/spec.h"
+
 namespace dcpim::campaign {
 
 namespace {
 
-constexpr const char* kHeader = "# dcpim-campaign-journal v1";
+constexpr const char* kHeader = "# dcpim-campaign-journal v2";
 
 /// Parses exactly 16 lowercase hex digits; returns false on anything else.
 bool parse_hex16(const std::string& token, std::uint64_t& out) {
@@ -29,6 +31,26 @@ bool parse_hex16(const std::string& token, std::uint64_t& out) {
   return true;
 }
 
+/// `text` on one line: backslash and newline escaped.
+std::string escape(const std::string& text) {
+  std::string out;
+  for (char c : text) {
+    if (c == '\\' || c == '\n') out += '\\';
+    out += c == '\n' ? 'n' : c;
+  }
+  return out;
+}
+
+std::string unescape(const std::string& text) {
+  std::string out;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const bool escaped = text[i] == '\\' && i + 1 < text.size();
+    if (escaped) ++i;
+    out += escaped && text[i] == 'n' ? '\n' : text[i];
+  }
+  return out;
+}
+
 }  // namespace
 
 std::map<std::uint64_t, JournalEntry> load_journal(
@@ -39,19 +61,22 @@ std::map<std::uint64_t, JournalEntry> load_journal(
 
   std::string line;
   while (std::getline(in, line)) {
-    // `cell <16hex> <16hex> <csv row>` — anything else (header, comments,
-    // a torn tail from a kill mid-append) is skipped, not an error.
+    // `cell <16hex> <16hex> <csv row>\t<fingerprint>` — anything else
+    // (header, comments, a torn tail from a kill mid-append) is skipped,
+    // not an error.
     std::istringstream fields(line);
-    std::string tag, fp_hex, fnv_hex;
+    std::string tag, fp_hex, fnv_hex, rest;
     if (!(fields >> tag >> fp_hex >> fnv_hex) || tag != "cell") continue;
     JournalEntry entry;
+    std::uint64_t fnv = 0;
     if (!parse_hex16(fp_hex, entry.cell_fp)) continue;
-    if (!parse_hex16(fnv_hex, entry.result_fnv)) continue;
-    std::getline(fields, entry.csv_row);
-    if (!entry.csv_row.empty() && entry.csv_row.front() == ' ') {
-      entry.csv_row.erase(0, 1);
-    }
-    if (entry.csv_row.empty()) continue;  // torn before the row landed
+    if (!parse_hex16(fnv_hex, fnv)) continue;
+    std::getline(fields, rest);
+    const auto tab = rest.find('\t');
+    if (tab == std::string::npos || tab < 2) continue;
+    entry.csv_row = rest.substr(1, tab - 1);  // after the separating space
+    entry.fingerprint = unescape(rest.substr(tab + 1));
+    if (fnv1a(entry.fingerprint) != fnv) continue;  // torn mid-fingerprint
     entries[entry.cell_fp] = entry;  // later duplicates win
   }
   return entries;
@@ -89,10 +114,10 @@ JournalWriter::~JournalWriter() {
 
 void JournalWriter::append(const JournalEntry& entry) {
   if (file_ == nullptr) return;
-  std::fprintf(file_, "cell %016llx %016llx %s\n",
+  std::fprintf(file_, "cell %016llx %016llx %s\t%s\n",
                static_cast<unsigned long long>(entry.cell_fp),
-               static_cast<unsigned long long>(entry.result_fnv),
-               entry.csv_row.c_str());
+               static_cast<unsigned long long>(fnv1a(entry.fingerprint)),
+               entry.csv_row.c_str(), escape(entry.fingerprint).c_str());
   std::fflush(file_);
 }
 

@@ -5,16 +5,22 @@
 // cut) resumes from exactly the cells it finished. The key is the cell
 // fingerprint (grid.h): re-running an unchanged spec re-executes nothing;
 // editing a spec re-executes only the cells whose single-cell canonical
-// text changed. The entry stores everything the campaign report needs to
-// reproduce its share of the merged output bit-identically — the full CSV
-// row and the FNV-1a of result_fingerprint() — so a resumed campaign's
-// stdout and merged CSV are byte-identical to an uninterrupted run.
+// text changed. The entry stores everything the campaign needs to
+// reproduce its share of the output bit-identically — the full CSV row and
+// the exact result_fingerprint() text, which parse_result_fingerprint()
+// (harness/report.h) turns back into the result the [report] renders — so
+// a resumed campaign's stdout and merged CSV are byte-identical to an
+// uninterrupted run.
 //
 // Format (text, line-oriented; unknown or torn lines are ignored on load,
 // which is what makes kill-mid-append safe):
 //
-//   # dcpim-campaign-journal v1
-//   cell <16-hex cell fp> <16-hex result fnv> <csv row (to_csv_row)>
+//   # dcpim-campaign-journal v2
+//   cell <16-hex cell fp> <16-hex result fnv> <csv row>\t<fingerprint>
+//
+// The fingerprint follows the first tab, escaped onto the line (`\` ->
+// `\\`, newline -> `\n`); an entry whose fingerprint does not hash to its
+// result fnv (a torn tail, or a v1 line with none) is skipped.
 #pragma once
 
 #include <cstdint>
@@ -25,13 +31,14 @@ namespace dcpim::campaign {
 
 struct JournalEntry {
   std::uint64_t cell_fp = 0;
-  std::uint64_t result_fnv = 0;
   std::string csv_row;
+  std::string fingerprint;  ///< result_fingerprint() text, unescaped
 };
 
 /// Entries keyed by cell fingerprint. A missing or unreadable file is an
 /// empty journal; malformed lines (including a torn final line from a
-/// mid-append kill) are skipped silently. Later duplicates win, so a cell
+/// mid-append kill) are skipped silently. Each kept entry's fingerprint
+/// hashes to the result fnv written beside it. Later duplicates win, so a cell
 /// re-executed after a spec revert simply refreshes its entry.
 std::map<std::uint64_t, JournalEntry> load_journal(
     const std::string& path);

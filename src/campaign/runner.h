@@ -20,6 +20,7 @@
 
 #include "campaign/grid.h"
 #include "campaign/spec.h"
+#include "harness/experiment.h"
 
 namespace dcpim::campaign {
 
@@ -44,6 +45,9 @@ struct CellOutcome {
   std::uint64_t cell_fp = 0;
   std::uint64_t result_fnv = 0;  ///< fnv1a(result_fingerprint)
   std::string csv_row;
+  /// parse_result_fingerprint(result_fingerprint(run)) for executed and
+  /// cached cells alike, so the report reads the same bytes either way.
+  harness::ExperimentResult result;
   bool cached = false;    ///< satisfied from the journal, not executed
   bool executed = false;  ///< ran this invocation
   bool skipped = false;   ///< deferred by max_cells (no result yet)
@@ -75,10 +79,19 @@ CampaignReport run_campaign(const CampaignSpec& spec,
                             const CampaignOptions& options);
 
 /// Writes `<dir>/<name>.csv` from a complete report: header plus one row
-/// per cell in submission order, TRUNCATING any previous file (unlike the
-/// bench append_csv convention) so the merged CSV of a resumed campaign is
-/// byte-identical to a single-shot run. Returns false if the report is
-/// incomplete or the file is unwritable.
+/// per cell in submission order, truncating any previous file so the
+/// merged CSV of a resumed campaign is byte-identical to a single-shot
+/// run. Returns false if the report is incomplete or the file is
+/// unwritable.
 bool write_merged_csv(const std::string& dir, const CampaignReport& report);
+
+/// The spec's [report] over a complete campaign's results: a header
+/// (title, paper, DCPIM_BENCH_SCALE), then each table under its own
+/// canonical text. Cells with an audit or a fault plan get their
+/// format_audit_summary / format_recovery_stats blocks under their rows of
+/// the first table. Empty when the spec has no [report] or the campaign is
+/// incomplete.
+std::string render_report(const CampaignSpec& spec,
+                          const CampaignReport& report);
 
 }  // namespace dcpim::campaign

@@ -1,9 +1,11 @@
 #include "campaign/spec.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
 #include "campaign/grid.h"
+#include "harness/report.h"
 #include "sim/fault/fault_plan.h"
 
 namespace dcpim::campaign {
@@ -352,7 +354,7 @@ bool known_section(const std::string& s) {
   for (const char* name : kSections) {
     if (s == name) return true;
   }
-  return s == "sweep" || s == "constraints";
+  return s == "sweep" || s == "constraints" || s == "report";
 }
 
 bool valid_identifier(const std::string& s) {
@@ -374,7 +376,126 @@ void validate_token(const KeyInfo& info, const std::string& token) {
   info.apply(scratch, token);
 }
 
+void need(bool ok, const std::string& message) {
+  if (!ok) throw std::invalid_argument(message);
+}
+
+/// Splits a `table =` value into its metric tokens and keyword fields;
+/// what they name is checked once the axes are known (check_table).
+ReportTable parse_table(const std::string& value, int line) {
+  ReportTable t;
+  t.line = line;
+  const auto by = value.find(" by ");
+  need(by != std::string::npos, "expected `<metrics> by <axis|cell> ...`");
+  std::istringstream metrics(value.substr(0, by));
+  std::string token;
+  while (std::getline(metrics, token, ',')) {
+    t.metrics.push_back(trim(token));
+    need(!t.metrics.back().empty(), "empty metric in table");
+  }
+  std::istringstream words(value.substr(by + 4));
+  need(static_cast<bool>(words >> t.rows), "`by` needs an axis or `cell`");
+  std::string word;
+  while (words >> word) {
+    std::string* field = word == "x"           ? &t.columns
+                         : word == "per"       ? &t.per
+                         : word == "normalize" ? &t.normalize
+                         : word == "knee"      ? &t.knee
+                         : word == "steady"    ? &t.steady
+                                               : nullptr;
+    need(field != nullptr, "unknown table keyword '" + word + "'");
+    need(field->empty(), "duplicate `" + word + "`");
+    need(static_cast<bool>(words >> *field), "`" + word + "` needs a value");
+  }
+  return t;
+}
+
+/// Checks a [report] table against the metric table and the axes.
+void check_table(const CampaignSpec& spec, const ReportTable& t) {
+  bool scalars = true;
+  bool util = false;
+  for (const std::string& token : t.metrics) {
+    const auto [name, digits] = split_metric(token);
+    need(digits >= -1, "'" + token + "': decimals must be 0-9");
+    need(name != "buckets" || t.metrics.size() == 1,
+         "`buckets` must be the only metric of its table");
+    const bool special = name == "buckets" || name == "util_series";
+    util = util || name == "util_series";
+    scalars = scalars && !special;
+    need(special || harness::find_metric(name) != nullptr,
+         "unknown metric '" + name +
+             "' (a CSV result column, buckets or util_series)");
+  }
+  std::vector<std::string> named;
+  for (const std::string* key : {&t.rows, &t.columns, &t.per}) {
+    if (key->empty() || *key == "cell") continue;
+    need(find_axis(spec, *key) != nullptr,
+         "axis '" + *key + "' is not in [sweep]");
+    named.push_back(*key);
+  }
+  if (t.rows == "cell") {
+    need(named.empty(), "`by cell` takes no `x` or `per`");
+  } else {
+    for (const Axis& axis : spec.axes) {
+      need(std::count(named.begin(), named.end(), axis.key) > 0,
+           "table leaves sweep axis '" + axis.key +
+               "' out (name it in by, x or per)");
+    }
+    need(named.size() == spec.axes.size(), "table names an axis twice");
+  }
+  if (t.columns.empty()) {
+    need(t.normalize.empty() && t.knee.empty(),
+         "`normalize` and `knee` need a column axis (`x`)");
+  } else {
+    need(t.metrics.size() == 1 && scalars,
+         "`x` takes exactly one scalar metric");
+    const std::vector<std::string>& values = find_axis(spec, t.columns)->values;
+    need(t.normalize.empty() || std::count(values.begin(), values.end(),
+                                           t.normalize) > 0,
+         "normalize value '" + t.normalize + "' is not on axis '" +
+             t.columns + "'");
+  }
+  if (!t.knee.empty()) (void)parse_double_token(t.knee);
+  need(t.steady.empty() || util, "`steady` needs util_series");
+  need(t.steady.empty() || parse_int_token(t.steady) >= 0,
+       "steady must be >= 0");
+}
+
 }  // namespace
+
+const Axis* find_axis(const CampaignSpec& spec, const std::string& key) {
+  for (const Axis& axis : spec.axes) {
+    if (axis.key == key) return &axis;
+  }
+  return nullptr;
+}
+
+std::string table_text(const ReportTable& table) {
+  std::string out;
+  for (const std::string& metric : table.metrics) {
+    if (!out.empty()) out += ", ";
+    out += metric;
+  }
+  out += " by " + table.rows;
+  const auto option = [&out](const char* keyword, const std::string& value) {
+    if (!value.empty()) out += std::string(" ") + keyword + " " + value;
+  };
+  option("x", table.columns);
+  option("per", table.per);
+  option("normalize", table.normalize);
+  option("knee", table.knee);
+  option("steady", table.steady);
+  return out;
+}
+
+std::pair<std::string, int> split_metric(const std::string& token) {
+  const auto colon = token.find(':');
+  if (colon == std::string::npos) return {token, -1};
+  const std::string digits = token.substr(colon + 1);
+  const bool one_digit = digits.size() == 1 && digits[0] >= '0' &&
+                         digits[0] <= '9';
+  return {token.substr(0, colon), one_digit ? digits[0] - '0' : -2};
+}
 
 std::uint64_t fnv1a(const std::string& text) {
   std::uint64_t h = 1469598103934665603ull;
@@ -424,6 +545,9 @@ CampaignSpec parse_campaign_spec(const std::string& text,
         fail(lineno, "unknown section [" + section + "]");
       }
       if (section == "campaign") campaign_line = lineno;
+      if (section == "report" && spec.report.line == 0) {
+        spec.report.line = lineno;
+      }
       continue;
     }
 
@@ -505,6 +629,26 @@ CampaignSpec parse_campaign_spec(const std::string& text,
       continue;
     }
 
+    if (section == "report") {
+      if (key == "table") {
+        try {
+          spec.report.tables.push_back(parse_table(value, lineno));
+        } catch (const std::invalid_argument& e) {
+          fail(lineno, e.what());
+        }
+      } else if (key == "title" || key == "paper") {
+        std::string& field =
+            key == "title" ? spec.report.title : spec.report.paper;
+        if (!field.empty()) fail(lineno, "duplicate key '" + key + "'");
+        if (value.empty()) fail(lineno, "empty " + key);
+        field = value;
+      } else {
+        fail(lineno, "unknown [report] key '" + key +
+                         "' (title, paper, table)");
+      }
+      continue;
+    }
+
     // Base sections: [campaign] fields or registry keys.
     const KeyInfo* info = find_key(key);
     if (info == nullptr) {
@@ -551,6 +695,20 @@ CampaignSpec parse_campaign_spec(const std::string& text,
   // Compile every constraint once so unknown keys, unknown @references and
   // reference cycles surface at parse time with file:line diagnostics.
   validate_constraints(spec);
+  const ReportSpec& report = spec.report;
+  if (report.line != 0 && report.title.empty()) {
+    fail(report.line, "[report] needs a title");
+  }
+  if (report.line != 0 && report.tables.empty()) {
+    fail(report.line, "[report] needs a table");
+  }
+  for (const ReportTable& table : report.tables) {
+    try {
+      check_table(spec, table);
+    } catch (const std::invalid_argument& e) {
+      fail(table.line, e.what());
+    }
+  }
   return spec;
 }
 
@@ -612,6 +770,16 @@ std::string to_spec(const CampaignSpec& spec) {
     }
     for (const ConstraintDef& def : spec.excludes) {
       os << "exclude = " << def.expr << "\n";
+    }
+  }
+
+  const ReportSpec& report = spec.report;
+  if (!report.title.empty() || !report.tables.empty()) {
+    open_section("report");
+    if (!report.title.empty()) os << "title = " << report.title << "\n";
+    if (!report.paper.empty()) os << "paper = " << report.paper << "\n";
+    for (const ReportTable& table : report.tables) {
+      os << "table = " << table_text(table) << "\n";
     }
   }
   return os.str();

@@ -3,11 +3,10 @@
 // A campaign spec is a small TOML-like text format describing one
 // experiment grid: a base scenario (topology, timing, traffic matrix,
 // protocol parameters, fault plan) plus Cartesian sweep axes and axis
-// constraints. bench/campaign expands a spec and runs its cells with
-// harness::run_sweep; every figure binary reads its committed spec from
-// tests/campaign_specs/ and builds its configs by expanding it, so a
-// scenario exists in exactly one place and can be added or edited without
-// touching C++.
+// constraints, and optionally the tables that present its results.
+// bench/campaign expands a spec, runs its cells with harness::run_sweep
+// and prints its [report], so a figure exists in exactly one place and can
+// be added or edited without touching C++.
 //
 // Grammar (line-oriented; `#` starts a full-line comment; blank lines
 // separate nothing — they are purely cosmetic):
@@ -34,6 +33,15 @@
 //                         exclude = <predicate> removes matching cells.
 //                         Predicates: key=value atoms, `@name` references,
 //                         `!`, `&`, `|`, parentheses (& binds tighter).
+//   [report]              title, paper (free text), and one or more
+//                         table = <metrics> by <axis|cell> [x <axis>]
+//                         [per <axis>] [normalize <value>] [knee <ratio>]
+//                         [steady <bin>]: the tables bench/campaign prints
+//                         after the cell lines (DESIGN.md §14). Metrics are
+//                         CSV result columns, `buckets` or `util_series`;
+//                         `name:N` prints N decimals. by/x/per name every
+//                         sweep axis, or the rows are the cells (`by
+//                         cell`). No cell fingerprint covers the report.
 //
 // Every diagnostic is one line, `file:line: message` (CampaignError) — no
 // stack traces, no multi-line dumps. Canonical form: to_spec() emits
@@ -45,6 +53,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/experiment.h"
@@ -74,6 +83,26 @@ struct ConstraintDef {
   int line = 0;
 };
 
+/// One [report] `table =` line.
+struct ReportTable {
+  std::vector<std::string> metrics;  ///< tokens: `name` or `name:digits`
+  std::string rows;                  ///< sweep axis key, or "cell"
+  std::string columns;               ///< `x` axis key; empty = none
+  std::string per;                   ///< `per` axis key; empty = none
+  std::string normalize;             ///< column value; empty = none
+  std::string knee;                  ///< ratio token; empty = none
+  std::string steady;                ///< util_series mean start bin
+  int line = 0;                      ///< spec line (diagnostics)
+};
+
+/// The [report] section; `line == 0` when the spec has none.
+struct ReportSpec {
+  std::string title;
+  std::string paper;
+  std::vector<ReportTable> tables;  ///< declaration order
+  int line = 0;
+};
+
 struct CampaignSpec {
   std::string name;  ///< [campaign] name — CSV experiment label
   /// [timing] scaled: stretch gen_stop/horizon/measure_start/measure_end
@@ -86,6 +115,7 @@ struct CampaignSpec {
   std::vector<Axis> axes;                    ///< declaration order
   std::vector<ConstraintDef> predicates;     ///< named, declaration order
   std::vector<ConstraintDef> excludes;       ///< declaration order
+  ReportSpec report;                         ///< not part of any cell
   std::string file = "<spec>";               ///< source name (diagnostics)
 };
 
@@ -93,7 +123,8 @@ struct CampaignSpec {
 /// the key registry (including the [faults] plan, which must satisfy
 /// parse_fault_spec), axes are checked for duplicates, and constraint
 /// expressions are compiled once to surface unknown keys/references and
-/// reference cycles — all as one-line CampaignError diagnostics carrying
+/// reference cycles, and [report] tables are checked against the metric
+/// table and the axes — all as one-line CampaignError diagnostics carrying
 /// `file`:line. `file` is used for diagnostics only.
 CampaignSpec parse_campaign_spec(const std::string& text,
                                  const std::string& file = "<spec>");
@@ -103,6 +134,15 @@ CampaignSpec parse_campaign_spec(const std::string& text,
 /// guarantee: parse_campaign_spec(to_spec(s)) yields a spec whose to_spec
 /// is byte-identical.
 std::string to_spec(const CampaignSpec& spec);
+
+/// The sweep axis named `key`, or nullptr.
+const Axis* find_axis(const CampaignSpec& spec, const std::string& key);
+
+/// A table line's canonical text (what follows `table = `).
+std::string table_text(const ReportTable& table);
+
+/// Splits a metric token `name[:digits]`; digits is -1 when absent.
+std::pair<std::string, int> split_metric(const std::string& token);
 
 /// True if `key` names a registered base key (spelled canonically).
 bool is_registered_key(const std::string& key);

@@ -143,20 +143,6 @@ bool MatchResult::is_maximal(const BipartiteGraph& g) const {
   return true;
 }
 
-MatchResult run_pim(const BipartiteGraph& g, int rounds, Rng& rng) {
-  const auto n = static_cast<std::size_t>(g.n());
-  // One channel of demand per pair; run_channel_pim reads only g's edges.
-  const std::vector<std::vector<int>> unit(n, std::vector<int>(n, 1));
-  ChannelMatchResult channels = run_channel_pim(g, unit, 1, rounds, rng);
-  MatchResult result;
-  result.match_of_sender.assign(n, -1);
-  for (const auto& e : channels.matches) {
-    result.match_of_sender[static_cast<std::size_t>(e.sender)] = e.receiver;
-  }
-  result.size_after_round = std::move(channels.channels_after_round);
-  return result;
-}
-
 MatchResult run_islip(const BipartiteGraph& g, int rounds) {
   const int n = g.n();
   MatchResult result;
@@ -221,16 +207,36 @@ int ChannelMatchResult::total_channels() const {
   return total;
 }
 
-ChannelMatchResult run_channel_pim(
-    const BipartiteGraph& g, const std::vector<std::vector<int>>& demand,
-    int k, int rounds, Rng& rng) {
+namespace {
+
+/// run_channel_pim with `demand_of(s, r)` read once per edge of `g`: the
+/// per-pair state is O(edges), not O(n^2).
+template <typename Demand>
+ChannelMatchResult match_channels(const BipartiteGraph& g, Demand&& demand_of,
+                                  int k, int rounds, Rng& rng) {
   const auto n = static_cast<std::size_t>(g.n());
   ChannelMatchResult result;
   result.sender_channels.assign(n, 0);
   result.receiver_channels.assign(n, 0);
-  // Outstanding demand shrinks as channels are accepted (§3.4: the receiver
-  // updates outstanding bytes for accepted channels).
-  std::vector<std::vector<int>> remaining = demand;
+  // Per-edge demand, receiver-major: edge first[r] + i is (senders_of(r)[i],
+  // r). Outstanding demand shrinks as channels are accepted (§3.4: the
+  // receiver updates outstanding bytes for accepted channels).
+  std::vector<std::size_t> first(n + 1, 0);
+  std::vector<int> remaining;
+  remaining.reserve(g.num_edges());
+  for (std::size_t r = 0; r < n; ++r) {
+    for (int s : g.senders_of(static_cast<int>(r))) {
+      remaining.push_back(demand_of(static_cast<std::size_t>(s), r));
+    }
+    first[r + 1] = remaining.size();
+  }
+  const std::vector<int> demand = remaining;
+  const auto edge = [&](int s, std::size_t r) {
+    const std::vector<int>& senders = g.senders_of(static_cast<int>(r));
+    return first[r] + static_cast<std::size_t>(
+                          std::find(senders.begin(), senders.end(), s) -
+                          senders.begin());
+  };
   int total = 0;
 
   std::vector<std::vector<Offer>> requests(n);  // per sender
@@ -243,11 +249,11 @@ ChannelMatchResult run_channel_pim(
     for (std::size_t r = 0; r < n; ++r) {
       const int spare = k - result.receiver_channels[r];
       if (spare <= 0) continue;
-      for (int s : g.senders_of(static_cast<int>(r))) {
-        const int want =
-            std::min(spare, remaining[static_cast<std::size_t>(s)][r]);
+      const std::vector<int>& senders = g.senders_of(static_cast<int>(r));
+      for (std::size_t i = 0; i < senders.size(); ++i) {
+        const int want = std::min(spare, remaining[first[r] + i]);
         if (want > 0) {
-          requests[static_cast<std::size_t>(s)].push_back(
+          requests[static_cast<std::size_t>(senders[i])].push_back(
               Offer{static_cast<int>(r), want});
         }
       }
@@ -271,7 +277,8 @@ ChannelMatchResult run_channel_pim(
                     const int take = std::min(spare, grant.channels);
                     result.receiver_channels[r] += take;
                     result.sender_channels[s] += take;
-                    remaining[s][r] -= take;  // take <= this round's want
+                    // take <= this round's want
+                    remaining[edge(grant.peer, r)] -= take;
                     total += take;
                     return take;
                   });
@@ -283,13 +290,38 @@ ChannelMatchResult run_channel_pim(
   // the spare other receivers declined and may grant the same receiver again.
   for (std::size_t s = 0; s < n; ++s) {
     for (int r : g.receivers_of(static_cast<int>(s))) {
-      const auto ri = static_cast<std::size_t>(r);
-      const int channels = demand[s][ri] - remaining[s][ri];
+      const std::size_t e =
+          edge(static_cast<int>(s), static_cast<std::size_t>(r));
+      const int channels = demand[e] - remaining[e];
       if (channels > 0) {
         result.matches.push_back({static_cast<int>(s), r, channels});
       }
     }
   }
+  return result;
+}
+
+}  // namespace
+
+ChannelMatchResult run_channel_pim(
+    const BipartiteGraph& g, const std::vector<std::vector<int>>& demand,
+    int k, int rounds, Rng& rng) {
+  return match_channels(
+      g, [&demand](std::size_t s, std::size_t r) { return demand[s][r]; }, k,
+      rounds, rng);
+}
+
+MatchResult run_pim(const BipartiteGraph& g, int rounds, Rng& rng) {
+  const auto n = static_cast<std::size_t>(g.n());
+  // One channel per node and one channel of demand per edge.
+  ChannelMatchResult channels = match_channels(
+      g, [](std::size_t, std::size_t) { return 1; }, 1, rounds, rng);
+  MatchResult result;
+  result.match_of_sender.assign(n, -1);
+  for (const auto& e : channels.matches) {
+    result.match_of_sender[static_cast<std::size_t>(e.sender)] = e.receiver;
+  }
+  result.size_after_round = std::move(channels.channels_after_round);
   return result;
 }
 

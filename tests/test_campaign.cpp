@@ -398,6 +398,61 @@ TEST(CampaignDiagnostics, OverrideBadFaultPlan) {
                CampaignError);
 }
 
+/// A two-axis spec whose [report] holds `lines`; its first table line is
+/// line 10.
+std::string report_spec(const std::string& lines) {
+  return "[campaign]\nname = x\n\n[sweep]\nprotocol = dcpim, ndp\n"
+         "load = 0.5, 0.6\n\n[report]\ntitle = t\n" +
+         lines;
+}
+
+TEST(CampaignDiagnostics, ReportUnknownMetric) {
+  expect_error(report_spec("table = meen_slowdown by protocol x load\n"), 10,
+               "unknown metric 'meen_slowdown'");
+  expect_error(report_spec("table = util_series, dorps by protocol per load\n"),
+               10, "unknown metric 'dorps'");
+  // Outside the fingerprint, so a journaled cell could not report it.
+  expect_error(report_spec("table = peak_pending by protocol x load\n"), 10,
+               "unknown metric 'peak_pending'");
+  expect_error(report_spec("table = drops:12 by protocol x load\n"), 10,
+               "decimals must be 0-9");
+}
+
+TEST(CampaignDiagnostics, ReportAxisNotInSweep) {
+  expect_error(report_spec("table = drops by protocol x seed\n"), 10,
+               "axis 'seed' is not in [sweep]");
+  expect_error(report_spec("table = drops by protocol\n"), 10,
+               "leaves sweep axis 'load' out");
+  expect_error(
+      "[campaign]\nname = x\n\n[sweep]\nload = 0.5, 0.6\n\n[report]\n"
+      "title = t\ntable = drops by load x load\n",
+      9, "table names an axis twice");
+}
+
+TEST(CampaignDiagnostics, ReportColumnOptionsNeedAColumnAxis) {
+  expect_error(
+      report_spec("table = drops by protocol per load normalize 0.5\n"), 10,
+      "need a column axis");
+  expect_error(report_spec("table = drops by protocol per load knee 0.9\n"),
+               10, "need a column axis");
+  expect_error(report_spec("table = drops by protocol x\n"), 10,
+               "`x` needs a value");
+  expect_error(report_spec("table = drops by cell x load\n"), 10,
+               "`by cell` takes no `x` or `per`");
+  expect_error(report_spec("table = drops, trims by protocol x load\n"), 10,
+               "`x` takes exactly one scalar metric");
+  expect_error(
+      report_spec("table = drops by protocol x load normalize 0.7\n"), 10,
+      "normalize value '0.7' is not on axis 'load'");
+}
+
+TEST(CampaignDiagnostics, ReportDuplicateTitle) {
+  expect_error(report_spec("title = u\n"), 10, "duplicate key 'title'");
+  expect_error(report_spec("colour = red\n"), 10, "unknown [report] key");
+  expect_error("[campaign]\nname = x\n\n[report]\ntitle = t\n", 4,
+               "[report] needs a table");
+}
+
 // ---- property suite --------------------------------------------------------
 
 struct RandomAxis {
@@ -573,6 +628,52 @@ TEST(CampaignProperty, TwoHundredRandomSpecsMatchTheOracle) {
   }
 }
 
+/// Expands both specs and requires the same cells with the same
+/// fingerprints.
+void expect_same_cells(const CampaignSpec& a, const CampaignSpec& b) {
+  const std::vector<Cell> x = campaign::expand(a);
+  const std::vector<Cell> y = campaign::expand(b);
+  ASSERT_EQ(x.size(), y.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(x[i].label, y[i].label);
+    EXPECT_EQ(x[i].fingerprint, y[i].fingerprint) << x[i].label;
+  }
+}
+
+TEST(CampaignProperty, ReportChangesNoCellFingerprint) {
+  // Removing: every committed spec with and without its [report].
+  for (const std::filesystem::path& file : corpus()) {
+    SCOPED_TRACE(file.string());
+    const CampaignSpec spec =
+        campaign::parse_campaign_spec(read_file(file.string()), file.string());
+    CampaignSpec bare = spec;
+    bare.report = {};
+    expect_same_cells(spec, bare);
+  }
+  // Adding: a [report] over the axes of each random spec.
+  for (std::uint64_t trial = 0; trial < 200; ++trial) {
+    std::mt19937_64 rng(trial);
+    const RandomCampaign rc = make_random_campaign(rng);
+    std::string table = "drops by cell";
+    if (!rc.axes.empty() && rc.axes.size() <= 3) {
+      const char* const keywords[] = {" by ", " x ", " per "};
+      table = "drops";
+      for (std::size_t a = 0; a < rc.axes.size(); ++a) {
+        table += keywords[a] + rc.axes[a].key;
+      }
+    }
+    const std::string text = rc.text +
+                             "\n[report]\ntitle = t\ntable = " + table +
+                             "\ntable = mean_slowdown, short_p99 by cell\n";
+    SCOPED_TRACE("trial " + std::to_string(trial) + "\n" + text);
+    const CampaignSpec with =
+        campaign::parse_campaign_spec(text, "prop.campaign");
+    ASSERT_EQ(with.report.tables.size(), 2u);
+    expect_same_cells(with,
+                      campaign::parse_campaign_spec(rc.text, "prop.campaign"));
+  }
+}
+
 TEST(CampaignProperty, FingerprintInvalidationSemantics) {
   const std::string base_text =
       "[campaign]\nname = fp\n\n[traffic]\nload = 0.5\n\n[sweep]\n"
@@ -623,8 +724,11 @@ TEST(CampaignProperty, FingerprintInvalidationSemantics) {
 std::string tiny_campaign_text() {
   return "[campaign]\nname = tiny\n\n[topology]\nracks = 2\n"
          "hosts_per_rack = 4\nspines = 2\n\n[timing]\ngen_stop = 60us\n"
-         "horizon = 2ms\nmeasure_start = 10us\nmeasure_end = 60us\n\n"
-         "[traffic]\nload = 0.4\n\n[sweep]\nprotocol = dcpim, ndp\n";
+         "horizon = 2ms\nmeasure_start = 10us\nmeasure_end = 60us\n"
+         "util_bin = 200us\n\n[traffic]\nload = 0.4\n\n[harness]\n"
+         "audit = true\n\n[sweep]\nprotocol = dcpim, ndp\n\n[report]\n"
+         "title = tiny\ntable = mean_slowdown, util_series by protocol\n"
+         "table = buckets by protocol\n";
 }
 
 std::string temp_path(const std::string& stem) {
@@ -647,6 +751,7 @@ TEST(CampaignRunner, JobsOneAndFourAreBitIdentical) {
     EXPECT_EQ(a.outcomes[i].csv_row, b.outcomes[i].csv_row);
     EXPECT_EQ(a.outcomes[i].label, b.outcomes[i].label);
   }
+  EXPECT_EQ(campaign::render_report(spec, a), campaign::render_report(spec, b));
 }
 
 TEST(CampaignRunner, JournalResumeIsBitIdentical) {
@@ -688,6 +793,13 @@ TEST(CampaignRunner, JournalResumeIsBitIdentical) {
               reference.outcomes[i].result_fnv);
     EXPECT_EQ(resumed.outcomes[i].csv_row, reference.outcomes[i].csv_row);
   }
+  // The report reads the cached cell's parsed-back result: same bytes,
+  // audit blocks included.
+  const std::string rendered = campaign::render_report(spec, reference);
+  EXPECT_NE(rendered.find("audit: clean"), std::string::npos) << rendered;
+  EXPECT_NE(rendered.find("  buckets by protocol\n"), std::string::npos);
+  EXPECT_EQ(campaign::render_report(spec, resumed), rendered);
+  EXPECT_EQ(campaign::render_report(spec, partial), "");  // incomplete
 
   // Merged CSVs are byte-identical too.
   const std::string dir = temp_path("test_campaign_csv");
@@ -707,6 +819,7 @@ TEST(CampaignRunner, JournalResumeIsBitIdentical) {
     EXPECT_EQ(cached.outcomes[i].result_fnv,
               reference.outcomes[i].result_fnv);
   }
+  EXPECT_EQ(campaign::render_report(spec, cached), rendered);
   std::remove(journal.c_str());
 }
 
@@ -719,21 +832,32 @@ TEST(CampaignRunner, IncompleteReportRefusesToWriteCsv) {
 
 TEST(CampaignJournal, MalformedLinesAreSkipped) {
   const std::string path = temp_path("test_campaign_journal.txt");
+  // A fingerprint needing both escapes (a tab after the first needs none),
+  // as the line carries it.
+  const std::string fingerprint = "a\nb\\c\td";
+  const std::string escaped = "a\\nb\\\\c\td";
+  char fnv[17];
+  std::snprintf(fnv, sizeof(fnv), "%016llx",
+                static_cast<unsigned long long>(campaign::fnv1a(fingerprint)));
   {
     std::ofstream out(path);
-    out << "# dcpim-campaign-journal v1\n";
-    out << "cell 00000000000000aa 00000000000000bb row,1\n";
+    out << "# dcpim-campaign-journal v2\n";
+    out << "cell 00000000000000aa " << fnv << " row,1\t" << escaped << "\n";
     out << "not a journal line\n";
     out << "cell zzzz bad hex\n";
-    out << "cell 00000000000000cc 00000000000000dd\n";  // no row: torn
-    out << "cell 00000000000000aa 00000000000000ee row,2\n";  // dup: wins
-    out << "cell 0123456789abcdef 0123";  // torn tail
+    out << "cell 00000000000000bb " << fnv << " row,3\n";  // v1: no text
+    out << "cell 00000000000000cc 00000000000000ee row,4\t" << escaped
+        << "\n";  // text does not hash to the fnv
+    out << "cell 00000000000000dd " << fnv << " row,5\ta\\q\n";  // other text
+    out << "cell 00000000000000aa " << fnv << " row,2\t" << escaped
+        << "\n";  // dup: wins
+    out << "cell 0123456789abcdef " << fnv << " row,6\ta\\nb";  // torn tail
   }
   const auto entries = campaign::load_journal(path);
   ASSERT_EQ(entries.size(), 1u);
   const campaign::JournalEntry& entry = entries.at(0xaa);
-  EXPECT_EQ(entry.result_fnv, 0xeeu);
   EXPECT_EQ(entry.csv_row, "row,2");
+  EXPECT_EQ(entry.fingerprint, fingerprint);
   std::remove(path.c_str());
 }
 

@@ -71,7 +71,6 @@ GOLDEN = {
     ("inline-scenario", "fixture_lines.cpp", 56),  # net::Network
     ("inline-scenario", "fixture_lines.cpp", 57),  # Topology::
     ("inline-scenario", "fixture_lines.cpp", 58),  # run_experiment
-    ("inline-scenario", "fixture_lines.cpp", 59),  # run_spec, no such spec
     # lifetime family (fixture_lifetime.cpp)
     ("lifetime", "fixture_lifetime.cpp", 29),  # [&] capture in schedule
     ("lifetime", "fixture_lifetime.cpp", 30),  # &local capture in schedule

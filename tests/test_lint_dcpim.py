@@ -169,20 +169,14 @@ class PacketFactoryTest(unittest.TestCase):
 
 
 class InlineScenarioTest(unittest.TestCase):
-    """Every bench binary has its hand-built scenario flagged, whether or
-    not it calls `bench::run_spec("x")`, and a run_spec("x") without
-    tests/campaign_specs/x.campaign is flagged."""
+    """Every bench binary has its hand-built scenario flagged."""
 
-    SPEC = "[campaign]\nname = figx\n"
-
-    def test_spec_driven_binary_with_inline_config_flagged(self):
+    def test_binary_with_inline_config_flagged(self):
         proc = check_tree({
-            "tests/campaign_specs/figx.campaign": self.SPEC,
             "bench/figx_bench.cpp":
                 "int main() {\n"
                 "  harness::ExperimentConfig cfg;\n"
                 "  cfg.load = 0.6;\n"
-                "  const auto run = bench::run_spec(\"figx\");\n"
                 "}\n",
         })
         self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
@@ -205,40 +199,13 @@ class InlineScenarioTest(unittest.TestCase):
         self.assertEqual([ln.split(":")[1] for ln in lines],
                          ["2", "3", "4"], proc.stdout)
 
-    def test_binary_without_run_spec_is_checked(self):
-        proc = check_tree({
-            "bench/legacy.cpp":
-                "int main() { harness::ExperimentConfig cfg; }\n",
-        })
-        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
-        lines = flagged(proc, "inline-scenario")
-        self.assertEqual(len(lines), 1, proc.stdout)
-        self.assertIn("bench/legacy.cpp:1:", lines[0])
-
     def test_comment_mentioning_the_type_is_not_flagged(self):
         proc = check_tree({
-            "tests/campaign_specs/figx.campaign": self.SPEC,
-            "bench/figx_bench.cpp":
+            "bench/campaign.cpp":
                 "// Expands the spec into ExperimentConfigs.\n"
-                "int main() {\n"
-                "  const auto run = bench::run_spec(\"figx\");\n"
-                "}\n",
+                "int main() { return run(\"ExperimentConfig\"); }\n",
         })
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-
-    def test_run_spec_of_missing_spec_flagged(self):
-        proc = check_tree({
-            "tests/campaign_specs/figx.campaign": self.SPEC,
-            "bench/figy_bench.cpp":
-                "int main() {\n"
-                "  const auto run = bench::run_spec(\"figy\");\n"
-                "}\n",
-        })
-        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
-        lines = flagged(proc, "inline-scenario")
-        self.assertEqual(len(lines), 1, proc.stdout)
-        self.assertIn("bench/figy_bench.cpp:2:", lines[0])
-        self.assertIn("figy.campaign does not exist", lines[0])
 
 
 class UnorderedContainerTest(unittest.TestCase):

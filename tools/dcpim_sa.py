@@ -39,8 +39,8 @@ whole-program call graph, and the source lines (DESIGN.md §8, §10, §13):
                   no `unordered_*` token: hashed containers walk in
                   library-dependent order.
   inline-scenario no bench/*.cpp builds a scenario (`ExperimentConfig`,
-                  `net::Network`, `Topology::`, `run_experiment`), and every
-                  `bench::run_spec("x")` has a tests/campaign_specs/x.campaign.
+                  `net::Network`, `Topology::`, `run_experiment`): every
+                  figure is a tests/campaign_specs/ spec bench/campaign runs.
 
 Suppression grammar (checked by the built-in `sa-suppression` meta-rule):
 
@@ -247,8 +247,6 @@ PACKET_FACTORY = re.compile(
 # being mutated, helper functions.
 INLINE_SCENARIO = re.compile(
     r"\bExperimentConfig\b|\bnet::Network\b|\bTopology::|\brun_experiment\b")
-# The call that makes a bench binary spec-driven; group 1 is the spec name.
-RUN_SPEC_CALL = re.compile(r'\bbench::run_spec\(\s*"([^"]+)"')
 
 
 # =============================================================================
@@ -1038,7 +1036,7 @@ def suppression_cover(sups, source_lines):
 
 class Analyzer:
     def __init__(self, models, files_text, hot_scope, kind_enum_paths,
-                 factory_files, bench_text, spec_dir):
+                 factory_files, bench_text):
         self.models = models
         self.files_text = files_text  ##< rel -> list of source lines
         ##< rel -> source lines with comments and literals stripped: the
@@ -1047,7 +1045,6 @@ class Analyzer:
                      for rel, lines in files_text.items()}
         ##< rel -> source lines the inline-scenario rule checks
         self.bench_text = bench_text
-        self.spec_dir = spec_dir  ##< where run_spec("x") finds x.campaign
         self.hot_scope = hot_scope
         self.kind_enum_paths = kind_enum_paths
         self.factory_files = set(factory_files)
@@ -1430,8 +1427,7 @@ class Analyzer:
                         "indexed by a dense id"))
 
     def rule_inline_scenario(self):
-        """Bench binaries run committed specs: no hand-built scenario, and
-        every run_spec("x") names an existing x.campaign."""
+        """Bench binaries build no scenario: figures are committed specs."""
         for rel, lines in self.bench_text.items():
             for line, text in enumerate(lines, 1):
                 m = INLINE_SCENARIO.search(strip_comments_and_strings(text))
@@ -1440,16 +1436,7 @@ class Analyzer:
                         "inline-scenario", rel, line,
                         f"hand-built scenario ({m.group(0)}); put it in "
                         f"tests/campaign_specs/ and run it with "
-                        f"bench::run_spec (bench_common.h)"))
-                if text.lstrip().startswith("//"):
-                    continue
-                for call in RUN_SPEC_CALL.finditer(text):
-                    spec = f"{call.group(1)}.campaign"
-                    if not (self.spec_dir / spec).is_file():
-                        self.emit(Finding(
-                            "inline-scenario", rel, line,
-                            f"tests/campaign_specs/{spec} does not exist; "
-                            f"run_spec() would exit 2 at start-up"))
+                        f"bench/campaign"))
 
     def rule_unused_suppressions(self):
         for s in self.suppressions:
@@ -1523,8 +1510,7 @@ def main() -> int:
 
     enabled = set(args.rules.split(","))
     analyzer = Analyzer(models, files_text, hot_scope, kind_paths,
-                        factory_files, bench_text,
-                        root / "tests" / "campaign_specs")
+                        factory_files, bench_text)
     findings = [f for f in analyzer.run() if f.rule in enabled]
 
     sup_counts: dict[str, int] = {}
